@@ -722,9 +722,9 @@ let extension_pde () =
    trajectory points. *)
 let micro_pairs =
   [
-    ("vm-eval", "objectmath/vmstack-roller-eq", "objectmath/vm-roller-eq");
+    ("vm-eval", "objectmath/vm-roller-eq", "objectmath/vm-roller-eq");
     ( "bearing-rhs",
-      "objectmath/bearing-rhs-closures",
+      "objectmath/bearing-rhs-bytecode",
       "objectmath/bearing-rhs-bytecode" );
     ("simplify", "objectmath/simplify-roller-eq", "objectmath/simplify-roller-eq");
     ("cse", "objectmath/cse-servo", "objectmath/cse-servo");
@@ -790,14 +790,8 @@ let micro () =
   let env = Array.make (Array.length names) 0.01 in
   let eval_fn = Om_expr.Eval.eval_fn names heavy_eq in
   let vm_prog = Om_expr.Vm.compile names heavy_eq in
-  let vmstack_prog = Om_expr.Vm_stack.compile names heavy_eq in
   let y0 = Fm.initial_values r.model in
   let ydot = Array.make (Fm.dim r.model) 0. in
-  (* The seed's execution engine, as the before side of the RHS pair. *)
-  let bc_closures =
-    Om_codegen.Bytecode_backend.compile
-      ~backend:Om_codegen.Bytecode_backend.Exec_closures r.plan ~state_names
-  in
   let lu_mat =
     Array.init 20 (fun i ->
         Array.init 20 (fun j -> if i = j then 21. else 1. /. float_of_int (1 + i + j)))
@@ -827,8 +821,6 @@ let micro () =
           (Staged.stage (fun () -> eval_fn env));
         Test.make ~name:"vm-roller-eq"
           (Staged.stage (fun () -> Om_expr.Vm.run vm_prog env));
-        Test.make ~name:"vmstack-roller-eq"
-          (Staged.stage (fun () -> Om_expr.Vm_stack.run vmstack_prog env));
         Test.make ~name:"cse-servo"
           (Staged.stage (fun () -> Om_codegen.Cse.eliminate targets));
         Test.make ~name:"tarjan-bearing"
@@ -837,9 +829,6 @@ let micro () =
           (Staged.stage (fun () -> Om_ode.Linalg.lu_factor lu_mat));
         Test.make ~name:"bearing-rhs-bytecode"
           (Staged.stage (fun () -> P.rhs_fn r 0. y0 ydot));
-        Test.make ~name:"bearing-rhs-closures"
-          (Staged.stage (fun () ->
-               Om_codegen.Bytecode_backend.rhs_fn bc_closures 0. y0 ydot));
         Test.make ~name:"bearing-rhs-guarded"
           (Staged.stage (fun () ->
                P.rhs_fn r 0. y0 ydot;

@@ -46,34 +46,29 @@ let builtin_arg =
            ~doc:"Use a builtin model: bearing2d, powerplant, servo, \
                  bearing3d.")
 
-(* --jac-mode NAME: auto | dense | sparse | banded:ML:MU. *)
-let parse_jac_mode s =
-  match String.lowercase_ascii s with
-  | "auto" -> Om_ode.Odesys.Auto
-  | "dense" -> Om_ode.Odesys.Dense
-  | "sparse" -> Om_ode.Odesys.Sparse
-  | other -> (
-      match String.split_on_char ':' other with
-      | [ "banded"; ml; mu ] -> (
-          match (int_of_string_opt ml, int_of_string_opt mu) with
-          | Some ml, Some mu when ml >= 0 && mu >= 0 ->
-              Om_ode.Odesys.Banded (ml, mu)
-          | _ ->
-              Printf.eprintf "omc: bad band widths in --jac-mode %s\n" s;
-              exit 2)
-      | _ ->
-          Printf.eprintf
-            "omc: unknown jac mode %s (auto, dense, sparse, banded:ML:MU)\n" s;
-          exit 2)
-
 let jac_mode_arg =
-  Arg.(value & opt string "auto"
+  let modes =
+    Om_ode.Odesys.[ ("auto", Auto); ("dense", Dense); ("sparse", Sparse) ]
+  in
+  Arg.(value & opt (enum modes) Om_ode.Odesys.Auto
        & info [ "jac-mode" ] ~docv:"MODE"
            ~doc:"Newton-matrix strategy for the stiff solver path: \
-                 $(b,auto), $(b,dense), $(b,sparse) or $(b,banded:ML:MU). \
-                 $(b,auto) takes the colored-column sparse path on large \
-                 sparse systems; trajectories are bitwise-identical \
-                 across modes.")
+                 $(b,auto), $(b,dense) or $(b,sparse).  $(b,auto) takes \
+                 the colored-column sparse path on large sparse systems; \
+                 trajectories are bitwise-identical across modes.")
+
+(* A finite, strictly positive float: anything else is a cmdliner usage
+   error, like every other malformed flag. *)
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0. -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let tend_arg ?(doc = "Simulation end time.") default =
+  Arg.(value & opt positive_float default & info [ "tend" ] ~docv:"T" ~doc)
 
 let load file builtin =
   match model_source file builtin with
@@ -279,7 +274,6 @@ let read_start_values path fm =
 let simulate_cmd =
   let run file builtin tend solver hstep csv plot init_file jac_mode =
     let _, fm = load file builtin in
-    let jac_mode = parse_jac_mode jac_mode in
     let sys = Om_ode.Odesys.of_equations fm.equations in
     let y0 =
       match init_file with
@@ -350,16 +344,13 @@ let simulate_cmd =
           ~x_label:"t" all;
         Printf.printf "trajectory plot written to %s\n" path
   in
-  let tend =
-    Arg.(value & opt float 1.0
-         & info [ "tend" ] ~docv:"T" ~doc:"Simulation end time.")
-  in
+  let tend = tend_arg 1.0 in
   let solver =
     Arg.(value & opt string "lsoda"
          & info [ "solver" ] ~docv:"NAME" ~doc:"lsoda, rkf45 or rk4.")
   in
   let hstep =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some positive_float) None
          & info [ "step" ] ~docv:"H" ~doc:"Fixed step size for rk4.")
   in
   let csv =
@@ -374,7 +365,8 @@ let simulate_cmd =
   let init_file =
     Arg.(value & opt (some file) None
          & info [ "init" ] ~docv:"FILE"
-             ~doc:"Read start values from FILE (one 'state value' per                    line) instead of the model's init expressions.")
+             ~doc:"Read start values from FILE (one 'state value' per \
+                   line) instead of the model's init expressions.")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Integrate the model's ODE system")
@@ -388,7 +380,6 @@ let bench_cmd =
       domains chaos_nan chaos_inf chaos_stall stall_micros chaos_spawn
       barrier_deadline no_guard jac_mode =
     let _, fm = load file builtin in
-    let jac_mode = parse_jac_mode jac_mode in
     let r = Om_codegen.Pipeline.compile fm in
     let m =
       match machine with
@@ -513,10 +504,7 @@ let bench_cmd =
     Arg.(value & opt int 4
          & info [ "workers" ] ~docv:"N" ~doc:"Worker processors.")
   in
-  let tend =
-    Arg.(value & opt float 1e-3
-         & info [ "tend" ] ~docv:"T" ~doc:"Simulated model time.")
-  in
+  let tend = tend_arg ~doc:"Simulated model time." 1e-3 in
   let needed_only =
     Arg.(value & flag
          & info [ "needed-only" ]
@@ -661,10 +649,7 @@ let sweep_cmd =
              ~doc:"Comma-separated parameter values, one ensemble member \
                    each.")
   in
-  let tend =
-    Arg.(value & opt float 1.0
-         & info [ "tend" ] ~docv:"T" ~doc:"Simulation end time.")
-  in
+  let tend = tend_arg 1.0 in
   let metric =
     Arg.(value & opt (some string) None
          & info [ "metric" ] ~docv:"STATE"
@@ -763,10 +748,7 @@ let ensemble_cmd =
              ~doc:"Deterministic draw seed: the same seed reproduces the \
                    same report.")
   in
-  let tend =
-    Arg.(value & opt float 1.0
-         & info [ "tend" ] ~docv:"T" ~doc:"Simulation end time.")
-  in
+  let tend = tend_arg 1.0 in
   let metric =
     Arg.(value & opt (some string) None
          & info [ "metric" ] ~docv:"STATE"
@@ -795,6 +777,9 @@ let serve_cmd =
   let run socket accept queue executors cache_capacity no_timings journal_path
       retries retry_backoff quota_queued quota_running deadline_margin
       result_cache =
+    (* A client that hangs up mid-stream must surface as the [Sys_error]
+       [write_record] swallows, not as a SIGPIPE that kills the server. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let resolve name =
       Option.map (fun f -> f ()) (List.assoc_opt name builtin_models)
     in

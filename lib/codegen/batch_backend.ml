@@ -13,20 +13,12 @@ type t = {
   env : float array array; (* env_size x width: states, t, CSE temps *)
   out : float array array; (* n_slots x width *)
   tasks : Vb.t array;
-  epilogue : Vb.t option;
+  epilogue : Vb.t;
 }
 
-let task_program (tk : Bb.compiled_task) =
-  match tk.program with
-  | Some p -> p
-  | None ->
-      invalid_arg "Batch_backend.create: task without a VM program"
-
 let create (c : Bb.t) ~width =
-  if c.backend <> Bb.Exec_vm then
-    invalid_arg "Batch_backend.create: requires the Exec_vm backend";
   if width < 1 then invalid_arg "Batch_backend.create: width < 1";
-  let progs = Array.map task_program c.tasks in
+  let progs = Array.map (fun (tk : Bb.compiled_task) -> tk.program) c.tasks in
   let env_size =
     Array.fold_left
       (fun m p -> max m (Om_expr.Vm.raw p).rw_env_size)
@@ -38,7 +30,7 @@ let create (c : Bb.t) ~width =
     env = Array.init env_size (fun _ -> Array.make width 0.);
     out = Array.init c.n_slots (fun _ -> Array.make width 0.);
     tasks = Array.map (Vb.create ~width) progs;
-    epilogue = Option.map (Vb.create ~width) c.epilogue_program;
+    epilogue = Vb.create ~width c.epilogue_program;
   }
 
 (* Fresh SoA columns and Vm_batch scratch over the shared conditioned
@@ -50,7 +42,7 @@ let clone_scratch t =
     env = Array.init (Array.length t.env) (fun _ -> Array.make t.width 0.);
     out = Array.init (Array.length t.out) (fun _ -> Array.make t.width 0.);
     tasks = Array.map Vb.clone_scratch t.tasks;
-    epilogue = Option.map Vb.clone_scratch t.epilogue;
+    epilogue = Vb.clone_scratch t.epilogue;
   }
 
 let width t = t.width
@@ -66,9 +58,7 @@ let brhs t ~times ~y ~ydot ~lo ~hi =
   for ti = 0 to Array.length tasks - 1 do
     Vb.exec tasks.(ti) ~env:t.env ~out:t.out ~lo ~hi
   done;
-  (match t.epilogue with
-  | Some ep -> Vb.exec ep ~env:t.env ~out:t.out ~lo ~hi
-  | None -> ());
+  Vb.exec t.epilogue ~env:t.env ~out:t.out ~lo ~hi;
   for i = 0 to t.dim - 1 do
     Array.blit t.out.(i) lo ydot.(i) lo n
   done

@@ -1,7 +1,7 @@
 (** Batched (SoA) execution of a compiled bytecode backend.
 
-    Wraps the register programs of a {!Bytecode_backend.t} compiled with
-    [Exec_vm] into {!Om_expr.Vm_batch} instances sharing one
+    Wraps the register programs of a {!Bytecode_backend.t} into
+    {!Om_expr.Vm_batch} instances sharing one
     structure-of-arrays environment, and exposes the batched right-hand
     side [brhs]: per lane it computes exactly what
     {!Bytecode_backend.rhs_fn} computes (set state, evaluate every task
@@ -19,8 +19,7 @@
 type t
 
 val create : Bytecode_backend.t -> width:int -> t
-(** @raise Invalid_argument if the backend is not [Exec_vm] or
-    [width < 1]. *)
+(** @raise Invalid_argument if [width < 1]. *)
 
 val clone_scratch : t -> t
 (** An independent batch instance at the same width: environment and

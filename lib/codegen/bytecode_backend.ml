@@ -1,5 +1,4 @@
 type cse_scope = Cse_none | Cse_per_task | Cse_global
-type exec_backend = Exec_closures | Exec_vm
 
 type compiled_task = {
   id : int;
@@ -9,7 +8,7 @@ type compiled_task = {
   static_cost : float;
   reads : int list;
   writes : int list;
-  program : Om_expr.Vm.program option;
+  program : Om_expr.Vm.program;
 }
 
 type t = {
@@ -19,11 +18,10 @@ type t = {
   set_state : float -> float array -> unit;
   out : float array;
   run_epilogue : unit -> unit;
-  epilogue_program : Om_expr.Vm.program option;
+  epilogue_program : Om_expr.Vm.program;
   epilogue_flops : float;
   state_names : string array;
   cse_temp_total : int;
-  backend : exec_backend;
   vm_instrs : int;
   vm_flops : float;
   vm_fused : int;
@@ -40,8 +38,8 @@ let slot_of_target s =
 
 let no_env = [||]
 
-let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
-    (plan : Partition.plan) ~state_names =
+let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
+    ~state_names =
   let dim = plan.dim in
   if Array.length state_names <> dim then
     invalid_arg "Bytecode_backend.compile: state_names length mismatch";
@@ -111,52 +109,33 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
   in
   let out_size = Partition.n_slots plan in
   (* Pure per-task compile products, shared by every scratch instance:
-     register programs (whose instruction streams are immutable) or
-     closure step lists (pure functions of the env array they are
-     handed).  All lowering, CSE, peephole and validation work happens
-     here, once. *)
+     register programs, whose instruction streams are immutable.  All
+     lowering, CSE, peephole and validation work happens here, once. *)
   let plan_block (id, label, (block : Cse.block), reads, writes) =
+    (* One register program per task: temps store to their env slots,
+       roots to their output slots.  Temp slots are task-private (per-task
+       CSE prefixes make the names unique), so the optimiser may drop
+       stores nothing reads. *)
     let code =
-      match backend with
-      | Exec_vm ->
-          (* One register program per task: temps store to their env
-             slots, roots to their output slots.  Temp slots are
-             task-private (per-task CSE prefixes make the names unique),
-             so the optimiser may drop stores nothing reads. *)
-          let module Iset = Set.Make (Int) in
-          let priv =
-            List.fold_left
-              (fun s (b : Cse.binding) -> Iset.add (slot_of_name b.name) s)
-              Iset.empty block.temps
-          in
-          let stmts =
-            List.map
-              (fun (b : Cse.binding) ->
-                (b.expr, Om_expr.Vm.To_env (slot_of_name b.name)))
-              block.temps
-            @ List.map
-                (fun (target, e) ->
-                  (e, Om_expr.Vm.To_out (slot_of_target target)))
-                block.roots
-          in
-          `Vm
-            (Om_expr.Vm.compile_stmts ~optimize
-               ~private_env_slot:(fun s -> Iset.mem s priv)
-               ~out_size names stmts)
-      | Exec_closures ->
-          let temp_steps =
-            List.map
-              (fun (b : Cse.binding) ->
-                (slot_of_name b.name, Om_expr.Eval.eval_fn names b.expr))
-              block.temps
-          in
-          let root_steps =
-            List.map
-              (fun (target, e) ->
-                (slot_of_target target, Om_expr.Eval.eval_fn names e))
-              block.roots
-          in
-          `Closures (temp_steps, root_steps)
+      let module Iset = Set.Make (Int) in
+      let priv =
+        List.fold_left
+          (fun s (b : Cse.binding) -> Iset.add (slot_of_name b.name) s)
+          Iset.empty block.temps
+      in
+      let stmts =
+        List.map
+          (fun (b : Cse.binding) ->
+            (b.expr, Om_expr.Vm.To_env (slot_of_name b.name)))
+          block.temps
+        @ List.map
+            (fun (target, e) ->
+              (e, Om_expr.Vm.To_out (slot_of_target target)))
+            block.roots
+      in
+      Om_expr.Vm.compile_stmts ~optimize
+        ~private_env_slot:(fun s -> Iset.mem s priv)
+        ~out_size names stmts
     in
     let temp_msteps =
       List.map
@@ -175,10 +154,7 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
   in
   let task_plans = List.map plan_block blocks in
   let epilogue_code =
-    match backend with
-    | Exec_vm ->
-        `Vm (Om_expr.Vm.compile_epilogue ~optimize ~out_size plan.epilogue)
-    | Exec_closures -> `Closures plan.epilogue
+    Om_expr.Vm.compile_epilogue ~optimize ~out_size plan.epilogue
   in
   let vm_instrs, vm_flops, vm_fused =
     let add (i, fl, fu) p =
@@ -187,11 +163,10 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
     in
     let acc =
       List.fold_left
-        (fun acc (_, _, code, _, _, _, _) ->
-          match code with `Vm p -> add acc p | `Closures _ -> acc)
+        (fun acc (_, _, code, _, _, _, _) -> add acc code)
         (0, 0., 0) task_plans
     in
-    match epilogue_code with `Vm p -> add acc p | `Closures _ -> acc
+    add acc epilogue_code
   in
   let cse_temp_total = List.length temp_names in
   let epilogue_flops = plan.epilogue_flops in
@@ -206,17 +181,8 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
     let build_task
         (id, label, code, (temp_msteps, root_msteps), static_cost, reads,
          writes) =
-      let program, eval =
-        match code with
-        | `Vm prog ->
-            let p = Om_expr.Vm.clone_scratch prog in
-            (Some p, fun () -> Om_expr.Vm.exec p ~env ~out)
-        | `Closures (temp_steps, root_steps) ->
-            ( None,
-              fun () ->
-                List.iter (fun (slot, f) -> env.(slot) <- f env) temp_steps;
-                List.iter (fun (slot, f) -> out.(slot) <- f env) root_steps )
-      in
+      let program = Om_expr.Vm.clone_scratch code in
+      let eval () = Om_expr.Vm.exec program ~env ~out in
       let measured_eval () =
         let acc = ref 0. in
         List.iter (fun (slot, f) -> env.(slot) <- f env acc) temp_msteps;
@@ -230,20 +196,9 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
       Array.blit y 0 env 0 dim;
       env.(dim) <- t
     in
-    let run_epilogue, epilogue_program =
-      match epilogue_code with
-      | `Vm eprog ->
-          let p = Om_expr.Vm.clone_scratch eprog in
-          ((fun () -> Om_expr.Vm.exec p ~env:no_env ~out), Some p)
-      | `Closures groups ->
-          ( (fun () ->
-              List.iter
-                (fun (deriv, slots) ->
-                  let acc = ref 0. in
-                  List.iter (fun s -> acc := !acc +. out.(s)) slots;
-                  out.(deriv) <- !acc)
-                groups),
-            None )
+    let epilogue_program = Om_expr.Vm.clone_scratch epilogue_code in
+    let run_epilogue () =
+      Om_expr.Vm.exec epilogue_program ~env:no_env ~out
     in
     {
       dim;
@@ -256,7 +211,6 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
       epilogue_flops;
       state_names;
       cse_temp_total;
-      backend;
       vm_instrs;
       vm_flops;
       vm_fused;

@@ -5,19 +5,12 @@
     register-VM program per task ({!Om_expr.Vm}) over a shared value
     environment, which the sequential driver and the machine simulator
     both call.  Semantics match the textual backends exactly (same
-    temps, same evaluation order).  The historical closure engine
-    ({!Om_expr.Eval.eval_fn}) remains available as [Exec_closures] for
-    before/after benchmarking. *)
+    temps, same evaluation order). *)
 
 type cse_scope =
   | Cse_none
   | Cse_per_task  (** parallel mode: no sharing across tasks (§3.3) *)
   | Cse_global  (** serial mode: one task, sharing everywhere *)
-
-(** Execution engine for the compiled tasks. *)
-type exec_backend =
-  | Exec_closures  (** tree-shaped closures from {!Om_expr.Eval.eval_fn} *)
-  | Exec_vm  (** flat register-VM programs (default; allocation-free) *)
 
 type compiled_task = {
   id : int;
@@ -30,9 +23,9 @@ type compiled_task = {
   static_cost : float;  (** mean-branch estimate, includes temps *)
   reads : int list;
   writes : int list;
-  program : Om_expr.Vm.program option;
-      (** the task's register program ([Exec_vm] only), for disassembly
-          and instruction statistics *)
+  program : Om_expr.Vm.program;
+      (** the task's register program, for disassembly and instruction
+          statistics *)
 }
 
 type t = {
@@ -42,16 +35,13 @@ type t = {
   set_state : float -> float array -> unit;
   out : float array;  (** output slots: derivatives then partials *)
   run_epilogue : unit -> unit;
-  epilogue_program : Om_expr.Vm.program option;
-      (** the reduction-epilogue program ([Exec_vm] only), for engines
-          that reinterpret it (e.g. {!Batch_backend}) *)
+  epilogue_program : Om_expr.Vm.program;
+      (** the reduction-epilogue program, for engines that reinterpret it
+          (e.g. {!Batch_backend}) *)
   epilogue_flops : float;
   state_names : string array;
   cse_temp_total : int;  (** temporaries across all tasks *)
-  backend : exec_backend;
-  vm_instrs : int;
-      (** static VM instructions across tasks + epilogue (0 for
-          [Exec_closures]) *)
+  vm_instrs : int;  (** static VM instructions across tasks + epilogue *)
   vm_flops : float;  (** static flop units of the VM code *)
   vm_fused : int;  (** fused instructions after the peephole pass *)
   fresh_scratch : unit -> t;
@@ -61,19 +51,18 @@ type t = {
 
 val compile :
   ?scope:cse_scope ->
-  ?backend:exec_backend ->
   ?optimize:bool ->
   Partition.plan ->
   state_names:string array ->
   t
-(** Default scope is [Cse_per_task]; default backend is [Exec_vm].
-    [optimize] (default [true], [Exec_vm] only) runs the peephole pass
+(** Default scope is [Cse_per_task].  [optimize] (default [true]) runs
+    the peephole pass
     over every task and epilogue program; the fuzz oracle compiles with
     [~optimize:false] to check that the pass is bit-preserving. *)
 
 val clone_scratch : t -> t
 (** An independently runnable instance of the same compiled artifact:
-    the lowered register programs (or closure step lists) are shared —
+    the lowered register programs are shared —
     they are immutable after {!compile} — while the value environment,
     output slots, per-task register files and the evaluation closures
     around them are fresh.  No re-lowering, CSE, peephole or validation

@@ -50,8 +50,7 @@ let analyse (m : Om_lang.Flat_model.t) =
 let compiles = Atomic.make 0
 let compile_count () = Atomic.get compiles
 
-let compile ?(config = default_config) ?backend ?optimize
-    (m : Om_lang.Flat_model.t) =
+let compile ?(config = default_config) ?optimize (m : Om_lang.Flat_model.t) =
   Atomic.incr compiles;
   let assigns = Assignments.of_flat_model m in
   let plan =
@@ -61,7 +60,7 @@ let compile ?(config = default_config) ?backend ?optimize
   Partition.validate plan;
   let state_names = Om_lang.Flat_model.state_names m in
   let compiled =
-    Bytecode_backend.compile ~scope:config.cse_scope ?backend ?optimize plan
+    Bytecode_backend.compile ~scope:config.cse_scope ?optimize plan
       ~state_names
   in
   let tasks =
@@ -82,10 +81,10 @@ let clone_scratch r =
 
 let source_key source = Digest.to_hex (Digest.string source)
 
-let compile_source ?config ?backend ?optimize source =
+let compile_source ?config ?optimize source =
   let fm = Om_lang.Flatten.flatten_string source in
   Om_lang.Typecheck.check fm;
-  compile ?config ?backend ?optimize fm
+  compile ?config ?optimize fm
 
 let system_level_speedup a ~comm ~nprocs =
   Om_sched.Dag_sched.speedup a.condensed ~weights:a.scc_weights ~comm ~nprocs

@@ -30,16 +30,10 @@ type result = {
 
 val analyse : Om_lang.Flat_model.t -> analysis
 
-val compile :
-  ?config:config ->
-  ?backend:Bytecode_backend.exec_backend ->
-  ?optimize:bool ->
-  Om_lang.Flat_model.t ->
-  result
-(** [backend] and [optimize] are forwarded to
-    {!Bytecode_backend.compile}; the defaults (register VM, peephole on)
-    are what every driver uses.  The fuzz oracle overrides them to pit
-    the execution strategies against each other. *)
+val compile : ?config:config -> ?optimize:bool -> Om_lang.Flat_model.t -> result
+(** [optimize] is forwarded to {!Bytecode_backend.compile}; the default
+    (peephole on) is what every driver uses.  The fuzz oracle turns it
+    off to check that the peephole pass is bit-preserving. *)
 
 val clone_scratch : result -> result
 (** An independently executable view of a compiled result: the model,
@@ -61,12 +55,7 @@ val source_key : string -> string
     {!compile_source} under.  Equal sources get equal keys regardless of
     tenant, file name or submission time. *)
 
-val compile_source :
-  ?config:config ->
-  ?backend:Bytecode_backend.exec_backend ->
-  ?optimize:bool ->
-  string ->
-  result
+val compile_source : ?config:config -> ?optimize:bool -> string -> result
 (** The cache-friendly whole-frontend entry: flatten the source text
     ([Om_lang.Flatten.flatten_string]), re-validate the flat model
     ([Om_lang.Typecheck.check]) and {!compile} it — exactly the work a

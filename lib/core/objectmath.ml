@@ -27,7 +27,6 @@ module Prefix_form = Om_expr.Prefix_form
 module Vm = Om_expr.Vm
 module Vm_code = Om_expr.Vm_code
 module Vm_batch = Om_expr.Vm_batch
-module Vm_stack = Om_expr.Vm_stack
 module Peephole = Om_expr.Peephole
 
 module Ast = Om_lang.Ast
@@ -51,7 +50,6 @@ module Ensemble = Om_ode.Ensemble
 module Adams = Om_ode.Adams
 module Bdf = Om_ode.Bdf
 module Rosenbrock = Om_ode.Rosenbrock
-module Banded = Om_ode.Banded
 module Lsoda = Om_ode.Lsoda
 module Jacobian = Om_ode.Jacobian
 module Events = Om_ode.Events

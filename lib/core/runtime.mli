@@ -134,7 +134,7 @@ type report = {
           worker drops, mid-run stall drops, fall to sequential *)
   jac_mode : string;
       (** resolved Newton-matrix strategy the stiff path uses (or would
-          use): ["dense"], ["banded:ml:mu"] or ["sparse"] *)
+          use): ["dense"] or ["sparse"] *)
   jac_sparsity : (int * int) option;
       (** [(nnz, colors)] of the sparse Jacobian: structural nonzeros
           and the number of compressed column groups (= RHS evaluations

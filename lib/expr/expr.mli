@@ -151,8 +151,8 @@ val eval_rel : rel -> float -> float -> bool
 
 val eval_pow : float -> float -> float
 (** The power semantics shared by {e every} evaluator in the repo — the
-    tree-walking interpreter, the compiled closures, the register and
-    stack VMs, the dynamic cost model, and constant folding.  Integer
+    tree-walking interpreter, the compiled closures, the scalar and
+    batched register VMs, the dynamic cost model, and constant folding.  Integer
     exponents that the peephole pass strength-reduces get the same fast
     paths here ([b ** 2.] is [b *. b], [b ** -1.] is [1. /. b],
     [b ** 1.] is [b], [b ** 0.] is [1.]); everything else is

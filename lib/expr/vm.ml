@@ -264,9 +264,9 @@ let compile_epilogue ?optimize ~out_size groups =
   let em = new_emitter () in
   List.iter
     (fun (deriv, slots) ->
-      (* Fold from 0. like the closure backend, so results are
-         bit-identical (addition is commutative bitwise, so the addk
-         strength reduction downstream preserves this). *)
+      (* Fold from 0., left to right: the epilogue's reference order
+         (addition is commutative bitwise, so the addk strength
+         reduction downstream preserves it). *)
       let acc0 = fresh em in
       emit em Vm_code.op_ldc acc0 0 0 (kpool em 0.);
       let r =

@@ -52,8 +52,8 @@ val compile_stmts :
 val compile_epilogue :
   ?optimize:bool -> out_size:int -> (int * int list) list -> program
 (** Compile a reduction epilogue: each [(deriv, slots)] sets
-    [out.(deriv) <- sum of out.(slot)]s, folding from [0.] like the
-    closure backend.  Reads and writes only [out]. *)
+    [out.(deriv) <- sum of out.(slot)]s, folding left to right from
+    [0.].  Reads and writes only [out]. *)
 
 val clone_scratch : program -> program
 (** An independently runnable copy of the program: the instruction

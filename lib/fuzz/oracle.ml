@@ -425,12 +425,6 @@ let check ?chaos (m : A.model) : result =
                   fail "trajectory" "%s raised %s" what (Printexc.to_string exn)
             in
             strategy "eval-interp" (fun () -> integrate_seq f (interp_rhs f));
-            strategy "exec-closures" (fun () ->
-                let rc =
-                  Om_codegen.Pipeline.compile
-                    ~backend:Om_codegen.Bytecode_backend.Exec_closures f
-                in
-                integrate_seq f (Om_codegen.Pipeline.rhs_fn rc));
             strategy "exec-vm-nopeephole" (fun () ->
                 let rn = Om_codegen.Pipeline.compile ~optimize:false f in
                 integrate_seq f (Om_codegen.Pipeline.rhs_fn rn));

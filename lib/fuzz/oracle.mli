@@ -31,8 +31,8 @@
       and the colored compressed-column evaluation decompresses to the
       uncompressed forward differences bitwise;
     - {b trajectory}: bitwise ([Int64.bits_of_float]) identity of the
-      full RK4 trajectory across the raw-equation interpreter, compiled
-      closures, the register VM with and without the peephole pass, the
+      full RK4 trajectory across the raw-equation interpreter, the
+      register VM with and without the peephole pass, the
       simulated machine (with and without semi-dynamic rescheduling),
       and real OCaml domains with 1, 2 and 4 workers including live
       reschedules.

@@ -11,9 +11,7 @@ let solve_implicit_stage_with (jplan : Jacobian.plan) (sys : Odesys.t) ~tol
   in
   (* Modified Newton: factor [alpha0*I - beta_h*J] at the predictor and
      reuse the factorisation for every iteration of this step.  With a
-     declared band structure the factorisation runs in the band
-     (ODEPACK's banded-Jacobian option); with a sparsity pattern the
-     Jacobian is evaluated in compressed colored columns and factored
+     sparsity pattern the Jacobian is evaluated in compressed colored columns and factored
      by the sparse LU — bitwise the dense results (see {!Sparse}). *)
   let solve =
     match jplan with
@@ -34,19 +32,6 @@ let solve_implicit_stage_with (jplan : Jacobian.plan) (sys : Odesys.t) ~tol
         in
         match Linalg.lu_factor m with
         | lu -> Linalg.lu_solve lu
-        | exception Linalg.Singular _ -> singular ())
-    | Jacobian.Banded_plan (ml, mu) -> (
-        let j = Linalg.make n n 0. in
-        Jacobian.eval_into sys t_next y_guess j;
-        let b = Banded.create ~n ~ml ~mu in
-        for i = 0 to n - 1 do
-          for k = max 0 (i - ml) to min (n - 1) (i + mu) do
-            Banded.set b i k
-              ((if i = k then alpha0 else 0.) -. (beta_h *. j.(i).(k)))
-          done
-        done;
-        match Banded.lu_factor b with
-        | lu -> Banded.lu_solve lu
         | exception Linalg.Singular _ -> singular ())
   in
   sys.counters.lu_factorisations <- sys.counters.lu_factorisations + 1;
@@ -74,10 +59,9 @@ let solve_implicit_stage_with (jplan : Jacobian.plan) (sys : Odesys.t) ~tol
   iterate 0;
   y
 
-let solve_implicit_stage ?banded ?jac_mode (sys : Odesys.t) ~tol ~max_iter
-    ~t_next ~beta_h ~rhs_const ~alpha0 ~y_guess =
-  solve_implicit_stage_with
-    (Jacobian.plan ?jac_mode ?banded sys)
+let solve_implicit_stage ?jac_mode (sys : Odesys.t) ~tol ~max_iter ~t_next
+    ~beta_h ~rhs_const ~alpha0 ~y_guess =
+  solve_implicit_stage_with (Jacobian.plan ?jac_mode sys)
     sys ~tol ~max_iter ~t_next ~beta_h ~rhs_const ~alpha0 ~y_guess
 
 (* alpha0 and history coefficients of fixed-step BDF k:
@@ -88,12 +72,12 @@ let formula = function
   | 3 -> (11. /. 6., [| 3.; -1.5; 1. /. 3. |])
   | k -> invalid_arg (Printf.sprintf "Bdf: unsupported order %d" k)
 
-let integrate ?(order = 2) ?(newton_tol = 1e-10) ?(max_newton = 25) ?banded
-    ?jac_mode ?jac_batch (sys : Odesys.t) ~t0 ~y0 ~tend ~h =
+let integrate ?(order = 2) ?(newton_tol = 1e-10) ?(max_newton = 25) ?jac_mode
+    ?jac_batch (sys : Odesys.t) ~t0 ~y0 ~tend ~h =
   if order < 1 || order > 3 then invalid_arg "Bdf.integrate: order in 1..3";
   if h <= 0. then invalid_arg "Bdf.integrate: nonpositive step";
   (* One plan (and one sparse workspace) for the whole integration. *)
-  let jplan = Jacobian.plan ?jac_mode ?banded ?batch:jac_batch sys in
+  let jplan = Jacobian.plan ?jac_mode ?batch:jac_batch sys in
   let n = sys.dim in
   let ts = ref [ t0 ] and ys = ref [ Array.copy y0 ] in
   (* History of accepted states, most recent first. *)

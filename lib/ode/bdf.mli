@@ -6,17 +6,15 @@
     Fixed step size.  The Newton iteration matrix [I - h*beta*J] is
     factorised once per step and reused across iterations (modified
     Newton); the Jacobian comes from the system's analytic function when
-    available, otherwise finite differences.  [banded] declares the
-    Jacobian's band structure (see {!Banded}); [jac_mode] selects the
-    dense/banded/sparse Newton path ({!Odesys.jac_mode}, default
-    [Auto]), with the sparse path producing trajectories bitwise equal
+    available, otherwise finite differences.  [jac_mode] selects the
+    dense or sparse Newton path ({!Odesys.jac_mode}, default [Auto]),
+    with the sparse path producing trajectories bitwise equal
     to the dense one (see {!Sparse}). *)
 
 val integrate :
   ?order:int ->
   ?newton_tol:float ->
   ?max_newton:int ->
-  ?banded:int * int ->
   ?jac_mode:Odesys.jac_mode ->
   ?jac_batch:Jacobian.batch_rhs ->
   Odesys.t ->
@@ -33,7 +31,6 @@ val integrate :
     converge or the iteration matrix is singular. *)
 
 val solve_implicit_stage :
-  ?banded:int * int ->
   ?jac_mode:Odesys.jac_mode ->
   Odesys.t ->
   tol:float ->
@@ -45,9 +42,7 @@ val solve_implicit_stage :
   y_guess:float array ->
   float array
 (** Solve [alpha0 * y = rhs_const + beta_h * f(t_next, y)] by modified
-    Newton; shared with the LSODA-style driver.  With [banded = (ml, mu)]
-    the Newton matrix factorises inside the band in O(n (ml+mu)^2) — the
-    right choice for method-of-lines PDE systems.  Resolves the Jacobian
+    Newton; shared with the LSODA-style driver.  Resolves the Jacobian
     plan per call; drivers that step repeatedly should resolve once with
     {!Jacobian.plan} and call {!solve_implicit_stage_with}.
     @raise Om_guard.Om_error.Error ([Newton_failure]) on non-convergence

@@ -64,24 +64,19 @@ let sparse_ctx ?batch (sys : Odesys.t) =
           batch;
         }
 
-type plan =
-  | Dense_plan
-  | Banded_plan of int * int
-  | Sparse_plan of sparse_ctx
+type plan = Dense_plan | Sparse_plan of sparse_ctx
 
 let auto_dim_min = 16
 let auto_density_max = 0.25
 
-let plan ?(jac_mode = Odesys.Auto) ?banded ?batch (sys : Odesys.t) =
-  match (banded, jac_mode) with
-  | Some (ml, mu), _ -> Banded_plan (ml, mu)
-  | None, Odesys.Dense -> Dense_plan
-  | None, Odesys.Banded (ml, mu) -> Banded_plan (ml, mu)
-  | None, Odesys.Sparse -> (
+let plan ?(jac_mode = Odesys.Auto) ?batch (sys : Odesys.t) =
+  match jac_mode with
+  | Odesys.Dense -> Dense_plan
+  | Odesys.Sparse -> (
       match sparse_ctx ?batch sys with
       | Some c -> Sparse_plan c
       | None -> Dense_plan)
-  | None, Odesys.Auto -> (
+  | Odesys.Auto -> (
       match sys.sparsity with
       | Some p
         when sys.dim >= auto_dim_min && Sparse.density p <= auto_density_max
@@ -112,20 +107,18 @@ let sparse_eval_into ?eps (sys : Odesys.t) ctx t y =
           done);
       Sparse.fd_scatter ctx.fd ~f0:ctx.f0 ~jac:ctx.sj
 
-let mode_stats ?(jac_mode = Odesys.Auto) ?banded (sys : Odesys.t) =
+let mode_stats ?(jac_mode = Odesys.Auto) (sys : Odesys.t) =
   let sparse_stats (p : Sparse.pattern) =
     let c = Sparse.color_columns p in
     ("sparse", Some (Sparse.nnz p, c.Sparse.ncolors))
   in
-  match (banded, jac_mode) with
-  | Some (ml, mu), _ | None, Odesys.Banded (ml, mu) ->
-      (Printf.sprintf "banded:%d:%d" ml mu, None)
-  | None, Odesys.Dense -> ("dense", None)
-  | None, Odesys.Sparse -> (
+  match jac_mode with
+  | Odesys.Dense -> ("dense", None)
+  | Odesys.Sparse -> (
       match sys.sparsity with
       | Some p -> sparse_stats p
       | None -> ("dense", None))
-  | None, Odesys.Auto -> (
+  | Odesys.Auto -> (
       match sys.sparsity with
       | Some p
         when sys.dim >= auto_dim_min && Sparse.density p <= auto_density_max
@@ -135,6 +128,5 @@ let mode_stats ?(jac_mode = Odesys.Auto) ?banded (sys : Odesys.t) =
 
 let plan_stats = function
   | Dense_plan -> ("dense", None)
-  | Banded_plan (ml, mu) -> (Printf.sprintf "banded:%d:%d" ml mu, None)
   | Sparse_plan ctx ->
       ("sparse", Some (Sparse.nnz ctx.spat, ctx.coloring.ncolors))

@@ -46,20 +46,11 @@ val sparse_ctx : ?batch:batch_rhs -> Odesys.t -> sparse_ctx option
 (** [None] when the system declares no sparsity pattern. *)
 
 (** Resolved Newton-matrix strategy for a whole integration. *)
-type plan =
-  | Dense_plan
-  | Banded_plan of int * int
-  | Sparse_plan of sparse_ctx
+type plan = Dense_plan | Sparse_plan of sparse_ctx
 
-val plan :
-  ?jac_mode:Odesys.jac_mode ->
-  ?banded:int * int ->
-  ?batch:batch_rhs ->
-  Odesys.t ->
-  plan
+val plan : ?jac_mode:Odesys.jac_mode -> ?batch:batch_rhs -> Odesys.t -> plan
 (** Resolve a {!Odesys.jac_mode} (default [Auto]) against the system.
-    An explicit [banded] argument (the pre-existing solver option) wins
-    for compatibility.  [Auto] selects the sparse path when a pattern
+    [Auto] selects the sparse path when a pattern
     is declared, [dim >= 16] and the density is at most [0.25] —
     below that size the dense factorisation is at least as fast and
     the workspace is not worth building.  [Sparse] without a declared
@@ -80,10 +71,7 @@ val plan_stats : plan -> string * (int * int) option
     plan — surfaced in the runtime report and [omc --jac-mode]. *)
 
 val mode_stats :
-  ?jac_mode:Odesys.jac_mode ->
-  ?banded:int * int ->
-  Odesys.t ->
-  string * (int * int) option
+  ?jac_mode:Odesys.jac_mode -> Odesys.t -> string * (int * int) option
 (** {!plan_stats} of the plan {!plan} would resolve, without building
     the sparse workspace — for reporting paths that never factor a
     matrix themselves. *)

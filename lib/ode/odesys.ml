@@ -8,7 +8,7 @@ type counters = {
   mutable retries : int;
 }
 
-type jac_mode = Dense | Banded of int * int | Sparse | Auto
+type jac_mode = Dense | Sparse | Auto
 
 type t = {
   dim : int;

@@ -19,10 +19,9 @@ type counters = {
           [Rk] and [Lsoda] *)
 }
 
-type jac_mode = Dense | Banded of int * int | Sparse | Auto
+type jac_mode = Dense | Sparse | Auto
 (** How the stiff solvers evaluate and factor the Newton matrix.
-    [Dense] is the classic full-matrix path; [Banded (ml, mu)] declares
-    the band structure (see {!Banded}); [Sparse] uses the system's
+    [Dense] is the classic full-matrix path; [Sparse] uses the system's
     sparsity pattern with colored compressed columns and the sparse LU
     of {!Sparse}; [Auto] (every solver's default) picks [Sparse] when a
     pattern is known, the dimension is large enough, and the density is

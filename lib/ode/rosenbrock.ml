@@ -29,17 +29,6 @@ let make_solver_with (jplan : Jacobian.plan) (sys : Odesys.t) t y h =
                 (if i = k then 1. else 0.) -. (gamma *. h *. j.(i).(k))))
       in
       Linalg.lu_solve (Linalg.lu_factor m)
-  | Jacobian.Banded_plan (ml, mu) ->
-      let j = Linalg.make n n 0. in
-      Jacobian.eval_into sys t y j;
-      let b = Banded.create ~n ~ml ~mu in
-      for i = 0 to n - 1 do
-        for k = max 0 (i - ml) to min (n - 1) (i + mu) do
-          Banded.set b i k
-            ((if i = k then 1. else 0.) -. (gamma *. h *. j.(i).(k)))
-        done
-      done;
-      Banded.lu_solve (Banded.lu_factor b)
 
 let step_with jplan (sys : Odesys.t) t y h =
   let n = sys.dim in
@@ -53,14 +42,13 @@ let step_with jplan (sys : Odesys.t) t y h =
   Array.init n (fun i ->
       y.(i) +. (h *. ((1.5 *. k1.(i)) +. (0.5 *. k2.(i)))))
 
-let step ?banded ?jac_mode (sys : Odesys.t) t y h =
-  step_with (Jacobian.plan ?jac_mode ?banded sys) sys t y h
+let step ?jac_mode (sys : Odesys.t) t y h =
+  step_with (Jacobian.plan ?jac_mode sys) sys t y h
 
-let integrate ?banded ?jac_mode ?jac_batch (sys : Odesys.t) ~t0 ~y0 ~tend ~h
-    =
+let integrate ?jac_mode ?jac_batch (sys : Odesys.t) ~t0 ~y0 ~tend ~h =
   if h <= 0. then invalid_arg "Rosenbrock.integrate: nonpositive step";
   (* One plan (and one sparse workspace) for the whole integration. *)
-  let jplan = Jacobian.plan ?jac_mode ?banded ?batch:jac_batch sys in
+  let jplan = Jacobian.plan ?jac_mode ?batch:jac_batch sys in
   let ts = ref [ t0 ] and ys = ref [ Array.copy y0 ] in
   let t = ref t0 and y = ref (Array.copy y0) in
   while !t < tend -. 1e-12 do

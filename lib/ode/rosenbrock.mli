@@ -8,16 +8,10 @@
     multistep BDF family.
 
     This is the L-stable two-stage ROS2 scheme of Verwer et al. with
-    [gamma = 1 + 1/sqrt 2]; both stages reuse one LU factorisation, and a
-    declared band structure routes the factorisation through {!Banded}. *)
+    [gamma = 1 + 1/sqrt 2]; both stages reuse one LU factorisation. *)
 
 val step :
-  ?banded:int * int ->
-  ?jac_mode:Odesys.jac_mode ->
-  Odesys.t ->
-  float ->
-  float array ->
-  float ->
+  ?jac_mode:Odesys.jac_mode -> Odesys.t -> float -> float array -> float ->
   float array
 (** [step sys t y h] advances one step of size [h].  Resolves the
     Jacobian plan per call; see {!step_with} for repeated stepping. *)
@@ -28,7 +22,6 @@ val step_with :
     workspace is built once per integration rather than once per step. *)
 
 val integrate :
-  ?banded:int * int ->
   ?jac_mode:Odesys.jac_mode ->
   ?jac_batch:Jacobian.batch_rhs ->
   Odesys.t ->
@@ -38,7 +31,7 @@ val integrate :
   h:float ->
   Odesys.trajectory
 (** Fixed-step integration (the final step is shortened to land on
-    [tend]).  [jac_mode] (default [Auto]) selects the dense/banded/sparse
+    [tend]).  [jac_mode] (default [Auto]) selects the dense or sparse
     path for [I - gamma h J]; the sparse path is bitwise-identical to the
     dense one.  @raise Invalid_argument on a nonpositive step.
     @raise Linalg.Singular if [I - gamma h J] degenerates. *)

@@ -263,39 +263,31 @@ let test_bytecode_scopes_agree () =
     a
 
 let test_bytecode_backends_agree () =
-  (* The register-VM engine and the historical closure engine must
-     produce the same derivatives on a nontrivial model. *)
+  (* The register-VM RHS on a nontrivial model reproduces the tree-walk
+     evaluation of the flat equations (the fuzz oracle's reference) bit
+     for bit. *)
   let src = Om_models.Bearing2d.source () in
   let m = tiny_model src in
   let assigns = A.of_flat_model m in
   let plan = Part.partition assigns in
   let names = Fm.state_names m in
   let y0 = Fm.initial_values m in
-  let out backend =
-    let bc = Bc.compile ~backend plan ~state_names:names in
-    let d = Array.make (Array.length y0) 0. in
-    Bc.rhs_fn bc 0.01 y0 d;
-    (bc, d)
+  let t = 0.01 in
+  let bc = Bc.compile plan ~state_names:names in
+  let dv = Array.make (Array.length y0) 0. in
+  Bc.rhs_fn bc t y0 dv;
+  let env =
+    Om_expr.Eval.env_of_list
+      (("t", t) :: Array.to_list (Array.mapi (fun i n -> (n, y0.(i))) names))
   in
-  let vm, dv = out Bc.Exec_vm in
-  let cl, dc = out Bc.Exec_closures in
-  Array.iteri
-    (fun i v ->
-      let rel =
-        Float.abs (v -. dc.(i))
-        /. (1. +. Float.max (Float.abs v) (Float.abs dc.(i)))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "deriv %d agrees (%g vs %g)" i v dc.(i))
-        true (rel <= 1e-12))
-    dv;
-  (* Static VM statistics only exist for the VM engine. *)
-  Alcotest.(check bool) "vm instrs counted" true (vm.Bc.vm_instrs > 0);
-  Alcotest.(check int) "closures have no vm instrs" 0 cl.Bc.vm_instrs;
-  Array.iter
-    (fun t ->
-      Alcotest.(check bool) "vm task has program" true (t.Bc.program <> None))
-    vm.Bc.tasks
+  List.iteri
+    (fun i (_, rhs) ->
+      let v = Om_expr.Eval.eval env rhs in
+      Alcotest.(check int64)
+        (Printf.sprintf "deriv %d agrees (%g vs %g)" i dv.(i) v)
+        (Int64.bits_of_float v) (Int64.bits_of_float dv.(i)))
+    m.equations;
+  Alcotest.(check bool) "vm instrs counted" true (bc.Bc.vm_instrs > 0)
 
 let test_bytecode_measured_eval () =
   let _, bc = compile_model oscillator in

@@ -289,10 +289,9 @@ let prop_cost_dyn_within_static_bounds =
       ignore (f [| a; b; c |] acc);
       !acc <= Cost.flops e +. 1e-9)
 
-(* ---------- expression VMs ---------- *)
+(* ---------- register VM ---------- *)
 
 module Vm = Om_expr.Vm
-module Vm_stack = Om_expr.Vm_stack
 module Vm_code = Om_expr.Vm_code
 
 (* Differential testing wants the full ISA exercised, so extend the
@@ -361,43 +360,21 @@ let prop_vm_peephole_never_grows_code =
       Vm.length (Vm.compile names e)
       <= Vm.length (Vm.compile ~optimize:false names e))
 
-let prop_vmstack_matches_eval =
-  QCheck.Test.make ~name:"stack VM agrees with tree evaluation" ~count:300
-    arbitrary_expr_env (fun (e, (a, b, c)) ->
-      let names = [| "x"; "y"; "z" |] in
-      let p = Vm_stack.compile names e in
-      close (Vm_stack.run p [| a; b; c |]) (Eval.eval (env_of [| a; b; c |]) e))
-
-let prop_vm_stack_bound_respected =
-  QCheck.Test.make ~name:"stack VM max_stack is an upper bound" ~count:300
-    arbitrary_expr (fun e ->
-      (* Running would raise Invalid_argument on stack overflow since the
-         operand array is sized by max_stack. *)
-      let p = Vm_stack.compile [| "x"; "y"; "z" |] e in
-      ignore (Vm_stack.run p [| 0.5; -0.5; 1.5 |]);
-      Vm_stack.max_stack p >= 1)
-
 let prop_vm_code_size_linear =
   QCheck.Test.make ~name:"VM code size linear in expression size" ~count:300
     arbitrary_expr (fun e ->
-      let ps = Vm_stack.compile [| "x"; "y"; "z" |] e in
       let pr = Vm.compile ~optimize:false [| "x"; "y"; "z" |] e in
-      Vm_stack.length ps <= 3 * E.size e && Vm.length pr <= 4 * E.size e)
+      Vm.length pr <= 4 * E.size e)
 
 let test_vm_unbound () =
   Alcotest.check_raises "unknown variable (register)" (Eval.Unbound "q")
-    (fun () -> ignore (Vm.compile [| "x" |] (E.var "q")));
-  Alcotest.check_raises "unknown variable (stack)" (Eval.Unbound "q")
-    (fun () -> ignore (Vm_stack.compile [| "x" |] (E.var "q")))
+    (fun () -> ignore (Vm.compile [| "x" |] (E.var "q")))
 
 let test_vm_conditional_branches () =
   let e = E.if_ (E.cond x E.Lt E.zero) (E.const 10.) (E.const 20.) in
   let p = Vm.compile [| "x" |] e in
   check_float "then branch" 10. (Vm.run p [| -1. |]);
-  check_float "else branch" 20. (Vm.run p [| 1. |]);
-  let ps = Vm_stack.compile [| "x" |] e in
-  check_float "then branch (stack)" 10. (Vm_stack.run ps [| -1. |]);
-  check_float "else branch (stack)" 20. (Vm_stack.run ps [| 1. |])
+  check_float "else branch" 20. (Vm.run p [| 1. |])
 
 let test_vm_disassemble () =
   let p = Vm.compile [| "x" |] (E.add [ x; E.one ]) in
@@ -659,8 +636,6 @@ let () =
           q prop_vm_matches_eval;
           q prop_vm_peephole_preserves_value;
           q prop_vm_peephole_never_grows_code;
-          q prop_vmstack_matches_eval;
-          q prop_vm_stack_bound_respected;
           q prop_vm_code_size_linear;
           Alcotest.test_case "unbound" `Quick test_vm_unbound;
           Alcotest.test_case "conditional" `Quick test_vm_conditional_branches;

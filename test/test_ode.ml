@@ -80,93 +80,6 @@ let test_norms () =
   checkf "two" 5. (L.norm2 [| 3.; 4. |]);
   checkf "wrms" 1. (L.wrms_norm [| 2.; 2. |] [| 2.; 2. |])
 
-(* ---------- banded linear algebra ---------- *)
-
-module Banded = Om_ode.Banded
-
-let test_banded_get_set () =
-  let b = Banded.create ~n:5 ~ml:1 ~mu:2 in
-  Banded.set b 2 3 7.;
-  checkf "stored" 7. (Banded.get b 2 3);
-  checkf "zero outside band" 0. (Banded.get b 4 0);
-  Alcotest.check_raises "set outside band"
-    (Invalid_argument "Banded.set: outside the band") (fun () ->
-      Banded.set b 4 0 1.)
-
-let test_banded_roundtrip () =
-  let dense =
-    [| [| 2.; 1.; 0. |]; [| -1.; 3.; 0.5 |]; [| 0.; -2.; 4. |] |]
-  in
-  let b = Banded.of_dense ~ml:1 ~mu:1 dense in
-  Alcotest.(check bool) "to_dense inverse" true (Banded.to_dense b = dense)
-
-let test_banded_of_dense_rejects () =
-  let dense = [| [| 1.; 0.; 9. |]; [| 0.; 1.; 0. |]; [| 0.; 0.; 1. |] |] in
-  Alcotest.check_raises "outside band"
-    (Invalid_argument "Banded.of_dense: entry outside the band") (fun () ->
-      ignore (Banded.of_dense ~ml:0 ~mu:1 dense))
-
-let test_banded_mat_vec () =
-  let dense = [| [| 2.; 1.; 0. |]; [| -1.; 3.; 0.5 |]; [| 0.; -2.; 4. |] |] in
-  let b = Banded.of_dense ~ml:1 ~mu:1 dense in
-  let x = [| 1.; 2.; 3. |] in
-  let y1 = Banded.mat_vec b x and y2 = L.mat_vec dense x in
-  Array.iteri (fun i v -> checkf (string_of_int i) v y1.(i)) y2
-
-let random_banded_gen =
-  QCheck.Gen.(
-    let* n = int_range 2 15 in
-    let* ml = int_range 0 3 in
-    let* mu = int_range 0 3 in
-    let ml = min ml (n - 1) and mu = min mu (n - 1) in
-    let* entries = array_size (return (n * (ml + mu + 1))) (float_range (-3.) 3.) in
-    let* b = array_size (return n) (float_range (-5.) 5.) in
-    return (n, ml, mu, entries, b))
-
-let arbitrary_banded =
-  QCheck.make
-    ~print:(fun (n, ml, mu, _, _) -> Printf.sprintf "n=%d ml=%d mu=%d" n ml mu)
-    random_banded_gen
-
-let prop_banded_solve_matches_dense =
-  QCheck.Test.make ~name:"banded LU matches dense LU" ~count:300
-    arbitrary_banded (fun (n, ml, mu, entries, rhs) ->
-      let b = Banded.create ~n ~ml ~mu in
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        for j = max 0 (i - ml) to min (n - 1) (i + mu) do
-          Banded.set b i j entries.(!k mod Array.length entries);
-          incr k
-        done;
-        (* Diagonal dominance for conditioning. *)
-        Banded.set b i i (Banded.get b i i +. 25.)
-      done;
-      let dense = Banded.to_dense b in
-      let x1 = Banded.lu_solve (Banded.lu_factor b) rhs in
-      let x2 = L.solve dense rhs in
-      Array.for_all2 (fun a c -> Float.abs (a -. c) < 1e-8) x1 x2)
-
-let prop_banded_residual =
-  QCheck.Test.make ~name:"banded LU has small residual" ~count:300
-    arbitrary_banded (fun (n, ml, mu, entries, rhs) ->
-      let b = Banded.create ~n ~ml ~mu in
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        for j = max 0 (i - ml) to min (n - 1) (i + mu) do
-          Banded.set b i j entries.(!k mod Array.length entries);
-          incr k
-        done;
-        Banded.set b i i (Banded.get b i i +. 25.)
-      done;
-      let x = Banded.lu_solve (Banded.lu_factor b) rhs in
-      let r = Banded.mat_vec b x in
-      Array.for_all2 (fun a c -> Float.abs (a -. c) < 1e-8) r rhs)
-
-let test_bandwidth_of_jacobian () =
-  let ml, mu = Banded.bandwidth_of_jacobian [ (0, 1, ()); (3, 1, ()); (2, 2, ()) ] in
-  Alcotest.(check int) "ml" 2 ml;
-  Alcotest.(check int) "mu" 1 mu
-
 (* ---------- fixtures ---------- *)
 
 (* y' = -y, y(0)=1: y(t) = exp(-t). *)
@@ -342,25 +255,6 @@ let test_ros2_stiff_stable () =
   Alcotest.(check (float 0.05)) "tracks cos t" (Float.cos 1.) (final tr).(0);
   Alcotest.(check bool) "no newton iterations" true
     (sys.counters.newton_iters = 0)
-
-let test_ros2_banded_matches_dense () =
-  let sys () =
-    Odesys.of_equations
-      [
-        ("a", E.(sub (var "b") (mul [ const 100.; var "a" ])));
-        ("b", E.(sub (var "a") (var "b")));
-      ]
-  in
-  let y0 = [| 1.; 0. |] in
-  let d =
-    final (Ros.integrate (sys ()) ~t0:0. ~y0 ~tend:0.5 ~h:1e-3)
-  in
-  let b =
-    final (Ros.integrate ~banded:(1, 1) (sys ()) ~t0:0. ~y0 ~tend:0.5 ~h:1e-3)
-  in
-  Array.iteri
-    (fun i v -> Alcotest.(check (float 1e-12)) (string_of_int i) v b.(i))
-    d
 
 (* ---------- lsoda ---------- *)
 
@@ -763,6 +657,19 @@ let test_bdf_sparse_matches_dense_bitwise () =
       check_bitwise_traj ("bdf " ^ name) (run Odesys.Dense) (run Odesys.Sparse))
     [ true; false ]
 
+(* ROS2 factors [I - gamma h J] once per step; its sparse path must
+   replay the dense one bitwise too. *)
+let test_ros2_sparse_matches_dense_bitwise () =
+  List.iter
+    (fun symbolic ->
+      let name = if symbolic then "symbolic" else "fd" in
+      let run jac_mode =
+        let sys, y0 = heat_system ~with_symbolic_jacobian:symbolic () in
+        Ros.integrate ~jac_mode sys ~t0:0. ~y0 ~tend:0.05 ~h:1e-3
+      in
+      check_bitwise_traj ("ros2 " ^ name) (run Odesys.Dense) (run Odesys.Sparse))
+    [ true; false ]
+
 let test_lsoda_sparse_matches_dense_bitwise () =
   List.iter
     (fun symbolic ->
@@ -888,8 +795,8 @@ let () =
           Alcotest.test_case "decay" `Quick test_ros2_decay;
           Alcotest.test_case "order 2" `Quick test_ros2_order;
           Alcotest.test_case "stiff stability" `Quick test_ros2_stiff_stable;
-          Alcotest.test_case "banded matches dense" `Quick
-            test_ros2_banded_matches_dense;
+          Alcotest.test_case "sparse matches dense bitwise" `Quick
+            test_ros2_sparse_matches_dense_bitwise;
         ] );
       ( "corner",
         [
@@ -909,17 +816,6 @@ let () =
             test_lsoda_stiff_beats_pure_adams_on_calls;
           Alcotest.test_case "monotone trajectory" `Quick
             test_lsoda_trajectory_monotone_time;
-        ] );
-      ( "banded",
-        [
-          Alcotest.test_case "get/set" `Quick test_banded_get_set;
-          Alcotest.test_case "dense roundtrip" `Quick test_banded_roundtrip;
-          Alcotest.test_case "of_dense rejects" `Quick
-            test_banded_of_dense_rejects;
-          Alcotest.test_case "mat_vec" `Quick test_banded_mat_vec;
-          Alcotest.test_case "bandwidth" `Quick test_bandwidth_of_jacobian;
-          q prop_banded_solve_matches_dense;
-          q prop_banded_residual;
         ] );
       ( "consistency", [ q prop_solvers_agree ] );
       ( "events",

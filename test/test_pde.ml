@@ -247,28 +247,28 @@ let test_wave_energy_conserved () =
   Alcotest.(check bool) "energy drift below 1%" true
     (Float.abs (e1 -. e0) /. e0 < 0.01)
 
-(* ---------- stiff PDE with banded Newton ---------- *)
+(* ---------- stiff PDE with sparse Newton ---------- *)
 
-let test_bdf_banded_matches_dense () =
+let test_bdf_sparse_matches_dense () =
+  (* The generated dense and sparse Jacobian writers drive BDF to the
+     same trajectory, bit for bit. *)
   let m = Dz.heat_1d ~n:31 () in
   let y0 = Fm.initial_values m in
-  let run ?banded () =
+  let run jac_mode =
     let sys = Om_codegen.Jacobian_gen.to_odesys m in
     Om_ode.Odesys.final_state
-      (Om_ode.Bdf.integrate ~order:2 ?banded sys ~t0:0. ~y0 ~tend:0.1
+      (Om_ode.Bdf.integrate ~order:2 ~jac_mode sys ~t0:0. ~y0 ~tend:0.1
          ~h:2e-3)
   in
-  let dense = run () in
-  let jg = Om_codegen.Jacobian_gen.generate m in
-  let band = Om_ode.Banded.bandwidth_of_jacobian jg.entries in
-  Alcotest.(check (pair int int)) "tridiagonal" (1, 1) band;
-  let banded = run ~banded:band () in
+  let dense = run Om_ode.Odesys.Dense and sparse = run Om_ode.Odesys.Sparse in
   Array.iteri
-    (fun i v -> Alcotest.(check (float 1e-10)) (string_of_int i) v banded.(i))
+    (fun i v ->
+      Alcotest.(check int64) (string_of_int i) (Int64.bits_of_float v)
+        (Int64.bits_of_float sparse.(i)))
     dense
 
-let test_bdf_banded_heat_accuracy () =
-  (* Stiff integration of the heat equation with the generated banded
+let test_bdf_sparse_heat_accuracy () =
+  (* Stiff integration of the heat equation with the generated sparse
      Jacobian still matches the analytic mode decay. *)
   let alpha = 0.1 in
   let m = Dz.heat_1d ~n:31 ~alpha () in
@@ -276,7 +276,8 @@ let test_bdf_banded_heat_accuracy () =
   let y0 = Fm.initial_values m in
   let tend = 0.5 in
   let tr =
-    Om_ode.Bdf.integrate ~order:2 ~banded:(1, 1) sys ~t0:0. ~y0 ~tend
+    Om_ode.Bdf.integrate ~order:2 ~jac_mode:Om_ode.Odesys.Sparse sys ~t0:0.
+      ~y0 ~tend
       ~h:1e-3
   in
   let yf = Om_ode.Odesys.final_state tr in
@@ -284,7 +285,7 @@ let test_bdf_banded_heat_accuracy () =
   let expected =
     y0.(mid) *. Float.exp (Float.neg alpha *. (Float.pi ** 2.) *. tend)
   in
-  Alcotest.(check (float 2e-3)) "decay with banded Newton" expected yf.(mid)
+  Alcotest.(check (float 2e-3)) "decay with sparse Newton" expected yf.(mid)
 
 let () =
   Alcotest.run "om_pde"
@@ -328,9 +329,9 @@ let () =
           Alcotest.test_case "SCC structure" `Quick test_pde_scc_structure;
           Alcotest.test_case "banded jacobian" `Quick test_pde_jacobian_banded;
           Alcotest.test_case "parallelises" `Quick test_pde_parallelises;
-          Alcotest.test_case "banded BDF matches dense" `Quick
-            test_bdf_banded_matches_dense;
-          Alcotest.test_case "banded BDF accuracy" `Quick
-            test_bdf_banded_heat_accuracy;
+          Alcotest.test_case "sparse BDF matches dense" `Quick
+            test_bdf_sparse_matches_dense;
+          Alcotest.test_case "sparse BDF accuracy" `Quick
+            test_bdf_sparse_heat_accuracy;
         ] );
     ]
