@@ -13,17 +13,16 @@
    lane [j]'s environment.  Batch width 1 therefore reproduces the
    scalar VM exactly.
 
-   Control flow ([If] lowering: forward-only [jnot]/[jmp] with a join
-   register, see {!Vm}) is linearised SIMT-style: the program counter
-   advances straight through the code, and a per-lane wake-up counter
-   [sleep] masks lanes out of the instructions of the branch they are
-   not taking.  At a [jnot] whose condition fails on a lane, the lane
-   sleeps until the jump target; at a [jmp], every awake lane sleeps
-   until the target.  Because jumps are forward-only and structured,
-   every lane executes exactly the instruction subsequence the scalar
-   interpreter would, in the same order.  Programs without jumps take a
-   separate unmasked fast path, and the hybrid [drive] loop brings that
-   fast path to branchy programs whenever the whole batch agrees.
+   There is one instruction kernel, [sloop], which runs a jump-free
+   stretch of code unmasked over a range of lanes.  Control flow
+   ([If] lowering: forward-only [jnot]/[jmp] with a join register, see
+   {!Vm}) is linearised SIMT-style by the [drive] walk: a per-lane
+   wake-up pc [sleep] puts lanes to sleep over the branch arm they are
+   not taking, and each segment between jumps and wake-ups runs as one
+   [sloop] call per maximal run of awake lanes.  Because jumps are
+   forward-only and structured, every lane executes exactly the
+   instruction subsequence the scalar interpreter would, in the same
+   order.  A jump-free program is one segment and one [sloop] call.
 
    [create] conditions the instruction stream for batched execution
    (virtual-register compaction, load/consumer fusion — see the passes
@@ -42,17 +41,16 @@ type t = {
   result : int;
   env_size : int;
   out_size : int;
+  env_cols : int array;
+  out_cols : int array;
+      (* the env/out slots the code indexes, each once: [exec] checks
+         these columns' lengths on every call *)
   regs : float array array; (* nregs rows of length width *)
-  sleep : int array; (* per-lane wake-up pc; used only when has_jumps *)
-  has_jumps : bool;
+  sleep : int array; (* per-lane wake-up pc: lane [j] is awake at [pc]
+                        iff [sleep.(j) <= pc] *)
   njump : int array; (* per op: code offset of the next jmp/jnot at or
-                        after it (code length if none); drives the
-                        hybrid masked/unmasked execution *)
-  mutable seen_env : float array array;
-      (* last env/out validated by [exec]: callers like Batch_backend
-         pass the same arrays on every call, so the O(env_size) column
-         checks are skipped when both match physically *)
-  mutable seen_out : float array array;
+                        after it (code length if none); ends the
+                        jump-free segments [drive] runs unmasked *)
 }
 
 let () =
@@ -70,7 +68,7 @@ let () =
    where a batch interpreter lives or dies.
 
    Renaming virtual registers onto a small physical file by occurrence
-   intervals is semantics-preserving, masked control flow included:
+   intervals is semantics-preserving, control flow included:
    lanes advance through the code in pc order and each lane only
    touches its own column, so per column the memory order follows the
    pc.  A physical register freed at a virtual register's last textual
@@ -195,13 +193,14 @@ let compact code nregs result =
 
    Fusion is restricted to a def/use pair inside one jump-free segment
    (no jump instruction or jump target strictly between them) — the
-   awake-lane mask cannot change there, so the consumer reads env for
+   awake-lane set cannot change there, so the consumer reads env for
    exactly the lanes the [ldv] would have served — and to env slots not
    stored to ([ste]) in between.  [emula]/[emulb] keep the operand
    order of the original [mul] so NaN payload propagation stays
    bitwise.  Runs after register compaction (whose role table only
-   knows scalar opcodes); jump targets are remapped over the deleted
-   instructions. *)
+   knows scalar opcodes) and rewrites compaction's private copy of the
+   code in place, never the scalar program's; jump targets are
+   remapped over the deleted instructions. *)
 
 let fuse code =
   let nops = Array.length code / 5 in
@@ -302,22 +301,51 @@ let fuse code =
     code'
   end
 
+(* The env and out slots the conditioned code reads or writes.  [exec]
+   checks the length of exactly these columns on every call: the
+   kernels index them unchecked, and checking the whole (often shared,
+   much wider) env layout instead would cost more than a narrow batch's
+   arithmetic. *)
+let columns code ~env_size ~out_size =
+  let env = Array.make env_size false and out = Array.make out_size false in
+  for i = 0 to (Array.length code / 5) - 1 do
+    let f k = code.((i * 5) + k) in
+    match f 0 with
+    | 1 | 22 | 23 | 24 | 25 | 26 | 27 | 28 (* env operand [a] *) ->
+        env.(f 2) <- true
+    | 29 (* emulb *) -> env.(f 3) <- true
+    | 16 (* vmul *) ->
+        env.(f 2) <- true;
+        env.(f 3) <- true
+    | 17 (* vmacc *) ->
+        env.(f 3) <- true;
+        env.(f 4) <- true
+    | 20 (* ste *) -> env.(f 4) <- true
+    | 2 (* ldo *) -> out.(f 2) <- true
+    | 21 (* sto *) -> out.(f 4) <- true
+    | _ -> ()
+  done;
+  let slots used =
+    let buf = Array.make (Array.length used) 0 and n = ref 0 in
+    Array.iteri
+      (fun s u ->
+        if u then begin
+          buf.(!n) <- s;
+          incr n
+        end)
+      used;
+    Array.sub buf 0 !n
+  in
+  (slots env, slots out)
+
 let create (p : Vm.program) ~width =
   if width < 1 then invalid_arg "Vm_batch.create: width < 1";
   let r = Vm.raw p in
-  let has_jumps =
-    let found = ref false in
-    let n = Array.length r.rw_code in
-    let pos = ref 0 in
-    while !pos < n do
-      let op = r.rw_code.(!pos) in
-      if op = Vm_code.op_jmp || op = Vm_code.op_jnot then found := true;
-      pos := !pos + Vm_code.stride
-    done;
-    !found
-  in
   let code, nregs, result = compact r.rw_code r.rw_nregs r.rw_result in
   let code = fuse code in
+  let env_cols, out_cols =
+    columns code ~env_size:r.rw_env_size ~out_size:r.rw_out_size
+  in
   let njump =
     let nops = Array.length code / 5 in
     let nj = Array.make (max nops 1) (Array.length code) in
@@ -337,29 +365,25 @@ let create (p : Vm.program) ~width =
     result;
     env_size = r.rw_env_size;
     out_size = r.rw_out_size;
+    env_cols;
+    out_cols;
     regs = Array.init (max nregs 1) (fun _ -> Array.make width 0.);
     sleep = Array.make width 0;
-    has_jumps;
     njump;
-    seen_env = [||];
-    seen_out = [||];
   }
 
 (* The conditioned code, constant pool and njump table are immutable
-   after [create]; the register rows, sleep counters and validation
-   memo are the only mutable state.  Cloning those gives an independent
-   instance without re-running compaction/fusion. *)
+   after [create]; the register rows and sleep counters are the only
+   mutable state.  Cloning those gives an independent instance without
+   re-running compaction/fusion. *)
 let clone_scratch t =
   {
     t with
     regs = Array.init (Array.length t.regs) (fun _ -> Array.make t.width 0.);
     sleep = Array.make t.width 0;
-    seen_env = [||];
-    seen_out = [||];
   }
 
 let width t = t.width
-let has_jumps t = t.has_jumps
 
 (* Float.min/Float.max semantics, inlined like the scalar VM (the
    stdlib functions are not [@@noalloc] and would box at the call). *)
@@ -379,11 +403,13 @@ let[@inline] fmax x y =
   else if x = 0. && 1. /. x < 0. then y
   else x
 
-(* ---- straight-line fast path (no jumps in the program) ----
+(* ---- the instruction kernel ----
 
-   Toplevel recursive functions over immediate parameters, like the
-   scalar [Vm.loop]: a local recursive function would capture the
-   arrays in a closure and allocate on every call. *)
+   [sloop] runs the jump-free code [pc, stop) unmasked over lanes
+   [lo..hi]; [drive] below feeds it segments and lane runs.  Toplevel
+   recursive functions over immediate parameters, like the scalar
+   [Vm.loop]: a local recursive function would capture the arrays in a
+   closure and allocate on every call. *)
 
 let rec sloop code consts regs env out stop pc lo hi =
   if pc < stop then begin
@@ -725,499 +751,37 @@ let rec sloop code consts regs env out stop pc lo hi =
     sloop code consts regs env out stop (pc + 5) lo hi
   end
 
-(* ---- masked path (programs with jumps) ----
+(* ---- control flow (see the file header) ----
 
-   Every instruction is guarded per lane: lane [j] participates iff
-   [sleep.(j) <= pc].  [jnot] puts condition-failing lanes to sleep
-   until the else-branch target; [jmp] puts the then-branch's awake
-   lanes to sleep until the join.  Targets are strictly forward, so a
-   sleeping lane always wakes at its branch's continuation. *)
+   [runs] executes a jump-free segment [pc, stop) for the lanes of
+   [j..hi] awake at [pc], one [sloop] per maximal run of them.  Exact
+   because the awake set cannot change inside the segment and every
+   kernel reads and writes only its own lane. *)
 
-let rec mloop code consts regs env out sleep stop pc lo hi =
-  if pc < stop then begin
-    let op = Array.unsafe_get code pc in
-    let d = Array.unsafe_get code (pc + 1) in
-    let a = Array.unsafe_get code (pc + 2) in
-    let b = Array.unsafe_get code (pc + 3) in
-    let c = Array.unsafe_get code (pc + 4) in
-    (match op with
-    | 0 (* ldc *) ->
-        let dst = Array.unsafe_get regs d in
-        let k = Array.unsafe_get consts c in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then Array.unsafe_set dst j k
-        done
-    | 1 (* ldv *) ->
-        let dst = Array.unsafe_get regs d in
-        let src = Array.unsafe_get env a in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (Array.unsafe_get src j)
-        done
-    | 2 (* ldo *) ->
-        let dst = Array.unsafe_get regs d in
-        let src = Array.unsafe_get out a in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (Array.unsafe_get src j)
-        done
-    | 3 (* mov *) ->
-        let dst = Array.unsafe_get regs d in
-        let src = Array.unsafe_get regs a in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (Array.unsafe_get src j)
-        done
-    | 4 (* add *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        let xb = Array.unsafe_get regs b in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j
-              (Array.unsafe_get xa j +. Array.unsafe_get xb j)
-        done
-    | 5 (* sub *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        let xb = Array.unsafe_get regs b in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j
-              (Array.unsafe_get xa j -. Array.unsafe_get xb j)
-        done
-    | 6 (* mul *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        let xb = Array.unsafe_get regs b in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j
-              (Array.unsafe_get xa j *. Array.unsafe_get xb j)
-        done
-    | 7 (* neg *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (-.Array.unsafe_get xa j)
-        done
-    | 8 (* sqr *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then begin
-            let x = Array.unsafe_get xa j in
-            Array.unsafe_set dst j (x *. x)
-          end
-        done
-    | 9 (* recip *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (1. /. Array.unsafe_get xa j)
-        done
-    | 10 (* pow *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        let xb = Array.unsafe_get regs b in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j
-              (Expr.eval_pow (Array.unsafe_get xa j) (Array.unsafe_get xb j))
-        done
-    | 11 (* fma *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        let xb = Array.unsafe_get regs b in
-        let xc = Array.unsafe_get regs c in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j
-              ((Array.unsafe_get xa j *. Array.unsafe_get xb j)
-              +. Array.unsafe_get xc j)
-        done
-    | 12 (* addk *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        let k = Array.unsafe_get consts c in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (Array.unsafe_get xa j +. k)
-        done
-    | 13 (* mulk *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        let k = Array.unsafe_get consts c in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (Array.unsafe_get xa j *. k)
-        done
-    | 14 (* call1 *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        (match c with
-        | 0 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.sin (Array.unsafe_get xa j))
-            done
-        | 1 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.cos (Array.unsafe_get xa j))
-            done
-        | 2 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.tan (Array.unsafe_get xa j))
-            done
-        | 3 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.asin (Array.unsafe_get xa j))
-            done
-        | 4 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.acos (Array.unsafe_get xa j))
-            done
-        | 5 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.atan (Array.unsafe_get xa j))
-            done
-        | 6 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.sinh (Array.unsafe_get xa j))
-            done
-        | 7 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.cosh (Array.unsafe_get xa j))
-            done
-        | 8 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.tanh (Array.unsafe_get xa j))
-            done
-        | 9 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.exp (Array.unsafe_get xa j))
-            done
-        | 10 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.log (Array.unsafe_get xa j))
-            done
-        | 11 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.sqrt (Array.unsafe_get xa j))
-            done
-        | 12 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.abs (Array.unsafe_get xa j))
-            done
-        | _ (* 13: sign *) ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then begin
-                let x = Array.unsafe_get xa j in
-                Array.unsafe_set dst j
-                  (if x > 0. then 1. else if x < 0. then -1. else 0.)
-              end
-            done)
-    | 15 (* call2 *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        let xb = Array.unsafe_get regs b in
-        (match c with
-        | 0 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j
-                  (Float.atan2 (Array.unsafe_get xa j)
-                     (Array.unsafe_get xb j))
-            done
-        | 1 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j
-                  (fmin (Array.unsafe_get xa j) (Array.unsafe_get xb j))
-            done
-        | 2 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j
-                  (fmax (Array.unsafe_get xa j) (Array.unsafe_get xb j))
-            done
-        | _ (* 3: hypot *) ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j
-                  (Float.hypot (Array.unsafe_get xa j)
-                     (Array.unsafe_get xb j))
-            done)
-    | 16 (* vmul *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get env a in
-        let xb = Array.unsafe_get env b in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j
-              (Array.unsafe_get xa j *. Array.unsafe_get xb j)
-        done
-    | 17 (* vmacc *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        let xb = Array.unsafe_get env b in
-        let xc = Array.unsafe_get env c in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j
-              (Array.unsafe_get xa j
-              +. (Array.unsafe_get xb j *. Array.unsafe_get xc j))
-        done
-    | 18 (* jmp *) ->
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then Array.unsafe_set sleep j c
-        done
-    | 19 (* jnot *) ->
-        let xa = Array.unsafe_get regs a in
-        let xb = Array.unsafe_get regs b in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then begin
-            let x = Array.unsafe_get xa j in
-            let y = Array.unsafe_get xb j in
-            let holds =
-              match d with
-              | 0 -> x < y
-              | 1 -> x <= y
-              | 2 -> x > y
-              | _ -> x >= y
-            in
-            if not holds then Array.unsafe_set sleep j c
-          end
-        done
-    | 20 (* ste *) ->
-        let dst = Array.unsafe_get env c in
-        let src = Array.unsafe_get regs a in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (Array.unsafe_get src j)
-        done
-    | 21 (* sto *) ->
-        let dst = Array.unsafe_get out c in
-        let src = Array.unsafe_get regs a in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (Array.unsafe_get src j)
-        done
-    | 22 (* emulk *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get env a in
-        let k = Array.unsafe_get consts c in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (Array.unsafe_get xa j *. k)
-        done
-    | 23 (* eaddk *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get env a in
-        let k = Array.unsafe_get consts c in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (Array.unsafe_get xa j +. k)
-        done
-    | 24 (* eneg *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get env a in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (-.Array.unsafe_get xa j)
-        done
-    | 25 (* esqr *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get env a in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then begin
-            let x = Array.unsafe_get xa j in
-            Array.unsafe_set dst j (x *. x)
-          end
-        done
-    | 26 (* erecip *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get env a in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j (1. /. Array.unsafe_get xa j)
-        done
-    | 27 (* ecall1 *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get env a in
-        (match c with
-        | 0 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.sin (Array.unsafe_get xa j))
-            done
-        | 1 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.cos (Array.unsafe_get xa j))
-            done
-        | 2 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.tan (Array.unsafe_get xa j))
-            done
-        | 3 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.asin (Array.unsafe_get xa j))
-            done
-        | 4 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.acos (Array.unsafe_get xa j))
-            done
-        | 5 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.atan (Array.unsafe_get xa j))
-            done
-        | 6 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.sinh (Array.unsafe_get xa j))
-            done
-        | 7 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.cosh (Array.unsafe_get xa j))
-            done
-        | 8 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.tanh (Array.unsafe_get xa j))
-            done
-        | 9 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.exp (Array.unsafe_get xa j))
-            done
-        | 10 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.log (Array.unsafe_get xa j))
-            done
-        | 11 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.sqrt (Array.unsafe_get xa j))
-            done
-        | 12 ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then
-                Array.unsafe_set dst j (Float.abs (Array.unsafe_get xa j))
-            done
-        | _ (* 13: sign *) ->
-            for j = lo to hi do
-              if Array.unsafe_get sleep j <= pc then begin
-                let x = Array.unsafe_get xa j in
-                Array.unsafe_set dst j
-                  (if x > 0. then 1. else if x < 0. then -1. else 0.)
-              end
-            done)
-    | 28 (* emula *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get env a in
-        let xb = Array.unsafe_get regs b in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j
-              (Array.unsafe_get xa j *. Array.unsafe_get xb j)
-        done
-    | _ (* 29: emulb *) ->
-        let dst = Array.unsafe_get regs d in
-        let xa = Array.unsafe_get regs a in
-        let xb = Array.unsafe_get env b in
-        for j = lo to hi do
-          if Array.unsafe_get sleep j <= pc then
-            Array.unsafe_set dst j
-              (Array.unsafe_get xa j *. Array.unsafe_get xb j)
-        done);
-    mloop code consts regs env out sleep stop (pc + 5) lo hi
-  end
+let rec runs code consts regs env out sleep stop pc j hi =
+  if j <= hi then
+    if Array.unsafe_get sleep j > pc then
+      runs code consts regs env out sleep stop pc (j + 1) hi
+    else begin
+      let k = ref j in
+      while !k < hi && Array.unsafe_get sleep (!k + 1) <= pc do
+        incr k
+      done;
+      sloop code consts regs env out stop pc j !k;
+      runs code consts regs env out sleep stop pc (!k + 2) hi
+    end
 
-(* ---- hybrid driver (programs with jumps) ----
-
-   The masked walk above pays a per-lane sleep test on every
-   instruction and executes {e both} arms of every branch, while the
-   scalar interpreter jumps over the arm it does not take.  The driver
-   recovers the scalar behaviour whenever the batch agrees: it tracks
-   the number of sleeping lanes, runs jump-free segments through the
-   unmasked [sloop] while everyone is awake, resolves a [jnot] all
-   lanes answer the same way by jumping (skipping the untaken arm
-   entirely), and only falls back to [mloop] segments while lanes
-   genuinely diverge.  [nasleep] counts lanes with [sleep.(j) > pc];
-   [next_wake] is the smallest wake-up pc among them ([max_int] when
-   none sleep), so sleeper counts are only recomputed at pcs where a
-   lane can actually wake. *)
-
+(* One walk over the code.  [nasleep] counts lanes with
+   [sleep.(j) > pc]; [next_wake] is the smallest wake-up pc among them
+   ([max_int] when none sleep), so sleeper counts are only recomputed
+   at pcs where a lane can actually wake.  When a jump leaves no lane
+   awake the walk hops straight to the earliest wake-up: a [jmp] always
+   does, and a [jnot] no awake lane passes skips its then-arm exactly
+   like the scalar interpreter. *)
 let rec drive code consts njump regs env out sleep stop pc lo hi nasleep
     next_wake =
-  if pc < stop then begin
-    if nasleep = 0 then begin
-      let j = Array.unsafe_get njump (pc / 5) in
-      if j > pc then begin
-        (* jump-free prefix, everyone awake: full-speed unmasked run *)
-        sloop code consts regs env out j pc lo hi;
-        drive code consts njump regs env out sleep stop j lo hi 0 max_int
-      end
-      else begin
-        let op = Array.unsafe_get code pc in
-        let c = Array.unsafe_get code (pc + 4) in
-        if op = 18 (* jmp: everyone skips to the target *) then
-          drive code consts njump regs env out sleep stop c lo hi 0 max_int
-        else begin
-          (* jnot with all lanes awake *)
-          let d = Array.unsafe_get code (pc + 1) in
-          let xa = Array.unsafe_get regs (Array.unsafe_get code (pc + 2)) in
-          let xb = Array.unsafe_get regs (Array.unsafe_get code (pc + 3)) in
-          let fails = ref 0 in
-          for j = lo to hi do
-            let x = Array.unsafe_get xa j in
-            let y = Array.unsafe_get xb j in
-            let holds =
-              match d with
-              | 0 -> x < y
-              | 1 -> x <= y
-              | 2 -> x > y
-              | _ -> x >= y
-            in
-            if not holds then begin
-              incr fails;
-              Array.unsafe_set sleep j c
-            end
-          done;
-          if !fails = 0 then
-            drive code consts njump regs env out sleep stop (pc + 5) lo hi 0
-              max_int
-          else if !fails = hi - lo + 1 then
-            (* unanimous: skip the then-arm like the scalar VM *)
-            drive code consts njump regs env out sleep stop c lo hi 0 max_int
-          else
-            drive code consts njump regs env out sleep stop (pc + 5) lo hi
-              !fails c
-        end
-      end
-    end
-    else if pc >= next_wake then begin
+  if pc < stop then
+    if pc >= next_wake then begin
       (* a wake-up pc: recount the sleepers *)
       let n = ref 0 and nw = ref max_int in
       for j = lo to hi do
@@ -1232,94 +796,76 @@ let rec drive code consts njump regs env out sleep stop pc lo hi nasleep
     else begin
       let j = Array.unsafe_get njump (pc / 5) in
       if j > pc then begin
-        (* jump-free masked segment up to the next jump or wake-up *)
+        (* jump-free segment up to the next jump or wake-up *)
         let seg = if next_wake < j then next_wake else j in
-        mloop code consts regs env out sleep seg pc lo hi;
+        if nasleep = 0 then sloop code consts regs env out seg pc lo hi
+        else runs code consts regs env out sleep seg pc lo hi;
         drive code consts njump regs env out sleep stop seg lo hi nasleep
           next_wake
       end
       else begin
-        let op = Array.unsafe_get code pc in
         let c = Array.unsafe_get code (pc + 4) in
-        if op = 18 then begin
-          (* jmp under divergence: the awake lanes sleep to the join;
-             everyone is now asleep, so hop to the earliest wake-up *)
-          for j = lo to hi do
-            if Array.unsafe_get sleep j <= pc then Array.unsafe_set sleep j c
-          done;
-          let nw = if c < next_wake then c else next_wake in
-          drive code consts njump regs env out sleep stop nw lo hi
-            (hi - lo + 1) nw
-        end
-        else begin
-          (* jnot under divergence *)
-          let d = Array.unsafe_get code (pc + 1) in
-          let xa = Array.unsafe_get regs (Array.unsafe_get code (pc + 2)) in
-          let xb = Array.unsafe_get regs (Array.unsafe_get code (pc + 3)) in
-          let k = ref 0 in
-          for j = lo to hi do
-            if Array.unsafe_get sleep j <= pc then begin
-              let x = Array.unsafe_get xa j in
-              let y = Array.unsafe_get xb j in
-              let holds =
-                match d with
-                | 0 -> x < y
-                | 1 -> x <= y
-                | 2 -> x > y
-                | _ -> x >= y
-              in
-              if not holds then begin
-                incr k;
-                Array.unsafe_set sleep j c
-              end
-            end
-          done;
-          let nl = nasleep + !k in
-          let nw = if c < next_wake then c else next_wake in
-          if nl = hi - lo + 1 then
-            (* everyone asleep: hop to the earliest wake-up *)
-            drive code consts njump regs env out sleep stop nw lo hi nl nw
-          else
-            drive code consts njump regs env out sleep stop (pc + 5) lo hi nl
-              nw
-        end
+        let k = ref 0 in
+        (if Array.unsafe_get code pc = 18 then
+           (* jmp: the awake lanes sleep until the join *)
+           for j = lo to hi do
+             if Array.unsafe_get sleep j <= pc then begin
+               incr k;
+               Array.unsafe_set sleep j c
+             end
+           done
+         else begin
+           (* jnot: the awake lanes failing the condition sleep until
+              the target *)
+           let d = Array.unsafe_get code (pc + 1) in
+           let xa = Array.unsafe_get regs (Array.unsafe_get code (pc + 2)) in
+           let xb = Array.unsafe_get regs (Array.unsafe_get code (pc + 3)) in
+           for j = lo to hi do
+             if Array.unsafe_get sleep j <= pc then begin
+               let x = Array.unsafe_get xa j in
+               let y = Array.unsafe_get xb j in
+               let holds =
+                 match d with
+                 | 0 -> x < y
+                 | 1 -> x <= y
+                 | 2 -> x > y
+                 | _ -> x >= y
+               in
+               if not holds then begin
+                 incr k;
+                 Array.unsafe_set sleep j c
+               end
+             end
+           done
+         end);
+        let nl = nasleep + !k in
+        let nw = if !k > 0 && c < next_wake then c else next_wake in
+        if nl = hi - lo + 1 then
+          (* no lane awake: hop to the earliest wake-up *)
+          drive code consts njump regs env out sleep stop nw lo hi nl nw
+        else
+          drive code consts njump regs env out sleep stop (pc + 5) lo hi nl nw
       end
     end
-  end
 
 let exec t ~env ~out ~lo ~hi =
   if lo < 0 || hi > t.width || lo >= hi then
     invalid_arg "Vm_batch.exec: bad lane range";
-  (if env != t.seen_env || out != t.seen_out then begin
-     if Array.length env < t.env_size then
-       invalid_arg "Vm_batch.exec: env too small";
-     if Array.length out < t.out_size then
-       invalid_arg "Vm_batch.exec: out too small";
-     let full = ref true in
-     for s = 0 to t.env_size - 1 do
-       let n = Array.length env.(s) in
-       if n < hi then invalid_arg "Vm_batch.exec: env column too short";
-       if n < t.width then full := false
-     done;
-     for s = 0 to t.out_size - 1 do
-       let n = Array.length out.(s) in
-       if n < hi then invalid_arg "Vm_batch.exec: out column too short";
-       if n < t.width then full := false
-     done;
-     (* Cache only when every column covers the full batch width, so a
-        later call with a larger lane range stays covered. *)
-     if !full then begin
-       t.seen_env <- env;
-       t.seen_out <- out
-     end
-   end);
-  let stop = Array.length t.code in
-  if t.has_jumps then begin
-    Array.fill t.sleep lo (hi - lo) 0;
-    drive t.code t.consts t.njump t.regs env out t.sleep stop 0 lo (hi - 1) 0
-      max_int
-  end
-  else sloop t.code t.consts t.regs env out stop 0 lo (hi - 1)
+  if Array.length env < t.env_size then
+    invalid_arg "Vm_batch.exec: env too small";
+  if Array.length out < t.out_size then
+    invalid_arg "Vm_batch.exec: out too small";
+  for i = 0 to Array.length t.env_cols - 1 do
+    if Array.length env.(Array.unsafe_get t.env_cols i) < hi then
+      invalid_arg "Vm_batch.exec: env column too short"
+  done;
+  for i = 0 to Array.length t.out_cols - 1 do
+    if Array.length out.(Array.unsafe_get t.out_cols i) < hi then
+      invalid_arg "Vm_batch.exec: out column too short"
+  done;
+  Array.fill t.sleep lo (hi - lo) 0;
+  drive t.code t.consts t.njump t.regs env out t.sleep (Array.length t.code) 0
+    lo (hi - 1) 0 max_int
 
 let result_row t =
   if t.result < 0 then

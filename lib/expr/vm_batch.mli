@@ -19,12 +19,12 @@
     counter: a lane failing a [jnot] sleeps until the branch target, a
     [jmp] puts the awake lanes to sleep until the join.  Forward-only
     structured jumps (the only kind {!Vm} emits) make this exact: each
-    lane executes precisely the scalar taken path.  Jump-free programs
-    use an unmasked fast path, and a hybrid driver extends it to
-    branchy programs: while no lane sleeps, jump-free segments run
-    unmasked and a unanimous [jnot] jumps over the untaken arm exactly
-    like the scalar interpreter — the per-lane masked walk only runs
-    while lanes genuinely diverge.
+    lane executes precisely the scalar taken path.  There is a single
+    unmasked instruction kernel: between jumps and wake-ups the set of
+    awake lanes is fixed, so each such segment runs once per maximal
+    run of awake lanes.  A jump-free program is one segment over the
+    whole lane range, and a branch no awake lane takes is skipped like
+    in the scalar interpreter.
 
     {b Program conditioning.}  [create] rewrites the instruction stream
     for batched execution, preserving per-lane semantics bitwise: the
@@ -53,17 +53,13 @@ val create : Vm.program -> width:int -> t
 
 val clone_scratch : t -> t
 (** An independent instance over the same conditioned instruction
-    stream: register rows, sleep counters and the validation memo are
-    fresh; the (immutable) code, constant pool and jump table are
-    shared.  Skips the compaction/fusion passes of {!create}, so it is
-    cheap enough to call per job; clone and original may run
-    concurrently from different domains. *)
+    stream: register rows and sleep counters are fresh; the
+    (immutable) code, constant pool and jump table are shared.  Skips
+    the compaction/fusion passes of {!create}, so it is cheap enough to
+    call per job; clone and original may run concurrently from
+    different domains. *)
 
 val width : t -> int
-
-val has_jumps : t -> bool
-(** [true] when the program contains conditional code and the masked
-    interpreter runs instead of the straight-line fast path. *)
 
 val exec :
   t -> env:float array array -> out:float array array -> lo:int -> hi:int ->
@@ -73,7 +69,9 @@ val exec :
     scalar [env.(slot)], and must provide at least the compile-time
     env/out sizes, each column at least [hi] long.  Expression programs
     accept [out = [||]].  Allocation-free.
-    @raise Invalid_argument on a bad lane range or undersized arrays. *)
+    @raise Invalid_argument on a bad lane range, [env]/[out] shorter
+    than the compile-time sizes, or a column the program reads or
+    writes shorter than [hi] — checked on every call. *)
 
 val result_row : t -> float array
 (** For expression programs: the result register's lane row (the live

@@ -510,11 +510,15 @@ let check ?chaos (m : A.model) : result =
                 !d
               end
             in
-            let nbatch = 3 in
+            (* Relative offsets of up to 1e-3, like the benchmark's
+               ensemble starts, so members of branchy models split at
+               conditionals and the diverged-lane driver is checked. *)
+            let nbatch = 8 in
             let member_y0 m =
               Array.mapi
                 (fun i v ->
-                  v +. (1e-9 *. float_of_int (((m * 31) + (i * 7)) mod 13)))
+                  let u = float_of_int ((((m * 31) + (i * 7)) mod 13) - 6) in
+                  v *. (1. +. (1e-3 *. u /. 6.)))
                 (FM.initial_values f)
             in
             let y0s = Array.init nbatch member_y0 in

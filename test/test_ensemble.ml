@@ -119,7 +119,7 @@ let test_batch_subrange () =
   done
 
 let test_batch_zero_alloc () =
-  (* Both interpreter paths: straight-line and masked. *)
+  (* A jump-free program and a diverging nested branch. *)
   List.iter
     (fun (_, e) ->
       let p = Vm.compile names e in
@@ -141,6 +141,116 @@ let test_batch_zero_alloc () =
       let d2 = words 5_500 in
       Alcotest.(check (float 0.)) "zero words per exec" 0. (d2 -. d1))
     [ List.nth sample_exprs 0; List.nth sample_exprs 4 ]
+
+let test_batch_rejects_swapped_column () =
+  (* Column lengths are checked on every call: a column swapped for a
+     shorter one after a successful exec must be refused, not indexed
+     past its end. *)
+  let width = 4096 in
+  let p = Vm.compile names (snd (List.nth sample_exprs 0)) in
+  let b = Vb.create p ~width in
+  let env = Array.init (Array.length names) (fun _ -> Array.make width 0.5) in
+  Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width;
+  env.(0) <- [| 3.0 |];
+  Alcotest.check_raises "short env column"
+    (Invalid_argument "Vm_batch.exec: env column too short") (fun () ->
+      Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width);
+  let p = Vm.compile_epilogue ~out_size:2 [ (0, [ 1 ]) ] in
+  let b = Vb.create p ~width in
+  let out = Array.init 2 (fun _ -> Array.make width 1.) in
+  Vb.exec b ~env:[||] ~out ~lo:0 ~hi:width;
+  out.(0) <- [| 3.0 |];
+  Alcotest.check_raises "short out column"
+    (Invalid_argument "Vm_batch.exec: out column too short") (fun () ->
+      Vb.exec b ~env:[||] ~out ~lo:0 ~hi:width)
+
+(* Random nested conditionals over lanes whose environments straddle
+   the conditions, so awake lanes interleave in every pattern.  Each
+   case runs the full width, then re-runs a random [lo, hi) over fresh
+   environments on the same instance (inheriting the first run's sleep
+   state): lanes inside must match the scalar VM bitwise, lanes outside
+   must keep the first run's results. *)
+let branch_expr_gen =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (3, map E.var (oneofa names));
+        (1, map E.const (oneofl [ 0.; 0.5; -1.; 2. ]));
+      ]
+  in
+  let rel = oneofl [ E.Lt; E.Le; E.Gt; E.Ge ] in
+  sized_size (int_bound 10)
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (2, map2 (fun a b -> E.add [ a; b ]) (self (n / 2)) (self (n / 2)));
+               (2, map2 (fun a b -> E.mul [ a; b ]) (self (n / 2)) (self (n / 2)));
+               (1, map E.sin (self (n - 1)));
+               (1, map2 E.min_e (self (n / 2)) (self (n / 2)));
+               ( 4,
+                 map3
+                   (fun (a, r, b) t e -> E.if_ (E.cond a r b) t e)
+                   (triple (self (n / 3)) rel (self (n / 3)))
+                   (self (n / 3)) (self (n / 3)) );
+             ])
+
+let lane_envs_gen width =
+  (* Runs of identical lanes interleaved with fresh draws near zero. *)
+  let open QCheck.Gen in
+  fun st ->
+    let envs = Array.make width [||] in
+    for j = 0 to width - 1 do
+      envs.(j) <-
+        (if j > 0 && bool st then envs.(j - 1)
+         else
+           Array.init (Array.length names) (fun _ ->
+               float_range (-1.5) 1.5 st))
+    done;
+    envs
+
+let arbitrary_divergence =
+  let open QCheck.Gen in
+  let gen =
+    branch_expr_gen >>= fun e ->
+    int_range 1 70 >>= fun width ->
+    int_range 0 (width - 1) >>= fun lo ->
+    int_range (lo + 1) width >>= fun hi ->
+    pair (lane_envs_gen width) (lane_envs_gen width) >|= fun (first, second) ->
+    (e, width, lo, hi, first, second)
+  in
+  QCheck.make
+    ~print:(fun (e, width, lo, hi, _, _) ->
+      Printf.sprintf "%s, width %d, lanes [%d, %d)" (Fmt.to_to_string E.pp e)
+        width lo hi)
+    gen
+
+let prop_diverging_lanes_match_scalar =
+  QCheck.Test.make ~name:"diverging lanes match the scalar VM bitwise"
+    ~count:300 arbitrary_divergence (fun (e, width, lo, hi, first, second) ->
+      let p = Vm.compile names e in
+      let b = Vb.create p ~width in
+      let soa envs =
+        Array.init (Array.length names) (fun i ->
+            Array.init width (fun j -> envs.(j).(i)))
+      in
+      let same x y = Int64.equal (bits x) (bits y) in
+      Vb.exec b ~env:(soa first) ~out:[||] ~lo:0 ~hi:width;
+      let before = Array.copy (Vb.result_row b) in
+      Vb.exec b ~env:(soa second) ~out:[||] ~lo ~hi;
+      let after = Vb.result_row b in
+      let ok = ref true in
+      for j = 0 to width - 1 do
+        let expected =
+          if j >= lo && j < hi then Vm.run p second.(j) else before.(j)
+        in
+        if not (same expected after.(j)) then ok := false;
+        if not (same (Vm.run p first.(j)) before.(j)) then ok := false
+      done;
+      !ok)
 
 (* ---------- batch backend over a compiled model ---------- *)
 
@@ -471,6 +581,9 @@ let () =
           Alcotest.test_case "width one" `Quick test_batch_width_one;
           Alcotest.test_case "subrange execution" `Quick test_batch_subrange;
           Alcotest.test_case "zero allocation" `Quick test_batch_zero_alloc;
+          Alcotest.test_case "swapped short column rejected" `Quick
+            test_batch_rejects_swapped_column;
+          Qcheck_seed.to_alcotest prop_diverging_lanes_match_scalar;
         ] );
       ( "batch_backend",
         [
