@@ -788,7 +788,10 @@ let micro () =
   let state_names = Fm.state_names r.model in
   let names = Array.append state_names [| "t" |] in
   let env = Array.make (Array.length names) 0.01 in
-  let eval_fn = Om_expr.Eval.eval_fn names heavy_eq in
+  let tbl =
+    Om_expr.Eval.env_of_list
+      (Array.to_list (Array.map (fun n -> (n, 0.01)) names))
+  in
   let vm_prog = Om_expr.Vm.compile names heavy_eq in
   let y0 = Fm.initial_values r.model in
   let ydot = Array.make (Fm.dim r.model) 0. in
@@ -818,7 +821,7 @@ let micro () =
         Test.make ~name:"diff-roller-eq"
           (Staged.stage (fun () -> Om_expr.Deriv.diff "W[1].R" heavy_eq));
         Test.make ~name:"eval-roller-eq"
-          (Staged.stage (fun () -> eval_fn env));
+          (Staged.stage (fun () -> Om_expr.Eval.eval tbl heavy_eq));
         Test.make ~name:"vm-roller-eq"
           (Staged.stage (fun () -> Om_expr.Vm.run vm_prog env));
         Test.make ~name:"cse-servo"

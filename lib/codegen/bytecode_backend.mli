@@ -73,6 +73,12 @@ val clone_scratch : t -> t
 
 val rhs_fn : t -> float -> float array -> float array -> unit
 (** Sequential execution of every task plus the epilogue: the reference
-    semantics used for [Odesys.make]. *)
+    semantics used for [Odesys.make].  When the plan splits no
+    assignment ([Partition.partition ~split_threshold:infinity]), each
+    derivative is evaluated in {!Om_expr.Eval.eval}'s order and equals
+    it bit for bit, up to the sign of zero ({!Om_expr.Vm}'s contract).
+    A split assignment's partial sums are added up in the epilogue with
+    a different association, so with the default plan the two agree to
+    rounding only (within 1e-13 relative on the bearing). *)
 
 val task_costs_static : t -> float array

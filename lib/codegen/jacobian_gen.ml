@@ -47,87 +47,78 @@ let density t =
 
 let flops t = Cse.block_cost t.block
 
-let compile t ~state_names =
-  let dim = t.dim in
-  if Array.length state_names <> dim then
-    invalid_arg "Jacobian_gen.compile: state_names length mismatch";
-  let temp_names =
-    List.map (fun (b : Cse.binding) -> b.name) t.block.temps
-  in
-  let names =
-    Array.concat [ state_names; [| "t" |]; Array.of_list temp_names ]
-  in
-  let env = Array.make (Array.length names) 0. in
-  let slot_of =
-    let h = Hashtbl.create 64 in
-    Array.iteri (fun i n -> Hashtbl.replace h n i) names;
-    Hashtbl.find h
-  in
-  let temp_steps =
-    List.map
-      (fun (b : Cse.binding) ->
-        (slot_of b.name, Om_expr.Eval.eval_fn names b.expr))
-      t.block.temps
-  in
-  let root_steps =
-    List.map
-      (fun (tgt, e) ->
-        let r, c = target_coords tgt in
-        (r, c, Om_expr.Eval.eval_fn names e))
-      t.block.roots
-  in
-  fun time y (m : Om_ode.Linalg.mat) ->
-    Array.blit y 0 env 0 dim;
-    env.(dim) <- time;
-    List.iter (fun (slot, f) -> env.(slot) <- f env) temp_steps;
-    Array.iter (fun row -> Array.fill row 0 dim 0.) m;
-    List.iter (fun (r, c, f) -> m.(r).(c) <- f env) root_steps
-
 let pattern t =
   Om_ode.Sparse.pattern_of_entries ~rows:t.dim ~cols:t.dim
     (List.map (fun (r, c, _) -> (r, c)) t.entries)
 
-let compile_values t ~state_names =
+(* One register program for the CSE'd block over the layout states, [t],
+   temps: temps store to their env slots, root [j] to output slot [j].
+   Returns a runner loading [(t, y)] and executing into an output
+   buffer, plus each root's [(row, col)]. *)
+let compile_block t ~state_names =
   let dim = t.dim in
   if Array.length state_names <> dim then
-    invalid_arg "Jacobian_gen.compile_values: state_names length mismatch";
-  let pat = pattern t in
-  let temp_names =
-    List.map (fun (b : Cse.binding) -> b.name) t.block.temps
-  in
+    invalid_arg "Jacobian_gen: state_names length mismatch";
+  let temps = Array.of_list t.block.temps in
   let names =
-    Array.concat [ state_names; [| "t" |]; Array.of_list temp_names ]
+    Array.concat
+      [
+        state_names;
+        [| "t" |];
+        Array.map (fun (b : Cse.binding) -> b.name) temps;
+      ]
+  in
+  let n_roots = List.length t.block.roots in
+  let stmts =
+    Array.to_list
+      (Array.mapi
+         (fun i (b : Cse.binding) -> (b.expr, Om_expr.Vm.To_env (dim + 1 + i)))
+         temps)
+    @ List.mapi (fun j (_, e) -> (e, Om_expr.Vm.To_out j)) t.block.roots
+  in
+  let program =
+    Om_expr.Vm.compile_stmts
+      ~private_env_slot:(fun s -> s > dim)
+      ~out_size:n_roots names stmts
   in
   let env = Array.make (Array.length names) 0. in
-  let slot_of =
-    let h = Hashtbl.create 64 in
-    Array.iteri (fun i n -> Hashtbl.replace h n i) names;
-    Hashtbl.find h
+  let out = Array.make n_roots 0. in
+  let run time y =
+    Array.blit y 0 env 0 dim;
+    env.(dim) <- time;
+    Om_expr.Vm.exec program ~env ~out;
+    out
   in
-  let temp_steps =
-    List.map
-      (fun (b : Cse.binding) ->
-        (slot_of b.name, Om_expr.Eval.eval_fn names b.expr))
-      t.block.temps
-  in
-  (* Each root target lands at its compressed slot in [pat]'s CSR value
-     order, so the closure matches [Odesys.t.sjac]'s contract. *)
-  let root_steps =
-    List.map
-      (fun (tgt, e) ->
-        let r, c = target_coords tgt in
-        let k = Om_ode.Sparse.index pat r c in
-        assert (k >= 0);
-        (k, Om_expr.Eval.eval_fn names e))
-      t.block.roots
+  (run, List.map (fun (tgt, _) -> target_coords tgt) t.block.roots)
+
+let compile t ~state_names =
+  let dim = t.dim in
+  let run, coords = compile_block t ~state_names in
+  let coords = Array.of_list coords in
+  fun time y (m : Om_ode.Linalg.mat) ->
+    let out = run time y in
+    Array.iter (fun row -> Array.fill row 0 dim 0.) m;
+    Array.iteri (fun j (r, c) -> m.(r).(c) <- out.(j)) coords
+
+let compile_values t ~state_names =
+  let run, coords = compile_block t ~state_names in
+  let pat = pattern t in
+  (* Each root lands at its compressed slot in [pat]'s CSR value order,
+     so the closure matches [Odesys.t.sjac]'s contract. *)
+  let slots =
+    Array.of_list
+      (List.map
+         (fun (r, c) ->
+           let k = Om_ode.Sparse.index pat r c in
+           assert (k >= 0);
+           k)
+         coords)
   in
   let nnz = Om_ode.Sparse.nnz pat in
   let f time y (v : float array) =
-    Array.blit y 0 env 0 dim;
-    env.(dim) <- time;
-    List.iter (fun (slot, f) -> env.(slot) <- f env) temp_steps;
+    let out = run time y in
     Array.fill v 0 nnz 0.;
-    List.iter (fun (k, f) -> v.(k) <- f env) root_steps
+    Array.iteri (fun j k -> v.(k) <- out.(j)) slots
   in
   (pat, f)
 

@@ -1,4 +1,7 @@
-(** Direct numeric evaluation of expressions. *)
+(** Direct numeric evaluation of expressions: the reference oracle.
+
+    Every compiled evaluator ({!Vm}, {!Vm_batch} and the generated code
+    built on them) is tested against {!eval}; no hot path runs it. *)
 
 exception Unbound of string
 (** Raised when evaluation meets a variable absent from the environment. *)
@@ -10,8 +13,3 @@ val env_of_list : (string * float) list -> env
 val eval : env -> Expr.t -> float
 (** Tree-walking evaluation.  [If] nodes evaluate only the taken branch.
     @raise Unbound for free variables not in [env]. *)
-
-val eval_fn : string array -> Expr.t -> float array -> float
-(** [eval_fn names e] pre-resolves every variable of [e] to an index into
-    [names] and returns a closure evaluating [e] against a value vector laid
-    out like [names].  @raise Unbound at closure-build time. *)

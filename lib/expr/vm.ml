@@ -5,6 +5,15 @@
    written twice (once per branch, by a [Mov]).  Jumps are forward-only.
    Both invariants are what {!Peephole} relies on.
 
+   Lowering walks the expression DAG, not the tree: a compound node
+   reached again through another parent (physical identity, [==])
+   reuses the register it was first lowered to.  Reuse needs the first
+   definition to dominate every later read, so nodes first lowered
+   inside an [If] arm are forgotten when the arm ends, and the whole
+   memo is dropped at every [To_env] store, which a reused register
+   must not span.  Leaves are not memoised: a reload costs one
+   instruction and keeps the probe chains of equal leaves short.
+
    The interpreter is a tail-recursive loop over immediate-int state
    with direct primitive dispatch; every float lives in a float array or
    an unboxed temporary, so steady-state execution performs zero minor-
@@ -39,6 +48,121 @@ let () =
     && Vm_code.op_jmp = 18 && Vm_code.op_jnot = 19 && Vm_code.op_ste = 20
     && Vm_code.op_sto = 21)
 
+(* ---- lowering memo ---- *)
+
+(* Physical-identity map from lowered compound nodes to their registers,
+   specialised for lowering: open addressing with linear probing over
+   parallel arrays, so a node is hashed once for its lookup and its
+   insertion, and an entry allocates nothing.
+
+   Entries are forgotten in bulk, by scope.  Each records the scope it
+   was made in: the statement segment since the last [To_env] store, or
+   an If arm nested in it.  Scopes are numbered in the order they open,
+   those of the current segment from [base] on; [is_open] says, for
+   each of these, whether it is still open.  A slot whose scope is below
+   [base] is empty; one whose scope has closed is a tombstone, which
+   lookups probe past and insertions reuse. *)
+type memo = {
+  mutable keys : Expr.t array; (* length a power of two *)
+  mutable hashes : int array;
+  mutable vals : int array; (* registers *)
+  mutable scopes : int array;
+  mutable used : int; (* slots holding an entry or a tombstone *)
+  mutable base : int;
+  mutable scope : int; (* innermost open scope *)
+  mutable next_scope : int;
+  mutable is_open : Bytes.t; (* indexed by scope - base *)
+}
+
+(* Most programs lower many small statement blocks, so the table starts
+   small and grows fast. *)
+let memo_create () =
+  {
+    keys = Array.make 16 Expr.zero;
+    hashes = Array.make 16 0;
+    vals = Array.make 16 0;
+    scopes = Array.make 16 0;
+    used = 0;
+    base = 1;
+    scope = 1;
+    next_scope = 2;
+    is_open = Bytes.make 16 '\001';
+  }
+
+let is_live m s = s >= m.base && Bytes.get m.is_open (s - m.base) = '\001'
+
+let open_scope m =
+  let s = m.next_scope in
+  m.next_scope <- s + 1;
+  let k = s - m.base in
+  if k >= Bytes.length m.is_open then
+    m.is_open <- Bytes.extend m.is_open 0 (Bytes.length m.is_open);
+  Bytes.set m.is_open k '\001';
+  m.scope <- s
+
+let close_scope m s = Bytes.set m.is_open (s - m.base) '\000'
+
+(* Forget everything: a fresh segment scope. *)
+let new_segment m =
+  if m.used > 0 then begin
+    m.base <- m.next_scope;
+    m.used <- 0;
+    open_scope m
+  end
+
+(* The register of node [e] with hash [h], or -1.  The probe loops are
+   toplevel functions so that a lookup allocates no closure. *)
+let rec probe m e mask i =
+  let s = Array.unsafe_get m.scopes i in
+  if s < m.base then -1
+  else if Array.unsafe_get m.keys i == e && is_live m s then
+    Array.unsafe_get m.vals i
+  else probe m e mask ((i + 1) land mask)
+
+let memo_find m h e =
+  let mask = Array.length m.keys - 1 in
+  probe m e mask (h land mask)
+
+(* The first empty slot or tombstone from [i] on. *)
+let rec free_slot m mask i =
+  let s = Array.unsafe_get m.scopes i in
+  if s < m.base || not (is_live m s) then i
+  else free_slot m mask ((i + 1) land mask)
+
+let rec memo_add m h e r =
+  let mask = Array.length m.keys - 1 in
+  let i = free_slot m mask (h land mask) in
+  if m.scopes.(i) < m.base then m.used <- m.used + 1;
+  m.keys.(i) <- e;
+  m.hashes.(i) <- h;
+  m.vals.(i) <- r;
+  m.scopes.(i) <- m.scope;
+  if 2 * m.used > Array.length m.keys then memo_rehash m
+
+(* Drop tombstones, growing the table fourfold if live entries fill a
+   quarter of it. *)
+and memo_rehash m =
+  let keys = m.keys and hashes = m.hashes and vals = m.vals in
+  let scopes = m.scopes in
+  let live = ref 0 in
+  Array.iter (fun s -> if is_live m s then incr live) scopes;
+  let n = Array.length keys in
+  let n = if 4 * !live > n then 4 * n else n in
+  m.keys <- Array.make n Expr.zero;
+  m.hashes <- Array.make n 0;
+  m.vals <- Array.make n 0;
+  m.scopes <- Array.make n 0;
+  m.used <- 0;
+  let scope = m.scope in
+  Array.iteri
+    (fun i s ->
+      if is_live m s then begin
+        m.scope <- s;
+        memo_add m hashes.(i) keys.(i) vals.(i)
+      end)
+    scopes;
+  m.scope <- scope
+
 (* ---- emission ---- *)
 
 type emitter = {
@@ -48,6 +172,7 @@ type emitter = {
   mutable consts : float array;
   mutable nconsts : int;
   const_tbl : (int64, int) Hashtbl.t;
+  memo : memo;
 }
 
 let new_emitter () =
@@ -58,6 +183,7 @@ let new_emitter () =
     consts = Array.make 16 0.;
     nconsts = 0;
     const_tbl = Hashtbl.create 16;
+    memo = memo_create ();
   }
 
 let emit em op dst a b c =
@@ -97,22 +223,55 @@ let kpool em x =
       Hashtbl.add em.const_tbl key i;
       i
 
-(* O(1) variable lookup; first occurrence wins like the historical
-   linear scan. *)
+(* Amortised O(1) variable lookup; first occurrence wins like the
+   historical linear scan.  The table is filled lazily, scanning [names]
+   only up to the last name looked up: a task program of the bytecode
+   backend reads the states and its own temporaries, a prefix of the
+   shared layout, so most programs never hash the whole of it. *)
 let index_of names =
-  let tbl = Hashtbl.create (max 16 (2 * Array.length names)) in
-  Array.iteri
-    (fun i name -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name i)
-    names;
-  fun v ->
+  let tbl = Hashtbl.create 64 in
+  let scanned = ref 0 in
+  let rec find v =
     match Hashtbl.find_opt tbl v with
     | Some i -> i
-    | None -> raise (Eval.Unbound v)
+    | None ->
+        let i = !scanned in
+        if i >= Array.length names then raise (Eval.Unbound v);
+        scanned := i + 1;
+        if not (Hashtbl.mem tbl names.(i)) then Hashtbl.add tbl names.(i) i;
+        find v
+  in
+  find
 
 (* Lower an expression; returns the register holding its value.
    Evaluation order matches Eval.eval: operands left to right, an If's
    condition before its taken branch only. *)
 let rec lower em index (e : Expr.t) =
+  match e with
+  | Const _ | Var _ -> lower_node em index e
+  | _ ->
+      let h = Hashtbl.hash e in
+      let r = memo_find em.memo h e in
+      if r >= 0 then r
+      else begin
+        let r = lower_node em index e in
+        memo_add em.memo h e r;
+        r
+      end
+
+(* Lower one branch of an If in a scope of its own: what it adds to the
+   memo is unset when the other branch runs, or after the join. *)
+and lower_arm em index e =
+  let m = em.memo in
+  let outer = m.scope in
+  open_scope m;
+  let arm = m.scope in
+  let r = lower em index e in
+  close_scope m arm;
+  m.scope <- outer;
+  r
+
+and lower_node em index (e : Expr.t) =
   match e with
   | Const x ->
       let r = fresh em in
@@ -167,12 +326,12 @@ let rec lower em index (e : Expr.t) =
       let join = fresh em in
       let jnot_at = em.len in
       emit em Vm_code.op_jnot (Vm_code.rel_id c.rel) rl rr (-1);
-      let rt = lower em index t in
+      let rt = lower_arm em index t in
       emit em Vm_code.op_mov join rt 0 0;
       let jmp_at = em.len in
       emit em Vm_code.op_jmp 0 0 0 (-1);
       em.buf.(jnot_at + 4) <- em.len;
-      let re = lower em index e' in
+      let re = lower_arm em index e' in
       emit em Vm_code.op_mov join re 0 0;
       em.buf.(jmp_at + 4) <- em.len;
       join
@@ -254,7 +413,9 @@ let compile_stmts ?optimize ?private_env_slot ~out_size names stmts =
     (fun (e, tgt) ->
       let r = lower em index e in
       match tgt with
-      | To_env s -> emit em Vm_code.op_ste 0 r 0 s
+      | To_env s ->
+          emit em Vm_code.op_ste 0 r 0 s;
+          new_segment em.memo
       | To_out s -> emit em Vm_code.op_sto 0 r 0 s)
     stmts;
   finish ?optimize ?private_env_slot em ~result:(-1)

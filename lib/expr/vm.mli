@@ -9,6 +9,12 @@
     steady state.  Primitives dispatch directly to [float -> float]
     externals; there is no per-call argument list.
 
+    Lowering follows the expression DAG: a compound subtree reached
+    again through another parent ([==], not structural equality) is
+    computed once and its register reused, so code size is linear in
+    the number of distinct nodes rather than in the tree size.  Reuse
+    never crosses out of an [If] arm or over a [To_env] store.
+
     Semantics match {!Eval.eval} exactly, up to the sign of zero in
     empty/unit summands (the tree evaluator folds sums from [0.] and
     products from [1.]; the VM folds pairwise).

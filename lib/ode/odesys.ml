@@ -116,46 +116,56 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
   let names = Array.of_list states in
   (* Value vector layout: states first, then time. *)
   let layout = Array.append names [| time_var |] in
-  let fns =
-    Array.of_list (List.map (fun (_, e) -> Om_expr.Eval.eval_fn layout e) eqs)
+  let module Vm = Om_expr.Vm in
+  let rhs_prog =
+    Vm.compile_stmts ~out_size:dim layout
+      (List.mapi (fun i (_, e) -> (e, Vm.To_out i)) eqs)
   in
   let buf = Array.make (dim + 1) 0. in
-  let f t y ydot =
+  let load t y =
     Array.blit y 0 buf 0 dim;
-    buf.(dim) <- t;
-    for i = 0 to dim - 1 do
-      ydot.(i) <- fns.(i) buf
-    done
+    buf.(dim) <- t
+  in
+  let f t y ydot =
+    load t y;
+    Vm.exec rhs_prog ~env:buf ~out:ydot
   in
   let sparsity = pattern_of_equations eqs in
   let jac, sjac =
     if not with_symbolic_jacobian then (None, None)
     else begin
-      (* One derivative closure per structural entry, in CSR order. *)
-      let eq_arr = Array.of_list (List.map snd eqs) in
-      let ders =
-        Array.init (Sparse.nnz sparsity) (fun _ -> (0, 0, fun _ -> 0.))
+      (* One program writing every structural entry's derivative to its
+         CSR slot.  Derived on first use, so runs that never ask for a
+         Jacobian never differentiate; one differentiator per state
+         shares its memo across all equations. *)
+      let nnz = Sparse.nnz sparsity in
+      let jac_prog =
+        lazy
+          (let rhs = Array.of_list (List.map snd eqs) in
+           let ds = Array.map Om_expr.Deriv.differentiator names in
+           let stmts = ref [] in
+           for i = 0 to dim - 1 do
+             for k = sparsity.row_ptr.(i) to sparsity.row_ptr.(i + 1) - 1 do
+               let d = ds.(sparsity.col_ind.(k)) rhs.(i) in
+               stmts := (d, Vm.To_out k) :: !stmts
+             done
+           done;
+           Vm.compile_stmts ~out_size:nnz layout (List.rev !stmts))
       in
-      for i = 0 to dim - 1 do
-        for k = sparsity.row_ptr.(i) to sparsity.row_ptr.(i + 1) - 1 do
-          let c = sparsity.col_ind.(k) in
-          ders.(k) <-
-            ( i,
-              c,
-              Om_expr.Eval.eval_fn layout
-                (Om_expr.Deriv.diff names.(c) eq_arr.(i)) )
-        done
-      done;
+      let vals = Array.make nnz 0. in
       let jac t y (m : Linalg.mat) =
-        Array.blit y 0 buf 0 dim;
-        buf.(dim) <- t;
+        load t y;
+        Vm.exec (Lazy.force jac_prog) ~env:buf ~out:vals;
         Array.iter (fun row -> Array.fill row 0 dim 0.) m;
-        Array.iter (fun (i, c, d) -> m.(i).(c) <- d buf) ders
+        for i = 0 to dim - 1 do
+          for k = sparsity.row_ptr.(i) to sparsity.row_ptr.(i + 1) - 1 do
+            m.(i).(sparsity.col_ind.(k)) <- vals.(k)
+          done
+        done
       in
       let sjac t y (v : float array) =
-        Array.blit y 0 buf 0 dim;
-        buf.(dim) <- t;
-        Array.iteri (fun k (_, _, d) -> v.(k) <- d buf) ders
+        load t y;
+        Vm.exec (Lazy.force jac_prog) ~env:buf ~out:v
       in
       (Some jac, Some sjac)
     end

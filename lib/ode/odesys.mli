@@ -86,12 +86,22 @@ val of_equations :
   t
 (** Elaborate symbolic first-order equations [x' = rhs].  Each right-hand
     side may reference any state variable and the time variable (default
-    ["t"]).  With [with_symbolic_jacobian] (default true) the analytic
-    Jacobian is derived symbolically, the paper's "extra function dedicated
-    to computing the Jacobian".  The structural sparsity pattern (each
-    equation's state read set) is always recorded in [sparsity]; with the
-    symbolic Jacobian enabled, the per-entry derivatives are also compiled
-    into a sparse writer [sjac].
+    ["t"]).  The right-hand sides compile to one {!Om_expr.Vm} program
+    with one output per equation: [f] runs it.  With
+    [with_symbolic_jacobian] (default true) the analytic Jacobian is
+    derived symbolically too, the paper's "extra function dedicated to
+    computing the Jacobian": every structural entry's derivative, from
+    one memoised {!Om_expr.Deriv.differentiator} per state, compiles to
+    a second program writing the pattern's CSR slots, which backs both
+    [jac] and [sjac].  That program is built on the first [jac] or
+    [sjac] call, so runs that never ask for a Jacobian never
+    differentiate.  The structural sparsity pattern (each equation's
+    state read set) is always recorded in [sparsity].
+
+    Results equal {!Om_expr.Eval.eval} of the equations (and of
+    {!Om_expr.Deriv.diff} per entry) up to the sign of zero.  The system
+    owns one scratch environment and the programs' register files, and
+    the Jacobian is built lazily: use it from one domain at a time.
     @raise Invalid_argument on duplicate states or free variables that are
     neither states nor time. *)
 

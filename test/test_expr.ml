@@ -254,6 +254,27 @@ let test_gradient () =
   check_expr "dx" E.(add [ mul [ two; x ]; y ]) (List.assoc "x" g);
   check_expr "dy" x (List.assoc "y" g)
 
+(* The memoised differentiator, one per state shared across all of the
+   bearing's equations (as Odesys.of_equations uses it), against plain
+   diff on every structural Jacobian entry. *)
+let test_differentiator_matches_diff () =
+  let fm = Om_lang.Flatten.flatten_string (Om_models.Bearing2d.source ()) in
+  let states = List.map fst fm.equations in
+  let ds = List.map (fun v -> (v, Deriv.differentiator v)) states in
+  let entries = ref 0 in
+  List.iter
+    (fun (_, rhs) ->
+      List.iter
+        (fun v ->
+          match List.assoc_opt v ds with
+          | None -> ()
+          | Some d ->
+              incr entries;
+              check_expr ("d/d" ^ v) (Deriv.diff v rhs) (d rhs))
+        (E.vars rhs))
+    fm.equations;
+  Alcotest.(check int) "structural entries" 320 !entries
+
 (* ---------- evaluation ---------- *)
 
 let test_env_of_list_duplicates () =
@@ -264,13 +285,6 @@ let test_env_of_list_duplicates () =
 let test_eval_unbound () =
   Alcotest.check_raises "unbound" (Eval.Unbound "q") (fun () ->
       ignore (Eval.eval (Eval.env_of_list []) (E.var "q")))
-
-let prop_eval_fn_agrees =
-  QCheck.Test.make ~name:"eval_fn agrees with eval" ~count:300
-    arbitrary_expr_env (fun (e, (a, b, c)) ->
-      let names = [| "x"; "y"; "z" |] in
-      let f = Eval.eval_fn names e in
-      close (f [| a; b; c |]) (Eval.eval (env_of [| a; b; c |]) e))
 
 let prop_cost_dyn_value_agrees =
   QCheck.Test.make ~name:"cost_dyn value agrees with eval" ~count:300
@@ -457,6 +471,77 @@ let test_vm_epilogue () =
   check_float "sum slots" 4. out.(0);
   check_float "single slot" (-4.) out.(1)
 
+(* DAG lowering: a physically shared subtree is computed once. *)
+let test_vm_dag_sharing () =
+  let s = E.sin (E.add [ x; z ]) in
+  let e = E.add [ s; E.cos s; E.mul [ s; y ] ] in
+  let sins p =
+    Array.fold_left
+      (fun n (i : Vm_code.instr) ->
+        match i with Vm_code.Call1 (_, E.Sin, _) -> n + 1 | _ -> n)
+      0 (Vm.instructions p)
+  in
+  Alcotest.(check int) "one sin for three uses" 1
+    (sins (Vm.compile [| "x"; "y"; "z" |] e));
+  (* A structurally equal but distinct copy is a different node. *)
+  let e' = E.add [ s; E.cos (E.sin (E.add [ x; z ])) ] in
+  Alcotest.(check int) "copies are not merged" 2
+    (sins (Vm.compile [| "x"; "y"; "z" |] e'))
+
+(* A subtree first lowered inside an If arm and used again after the
+   join: on the other branch its register is never written, so the
+   later use must compute it afresh.  Fresh programs run the else
+   branch first, so a wrongly reused register reads an unset zero. *)
+let test_vm_shared_across_if () =
+  let s = E.sin (E.add [ x; z ]) in
+  let c = E.cond x E.Lt y in
+  let branchy = E.if_ c (E.mul [ s; z ]) (E.hypot z y) in
+  let nested =
+    E.if_ c (E.if_ (E.cond z E.Gt E.zero) s (E.neg s)) (E.cos y)
+  in
+  let after = E.mul [ s; y ] in
+  (* atan2 keeps its operand order, so its arm is lowered before [s]. *)
+  let single = E.atan2 branchy s in
+  let stmts =
+    [ (branchy, Vm.To_out 0); (nested, Vm.To_out 1); (after, Vm.To_out 2) ]
+  in
+  let names = [| "x"; "y"; "z" |] in
+  let points =
+    [
+      [| 2.; 1.; 0.5 |]; [| 0.; 1.; 0.5 |]; [| 0.; 1.; -0.5 |]; [| 3.; 1.; 0.7 |];
+    ]
+  in
+  List.iter
+    (fun optimize ->
+      let p = Vm.compile ~optimize names single in
+      let ps = Vm.compile_stmts ~optimize ~out_size:3 names stmts in
+      List.iter
+        (fun env ->
+          let want e = Eval.eval (env_of env) e in
+          check_float "single expression" (want single) (Vm.run p env);
+          let out = Array.make 3 0. in
+          Vm.exec ps ~env ~out;
+          List.iteri
+            (fun i (e, _) -> check_float "statement" (want e) out.(i))
+            stmts)
+        points)
+    [ true; false ]
+
+(* Reuse never spans a store to an env slot: the shared subtree reads
+   the slot, so after the store it has a new value. *)
+let test_vm_shared_across_store () =
+  let tmp = E.var "tmp" in
+  let s = E.sin (E.add [ tmp; x ]) in
+  let stmts =
+    [ (s, Vm.To_out 0); (E.add [ x; y ], Vm.To_env 2); (s, Vm.To_out 1) ]
+  in
+  let p = Vm.compile_stmts ~out_size:2 [| "x"; "y"; "tmp" |] stmts in
+  let env = [| 0.5; 1.5; 0.25 |] in
+  let out = [| 0.; 0. |] in
+  Vm.exec p ~env ~out;
+  check_float "before the store" (Float.sin 0.75) out.(0);
+  check_float "after the store" (Float.sin 2.5) out.(1)
+
 (* Steady-state zero allocation: the per-exec minor-word slope between
    two loop lengths must be exactly zero. *)
 let test_vm_exec_no_alloc () =
@@ -620,6 +705,8 @@ let () =
           Alcotest.test_case "table" `Quick test_deriv_table;
           Alcotest.test_case "product rule" `Quick test_deriv_product_rule;
           Alcotest.test_case "gradient" `Quick test_gradient;
+          Alcotest.test_case "memoised differentiator on the bearing" `Quick
+            test_differentiator_matches_diff;
           q prop_deriv_matches_finite_difference;
         ] );
       ( "eval",
@@ -627,7 +714,6 @@ let () =
           Alcotest.test_case "unbound" `Quick test_eval_unbound;
           Alcotest.test_case "duplicate env keys" `Quick
             test_env_of_list_duplicates;
-          q prop_eval_fn_agrees;
           q prop_cost_dyn_value_agrees;
           q prop_cost_dyn_within_static_bounds;
         ] );
@@ -644,6 +730,11 @@ let () =
           Alcotest.test_case "constant folding" `Quick test_vm_constant_folding;
           Alcotest.test_case "statement block" `Quick test_vm_stmts;
           Alcotest.test_case "epilogue" `Quick test_vm_epilogue;
+          Alcotest.test_case "dag sharing" `Quick test_vm_dag_sharing;
+          Alcotest.test_case "sharing across if" `Quick
+            test_vm_shared_across_if;
+          Alcotest.test_case "sharing across store" `Quick
+            test_vm_shared_across_store;
           Alcotest.test_case "no allocation" `Quick test_vm_exec_no_alloc;
         ] );
       ( "subst",

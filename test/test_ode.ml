@@ -437,6 +437,62 @@ let test_of_equations_errors () =
     (Invalid_argument "Odesys.of_equations: duplicate x") (fun () ->
       ignore (Odesys.of_equations [ ("x", E.var "x"); ("x", E.var "x") ]))
 
+(* The compiled RHS and the lazily compiled symbolic Jacobian of
+   generated models, at seeded random states, against the tree walk:
+   [f] against Eval.eval of each equation, [sjac] and [jac] against
+   Eval.eval of Deriv.diff per structural entry (and [jac] zero off the
+   pattern).  Compared under Float.equal, which identifies +0 and -0:
+   the VM's documented contract. *)
+let prop_of_equations_matches_eval =
+  QCheck.Test.make ~name:"of_equations f, jac and sjac agree with Eval"
+    ~count:100
+    QCheck.(make ~print:(Printf.sprintf "model seed %d") Gen.nat)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let fm = Om_lang.Flatten.flatten (Om_fuzz.Gen.model rng) in
+      let eqs = Array.of_list fm.equations in
+      let dim = Array.length eqs in
+      let names = Array.map fst eqs in
+      let sys = Odesys.of_equations fm.equations in
+      let pat = Option.get sys.sparsity in
+      let ydot = Array.make dim 0. in
+      let v = Array.make (Om_ode.Sparse.nnz pat) 0. in
+      let m = L.make dim dim nan in
+      List.for_all
+        (fun _ ->
+          let y0 = Om_lang.Flat_model.initial_values fm in
+          let y =
+            Array.map (fun v -> v +. Random.State.float rng 2. -. 1.) y0
+          in
+          let t = Random.State.float rng 1. in
+          let env =
+            Om_expr.Eval.env_of_list
+              (("t", t)
+              :: Array.to_list (Array.mapi (fun i n -> (n, y.(i))) names))
+          in
+          let eval e = Om_expr.Eval.eval env e in
+          sys.f t y ydot;
+          Option.get sys.sjac t y v;
+          Option.get sys.jac t y m;
+          let rhs_ok =
+            Array.for_all2 (fun (_, e) d -> Float.equal d (eval e)) eqs ydot
+          in
+          let jac_ok = ref true in
+          for i = 0 to dim - 1 do
+            for k = pat.row_ptr.(i) to pat.row_ptr.(i + 1) - 1 do
+              let c = pat.col_ind.(k) in
+              let want = eval (Om_expr.Deriv.diff names.(c) (snd eqs.(i))) in
+              if not (Float.equal v.(k) want && Float.equal m.(i).(c) want)
+              then jac_ok := false
+            done;
+            for c = 0 to dim - 1 do
+              if (not (Om_ode.Sparse.mem pat i c)) && m.(i).(c) <> 0. then
+                jac_ok := false
+            done
+          done;
+          rhs_ok && !jac_ok)
+        [ 1; 2; 3 ])
+
 let test_pp_counters () =
   let sys = decay () in
   ignore (Odesys.rhs sys 0. [| 1. |]);
@@ -862,6 +918,7 @@ let () =
           Alcotest.test_case "elaboration errors" `Quick
             test_of_equations_errors;
           Alcotest.test_case "counters" `Quick test_counters_reset;
+          q prop_of_equations_matches_eval;
           Alcotest.test_case "counters printing" `Quick test_pp_counters;
           Alcotest.test_case "column" `Quick test_column;
           Alcotest.test_case "sample interpolation" `Quick
