@@ -813,6 +813,7 @@ let micro () =
   let targets =
     List.map (fun (s, e) -> (s, e)) (Lazy.force servo).model.equations
   in
+  let jac_rows = Array.of_list (List.map snd r.model.equations) in
   let tests =
     Test.make_grouped ~name:"objectmath"
       [
@@ -820,6 +821,9 @@ let micro () =
           (Staged.stage (fun () -> Om_expr.Simplify.simplify heavy_eq));
         Test.make ~name:"diff-roller-eq"
           (Staged.stage (fun () -> Om_expr.Deriv.diff "W[1].R" heavy_eq));
+        Test.make ~name:"bearing-jacobian-derive"
+          (Staged.stage (fun () ->
+               Om_expr.Deriv.jacobian state_names jac_rows));
         Test.make ~name:"eval-roller-eq"
           (Staged.stage (fun () -> Om_expr.Eval.eval tbl heavy_eq));
         Test.make ~name:"vm-roller-eq"

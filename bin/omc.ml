@@ -7,11 +7,8 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* Reads to end of file, so pipes and [/dev/stdin] work too. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* ---- shared arguments ---- *)
 

@@ -17,19 +17,26 @@ let generate (m : Om_lang.Flat_model.t) =
   let states = Array.of_list (List.map fst m.states) in
   let index = Hashtbl.create 64 in
   Array.iteri (fun i s -> Hashtbl.replace index s i) states;
+  let grads =
+    Om_expr.Deriv.jacobian states
+      (Array.of_list (List.map snd m.equations))
+  in
   let entries =
     List.concat
       (List.mapi
          (fun row (_, rhs) ->
-           (* Only differentiate with respect to states that actually
-              occur: the rest are structural zeros. *)
+           (* Only states that actually occur, in [E.vars] order; the
+              rest are structural zeros. *)
            List.filter_map
              (fun v ->
                match Hashtbl.find_opt index v with
                | None -> None
-               | Some col ->
-                   let d = Om_expr.Deriv.diff v rhs in
-                   if E.equal d E.zero then None else Some (row, col, d))
+               | Some col -> (
+                   let entry = Array.find_opt (fun (c, _) -> c = col) in
+                   match entry grads.(row) with
+                   | Some (_, d) when not (E.equal d E.zero) ->
+                       Some (row, col, d)
+                   | _ -> None))
              (E.vars rhs))
          m.equations)
   in

@@ -1,8 +1,9 @@
 open Expr
 
 (* The differentiation rules, one level deep: [d] differentiates the
-   children.  [diff] ties the knot directly; [differentiator] ties it
-   through a memo, so both share one rule table. *)
+   children.  [diff] ties the knot directly; [jacobian] applies them to
+   each node once per column its children carry, so both share one rule
+   table. *)
 let rules_call d f args =
   let chain inner outer = mul [ outer; d inner ] in
   match (f, args) with
@@ -70,19 +71,69 @@ module Phys_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-let differentiator v =
-  let memo = Phys_tbl.create 256 in
-  let rec d (e : Expr.t) =
+(* A node's derivatives with respect to every column at once: an
+   [(column, derivative)] entry, columns ascending, for each column its
+   differentiated children carry, and [rest] for every other column.
+   [rest] is the rules applied to the children's [rest]s — a derivative
+   that reads no variable, [zero] unless constant arithmetic is
+   non-finite (0 * inf is nan). *)
+type grad = { entries : (int * Expr.t) array; rest : Expr.t }
+
+let no_cols = { entries = [||]; rest = zero }
+
+let entry g c =
+  match Array.find_opt (fun (c', _) -> Int.equal c c') g.entries with
+  | Some (_, d) -> d
+  | None -> g.rest
+
+let is_pos_zero = function
+  | Const c -> Int64.equal (Int64.bits_of_float c) 0L
+  | _ -> false
+
+let jacobian vars rows =
+  let index = Hashtbl.create (Array.length vars) in
+  Array.iteri
+    (fun i v ->
+      if Hashtbl.mem index v then
+        invalid_arg ("Deriv.jacobian: duplicate variable " ^ v);
+      Hashtbl.replace index v i)
+    vars;
+  let memo = Phys_tbl.create 1024 in
+  let rec grad (e : Expr.t) =
     match e with
-    | Const _ | Var _ -> rules v d e
+    | Const _ -> no_cols
+    | Var w -> (
+        match Hashtbl.find_opt index w with
+        | Some c -> { entries = [| (c, one) |]; rest = zero }
+        | None -> no_cols)
     | _ -> (
         match Phys_tbl.find_opt memo e with
-        | Some r -> r
+        | Some g -> g
         | None ->
-            let r = rules v d e in
-            Phys_tbl.add memo e r;
-            r)
+            let g = node e in
+            Phys_tbl.add memo e g;
+            g)
+  and node e =
+    (* The rules never differentiate an [If]'s condition. *)
+    let kids = match e with If (_, t, f) -> [ t; f ] | _ -> children e in
+    let gs = List.map (fun k -> (k, grad k)) kids in
+    let cols =
+      List.concat_map (fun (_, g) -> Array.to_list g.entries) gs
+      |> List.map fst |> List.sort_uniq Int.compare
+    in
+    let entries =
+      Array.of_list cols
+      |> Array.map (fun c ->
+             (c, rules vars.(c) (fun k -> entry (List.assq k gs) c) e))
+    in
+    (* A compound node's rules never read the variable's name. *)
+    { entries; rest = rules "" (fun k -> (List.assq k gs).rest) e }
   in
-  d
+  Array.map
+    (fun e ->
+      let g = grad e in
+      if is_pos_zero g.rest then Array.copy g.entries
+      else Array.init (Array.length vars) (fun c -> (c, entry g c)))
+    rows
 
 let gradient vars e = List.map (fun v -> (v, diff v e)) vars

@@ -8,16 +8,25 @@ val diff : string -> Expr.t -> Expr.t
     a subtree shared by several parents is differentiated once per
     parent. *)
 
-val differentiator : string -> Expr.t -> Expr.t
-(** [differentiator v] is a [diff v] that memoises on physical identity
-    ([==]): each distinct node of the expression DAG is differentiated
-    once, and every later call reuses the result — across all the
-    expressions the function is applied to, so share one differentiator
-    per variable over a whole equation system.  The results are
-    {!Expr.equal} to [diff v]'s and share their common subtrees
+val jacobian : string array -> Expr.t array -> (int * Expr.t) array array
+(** [jacobian vars rows] is the sparse Jacobian of [rows] with respect
+    to [vars], in one forward pass over the expression DAG: row [i]
+    lists [(j, d)] pairs, [j] ascending, with [d] {!Expr.equal} to
+    [diff vars.(j) rows.(i)].  Every column missing from row [i] has
+    [diff] equal to [Const 0.] (positive zero).
+
+    Each distinct node (by physical identity, across all rows) is
+    visited once for all variables: its derivatives cover only the
+    columns its differentiated children carry — for an [If], the two
+    arms, never the condition — so a row lists exactly the columns its
+    differentiated subterms read.  The exception is a row whose
+    derivative with respect to a variable it does not read is not
+    [+0.]: a non-finite constant (or constant arithmetic that
+    overflows) makes [0 * c] a NaN, as [diff] does, and then the row
+    lists every column.  Results share their common subtrees
     physically, which {!Vm}'s DAG-aware lowering turns into reused
-    registers.  The memo keeps every differentiated node alive as long
-    as the function is reachable. *)
+    registers.
+    @raise Invalid_argument if [vars] has a duplicate. *)
 
 val gradient : string list -> Expr.t -> (string * Expr.t) list
 (** Partial derivative with respect to each given variable. *)

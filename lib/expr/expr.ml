@@ -41,23 +41,25 @@ let rank = function
   | If _ -> 6
 
 let rec compare a b =
-  match (a, b) with
-  | Const x, Const y -> Float.compare x y
-  | Var x, Var y -> String.compare x y
-  | Add xs, Add ys | Mul xs, Mul ys -> compare_list xs ys
-  | Pow (x1, y1), Pow (x2, y2) ->
-      let c = compare x1 x2 in
-      if c <> 0 then c else compare y1 y2
-  | Call (f, xs), Call (g, ys) ->
-      let c = Stdlib.compare f g in
-      if c <> 0 then c else compare_list xs ys
-  | If (c1, t1, e1), If (c2, t2, e2) ->
-      let c = compare_cond c1 c2 in
-      if c <> 0 then c
-      else
-        let c = compare t1 t2 in
-        if c <> 0 then c else compare e1 e2
-  | _ -> Int.compare (rank a) (rank b)
+  if a == b then 0
+  else
+    match (a, b) with
+    | Const x, Const y -> Float.compare x y
+    | Var x, Var y -> String.compare x y
+    | Add xs, Add ys | Mul xs, Mul ys -> compare_list xs ys
+    | Pow (x1, y1), Pow (x2, y2) ->
+        let c = compare x1 x2 in
+        if c <> 0 then c else compare y1 y2
+    | Call (f, xs), Call (g, ys) ->
+        let c = Stdlib.compare f g in
+        if c <> 0 then c else compare_list xs ys
+    | If (c1, t1, e1), If (c2, t2, e2) ->
+        let c = compare_cond c1 c2 in
+        if c <> 0 then c
+        else
+          let c = compare t1 t2 in
+          if c <> 0 then c else compare e1 e2
+    | _ -> Int.compare (rank a) (rank b)
 
 and compare_cond c1 c2 =
   let c = compare c1.lhs c2.lhs in
@@ -125,38 +127,58 @@ let eval_pow b n =
   else if n = 0. then 1.
   else Float.pow b n
 
+(* Like-term collection with no per-call table.  [items] are
+   [(key, weight, position)] in occurrence order; a stable sort on the
+   key keeps equal keys in that order, so each run of equal keys sums
+   its weights left to right and keeps its first occurrence's key and
+   position. *)
+let collect cmp items =
+  let rec runs = function
+    | [] -> []
+    | (k, w, p) :: rest ->
+        let rec absorb w = function
+          | (k', w', _) :: rest when cmp k k' = 0 -> absorb (w +. w') rest
+          | rest -> (w, rest)
+        in
+        let w, rest = absorb w rest in
+        (k, w, p) :: runs rest
+  in
+  runs (List.stable_sort (fun (a, _, _) (b, _, _) -> cmp a b) items)
+
+(* Sort the rebuilt [(operand, position)] pairs, breaking ties by
+   position: the folded constant (position -1) first, then
+   first-occurrence order. *)
+let finish ~empty node all =
+  let by_term (a, p) (b, q) =
+    let c = compare a b in
+    if c <> 0 then c else Int.compare p q
+  in
+  match List.sort by_term all with
+  | [] -> empty
+  | [ (e, _) ] -> e
+  | es -> node (List.map fst es)
+
 let rec add terms =
-  let flat =
-    List.concat_map (function Add xs -> xs | e -> [ e ]) terms
-  in
+  let konst = ref 0. and items = ref [] and pos = ref 0 in
   (* Collect like terms keyed by their non-constant factor list. *)
-  let table : (t list, float ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let konst = ref 0. in
   let record e =
-    let c, fs = coeff_split e in
-    if fs = [] then konst := !konst +. c
-    else
-      match Hashtbl.find_opt table fs with
-      | Some r -> r := !r +. c
-      | None ->
-          Hashtbl.add table fs (ref c);
-          order := fs :: !order
+    match coeff_split e with
+    | c, [] -> konst := !konst +. c
+    | c, fs ->
+        items := (fs, c, !pos) :: !items;
+        incr pos
   in
-  List.iter record flat;
+  List.iter (function Add xs -> List.iter record xs | e -> record e) terms;
   let rebuilt =
-    List.rev !order
-    |> List.filter_map (fun fs ->
-           let c = !(Hashtbl.find table fs) in
+    collect compare_list (List.rev !items)
+    |> List.filter_map (fun (fs, c, p) ->
            if c = 0. then None
-           else if c = 1. then Some (mul_nocollect fs)
-           else Some (mul_nocollect (Const c :: fs)))
+           else if c = 1. then Some (mul_nocollect fs, p)
+           else Some (mul_nocollect (Const c :: fs), p))
   in
-  let all = if !konst = 0. then rebuilt else Const !konst :: rebuilt in
-  match List.sort compare all with
-  | [] -> zero
-  | [ e ] -> e
-  | es -> Add es
+  finish ~empty:zero
+    (fun es -> Add es)
+    (if !konst = 0. then rebuilt else (Const !konst, -1) :: rebuilt)
 
 (* Rebuild a product from factors already in collected form. *)
 and mul_nocollect = function
@@ -165,39 +187,34 @@ and mul_nocollect = function
   | es -> Mul (List.sort compare es)
 
 and mul factors =
-  let flat =
-    List.concat_map (function Mul xs -> xs | e -> [ e ]) factors
-  in
-  let table : (t, float ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
+  let flat_iter f = List.iter (function Mul xs -> List.iter f xs | e -> f e) in
+  (* Fold the constants first: a zero product returns before any
+     sorting. *)
   let konst = ref 1. in
-  let record e =
-    match e with
-    | Const c -> konst := !konst *. c
-    | _ -> (
-        let b, n = power_split e in
-        match Hashtbl.find_opt table b with
-        | Some r -> r := !r +. n
-        | None ->
-            Hashtbl.add table b (ref n);
-            order := b :: !order)
-  in
-  List.iter record flat;
+  flat_iter (function Const c -> konst := !konst *. c | _ -> ()) factors;
   if !konst = 0. then zero
-  else
+  else begin
+    (* Collect powers keyed by their base. *)
+    let items = ref [] and pos = ref 0 in
+    flat_iter
+      (function
+        | Const _ -> ()
+        | e ->
+            let b, n = power_split e in
+            items := (b, n, !pos) :: !items;
+            incr pos)
+      factors;
     let rebuilt =
-      List.rev !order
-      |> List.filter_map (fun b ->
-             let n = !(Hashtbl.find table b) in
+      collect compare (List.rev !items)
+      |> List.filter_map (fun (b, n, p) ->
              if n = 0. then None
-             else if n = 1. then Some b
-             else Some (pow b (Const n)))
+             else if n = 1. then Some (b, p)
+             else Some (pow b (Const n), p))
     in
-    let all = if !konst = 1. then rebuilt else Const !konst :: rebuilt in
-    match List.sort compare all with
-    | [] -> one
-    | [ e ] -> e
-    | es -> Mul es
+    finish ~empty:one
+      (fun es -> Mul es)
+      (if !konst = 1. then rebuilt else (Const !konst, -1) :: rebuilt)
+  end
 
 and pow base expo =
   match (base, expo) with

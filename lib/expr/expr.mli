@@ -50,7 +50,11 @@ type t = private
 and cond = { lhs : t; rel : rel; rhs : t }
 
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** Total structural order ([Float.compare] on constants).  Physically
+    equal operands compare [0] without a walk, so comparing terms that
+    share subtrees costs no more than their unshared parts. *)
 
 val hash : t -> int
 (** Structural hash, consistent with {!equal}. *)
@@ -68,8 +72,18 @@ val minus_one : t
 val pi : t
 
 val add : t list -> t
+(** Flattens nested sums, folds the constants left to right and
+    collects like terms ([2x + 3x = 5x]), keyed by their non-constant
+    factor lists: a stable sort on the key and an adjacent merge, no
+    table per call.  Coefficients sum in occurrence order; each
+    collected term keeps its first occurrence's factors. *)
+
 val sub : t -> t -> t
+
 val mul : t list -> t
+(** As {!add}, for products: folds the constants (a zero product is
+    [zero]) and collects powers by base ([x * x^2 = x^3]). *)
+
 val neg : t -> t
 val div : t -> t -> t
 val pow : t -> t -> t

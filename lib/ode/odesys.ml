@@ -136,21 +136,25 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
     else begin
       (* One program writing every structural entry's derivative to its
          CSR slot.  Derived on first use, so runs that never ask for a
-         Jacobian never differentiate; one differentiator per state
-         shares its memo across all equations. *)
+         Jacobian never differentiate; one forward pass derives every
+         row.  A structural entry the pass leaves out is [+0.]. *)
       let nnz = Sparse.nnz sparsity in
       let jac_prog =
         lazy
-          (let rhs = Array.of_list (List.map snd eqs) in
-           let ds = Array.map Om_expr.Deriv.differentiator names in
-           let stmts = ref [] in
-           for i = 0 to dim - 1 do
-             for k = sparsity.row_ptr.(i) to sparsity.row_ptr.(i + 1) - 1 do
-               let d = ds.(sparsity.col_ind.(k)) rhs.(i) in
-               stmts := (d, Vm.To_out k) :: !stmts
-             done
-           done;
-           Vm.compile_stmts ~out_size:nnz layout (List.rev !stmts))
+          (let grads =
+             Om_expr.Deriv.jacobian names (Array.of_list (List.map snd eqs))
+           in
+           let slots = Array.make nnz Om_expr.Expr.zero in
+           Array.iteri
+             (fun i row ->
+               Array.iter
+                 (fun (c, d) ->
+                   let k = Sparse.index sparsity i c in
+                   if k >= 0 then slots.(k) <- d)
+                 row)
+             grads;
+           Vm.compile_stmts ~out_size:nnz layout
+             (List.init nnz (fun k -> (slots.(k), Vm.To_out k))))
       in
       let vals = Array.make nnz 0. in
       let jac t y (m : Linalg.mat) =

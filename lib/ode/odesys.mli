@@ -91,12 +91,13 @@ val of_equations :
     [with_symbolic_jacobian] (default true) the analytic Jacobian is
     derived symbolically too, the paper's "extra function dedicated to
     computing the Jacobian": every structural entry's derivative, from
-    one memoised {!Om_expr.Deriv.differentiator} per state, compiles to
-    a second program writing the pattern's CSR slots, which backs both
-    [jac] and [sjac].  That program is built on the first [jac] or
-    [sjac] call, so runs that never ask for a Jacobian never
-    differentiate.  The structural sparsity pattern (each equation's
-    state read set) is always recorded in [sparsity].
+    one forward pass of {!Om_expr.Deriv.jacobian} over all the
+    equations, compiles to a second program writing the pattern's CSR
+    slots, which backs both [jac] and [sjac].  That program is built on
+    the first [jac] or [sjac] call, so runs that never ask for a
+    Jacobian never differentiate.  The structural sparsity pattern
+    (each equation's state read set) is always recorded in
+    [sparsity].
 
     Results equal {!Om_expr.Eval.eval} of the equations (and of
     {!Om_expr.Deriv.diff} per entry) up to the sign of zero.  The system

@@ -145,6 +145,171 @@ let test_pp_roundtrip_sanity () =
   let s = Fmt.to_to_string E.pp e in
   Alcotest.(check bool) "prints something" true (String.length s > 3)
 
+(* [E.t] is private; a raw, uncollected node is built by substituting
+   its operands, with [map_exact], into placeholders that a smart
+   constructor has already put in order.  [es] has at least two
+   elements. *)
+let raw build es =
+  let ops = Array.of_list es in
+  let slot i = Printf.sprintf "#%03d" i in
+  E.map_exact
+    (function
+      | E.Var s when s.[0] = '#' -> Some ops.(int_of_string (String.sub s 1 3))
+      | _ -> None)
+    (build (List.init (Array.length ops) (fun i -> E.var (slot i))))
+
+let raw_add = raw E.add
+let raw_mul = raw E.mul
+let raw_pow a b =
+  raw (function [ a; b ] -> E.pow a b | _ -> assert false) [ a; b ]
+
+(* The table-based like-term collection [E.add]/[E.mul] used before
+   they moved to sort-and-merge, kept as their oracle: first-occurrence
+   order in a polymorphic Hashtbl, then one stable sort. *)
+module Table_oracle = struct
+  let coeff_split = function
+    | E.Const c -> (c, [])
+    | E.Mul (E.Const c :: rest) -> (c, rest)
+    | E.Mul fs -> (1., fs)
+    | e -> (1., [ e ])
+
+  let power_split = function E.Pow (b, E.Const n) -> (b, n) | e -> (e, 1.)
+
+  let mul_nocollect = function
+    | [] -> E.one
+    | [ e ] -> e
+    | es -> raw_mul (List.sort E.compare es)
+
+  let add terms =
+    let flat = List.concat_map (function E.Add xs -> xs | e -> [ e ]) terms in
+    let table : (E.t list, float ref) Hashtbl.t = Hashtbl.create 16 in
+    let order = ref [] in
+    let konst = ref 0. in
+    let record e =
+      let c, fs = coeff_split e in
+      if fs = [] then konst := !konst +. c
+      else
+        match Hashtbl.find_opt table fs with
+        | Some r -> r := !r +. c
+        | None ->
+            Hashtbl.add table fs (ref c);
+            order := fs :: !order
+    in
+    List.iter record flat;
+    let rebuilt =
+      List.rev !order
+      |> List.filter_map (fun fs ->
+             let c = !(Hashtbl.find table fs) in
+             if c = 0. then None
+             else if c = 1. then Some (mul_nocollect fs)
+             else Some (mul_nocollect (E.const c :: fs)))
+    in
+    let all = if !konst = 0. then rebuilt else E.const !konst :: rebuilt in
+    match List.sort E.compare all with
+    | [] -> E.zero
+    | [ e ] -> e
+    | es -> raw_add es
+
+  let mul factors =
+    let flat = List.concat_map (function E.Mul xs -> xs | e -> [ e ]) factors in
+    let table : (E.t, float ref) Hashtbl.t = Hashtbl.create 16 in
+    let order = ref [] in
+    let konst = ref 1. in
+    let record e =
+      match e with
+      | E.Const c -> konst := !konst *. c
+      | _ -> (
+          let b, n = power_split e in
+          match Hashtbl.find_opt table b with
+          | Some r -> r := !r +. n
+          | None ->
+              Hashtbl.add table b (ref n);
+              order := b :: !order)
+    in
+    List.iter record flat;
+    if !konst = 0. then E.zero
+    else
+      let rebuilt =
+        List.rev !order
+        |> List.filter_map (fun b ->
+               let n = !(Hashtbl.find table b) in
+               if n = 0. then None
+               else if n = 1. then Some b
+               else Some (E.pow b (E.const n)))
+      in
+      let all = if !konst = 1. then rebuilt else E.const !konst :: rebuilt in
+      match List.sort E.compare all with
+      | [] -> E.one
+      | [ e ] -> e
+      | es -> raw_mul es
+end
+
+(* Same tree, constants bit for bit, operands in the same order — and
+   the same physical sharing: at every position both sides are the same
+   input subterm or both are fresh.  Vm's DAG-aware lowering keys on
+   physical identity, so sharing is part of the output. *)
+let identical inputs a b =
+  let origin e = List.find_index (fun s -> s == e) inputs in
+  let rec go a b =
+    origin a = origin b
+    &&
+    match (a, b) with
+    | E.Const x, E.Const y ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | E.Var x, E.Var y -> String.equal x y
+    | E.Add xs, E.Add ys | E.Mul xs, E.Mul ys -> List.equal go xs ys
+    | E.Pow (a1, b1), E.Pow (a2, b2) -> go a1 a2 && go b1 b2
+    | E.Call (f, xs), E.Call (g, ys) -> f = g && List.equal go xs ys
+    | E.If (c1, t1, e1), E.If (c2, t2, e2) ->
+        c1.rel = c2.rel && go c1.lhs c2.lhs && go c1.rhs c2.rhs && go t1 t2
+        && go e1 e2
+    | _ -> false
+  in
+  go a b
+
+(* Operands drawn with replacement from a small pool, so keys repeat
+   both physically and as equal copies; the pool mixes signed zeros,
+   non-finite constants and raw (unsorted, uncollected) products. *)
+let operands_gen =
+  let open QCheck.Gen in
+  let consts =
+    oneofl [ 0.; -0.; 1.; -1.; 2.; 0.5; 1e308; infinity; neg_infinity; nan ]
+  in
+  let v = oneofl [ x; y; z ] in
+  let atom = oneof [ v; map E.const consts ] in
+  let term =
+    frequency
+      [
+        (3, atom);
+        (2, map2 (fun c a -> raw_mul [ E.const c; a ]) consts v);
+        (2, map2 (fun a b -> raw_mul [ a; b ]) atom atom);
+        (1, map3 (fun a b c -> raw_mul [ a; b; c ]) atom atom atom);
+        (2, map2 (fun a n -> raw_pow a (E.const n)) v consts);
+        (1, map2 (fun a b -> raw_add [ a; b ]) atom atom);
+        (1, map2 (fun a b -> E.mul [ a; b ]) atom atom);
+        (1, map2 (fun a b -> E.add [ a; b ]) atom atom);
+        (1, map E.sin v);
+      ]
+  in
+  let* pool = array_size (int_range 1 5) term in
+  list_size (int_bound 8)
+    (oneof
+       [ map (fun i -> pool.(i mod Array.length pool)) nat; term ])
+
+let prop_add_mul_match_table_oracle =
+  QCheck.Test.make ~name:"add and mul match the table oracle" ~count:1000
+    (QCheck.make
+       ~print:(fun es ->
+         String.concat "; " (List.map (Fmt.to_to_string E.pp) es))
+       operands_gen)
+    (fun ops ->
+      let inputs =
+        E.zero :: E.one
+        :: List.concat_map (E.fold (fun acc e -> e :: acc) []) ops
+      in
+      identical inputs (Table_oracle.add ops) (E.add ops)
+      && identical inputs (Table_oracle.mul ops) (E.mul ops))
+
 (* ---------- simplify ---------- *)
 
 let test_pythagoras () =
@@ -254,26 +419,91 @@ let test_gradient () =
   check_expr "dx" E.(add [ mul [ two; x ]; y ]) (List.assoc "x" g);
   check_expr "dy" x (List.assoc "y" g)
 
-(* The memoised differentiator, one per state shared across all of the
-   bearing's equations (as Odesys.of_equations uses it), against plain
-   diff on every structural Jacobian entry. *)
-let test_differentiator_matches_diff () =
+(* The forward pass over all of the bearing's equations (as
+   Odesys.of_equations uses it), against plain diff on every structural
+   Jacobian entry. *)
+let test_jacobian_matches_diff () =
   let fm = Om_lang.Flatten.flatten_string (Om_models.Bearing2d.source ()) in
-  let states = List.map fst fm.equations in
-  let ds = List.map (fun v -> (v, Deriv.differentiator v)) states in
+  let states = Array.of_list (List.map fst fm.equations) in
+  let grads =
+    Deriv.jacobian states (Array.of_list (List.map snd fm.equations))
+  in
   let entries = ref 0 in
-  List.iter
-    (fun (_, rhs) ->
+  List.iteri
+    (fun i (_, rhs) ->
       List.iter
         (fun v ->
-          match List.assoc_opt v ds with
+          match Array.find_index (String.equal v) states with
           | None -> ()
-          | Some d ->
+          | Some c ->
               incr entries;
-              check_expr ("d/d" ^ v) (Deriv.diff v rhs) (d rhs))
+              let d =
+                match Array.find_opt (fun (c', _) -> c' = c) grads.(i) with
+                | Some (_, d) -> d
+                | None -> E.zero
+              in
+              check_expr ("d/d" ^ v) (Deriv.diff v rhs) d)
         (E.vars rhs))
     fm.equations;
   Alcotest.(check int) "structural entries" 320 !entries
+
+let is_pos_zero = function
+  | E.Const c -> Int64.equal (Int64.bits_of_float c) 0L
+  | _ -> false
+
+(* [jacobian]'s contract against [diff] on one system: every listed
+   entry equal, columns ascending, every unlisted column exactly +0. *)
+let jacobian_agrees names rows =
+  let grads = Deriv.jacobian names rows in
+  Array.for_all2
+    (fun rhs row ->
+      let cols = Array.map fst row in
+      let rec ascending = function
+        | a :: (b :: _ as rest) -> a < b && ascending rest
+        | _ -> true
+      in
+      Array.for_all
+        (fun (c, d) -> E.equal d (Deriv.diff names.(c) rhs))
+        row
+      && ascending (Array.to_list cols)
+      && Array.for_all
+           (fun c -> Array.mem c cols || is_pos_zero (Deriv.diff names.(c) rhs))
+           (Array.init (Array.length names) Fun.id))
+    rows grads
+
+let prop_jacobian_matches_diff =
+  QCheck.Test.make ~name:"jacobian agrees with diff" ~count:100
+    QCheck.(make ~print:(Printf.sprintf "model seed %d") Gen.nat)
+    (fun seed ->
+      let fm =
+        Om_lang.Flatten.flatten
+          (Om_fuzz.Gen.model (Random.State.make [| seed |]))
+      in
+      jacobian_agrees
+        (Array.of_list (List.map fst fm.equations))
+        (Array.of_list (List.map snd fm.equations)))
+
+(* 1e999 parses to inf, and d/dx (inf * y) is 0 * inf = nan even though
+   the product never reads x: the pass must not assume zero there. *)
+let test_jacobian_nonfinite () =
+  let fm =
+    Om_lang.Flatten.flatten_string
+      {|model M; class C variable x init 1.0; variable y init 1.0;
+        equation der(x) = x + 1e999*y; equation der(y) = 0.0 - x; end;
+        instance c of C;|}
+  in
+  let names = Array.of_list (List.map fst fm.equations) in
+  let rows = Array.of_list (List.map snd fm.equations) in
+  Alcotest.(check bool) "agrees with diff" true (jacobian_agrees names rows);
+  let grads = Deriv.jacobian names rows in
+  Alcotest.(check (list int)) "row 0 columns" [ 0; 1 ]
+    (Array.to_list (Array.map fst grads.(0)));
+  Alcotest.(check bool) "d/dx is nan" true
+    (match List.assoc 0 (Array.to_list grads.(0)) with
+    | E.Const c -> Float.is_nan c
+    | _ -> false);
+  Alcotest.(check (list int)) "row 1 columns" [ 0 ]
+    (Array.to_list (Array.map fst grads.(1)))
 
 (* ---------- evaluation ---------- *)
 
@@ -687,6 +917,7 @@ let () =
           Alcotest.test_case "vars" `Quick test_vars;
           Alcotest.test_case "pretty printing" `Quick test_pp_roundtrip_sanity;
           Alcotest.test_case "pretty-print golden" `Quick test_pp_golden;
+          q prop_add_mul_match_table_oracle;
         ] );
       ( "simplify",
         [
@@ -705,8 +936,11 @@ let () =
           Alcotest.test_case "table" `Quick test_deriv_table;
           Alcotest.test_case "product rule" `Quick test_deriv_product_rule;
           Alcotest.test_case "gradient" `Quick test_gradient;
-          Alcotest.test_case "memoised differentiator on the bearing" `Quick
-            test_differentiator_matches_diff;
+          Alcotest.test_case "jacobian on the bearing" `Quick
+            test_jacobian_matches_diff;
+          Alcotest.test_case "jacobian with a non-finite constant" `Quick
+            test_jacobian_nonfinite;
+          q prop_jacobian_matches_diff;
           q prop_deriv_matches_finite_difference;
         ] );
       ( "eval",
