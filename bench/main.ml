@@ -1587,6 +1587,8 @@ let experiments =
     ("serve-smoke", serve_smoke);
     ("jacobian", jacobian);
     ("jacobian-smoke", jacobian_smoke);
+    ("compile-curve", Compile_curve.full);
+    ("compile-curve-smoke", Compile_curve.smoke);
   ]
 
 let () =

@@ -99,15 +99,13 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
       [ state_names; [| "t" |]; Array.of_list temp_names ]
   in
   let env_size = Array.length names in
-  let slot_of_name =
-    let h = Hashtbl.create 64 in
-    Array.iteri (fun i n -> Hashtbl.replace h n i) names;
-    fun n ->
-      match Hashtbl.find_opt h n with
-      | Some i -> i
-      | None -> invalid_arg ("Bytecode_backend: unknown name " ^ n)
-  in
+  (* One name -> slot table for every program of this compile. *)
+  let layout = Om_expr.Layout.of_names names in
+  let slot_of_name = Om_expr.Layout.slot layout in
   let out_size = Partition.n_slots plan in
+  (* The lowering's buffers, reused from one program to the next.  Local
+     to this call: serve compiles on several domains at once. *)
+  let scratch = Om_expr.Vm.scratch () in
   (* Pure per-task compile products, shared by every scratch instance:
      register programs, whose instruction streams are immutable.  All
      lowering, CSE, peephole and validation work happens here, once. *)
@@ -135,18 +133,18 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
       in
       Om_expr.Vm.compile_stmts ~optimize
         ~private_env_slot:(fun s -> Iset.mem s priv)
-        ~out_size names stmts
+        ~scratch ~out_size layout stmts
     in
     let temp_msteps =
       List.map
         (fun (b : Cse.binding) ->
-          (slot_of_name b.name, Om_expr.Cost_dyn.build names b.expr))
+          (slot_of_name b.name, Om_expr.Cost_dyn.build layout b.expr))
         block.temps
     in
     let root_msteps =
       List.map
         (fun (target, e) ->
-          (slot_of_target target, Om_expr.Cost_dyn.build names e))
+          (slot_of_target target, Om_expr.Cost_dyn.build layout e))
         block.roots
     in
     ( id, label, code, (temp_msteps, root_msteps), Cse.block_cost block,
@@ -154,7 +152,7 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
   in
   let task_plans = List.map plan_block blocks in
   let epilogue_code =
-    Om_expr.Vm.compile_epilogue ~optimize ~out_size plan.epilogue
+    Om_expr.Vm.compile_epilogue ~optimize ~scratch ~out_size plan.epilogue
   in
   let vm_instrs, vm_flops, vm_fused =
     let add (i, fl, fu) p =

@@ -1,13 +1,6 @@
 module E = Om_expr.Expr
 module Smap = Map.Make (String)
 
-module Etbl = Hashtbl.Make (struct
-  type t = E.t
-
-  let equal = E.equal
-  let hash = E.hash
-end)
-
 type binding = { name : string; expr : E.t }
 
 type block = {
@@ -30,41 +23,126 @@ let extractable e =
    oracle relies on: every backend must reproduce the tree-walk
    interpreter bitwise. *)
 let subst_exact = E.map_exact
-let subst_children = E.map_exact_children
+
+(* The hash of a node from its children's, in {!E.children} order.  Equal
+   trees get equal hashes: leaves hash with [E.hash], which, like
+   [E.equal], does not tell [0.] from [-0.] or one NaN from another. *)
+let node_seed (e : E.t) =
+  match e with
+  | E.Const _ | E.Var _ -> E.hash e
+  | E.Add _ -> 3
+  | E.Mul _ -> 5
+  | E.Pow _ -> 7
+  | E.Call (f, _) -> (13 * Hashtbl.hash f) + 17
+  | E.If (c, _, _) -> 19 + (23 * Hashtbl.hash c.rel)
+
+let mix acc h = (acc * 131) + h
+
+(* Subtrees keyed by their structural hash, compared with [E.equal] only
+   when the hashes agree. *)
+type keyed = { hash : int; node : E.t }
+
+module Keyed = Hashtbl.Make (struct
+  type t = keyed
+
+  let equal a b = a.hash = b.hash && E.equal a.node b.node
+  let hash k = k.hash
+end)
+
+(* A candidate subtree: its occurrence count, its size, and its last
+   occurrence with that occurrence's pre-order position. *)
+type candidate = {
+  mutable count : int;
+  size : int;
+  mutable last : E.t;
+  mutable pos : int;
+}
 
 let eliminate ?(min_size = 3) ?(min_count = 2) ?(prefix = "cse$") targets =
-  (* Pass 1: count syntactic occurrences of every candidate subtree. *)
-  let counts = Etbl.create 256 in
+  (* Pass 1: count syntactic occurrences of every candidate subtree.  One
+     pre-order walk numbers every tree node and records its hash and
+     size, each computed from the children's, so no subtree is walked
+     twice; pass 2 reads them back to rewrite without rehashing. *)
+  let total = List.fold_left (fun n (_, e) -> n + E.size e) 0 targets in
+  let hashes = Array.make total 0 and sizes = Array.make total 0 in
+  let counts = Keyed.create 256 in
+  let next = ref 0 in
   let rec count e =
-    if extractable e && E.size e >= min_size then
-      Etbl.replace counts e
-        (1 + Option.value ~default:0 (Etbl.find_opt counts e));
-    List.iter count (E.children e)
+    let i = !next in
+    incr next;
+    let h =
+      List.fold_left (fun acc c -> mix acc (count c)) (node_seed e)
+        (E.children e)
+    in
+    let size = !next - i in
+    hashes.(i) <- h;
+    sizes.(i) <- size;
+    if extractable e && size >= min_size then begin
+      let key = { hash = h; node = e } in
+      match Keyed.find_opt counts key with
+      | Some c ->
+          c.count <- c.count + 1;
+          c.last <- e;
+          c.pos <- i
+      | None -> Keyed.add counts key { count = 1; size; last = e; pos = i }
+    end;
+    h
   in
-  List.iter (fun (_, e) -> count e) targets;
+  List.iter (fun (_, e) -> ignore (count e)) targets;
   let shared =
-    Etbl.fold (fun e c acc -> if c >= min_count then e :: acc else acc) counts []
+    Keyed.fold
+      (fun _ c acc -> if c.count >= min_count then c :: acc else acc)
+      counts []
     |> List.sort (fun a b ->
-           let c = Int.compare (E.size a) (E.size b) in
-           if c <> 0 then c else E.compare a b)
+           let c = Int.compare a.size b.size in
+           if c <> 0 then c else E.compare a.last b.last)
   in
   (* Pass 2: name the shared subtrees smallest-first, so each definition
      can refer to already-named smaller temps. *)
-  let names = Etbl.create 64 in
+  let names = Keyed.create 64 in
   let defs =
     List.mapi
-      (fun i e ->
+      (fun i c ->
         let name = prefix ^ string_of_int i in
-        Etbl.add names e name;
-        (name, e))
+        Keyed.add names { hash = hashes.(c.pos); node = c.last } name;
+        (name, c))
       shared
   in
-  let lookup e = Option.map E.var (Etbl.find_opt names e) in
-  let rewrite = subst_exact lookup in
-  let temps =
-    List.map (fun (name, e) -> { name; expr = subst_children lookup e }) defs
+  (* The node [e] at pre-order position [i], its named subtrees replaced
+     by their temps, outermost first. *)
+  let rec rewrite e i =
+    let named =
+      if extractable e && sizes.(i) >= min_size then
+        Keyed.find_opt names { hash = hashes.(i); node = e }
+      else None
+    in
+    match named with
+    | Some name -> E.var name
+    | None -> rewrite_children e i
+  and rewrite_children e i =
+    let j = ref (i + 1) in
+    E.replace_children e
+      (List.map
+         (fun c ->
+           let k = !j in
+           j := k + sizes.(k);
+           rewrite c k)
+         (E.children e))
   in
-  let roots = List.map (fun (t, e) -> (t, rewrite e)) targets in
+  let temps =
+    List.map
+      (fun (name, c) -> { name; expr = rewrite_children c.last c.pos })
+      defs
+  in
+  let roots =
+    let start = ref 0 in
+    List.map
+      (fun (t, e) ->
+        let i = !start in
+        start := i + sizes.(i);
+        (t, rewrite e i))
+      targets
+  in
   (* Pass 3: inline temps used at most once (their single consumer absorbs
      the definition) — extraction counts occurrences before substitution,
      so a subtree appearing only inside one bigger shared subtree would
@@ -75,8 +153,7 @@ let eliminate ?(min_size = 3) ?(min_count = 2) ?(prefix = "cse$") targets =
       (E.fold
          (fun () n ->
            match n with
-           | E.Var v when String.length v >= String.length prefix
-                          && String.sub v 0 (String.length prefix) = prefix ->
+           | E.Var v when String.starts_with ~prefix v ->
                Hashtbl.replace uses v
                  (1 + Option.value ~default:0 (Hashtbl.find_opt uses v))
            | _ -> ())
@@ -104,12 +181,14 @@ let eliminate ?(min_size = 3) ?(min_count = 2) ?(prefix = "cse$") targets =
   in
   let roots = List.map (fun (t, e) -> (t, resolve e)) roots in
   (* Renumber the kept temps densely. *)
-  let renaming =
-    List.mapi (fun i b -> (b.name, E.var (prefix ^ string_of_int i))) kept
-  in
+  let renaming = Hashtbl.create 64 in
+  List.iteri
+    (fun i b ->
+      Hashtbl.replace renaming b.name (E.var (prefix ^ string_of_int i)))
+    kept;
   let rn e =
     subst_exact
-      (function E.Var v -> List.assoc_opt v renaming | _ -> None)
+      (function E.Var v -> Hashtbl.find_opt renaming v | _ -> None)
       e
   in
   let temps =

@@ -86,7 +86,7 @@ let compile_block t ~state_names =
   let program =
     Om_expr.Vm.compile_stmts
       ~private_env_slot:(fun s -> s > dim)
-      ~out_size:n_roots names stmts
+      ~out_size:n_roots (Om_expr.Layout.of_names names) stmts
   in
   let env = Array.make (Array.length names) 0. in
   let out = Array.make n_roots 0. in

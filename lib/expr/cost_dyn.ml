@@ -1,12 +1,5 @@
-let build ?(weights = Cost.default) names e =
-  let index v =
-    let rec find i =
-      if i >= Array.length names then raise (Eval.Unbound v)
-      else if names.(i) = v then i
-      else find (i + 1)
-    in
-    find 0
-  in
+let build ?(weights = Cost.default) layout e =
+  let index = Layout.slot layout in
   let w = weights in
   let rec build (e : Expr.t) : float array -> float ref -> float =
     match e with

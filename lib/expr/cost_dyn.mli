@@ -8,9 +8,10 @@
 
 val build :
   ?weights:Cost.weights ->
-  string array ->
+  Layout.t ->
   Expr.t ->
   float array -> float ref -> float
-(** [build names e] returns [fun env acc -> value]: evaluates [e] against
-    [env] (laid out like [names]) and adds the exercised flop cost to
-    [acc].  @raise Eval.Unbound at build time for unknown variables. *)
+(** [build layout e] returns [fun env acc -> value]: evaluates [e]
+    against [env] (laid out like [layout]) and adds the exercised flop
+    cost to [acc].  @raise Eval.Unbound at build time for unknown
+    variables. *)

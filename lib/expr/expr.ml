@@ -350,24 +350,24 @@ let map_children f = function
   | If (c, t, e) ->
       if_ { lhs = f c.lhs; rel = c.rel; rhs = f c.rhs } (f t) (f e)
 
-(* Order-preserving substitution: rebuilds with the raw constructors so
-   n-ary operand lists are not re-sorted (the smart constructors would),
-   keeping left-to-right float folds associated exactly as the input. *)
+(* Order-preserving rebuilding: the raw constructors, so n-ary operand
+   lists are not re-sorted (the smart constructors would), keeping
+   left-to-right float folds associated exactly as the input. *)
+let replace_children e kids =
+  match (e, kids) with
+  | (Const _ | Var _), [] -> e
+  | Add _, xs -> Add xs
+  | Mul _, xs -> Mul xs
+  | Pow _, [ a; b ] -> Pow (a, b)
+  | Call (g, _), xs -> Call (g, xs)
+  | If (c, _, _), [ l; r; t; e' ] -> If ({ c with lhs = l; rhs = r }, t, e')
+  | _ -> invalid_arg "Expr.replace_children: wrong number of children"
+
 let rec map_exact f e =
   match f e with Some e' -> e' | None -> map_exact_children f e
 
 and map_exact_children f e =
-  match e with
-  | Const _ | Var _ -> e
-  | Add xs -> Add (List.map (map_exact f) xs)
-  | Mul xs -> Mul (List.map (map_exact f) xs)
-  | Pow (a, b) -> Pow (map_exact f a, map_exact f b)
-  | Call (g, xs) -> Call (g, List.map (map_exact f) xs)
-  | If (c, t, e') ->
-      If
-        ( { c with lhs = map_exact f c.lhs; rhs = map_exact f c.rhs },
-          map_exact f t,
-          map_exact f e' )
+  replace_children e (List.map (map_exact f) (children e))
 
 let rec fold f acc e = List.fold_left (fold f) (f acc e) (children e)
 

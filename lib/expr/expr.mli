@@ -126,6 +126,13 @@ val map_children : (t -> t) -> t -> t
 (** Rebuild a node with every immediate child transformed by [f]; smart
     constructors re-normalise the result. *)
 
+val replace_children : t -> t list -> t
+(** [replace_children e kids] is [e] with its immediate children, in
+    {!children} order, replaced by [kids], rebuilt with the {e raw}
+    constructors like {!map_exact}.  A leaf is returned as is.
+    @raise Invalid_argument if [kids] has the wrong length for a [Pow]
+    or an [If]. *)
+
 val map_exact : (t -> t option) -> t -> t
 (** [map_exact f e] replaces every subtree [s] (pre-order, outermost
     first) for which [f s = Some s'] by [s'], rebuilding the spine with

@@ -37,15 +37,69 @@ type t = {
   result : int;  (* register holding the final value, or -1 *)
 }
 
-let optimize ?(private_env_slot = fun _ -> false) (p : t) =
-  let n = Array.length p.code / stride in
-  if n = 0 then p
+(* Working arrays, reused across the programs of one compile: a fresh
+   set per program would put several instruction-sized arrays on the
+   major heap for every task.  Each grows to the largest program seen;
+   every pass reads only the prefix it has initialised. *)
+type scratch = {
+  mutable op : int array;
+  mutable dst : int array;
+  mutable fa : int array;
+  mutable fb : int array;
+  mutable fc : int array;
+  mutable live : bool array;
+  mutable idx_map : int array;  (* length n + 1 *)
+  mutable defc : int array;  (* the rest: one entry per register *)
+  mutable defi : int array;
+  mutable konst : float array;
+  mutable known : bool array;
+  mutable uses : int array;
+  mutable reg_map : int array;
+}
+
+let scratch () =
+  {
+    op = [||];
+    dst = [||];
+    fa = [||];
+    fb = [||];
+    fc = [||];
+    live = [||];
+    idx_map = [||];
+    defc = [||];
+    defi = [||];
+    konst = [||];
+    known = [||];
+    uses = [||];
+    reg_map = [||];
+  }
+
+(* Grow [s] to hold [n] instructions and [nregs] registers. *)
+let reserve s n nregs =
+  let grow a len fill =
+    if Array.length a >= len then a
+    else Array.make (max len (2 * Array.length a)) fill
+  in
+  s.op <- grow s.op n 0;
+  s.dst <- grow s.dst n 0;
+  s.fa <- grow s.fa n 0;
+  s.fb <- grow s.fb n 0;
+  s.fc <- grow s.fc n 0;
+  s.live <- grow s.live n false;
+  s.idx_map <- grow s.idx_map (n + 1) 0;
+  s.defc <- grow s.defc nregs 0;
+  s.defi <- grow s.defi nregs 0;
+  s.konst <- grow s.konst nregs 0.;
+  s.known <- grow s.known nregs false;
+  s.uses <- grow s.uses nregs 0;
+  s.reg_map <- grow s.reg_map nregs 0
+
+let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
+  let n = len / stride in
+  if n = 0 then { p with code = [||] }
   else begin
-    let op = Array.make n 0
-    and dst = Array.make n 0
-    and fa = Array.make n 0
-    and fb = Array.make n 0
-    and fc = Array.make n 0 in
+    reserve s n p.nregs;
+    let op = s.op and dst = s.dst and fa = s.fa and fb = s.fb and fc = s.fc in
     for i = 0 to n - 1 do
       op.(i) <- p.code.((i * stride) + 0);
       dst.(i) <- p.code.((i * stride) + 1);
@@ -53,7 +107,8 @@ let optimize ?(private_env_slot = fun _ -> false) (p : t) =
       fb.(i) <- p.code.((i * stride) + 3);
       fc.(i) <- p.code.((i * stride) + 4)
     done;
-    let live = Array.make n true in
+    let live = s.live in
+    Array.fill live 0 n true;
     (* Growable constant pool.  Existing constants keep their indices
        (even duplicates, so instruction operands stay valid); new
        constants are deduplicated by bit pattern, which keeps -0.0 and
@@ -89,8 +144,7 @@ let optimize ?(private_env_slot = fun _ -> false) (p : t) =
       if kb = K_reg then f fb.(i);
       if kc = K_reg then f fc.(i)
     in
-    let defc = Array.make p.nregs 0 in
-    let defi = Array.make p.nregs (-1) in
+    let defc = s.defc and defi = s.defi in
     let compute_defs () =
       Array.fill defc 0 p.nregs 0;
       Array.fill defi 0 p.nregs (-1);
@@ -117,8 +171,9 @@ let optimize ?(private_env_slot = fun _ -> false) (p : t) =
     (* ---- pass: constant folding and strength reduction ---- *)
     let fold_pass () =
       compute_defs ();
-      let konst = Array.make p.nregs nan in
-      let known = Array.make p.nregs false in
+      let konst = s.konst and known = s.known in
+      Array.fill konst 0 p.nregs nan;
+      Array.fill known 0 p.nregs false;
       let changed = ref false in
       let set_ldc i x =
         op.(i) <- op_ldc;
@@ -390,7 +445,8 @@ let optimize ?(private_env_slot = fun _ -> false) (p : t) =
     in
     (* ---- pass: dead-store elimination ---- *)
     let dse_pass () =
-      let uses = Array.make p.nregs 0 in
+      let uses = s.uses in
+      Array.fill uses 0 p.nregs 0;
       for i = 0 to n - 1 do
         if live.(i) then iter_reg_reads i (fun r -> uses.(r) <- uses.(r) + 1)
       done;
@@ -449,7 +505,7 @@ let optimize ?(private_env_slot = fun _ -> false) (p : t) =
       continue_ := c1 || c2 || c3 || c4
     done;
     (* ---- compact: drop dead code, renumber targets/registers/pool ---- *)
-    let idx_map = Array.make (n + 1) 0 in
+    let idx_map = s.idx_map in
     let m = ref 0 in
     for i = 0 to n - 1 do
       idx_map.(i) <- !m;
@@ -457,7 +513,8 @@ let optimize ?(private_env_slot = fun _ -> false) (p : t) =
     done;
     idx_map.(n) <- !m;
     let n' = !m in
-    let reg_map = Array.make p.nregs (-1) in
+    let reg_map = s.reg_map in
+    Array.fill reg_map 0 p.nregs (-1);
     let next_reg = ref 0 in
     let map_reg r =
       if reg_map.(r) < 0 then begin

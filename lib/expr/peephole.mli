@@ -19,8 +19,18 @@ type t = {
   result : int;  (** register holding the final value, or -1 *)
 }
 
-val optimize : ?private_env_slot:(int -> bool) -> t -> t
-(** Optimise a program.  [private_env_slot s] should return [true] for
-    environment slots that only this program may read (task-private CSE
+type scratch
+(** Working arrays for {!optimize}, reusable from one program to the
+    next.  Not thread-safe: give each domain its own. *)
+
+val scratch : unit -> scratch
+
+val optimize :
+  ?private_env_slot:(int -> bool) -> scratch -> len:int -> t -> t
+(** [optimize scratch ~len p] optimises the program held in the first
+    [len] words of [p.code] (an emitter's buffer needs no copy), using
+    [scratch]'s working arrays; the result shares none of them, nor
+    [p.code].  [private_env_slot s] should return [true] for environment
+    slots that only this program may read (task-private CSE
     temporaries); stores to such slots are deleted when no surviving
     instruction reads them.  Defaults to no slot being private. *)

@@ -223,26 +223,6 @@ let kpool em x =
       Hashtbl.add em.const_tbl key i;
       i
 
-(* Amortised O(1) variable lookup; first occurrence wins like the
-   historical linear scan.  The table is filled lazily, scanning [names]
-   only up to the last name looked up: a task program of the bytecode
-   backend reads the states and its own temporaries, a prefix of the
-   shared layout, so most programs never hash the whole of it. *)
-let index_of names =
-  let tbl = Hashtbl.create 64 in
-  let scanned = ref 0 in
-  let rec find v =
-    match Hashtbl.find_opt tbl v with
-    | Some i -> i
-    | None ->
-        let i = !scanned in
-        if i >= Array.length names then raise (Eval.Unbound v);
-        scanned := i + 1;
-        if not (Hashtbl.mem tbl names.(i)) then Hashtbl.add tbl names.(i) i;
-        find v
-  in
-  find
-
 (* Lower an expression; returns the register holding its value.
    Evaluation order matches Eval.eval: operands left to right, an If's
    condition before its taken branch only. *)
@@ -379,16 +359,38 @@ let validate ~env_size ~out_size (q : Peephole.t) =
   done;
   if q.result >= q.nregs then fail "result register %d" q.result
 
-let finish ?(optimize = true) ?private_env_slot em ~result ~env_size ~out_size =
+(* The emitter and the peephole pass's working arrays, lent to every
+   program of one compile so each program does not allocate its own
+   instruction-sized buffers. *)
+type scratch = { em : emitter; pp : Peephole.scratch }
+
+let scratch () = { em = new_emitter (); pp = Peephole.scratch () }
+
+(* The scratch's emitter, emptied for the next program. *)
+let start s =
+  let em = s.em in
+  em.len <- 0;
+  em.next_reg <- 0;
+  em.nconsts <- 0;
+  Hashtbl.clear em.const_tbl;
+  new_segment em.memo;
+  em
+
+let finish ?(optimize = true) ?private_env_slot s ~result ~env_size ~out_size
+    =
+  let em = s.em in
   let q =
     {
-      Peephole.code = Array.sub em.buf 0 em.len;
+      Peephole.code = em.buf;
       consts = Array.sub em.consts 0 em.nconsts;
       nregs = max 1 em.next_reg;
       result;
     }
   in
-  let q = if optimize then Peephole.optimize ?private_env_slot q else q in
+  let q =
+    if optimize then Peephole.optimize ?private_env_slot s.pp ~len:em.len q
+    else { q with code = Array.sub em.buf 0 em.len }
+  in
   validate ~env_size ~out_size q;
   {
     code = q.code;
@@ -401,14 +403,14 @@ let finish ?(optimize = true) ?private_env_slot em ~result ~env_size ~out_size =
   }
 
 let compile ?optimize names e =
-  let em = new_emitter () in
-  let index = index_of names in
-  let r = lower em index e in
-  finish ?optimize em ~result:r ~env_size:(Array.length names) ~out_size:0
+  let s = scratch () in
+  let r = lower s.em (Layout.slot (Layout.of_names names)) e in
+  finish ?optimize s ~result:r ~env_size:(Array.length names) ~out_size:0
 
-let compile_stmts ?optimize ?private_env_slot ~out_size names stmts =
-  let em = new_emitter () in
-  let index = index_of names in
+let compile_stmts ?optimize ?private_env_slot ?(scratch = scratch ())
+    ~out_size layout stmts =
+  let em = start scratch in
+  let index = Layout.slot layout in
   List.iter
     (fun (e, tgt) ->
       let r = lower em index e in
@@ -418,11 +420,11 @@ let compile_stmts ?optimize ?private_env_slot ~out_size names stmts =
           new_segment em.memo
       | To_out s -> emit em Vm_code.op_sto 0 r 0 s)
     stmts;
-  finish ?optimize ?private_env_slot em ~result:(-1)
-    ~env_size:(Array.length names) ~out_size
+  finish ?optimize ?private_env_slot scratch ~result:(-1)
+    ~env_size:(Layout.size layout) ~out_size
 
-let compile_epilogue ?optimize ~out_size groups =
-  let em = new_emitter () in
+let compile_epilogue ?optimize ?(scratch = scratch ()) ~out_size groups =
+  let em = start scratch in
   List.iter
     (fun (deriv, slots) ->
       (* Fold from 0., left to right: the epilogue's reference order
@@ -442,7 +444,7 @@ let compile_epilogue ?optimize ~out_size groups =
       in
       emit em Vm_code.op_sto 0 r 0 deriv)
     groups;
-  finish ?optimize em ~result:(-1) ~env_size:0 ~out_size
+  finish ?optimize scratch ~result:(-1) ~env_size:0 ~out_size
 
 (* ---- interpreter ---- *)
 

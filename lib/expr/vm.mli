@@ -43,20 +43,37 @@ val compile : ?optimize:bool -> string array -> Expr.t -> program
     pass.
     @raise Eval.Unbound for unknown variables. *)
 
+type scratch
+(** The lowering's working buffers — the instruction emitter and the
+    peephole pass's arrays — lent to every program of one compile, so
+    that a compile of many programs does not allocate instruction-sized
+    arrays for each.  Programs never share a scratch's arrays.  Not
+    thread-safe: concurrent compiles need one scratch each. *)
+
+val scratch : unit -> scratch
+
 val compile_stmts :
   ?optimize:bool ->
   ?private_env_slot:(int -> bool) ->
+  ?scratch:scratch ->
   out_size:int ->
-  string array ->
+  Layout.t ->
   (Expr.t * target) list ->
   program
 (** Compile a statement block — each expression evaluated in order and
-    stored to its target.  [private_env_slot] marks env slots only this
-    program reads (task-private CSE temporaries), letting the optimiser
-    delete stores that end up unread.  Run with {!exec}. *)
+    stored to its target; variables resolve to slots through the
+    layout.  [private_env_slot] marks env slots only this program reads
+    (task-private CSE temporaries), letting the optimiser delete stores
+    that end up unread.  [scratch] defaults to a fresh one.  Run with
+    {!exec}.
+    @raise Eval.Unbound for variables the layout lacks. *)
 
 val compile_epilogue :
-  ?optimize:bool -> out_size:int -> (int * int list) list -> program
+  ?optimize:bool ->
+  ?scratch:scratch ->
+  out_size:int ->
+  (int * int list) list ->
+  program
 (** Compile a reduction epilogue: each [(deriv, slots)] sets
     [out.(deriv) <- sum of out.(slot)]s, folding left to right from
     [0.].  Reads and writes only [out]. *)

@@ -115,7 +115,7 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
   let dim = List.length eqs in
   let names = Array.of_list states in
   (* Value vector layout: states first, then time. *)
-  let layout = Array.append names [| time_var |] in
+  let layout = Om_expr.Layout.of_names (Array.append names [| time_var |]) in
   let module Vm = Om_expr.Vm in
   let rhs_prog =
     Vm.compile_stmts ~out_size:dim layout

@@ -30,15 +30,14 @@ let rhs_of m name =
     of paper Figures 3 and 6. *)
 let dependency_graph m =
   let g = Om_graph.Digraph.create () in
-  let ids =
-    List.map (fun (s, _) -> (s, Om_graph.Digraph.add_node g s)) m.states
-  in
+  List.iter (fun (s, _) -> ignore (Om_graph.Digraph.add_node g s)) m.states;
+  (* [find_node] gives the first node of a name, as [List.assoc] would. *)
   List.iter
     (fun (y, rhs) ->
-      let target = List.assoc y ids in
+      let target = Option.get (Om_graph.Digraph.find_node g y) in
       List.iter
         (fun v ->
-          match List.assoc_opt v ids with
+          match Om_graph.Digraph.find_node g v with
           | Some src -> Om_graph.Digraph.add_edge g src target
           | None -> ())
         (Om_expr.Expr.vars rhs))

@@ -75,7 +75,7 @@ type local_kind = Kdef  (* parameter, variable or alias *) | Kpart
 type ctx = {
   classes : (string, Ast.class_def) Hashtbl.t;
   prefix : string;  (* dotted path of the instance being elaborated *)
-  locals : local_kind Smap.t;
+  locals : (string, local_kind) Hashtbl.t;  (* read-only once built *)
   bindings : E.t Smap.t;  (* imported names, already elaborated *)
 }
 
@@ -129,8 +129,8 @@ and elab_name ctx ({ segments } : Ast.name) : E.t =
   | [ { base = "time"; index = None } ] -> E.var "t"
   | [ { base; index = None } ] when Smap.mem base ctx.bindings ->
       Smap.find base ctx.bindings
-  | { base; index = None } :: rest when Smap.mem base ctx.locals -> (
-      match (Smap.find base ctx.locals, rest) with
+  | { base; index = None } :: rest when Hashtbl.mem ctx.locals base -> (
+      match (Hashtbl.find ctx.locals base, rest) with
       | Kdef, [] -> E.var (qualified ctx.prefix base)
       | Kdef, _ :: _ ->
           err "%s is not a part; cannot select %s.%s in %s" base base
@@ -148,15 +148,18 @@ and elab_name ctx ({ segments } : Ast.name) : E.t =
 
 (* ------------------------------------------------------------------ *)
 
+(* A later member of the same name replaces an earlier one. *)
 let local_table members =
-  List.fold_left
-    (fun m (mem : Ast.member) ->
+  let h = Hashtbl.create (List.length members) in
+  List.iter
+    (fun (mem : Ast.member) ->
       match mem with
       | Parameter (n, _) | Variable (n, _) | Alias (n, _) ->
-          Smap.add n Kdef m
-      | Part (n, _, _) -> Smap.add n Kpart m
-      | Equation _ -> m)
-    Smap.empty members
+          Hashtbl.replace h n Kdef
+      | Part (n, _, _) -> Hashtbl.replace h n Kpart
+      | Equation _ -> ())
+    members;
+  h
 
 (* Re-raise elaboration errors with the class member being elaborated, so
    a bad expression deep inside an inheritance chain or part tree names
@@ -212,7 +215,7 @@ let rec instantiate classes acc ~prefix ~cls_name ~bindings =
             ~prefix:(qualified prefix pname)
             ~cls_name:pcls ~bindings:sub_bindings
       | Equation (n, rhs) ->
-          if not (Smap.mem n locals) then
+          if not (Hashtbl.mem locals n) then
             err "equation for undeclared variable %s in class %s" n cls_name;
           let rhs =
             in_member ~cls:cls_name "equation der" n (fun () -> elab ctx rhs)
@@ -220,24 +223,33 @@ let rec instantiate classes acc ~prefix ~cls_name ~bindings =
           acc.eqs <- (qualified prefix n, rhs) :: acc.eqs)
     members
 
+(* A name -> value table in which the first binding of a name wins, as
+   [List.assoc] does. *)
+let first_wins bindings =
+  let h = Hashtbl.create (List.length bindings) in
+  List.iter (fun (k, v) -> if not (Hashtbl.mem h k) then Hashtbl.add h k v)
+    bindings;
+  h
+
 (* Substitute parameters and aliases into each other in dependency order,
    then into every equation and initial value. *)
 let eliminate_defs defs =
-  let names = List.map fst defs in
   let g = Om_graph.Digraph.create () in
-  let ids = List.map (fun n -> (n, Om_graph.Digraph.add_node g n)) names in
+  List.iter (fun (n, _) -> ignore (Om_graph.Digraph.add_node g n)) defs;
+  (* [find_node] gives the first node of a name, as [List.assoc] would. *)
+  let node_of n = Om_graph.Digraph.find_node g n in
   List.iter
     (fun (n, e) ->
       List.iter
         (fun v ->
-          match List.assoc_opt v ids with
+          match node_of v with
           | Some src when v <> n ->
-              Om_graph.Digraph.add_edge g src (List.assoc n ids)
+              Om_graph.Digraph.add_edge g src (Option.get (node_of n))
           | Some _ -> err "definition %s refers to itself" n
           | None -> ())
         (E.vars e))
     defs;
-  let by_id = Array.of_list names in
+  let by_id = Array.of_list defs in
   let order =
     match Om_graph.Topo.sort g with
     | order -> order
@@ -245,7 +257,7 @@ let eliminate_defs defs =
         let comps = Om_graph.Scc.tarjan g in
         let cycle =
           match Om_graph.Scc.nontrivial g comps with
-          | c :: _ -> List.map (fun id -> by_id.(id)) comps.members.(c)
+          | c :: _ -> List.map (fun id -> fst by_id.(id)) comps.members.(c)
           | [] -> []
         in
         err "algebraic loop among parameters/aliases (%s)"
@@ -253,11 +265,10 @@ let eliminate_defs defs =
   in
   List.fold_left
     (fun resolved id ->
-      let n = by_id.(id) in
-      let e = List.assoc n defs in
+      let n = fst by_id.(id) in
+      let e = snd by_id.(Option.get (node_of n)) in
       Smap.add n (Om_expr.Subst.apply_map resolved e) resolved)
-    Smap.empty
-    (List.map (fun id -> id) order)
+    Smap.empty order
 
 let flatten (model : Ast.model) : Flat_model.t =
   let classes = Hashtbl.create 16 in
@@ -275,7 +286,7 @@ let flatten (model : Ast.model) : Flat_model.t =
       | Some i -> Smap.singleton "index" (E.int i)
       | None -> Smap.empty
     in
-    { classes; prefix = ""; locals = Smap.empty; bindings }
+    { classes; prefix = ""; locals = Hashtbl.create 1; bindings }
   in
   List.iter
     (fun (inst : Ast.instance_def) ->
@@ -314,30 +325,31 @@ let flatten (model : Ast.model) : Flat_model.t =
   check_dups "definition" (List.map fst defs @ List.map fst states);
   check_dups "equation for" (List.map fst eqs);
   let resolved = eliminate_defs defs in
-  let state_names = List.map fst states in
+  let is_state = first_wins (List.map (fun (s, _) -> (s, ())) states) in
+  let eq_of = first_wins eqs in
   (* Every state needs exactly one equation, in state order. *)
   let eq_for s =
-    match List.assoc_opt s eqs with
+    match Hashtbl.find_opt eq_of s with
     | Some rhs -> rhs
     | None -> err "no equation for state variable %s" s
   in
   List.iter
     (fun (s, _) ->
-      if not (List.mem s state_names) then
+      if not (Hashtbl.mem is_state s) then
         err "equation for %s, which is not a state variable" s)
     eqs;
   let subst e = Om_expr.Subst.apply_map resolved e in
   let final_eqs =
     List.map
-      (fun s ->
+      (fun (s, _) ->
         let rhs = subst (eq_for s) in
         List.iter
           (fun v ->
-            if (not (List.mem v state_names)) && v <> "t" then
+            if (not (Hashtbl.mem is_state v)) && v <> "t" then
               err "unresolved name %s in the equation for %s" v s)
           (E.vars rhs);
         (s, rhs))
-      state_names
+      states
   in
   let final_states =
     List.map

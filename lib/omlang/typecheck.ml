@@ -38,14 +38,31 @@ let intermediate_form ?(width = 72) (m : Flat_model.t) =
 
 let intermediate_line_count m = List.length (intermediate_form m)
 
+(* How many times each name occurs. *)
+let multiset names =
+  let h = Hashtbl.create (List.length names) in
+  List.iter
+    (fun n ->
+      Hashtbl.replace h n (1 + Option.value ~default:0 (Hashtbl.find_opt h n)))
+    names;
+  h
+
 let check (m : Flat_model.t) =
   let states = List.map fst m.states in
   let eq_states = List.map fst m.equations in
-  (if List.sort compare states <> List.sort compare eq_states then
+  let state_count = multiset states in
+  let eq_count = multiset eq_states in
+  let same_multiset =
+    Hashtbl.length state_count = Hashtbl.length eq_count
+    && Hashtbl.fold
+         (fun n k ok -> ok && Hashtbl.find_opt eq_count n = Some k)
+         state_count true
+  in
+  (if not same_multiset then
      let missing =
-       List.filter (fun s -> not (List.mem s eq_states)) states
+       List.filter (fun s -> not (Hashtbl.mem eq_count s)) states
      in
-     let extra = List.filter (fun s -> not (List.mem s states)) eq_states in
+     let extra = List.filter (fun s -> not (Hashtbl.mem state_count s)) eq_states in
      let part what = function
        | [] -> []
        | names -> [ Printf.sprintf "%s %s" what (String.concat ", " names) ]
@@ -60,11 +77,17 @@ let check (m : Flat_model.t) =
      invalid_arg
        (Printf.sprintf "Typecheck.check: states and equations do not match (%s)"
           detail));
+  (* The equations name the same multiset of states, so a repeated state
+     passes the test above.  Code generation maps a name to one slot, so
+     the second state's equation would read the first state's value. *)
+  (match List.find_opt (fun s -> Hashtbl.find state_count s > 1) states with
+  | Some s -> invalid_arg (Printf.sprintf "Typecheck.check: duplicate state %s" s)
+  | None -> ());
   List.iter
     (fun (s, rhs) ->
       List.iter
         (fun v ->
-          if (not (List.mem v states)) && v <> "t" then
+          if (not (Hashtbl.mem state_count v)) && v <> "t" then
             invalid_arg
               (Printf.sprintf "Typecheck.check: %s is free in equation for %s"
                  v s))

@@ -15,6 +15,6 @@ val intermediate_form : ?width:int -> Flat_model.t -> string list
 val intermediate_line_count : Flat_model.t -> int
 
 val check : Flat_model.t -> unit
-(** Re-validate a flat model: equation/state bijection and closed
-    right-hand sides.  @raise Invalid_argument on violations (used by
+(** Re-validate a flat model: equation/state bijection, distinct state
+    names and closed right-hand sides.  @raise Invalid_argument on violations (used by
     property tests; [Flatten.flatten] output always passes). *)

@@ -138,6 +138,184 @@ let prop_cse_eval_equivalence =
           Float.abs (v1 -. v2) <= 1e-9 *. (1. +. Float.abs v1))
         targets block.roots)
 
+(* The counting pass as it was before [Cse.eliminate] kept per-node
+   hashes: it re-walks every candidate subtree for its size and hash.
+   Slow, but obviously right; the oracle for the one-pass version. *)
+module Cse_oracle = struct
+  module Smap = Map.Make (String)
+
+  module Etbl = Hashtbl.Make (struct
+    type t = E.t
+
+    let equal = E.equal
+    let hash = E.hash
+  end)
+
+  let extractable e =
+    match e with
+    | E.Const _ | E.Var _ -> false
+    | E.Add _ | E.Mul _ | E.Pow _ | E.Call _ | E.If _ -> true
+
+  let eliminate ?(min_size = 3) ?(min_count = 2) ?(prefix = "cse$") targets =
+    let counts = Etbl.create 256 in
+    let rec count e =
+      if extractable e && E.size e >= min_size then
+        Etbl.replace counts e
+          (1 + Option.value ~default:0 (Etbl.find_opt counts e));
+      List.iter count (E.children e)
+    in
+    List.iter (fun (_, e) -> count e) targets;
+    let shared =
+      Etbl.fold (fun e c acc -> if c >= min_count then e :: acc else acc) counts []
+      |> List.sort (fun a b ->
+             let c = Int.compare (E.size a) (E.size b) in
+             if c <> 0 then c else E.compare a b)
+    in
+    let names = Etbl.create 64 in
+    let defs =
+      List.mapi
+        (fun i e ->
+          let name = prefix ^ string_of_int i in
+          Etbl.add names e name;
+          (name, e))
+        shared
+    in
+    let lookup e = Option.map E.var (Etbl.find_opt names e) in
+    let temps =
+      List.map
+        (fun (name, e) -> { Cse.name; expr = E.map_exact_children lookup e })
+        defs
+    in
+    let roots = List.map (fun (t, e) -> (t, E.map_exact lookup e)) targets in
+    let uses = Hashtbl.create 64 in
+    let record_uses e =
+      ignore
+        (E.fold
+           (fun () n ->
+             match n with
+             | E.Var v
+               when String.length v >= String.length prefix
+                    && String.sub v 0 (String.length prefix) = prefix ->
+                 Hashtbl.replace uses v
+                   (1 + Option.value ~default:0 (Hashtbl.find_opt uses v))
+             | _ -> ())
+           () e)
+    in
+    List.iter (fun (b : Cse.binding) -> record_uses b.expr) temps;
+    List.iter (fun (_, e) -> record_uses e) roots;
+    let dropped = ref Smap.empty in
+    let resolve e =
+      E.map_exact (function E.Var v -> Smap.find_opt v !dropped | _ -> None) e
+    in
+    let kept =
+      List.filter_map
+        (fun (b : Cse.binding) ->
+          let u = Option.value ~default:0 (Hashtbl.find_opt uses b.name) in
+          let expr = resolve b.expr in
+          if u <= 1 then begin
+            dropped := Smap.add b.name expr !dropped;
+            None
+          end
+          else Some { b with expr })
+        temps
+    in
+    let roots = List.map (fun (t, e) -> (t, resolve e)) roots in
+    let renaming =
+      List.mapi
+        (fun i (b : Cse.binding) -> (b.name, E.var (prefix ^ string_of_int i)))
+        kept
+    in
+    let rn e =
+      E.map_exact (function E.Var v -> List.assoc_opt v renaming | _ -> None) e
+    in
+    let temps =
+      List.mapi
+        (fun i (b : Cse.binding) ->
+          { Cse.name = prefix ^ string_of_int i; expr = rn b.expr })
+        kept
+    in
+    { Cse.temps; roots = List.map (fun (t, e) -> (t, rn e)) roots }
+end
+
+(* [E.equal], but constants must agree bit for bit, so a temp taken
+   from another occurrence with [-0.] for [0.] would show. *)
+let rec bit_equal (a : E.t) (b : E.t) =
+  match (a, b) with
+  | Const x, Const y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Var v, Var w -> String.equal v w
+  | _ ->
+      E.equal a b
+      && List.for_all2 bit_equal (E.children a) (E.children b)
+
+let same_block (a : Cse.block) (b : Cse.block) =
+  List.length a.temps = List.length b.temps
+  && List.for_all2
+       (fun (s : Cse.binding) (t : Cse.binding) ->
+         String.equal s.name t.name && bit_equal s.expr t.expr)
+       a.temps b.temps
+  && List.length a.roots = List.length b.roots
+  && List.for_all2
+       (fun (s, e) (t, f) -> String.equal s t && bit_equal e f)
+       a.roots b.roots
+
+(* Per-task blocks, as the bytecode backend builds them, and one global
+   block over every root, as the serial backends do. *)
+let cse_matches_oracle (m : Fm.t) =
+  let plan = (P.compile m).plan in
+  let targets (tk : Part.task) =
+    List.map (fun (s, e) -> (Printf.sprintf "slot$%d" s, e)) tk.roots
+  in
+  let agree ~prefix targets =
+    same_block (Cse.eliminate ~prefix targets)
+      (Cse_oracle.eliminate ~prefix targets)
+  in
+  Array.for_all
+    (fun (tk : Part.task) ->
+      agree ~prefix:(Printf.sprintf "cse$%d$" tk.tid) (targets tk))
+    plan.tasks
+  && agree ~prefix:"cse$g$"
+       (List.concat_map targets (Array.to_list plan.tasks))
+
+let prop_cse_matches_oracle =
+  QCheck.Test.make ~name:"one-pass CSE matches the re-walking oracle"
+    ~count:100
+    QCheck.(make ~print:(Printf.sprintf "model seed %d") Gen.nat)
+    (fun seed ->
+      cse_matches_oracle
+        (Om_lang.Flatten.flatten
+           (Om_fuzz.Gen.model (Random.State.make [| seed |]))))
+
+let prop_cse_exprs_match_oracle =
+  QCheck.Test.make ~name:"one-pass CSE matches the oracle on small exprs"
+    ~count:300 arbitrary_exprs (fun es ->
+      let targets = List.mapi (fun i e -> (Printf.sprintf "t%d" i, e)) es in
+      same_block (Cse.eliminate targets) (Cse_oracle.eliminate targets)
+      && same_block
+           (Cse.eliminate ~min_size:1 ~min_count:3 targets)
+           (Cse_oracle.eliminate ~min_size:1 ~min_count:3 targets))
+
+(* [0.] and [-0.] are [E.equal], so two such subtrees share one temp; it
+   is taken from the last occurrence, as the oracle's table kept it. *)
+let test_cse_signed_zero_occurrence () =
+  let guarded z =
+    E.if_ (E.cond x Lt (E.const z)) (E.mul [ E.sin x; y ]) (E.add [ x; y ])
+  in
+  let targets =
+    [ ("a", E.add [ guarded 0.; y ]); ("b", E.mul [ guarded (-0.); x ]) ]
+  in
+  let block = Cse.eliminate targets in
+  Alcotest.(check bool) "same as the oracle" true
+    (same_block block (Cse_oracle.eliminate targets));
+  match block.temps with
+  | [ { expr = E.If (c, _, _); _ } ] ->
+      Alcotest.(check bool) "the -0. occurrence" true
+        (match c.rhs with E.Const z -> 1. /. z < 0. | _ -> false)
+  | _ -> Alcotest.fail "expected one temp for the guarded subtree"
+
+let test_cse_matches_oracle_on_bearing () =
+  Alcotest.(check bool) "bearing tasks and global block" true
+    (cse_matches_oracle (Om_models.Bearing2d.model ()))
+
 (* ---------- partition ---------- *)
 
 let heavy_expr n =
@@ -758,6 +936,12 @@ let () =
           Alcotest.test_case "custom prefix" `Quick test_cse_custom_prefix;
           q prop_cse_preserves_semantics;
           q prop_cse_eval_equivalence;
+          q prop_cse_matches_oracle;
+          q prop_cse_exprs_match_oracle;
+          Alcotest.test_case "matches the oracle on the bearing" `Quick
+            test_cse_matches_oracle_on_bearing;
+          Alcotest.test_case "signed zero occurrence" `Quick
+            test_cse_signed_zero_occurrence;
         ] );
       ( "partition",
         [

@@ -520,7 +520,7 @@ let prop_cost_dyn_value_agrees =
   QCheck.Test.make ~name:"cost_dyn value agrees with eval" ~count:300
     arbitrary_expr_env (fun (e, (a, b, c)) ->
       let names = [| "x"; "y"; "z" |] in
-      let f = Om_expr.Cost_dyn.build names e in
+      let f = Om_expr.Cost_dyn.build (Om_expr.Layout.of_names names) e in
       let acc = ref 0. in
       close (f [| a; b; c |] acc) (Eval.eval (env_of [| a; b; c |]) e))
 
@@ -528,7 +528,7 @@ let prop_cost_dyn_within_static_bounds =
   QCheck.Test.make ~name:"dynamic cost <= worst-case static cost" ~count:300
     arbitrary_expr_env (fun (e, (a, b, c)) ->
       let names = [| "x"; "y"; "z" |] in
-      let f = Om_expr.Cost_dyn.build names e in
+      let f = Om_expr.Cost_dyn.build (Om_expr.Layout.of_names names) e in
       let acc = ref 0. in
       ignore (f [| a; b; c |] acc);
       !acc <= Cost.flops e +. 1e-9)
@@ -677,7 +677,10 @@ let test_vm_stmts () =
     ]
   in
   let private_env_slot s = s >= 2 in
-  let p = Vm.compile_stmts ~private_env_slot ~out_size:2 names stmts in
+  let p =
+    Vm.compile_stmts ~private_env_slot ~out_size:2
+      (Om_expr.Layout.of_names names) stmts
+  in
   let env = [| 2.; 3.; 0.; 0. |] in
   let out = [| 0.; 0. |] in
   Vm.exec p ~env ~out;
@@ -744,7 +747,10 @@ let test_vm_shared_across_if () =
   List.iter
     (fun optimize ->
       let p = Vm.compile ~optimize names single in
-      let ps = Vm.compile_stmts ~optimize ~out_size:3 names stmts in
+      let ps =
+        Vm.compile_stmts ~optimize ~out_size:3 (Om_expr.Layout.of_names names)
+          stmts
+      in
       List.iter
         (fun env ->
           let want e = Eval.eval (env_of env) e in
@@ -765,7 +771,11 @@ let test_vm_shared_across_store () =
   let stmts =
     [ (s, Vm.To_out 0); (E.add [ x; y ], Vm.To_env 2); (s, Vm.To_out 1) ]
   in
-  let p = Vm.compile_stmts ~out_size:2 [| "x"; "y"; "tmp" |] stmts in
+  let p =
+    Vm.compile_stmts ~out_size:2
+      (Om_expr.Layout.of_names [| "x"; "y"; "tmp" |])
+      stmts
+  in
   let env = [| 0.5; 1.5; 0.25 |] in
   let out = [| 0.; 0. |] in
   Vm.exec p ~env ~out;

@@ -344,6 +344,46 @@ let test_no_instances () =
       Alcotest.(check string) "msg" "model M declares no instances" msg
   | _ -> Alcotest.fail "expected error"
 
+(* The exact text of every flatten error the front end reports. *)
+let check_flatten_error name src expected =
+  match flat src with
+  | exception Flatten.Error msg -> Alcotest.(check string) name expected msg
+  | _ -> Alcotest.failf "%s: expected error %S" name expected
+
+let test_flatten_error_messages () =
+  check_flatten_error "equation for a parameter"
+    {|model M; class C variable x; parameter k = 1.0;
+      equation der(x) = x; equation der(k) = x; end; instance c of C;|}
+    "equation for c.k, which is not a state variable";
+  check_flatten_error "self-referring alias"
+    {|model M; class C variable x; alias a = a + x;
+      equation der(x) = a; end; instance c of C;|}
+    "definition c.a refers to itself";
+  check_flatten_error "duplicate variable"
+    {|model M; class C variable x; variable x;
+      equation der(x) = x; end; instance c of C;|}
+    "duplicate definition c.x";
+  check_flatten_error "parameter and variable of one name"
+    {|model M; class C parameter x = 1.0; variable x;
+      equation der(x) = x; end; instance c of C;|}
+    "duplicate definition c.x";
+  check_flatten_error "duplicate equation"
+    {|model M; class C variable x;
+      equation der(x) = x; equation der(x) = 0.0 - x; end; instance c of C;|}
+    "duplicate equation for c.x";
+  check_flatten_error "non-constant initial value"
+    {|model M; class C variable x init other; variable other;
+      equation der(x) = x; equation der(other) = other; end; instance c of C;|}
+    "initial value of c.x does not reduce to a constant (c.other)";
+  check_flatten_error "equation for an undeclared name"
+    {|model M; class C variable x;
+      equation der(x) = x; equation der(y) = x; end; instance c of C;|}
+    "equation for undeclared variable y in class C";
+  check_flatten_error "duplicate class"
+    {|model M; class C variable x; equation der(x) = x; end;
+      class C variable y; equation der(y) = y; end; instance c of C;|}
+    "duplicate class C"
+
 (* ---------- dependency graph ---------- *)
 
 let test_dependency_graph () =
@@ -390,6 +430,37 @@ let test_typecheck_rejects_broken () =
   match Tc.check broken with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected rejection"
+
+let check_typecheck_error name m expected =
+  match Tc.check m with
+  | exception Invalid_argument msg -> Alcotest.(check string) name expected msg
+  | () -> Alcotest.failf "%s: expected error %S" name expected
+
+let test_typecheck_error_messages () =
+  let model states equations = { Fm.name = "m"; states; equations } in
+  check_typecheck_error "free variable"
+    (model [ ("x", 0.) ] [ ("x", E.var "ghost") ])
+    "Typecheck.check: ghost is free in equation for x";
+  check_typecheck_error "state without an equation"
+    (model [ ("x", 0.); ("y", 0.) ] [ ("x", E.var "y") ])
+    "Typecheck.check: states and equations do not match (states without \
+     an equation: y)";
+  check_typecheck_error "equation without a state"
+    (model [ ("x", 0.) ] [ ("x", E.var "x"); ("z", E.var "x") ])
+    "Typecheck.check: states and equations do not match (equations without \
+     a state: z)";
+  check_typecheck_error "both directions"
+    (model [ ("x", 0.); ("y", 0.) ] [ ("x", E.var "x"); ("z", E.var "x") ])
+    "Typecheck.check: states and equations do not match (states without \
+     an equation: y; equations without a state: z)";
+  check_typecheck_error "same names, different multiplicities"
+    (model
+       [ ("x", 0.); ("x", 0.); ("y", 0.) ]
+       [ ("x", E.var "x"); ("y", E.var "y"); ("y", E.var "y") ])
+    "Typecheck.check: states and equations do not match (duplicate names)";
+  check_typecheck_error "duplicate state"
+    (model [ ("x", 1.); ("x", 2.) ] [ ("x", E.var "x"); ("x", E.neg (E.var "x")) ])
+    "Typecheck.check: duplicate state x"
 
 (* ---------- unparser ---------- *)
 
@@ -750,6 +821,8 @@ let () =
           Alcotest.test_case "non-constant init" `Quick test_nonconstant_init;
           Alcotest.test_case "empty range" `Quick test_empty_range;
           Alcotest.test_case "no instances" `Quick test_no_instances;
+          Alcotest.test_case "error messages" `Quick
+            test_flatten_error_messages;
         ] );
       ( "analysis",
         [ Alcotest.test_case "dependency graph" `Quick test_dependency_graph ] );
@@ -760,6 +833,8 @@ let () =
             test_typecheck_passes_on_flatten_output;
           Alcotest.test_case "rejects broken model" `Quick
             test_typecheck_rejects_broken;
+          Alcotest.test_case "error messages" `Quick
+            test_typecheck_error_messages;
         ] );
       ( "unparse",
         [
