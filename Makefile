@@ -1,6 +1,6 @@
 # Convenience targets for the ObjectMath reproduction.
 
-.PHONY: all build test bench examples multicore doc clean
+.PHONY: all build test bench examples doc clean
 
 all: build
 
@@ -21,12 +21,6 @@ examples:
 	dune exec examples/heat_equation.exe
 	dune exec examples/scaling_study.exe
 	dune exec examples/dam_safety.exe
-	dune exec examples/multicore_scaling.exe -- 500
-
-# Measured multicore scaling on real OCaml domains
-# (writes bench_out/BENCH_parallel.json).
-multicore:
-	dune exec bench/main.exe -- multicore
 
 # odoc site for the whole library tree (requires odoc; landing page
 # doc/index.mld).  Output under _build/default/_doc/_html/.

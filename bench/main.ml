@@ -717,9 +717,9 @@ let extension_pde () =
 (* Bechamel micro-benchmarks.                                          *)
 
 (* The before/after pairs tracked in BENCH_micro.json: logical name,
-   baseline benchmark (the engine the seed shipped with), current
-   benchmark.  Entries whose two sides coincide are single-engine
-   trajectory points. *)
+   baseline benchmark (the seed's engine, or the simpler alternative a
+   kept code path must beat), current benchmark.  Entries whose two
+   sides coincide are single-engine trajectory points. *)
 let micro_pairs =
   [
     ("vm-eval", "objectmath/vm-roller-eq", "objectmath/vm-roller-eq");
@@ -737,6 +737,16 @@ let micro_pairs =
     ( "guard-powerplant",
       "objectmath/powerplant-rhs-bytecode",
       "objectmath/powerplant-rhs-guarded" );
+    (* What keeps Vm_batch: 64 perturbed bearing states through the
+       scalar VM one at a time, against one batched call at width 64. *)
+    ( "ensemble-w64",
+      "objectmath/bearing-rhs-scalar-x64",
+      "objectmath/bearing-brhs-w64" );
+    (* What keeps the sparse Newton path: fd Jacobian plus LU of the
+       Newton matrix on 401-state heat, dense against colored/sparse. *)
+    ( "newton-heat-401",
+      "objectmath/newton-heat-401-dense",
+      "objectmath/newton-heat-401-sparse" );
   ]
 
 let write_micro_json path rows =
@@ -814,6 +824,38 @@ let micro () =
     List.map (fun (s, e) -> (s, e)) (Lazy.force servo).model.equations
   in
   let jac_rows = Array.of_list (List.map snd r.model.equations) in
+  (* Relative offsets of up to 1e-3, as in the e2e ensemble workload:
+     large enough that lanes split at the bearing's conditionals. *)
+  let width = 64 in
+  let lanes =
+    Array.init width (fun m ->
+        let rng = Random.State.make [| m |] in
+        Array.map
+          (fun v -> v *. (1. +. (1e-3 *. (Random.State.float rng 2. -. 1.))))
+          y0)
+  in
+  let brhs =
+    Om_codegen.Batch_backend.brhs
+      (Om_codegen.Batch_backend.create r.compiled ~width)
+  in
+  let times = Array.make width 0. in
+  let by =
+    Array.init (Fm.dim r.model) (fun i -> Array.map (fun l -> l.(i)) lanes)
+  in
+  let bydot = Array.make_matrix (Fm.dim r.model) width 0. in
+  let heat = Om_pde.Discretize.heat_1d ~n:403 () in
+  let heat_sys =
+    Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false heat.equations
+  in
+  let heat_y = Fm.initial_values heat in
+  let heat_n = Fm.dim heat in
+  let heat_ctx =
+    match Om_ode.Jacobian.plan ~jac_mode:Om_ode.Odesys.Sparse heat_sys with
+    | Om_ode.Jacobian.Sparse_plan ctx -> ctx
+    | _ -> failwith "micro: sparse plan expected for heat"
+  in
+  let heat_jm = Om_ode.Linalg.make heat_n heat_n 0. in
+  let alpha = 1.5 and beta = 1e-4 in
   let tests =
     Test.make_grouped ~name:"objectmath"
       [
@@ -848,6 +890,31 @@ let micro () =
                Om_guard.Finite_guard.check plant_guard ~time:0. pp_ydot));
         Test.make ~name:"lpt-71-tasks"
           (Staged.stage (fun () -> Om_sched.Lpt.schedule r.tasks ~nprocs:7));
+        Test.make ~name:"bearing-rhs-scalar-x64"
+          (Staged.stage (fun () ->
+               Array.iter (fun y -> P.rhs_fn r 0. y ydot) lanes));
+        Test.make ~name:"bearing-brhs-w64"
+          (Staged.stage (fun () ->
+               brhs ~times ~y:by ~ydot:bydot ~lo:0 ~hi:width));
+        Test.make ~name:"newton-heat-401-dense"
+          (Staged.stage (fun () ->
+               Om_ode.Jacobian.eval_into heat_sys 0.01 heat_y heat_jm;
+               (* The Newton matrix alpha*I - beta*J, built in place. *)
+               Array.iteri
+                 (fun i row ->
+                   Array.iteri
+                     (fun k v ->
+                       row.(k) <- (if i = k then alpha else 0.) -. (beta *. v))
+                     row)
+                 heat_jm;
+               Om_ode.Linalg.lu_factor heat_jm));
+        Test.make ~name:"newton-heat-401-sparse"
+          (Staged.stage (fun () ->
+               Om_ode.Jacobian.sparse_eval_into heat_sys heat_ctx 0.01 heat_y;
+               Om_ode.Sparse.newton_assemble heat_ctx.newton ~jac:heat_ctx.sj
+                 ~alpha ~beta;
+               Om_ode.Sparse.lu_factor
+                 (Om_ode.Sparse.newton_matrix heat_ctx.newton)));
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) () in
@@ -893,672 +960,6 @@ let micro () =
     micro_pairs
 
 (* ------------------------------------------------------------------ *)
-(* Real multicore execution: measured #RHS-calls/s on OCaml domains,    *)
-(* next to the simulated Figure 12 curve for the same schedules.        *)
-
-let multicore () =
-  section "Multicore — measured #RHS-calls/s on real OCaml domains";
-  ensure_out_dir ();
-  let ncores = Domain.recommended_domain_count () in
-  let workers =
-    List.sort_uniq compare (1 :: 2 :: 4 :: (if ncores > 4 then [ min ncores 8 ] else []))
-  in
-  Printf.printf "host cores: %d; sweeping workers %s\n\n" ncores
-    (String.concat ", " (List.map string_of_int workers));
-  (* Each model is swept twice: static LPT and the measured semi-dynamic
-     rescheduler (§3.2.3), so BENCH_parallel.json carries the
-     static-vs-semidynamic comparison on real hardware. *)
-  let series =
-    List.concat_map
-      (fun (name, r) ->
-        let r = Lazy.force r in
-        List.map
-          (fun semidynamic ->
-            let s =
-              Om_parallel.Scaling.measure ~rounds:1500 ?semidynamic ~name
-                ~workers r
-            in
-            Format.printf "%a@." Om_parallel.Scaling.pp_series s;
-            s)
-          [ None; Some 25 ])
-      [ ("bearing2d", bearing); ("powerplant", plant) ]
-  in
-  let path = Filename.concat out_dir "BENCH_parallel.json" in
-  Om_parallel.Scaling.write_json ~path ~ncores series;
-  Printf.printf "machine-readable results written to %s\n" path;
-  (* The simulated curve the measured one sits next to (Figure 12). *)
-  let r = Lazy.force bearing in
-  Printf.printf
-    "\nsimulated SPARCCenter speedup for the same LPT schedules:\n";
-  List.iter
-    (fun w ->
-      if w >= 1 then
-        Printf.printf "  %d workers: %.2fx\n" w
-          (R.speedup ~machine:Machine.sparccenter_2000 ~nworkers:w r))
-    workers;
-  Printf.printf
-    "\nOn shared memory there is no 4 us per-message cost, so the real\n\
-     curve rises faster than the simulated SPARC curve — until the host\n\
-     runs out of cores (ncores=%d here), where it flattens; trajectories\n\
-     stay byte-identical at every worker count and across semi-dynamic\n\
-     reschedules (the `identical' column).\n"
-    ncores
-
-(* ------------------------------------------------------------------ *)
-(* Ensemble engine: trajectories/sec, scalar loop vs batched VM.       *)
-
-let write_ensemble_json path ~model ~dim ~nsteps ~h rows =
-  (* rows : (width, scalar_tps, batched_tps) list; hand-rolled JSON as
-     in [write_micro_json]. *)
-  let buf = Buffer.create 1024 in
-  let num v = Printf.sprintf "%.6g" v in
-  Buffer.add_string buf "{\n  \"schema\": \"objectmath-bench-ensemble/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"model\": %S,\n  \"dim\": %d,\n  \"steps\": %d,\n  \"h\": %s,\n"
-       model dim nsteps (num h));
-  Buffer.add_string buf "  \"widths\": [\n";
-  List.iteri
-    (fun i (w, s_tps, b_tps) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"width\": %d, \"scalar_traj_per_sec\": %s, \
-            \"batched_traj_per_sec\": %s, \"speedup\": %s }%s\n"
-           w (num s_tps) (num b_tps)
-           (num (b_tps /. s_tps))
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc
-
-(* Scalar-loop baseline: per-member fixed RK4 over the scalar register
-   VM ([Pipeline.rhs_fn]), no trajectory recording — the same arithmetic
-   the batched engine performs, minus the batching. *)
-let scalar_rk4 rhs ~dim ~y0 ~t0 ~tend ~h =
-  let y = Array.copy y0 in
-  let k1 = Array.make dim 0. and k2 = Array.make dim 0. in
-  let k3 = Array.make dim 0. and k4 = Array.make dim 0. in
-  let ytmp = Array.make dim 0. in
-  let t = ref t0 in
-  while !t < tend -. 1e-12 do
-    let h' = Float.min h (tend -. !t) in
-    rhs !t y k1;
-    for i = 0 to dim - 1 do ytmp.(i) <- y.(i) +. (h' /. 2. *. k1.(i)) done;
-    rhs (!t +. (h' /. 2.)) ytmp k2;
-    for i = 0 to dim - 1 do ytmp.(i) <- y.(i) +. (h' /. 2. *. k2.(i)) done;
-    rhs (!t +. (h' /. 2.)) ytmp k3;
-    for i = 0 to dim - 1 do ytmp.(i) <- y.(i) +. (h' *. k3.(i)) done;
-    rhs (!t +. h') ytmp k4;
-    for i = 0 to dim - 1 do
-      y.(i) <-
-        y.(i) +. (h' /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i)))
-    done;
-    t := !t +. h'
-  done;
-  y
-
-let ensemble_run ~widths ~nsteps ~min_traj () =
-  section "Ensemble — trajectories/sec, scalar loop vs batched VM (bearing)";
-  ensure_out_dir ();
-  let r = Lazy.force bearing in
-  let dim = Fm.dim r.model in
-  let y0 = Fm.initial_values r.model in
-  let h = 2e-5 in
-  let tend = float_of_int nsteps *. h in
-  let rhs = P.rhs_fn r in
-  (* Deterministic per-member relative perturbations of up to 1e-3, as
-     in the e2e ensemble workload: large enough that lanes split at the
-     bearing's conditionals, so the batched column pays for divergence. *)
-  let member_y0 m =
-    let rng = Random.State.make [| m |] in
-    Array.map
-      (fun v -> v *. (1. +. (1e-3 *. (Random.State.float rng 2. -. 1.))))
-      y0
-  in
-  let now = Om_parallel.Monotonic.now in
-  Printf.printf "bearing RHS, dim %d, %d RK4 steps per trajectory, h=%g\n\n"
-    dim nsteps h;
-  Printf.printf "%-8s %10s %22s %22s %10s\n" "width" "reps"
-    "scalar [traj/s]" "batched [traj/s]" "speedup";
-  let rows =
-    List.map
-      (fun w ->
-        let reps = max 1 (min_traj / w) in
-        let y0s = Array.init w member_y0 in
-        (* Scalar loop: one member at a time through the scalar VM. *)
-        let t0 = now () in
-        for _ = 1 to reps do
-          for m = 0 to w - 1 do
-            ignore (scalar_rk4 rhs ~dim ~y0:y0s.(m) ~t0:0. ~tend ~h)
-          done
-        done;
-        let scalar_s = now () -. t0 in
-        (* Batched VM: the whole batch in lockstep. *)
-        let bb = Om_codegen.Batch_backend.create r.compiled ~width:w in
-        let brhs = Om_codegen.Batch_backend.brhs bb in
-        let t0 = now () in
-        for _ = 1 to reps do
-          let ens = Om_ode.Ensemble.create ~dim ~f:brhs y0s in
-          ignore (Om_ode.Ensemble.rk4 ens ~t0:0. ~tend ~h)
-        done;
-        let batched_s = now () -. t0 in
-        let traj = float_of_int (w * reps) in
-        let s_tps = traj /. scalar_s and b_tps = traj /. batched_s in
-        Printf.printf "%-8d %10d %22.1f %22.1f %9.2fx\n" w reps s_tps b_tps
-          (b_tps /. s_tps);
-        (w, s_tps, b_tps))
-      widths
-  in
-  let path = Filename.concat out_dir "BENCH_ensemble.json" in
-  write_ensemble_json path ~model:"bearing2d" ~dim ~nsteps ~h rows;
-  Printf.printf "\nmachine-readable results written to %s\n" path;
-  Printf.printf
-    "\nBoth columns run the same register programs; the batched column\n\
-     amortises instruction decode over the batch (one decoded op drives\n\
-     the whole lane range), which is where the speedup comes from.\n"
-
-let ensemble () =
-  ensemble_run ~widths:[ 1; 8; 64; 512; 4096 ] ~nsteps:25 ~min_traj:512 ()
-
-(* Cheap CI variant: small widths, few steps, still writes the JSON. *)
-let ensemble_smoke () =
-  ensemble_run ~widths:[ 1; 8; 64 ] ~nsteps:5 ~min_traj:64 ()
-
-(* ------------------------------------------------------------------ *)
-(* Serve: sustained jobs/sec, compile-cache amortisation, tail latency. *)
-
-let percentile sorted p =
-  (* nearest-rank on an ascending array; p in [0,100] *)
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    sorted.(min (n - 1)
-              (int_of_float (Float.round (float_of_int (n - 1) *. p /. 100.))))
-
-let write_serve_json path ~nmodels ~repeats ~tend ~steps rows =
-  (* rows : (label, cache_capacity, executors, jobs, jobs_per_sec, wall_s,
-     compiles, hits, p50_ms, p95_ms, p99_ms) list *)
-  let buf = Buffer.create 1024 in
-  let num v = Printf.sprintf "%.6g" v in
-  Buffer.add_string buf "{\n  \"schema\": \"objectmath-bench-serve/3\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"models\": %d,\n  \"repeats\": %d,\n  \"tend\": %s,\n  \
-        \"steps_per_job\": %d,\n"
-       nmodels repeats (num tend) steps);
-  Buffer.add_string buf "  \"series\": [\n";
-  List.iteri
-    (fun i (label, cap, execs, jobs, jps, wall, compiles, hits, p50, p95, p99)
-       ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"label\": %S, \"cache_capacity\": %d, \"executors\": %d, \
-            \"jobs\": %d, \"jobs_per_sec\": %s, \"wall_s\": %s, \
-            \"compiles\": %d, \"cache_hits\": %d, \"p50_ms\": %s, \
-            \"p95_ms\": %s, \"p99_ms\": %s }%s\n"
-           label cap execs jobs (num jps) (num wall) compiles hits (num p50)
-           (num p95) (num p99)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  let jps label =
-    List.find_map
-      (fun (l, _, _, _, jps, _, _, _, _, _, _) ->
-        if l = label then Some jps else None)
-      rows
-  in
-  let ratio name a b =
-    match (jps a, jps b) with
-    | Some va, Some vb when vb <> 0. ->
-        Printf.sprintf "  \"%s\": %s" name (num (va /. vb))
-    | _ -> Printf.sprintf "  \"%s\": null" name
-  in
-  Buffer.add_string buf (ratio "warm_over_cold" "warm" "cold");
-  Buffer.add_string buf ",\n";
-  (* Same-model concurrency: >1 means jobs on one hot artifact really
-     overlapped (meaningless ≈1 on a single hardware core, where the
-     series is still recorded for cross-machine comparison). *)
-  Buffer.add_string buf
-    (ratio "same_model_x2_over_x1" "same-model-x2" "same-model-x1");
-  Buffer.add_string buf ",\n";
-  (* Durability cost: a warm same-model burst with the write-ahead
-     journal on, as a fraction of the identical journal-free burst.
-     Group-commit fsync keeps this near 1.0 (< 1.05 is the acceptance
-     bar). *)
-  Buffer.add_string buf (ratio "journal_overhead" "journal-off" "journal-on");
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc
-
-let serve_run ~nmodels ~repeats () =
-  section "Serve — jobs/sec, compile-cache amortisation, tail latency";
-  ensure_out_dir ();
-  let tend = 0.01 and steps = 20 in
-  let solver = Om_serve.Job.Rk4 (Some (tend /. float_of_int steps)) in
-  (* Fuzz-generated model mix, prefiltered: each candidate must compile
-     and integrate finitely over the short job horizon.  The short
-     horizon keeps the run itself cheap, so a cache hit (skipping
-     flatten/typecheck/codegen) dominates the per-job cost. *)
-  let models =
-    let rec gather i acc =
-      if List.length acc >= nmodels then List.rev acc
-      else begin
-        let rng = Random.State.make [| 2026; i |] in
-        let src = Om_fuzz.Gen.source rng in
-        match
-          let r = Om_codegen.Pipeline.compile_source src in
-          Objectmath.Runtime.execute
-            ~solver:(Rk4 (tend /. float_of_int steps))
-            ~tend r
-        with
-        | rep
-          when Array.for_all Float.is_finite
-                 (Om_ode.Odesys.final_state rep.trajectory) ->
-            gather (i + 1) (src :: acc)
-        | _ -> gather (i + 1) acc
-        | exception _ -> gather (i + 1) acc
-      end
-    in
-    gather 0 []
-  in
-  let jobs =
-    List.concat_map
-      (fun rep ->
-        List.mapi
-          (fun m source ->
-            {
-              Om_serve.Job.default with
-              Om_serve.Job.id = Printf.sprintf "r%d-m%d" rep m;
-              tenant = Printf.sprintf "tenant-%d" (m mod 3);
-              source;
-              solver;
-              tend;
-            })
-          models)
-      (List.init repeats Fun.id)
-  in
-  Printf.printf
-    "%d fuzz models x %d repeats = %d jobs per series (%d rk4 steps each)\n\n"
-    (List.length models) repeats (List.length jobs) steps;
-  let now = Om_parallel.Monotonic.now in
-  let journal_path = Filename.concat out_dir "bench_serve.journal" in
-  let run_series ?(executors = 1) ?(journal = false) ?(recover_first = false)
-      label cache_capacity jobs =
-    let njobs = List.length jobs in
-    let latencies = ref [] in
-    let mu = Mutex.create () in
-    let emit record =
-      match
-        ( Om_serve.Json.member record "type",
-          Om_serve.Json.member record "total_s" )
-      with
-      | Some (Om_serve.Json.Str "status"), Some v -> (
-          match Om_serve.Json.to_float v with
-          | Some s ->
-              Mutex.lock mu;
-              latencies := s :: !latencies;
-              Mutex.unlock mu
-          | None -> ())
-      | _ -> ()
-    in
-    let config =
-      {
-        Om_serve.Server.default_config with
-        Om_serve.Server.queue_capacity = njobs + 1;
-        executors;
-        cache_capacity;
-        timings = true;
-      }
-    in
-    let t0 = now () in
-    let server =
-      if journal then begin
-        if (not recover_first) && Sys.file_exists journal_path then
-          Sys.remove journal_path;
-        (* recovery series: replay an existing journal and re-enqueue the
-           crashed jobs; the measured wall covers replay + re-execution *)
-        let replay =
-          match Om_serve.Journal.replay journal_path with
-          | Ok r -> r
-          | Error msg -> failwith msg
-        in
-        let j = Om_serve.Journal.open_append journal_path in
-        let server = Om_serve.Server.create ~config ~journal:j ~emit () in
-        ignore (Om_serve.Server.recover server replay);
-        server
-      end
-      else Om_serve.Server.create ~config ~emit ()
-    in
-    List.iter (fun j -> ignore (Om_serve.Server.submit server j)) jobs;
-    ignore (Om_serve.Server.drain server);
-    let wall = now () -. t0 in
-    (* the recovery series submits nothing itself: its jobs all come
-       from the journal, so count terminal statuses instead *)
-    let njobs = max njobs (List.length !latencies) in
-    let cs = Om_serve.Model_cache.stats (Om_serve.Server.cache server) in
-    let sorted = Array.of_list !latencies in
-    Array.sort compare sorted;
-    let pct p = percentile sorted p *. 1e3 in
-    let jps = float_of_int njobs /. wall in
-    Printf.printf
-      "%-14s cache=%-3d x%d %8.1f jobs/s  wall %6.3fs  compiles %3d  hits \
-       %3d  p50 %6.2fms  p95 %6.2fms  p99 %6.2fms\n"
-      label cache_capacity executors jps wall
-      cs.Om_serve.Model_cache.compiles cs.Om_serve.Model_cache.hits (pct 50.)
-      (pct 95.) (pct 99.);
-    ( label, cache_capacity, executors, njobs, jps, wall,
-      cs.Om_serve.Model_cache.compiles, cs.Om_serve.Model_cache.hits,
-      pct 50., pct 95., pct 99. )
-  in
-  (* Cold: caching disabled, every job pays the full pipeline.  Warm:
-     every distinct source compiles once; repeats are cache hits. *)
-  let cold = run_series "cold" 0 jobs in
-  let warm = run_series "warm" 64 jobs in
-  (* Same-model concurrency: a burst of identical jobs against one hot
-     artifact, scaled across executor counts.  One compile serves the
-     whole burst; each executor integrates its own scratch clone, so the
-     x2/x1 throughput ratio measures true execution overlap (≈1 on a
-     single hardware core, →2 with two real cores). *)
-  let hot_steps = 400 in
-  let hot_source = List.hd models in
-  let hot_jobs tag =
-    List.init (8 * repeats) (fun i ->
-        {
-          Om_serve.Job.default with
-          Om_serve.Job.id = Printf.sprintf "hot%s-%d" tag i;
-          tenant = "hot";
-          source = hot_source;
-          solver = Om_serve.Job.Rk4 (Some (tend /. float_of_int hot_steps));
-          tend;
-        })
-  in
-  let sm1 = run_series ~executors:1 "same-model-x1" 64 (hot_jobs "x1") in
-  let sm2 = run_series ~executors:2 "same-model-x2" 64 (hot_jobs "x2") in
-  (* Durability: the warm series again with the write-ahead journal on —
-     every accept fsynced (group commit) before its job runs. *)
-  let rename tag =
-    List.map (fun j ->
-        { j with Om_serve.Job.id = tag ^ "-" ^ j.Om_serve.Job.id })
-  in
-  (* Durability: group-commit fsync overhead, measured on a warm burst
-     long enough for batching to amortise.  Per-job fsync would show up
-     here as a multi-x slowdown; group commit (executors block on their
-     accept's fsync only, terminal records ride later batches) keeps
-     the journal-on/journal-off gap within a few percent. *)
-  let journal_burst tag =
-    List.init (32 * repeats) (fun i ->
-        {
-          Om_serve.Job.default with
-          Om_serve.Job.id = Printf.sprintf "%s-%d" tag i;
-          tenant = "durable";
-          source = hot_source;
-          solver = Om_serve.Job.Rk4 (Some (tend /. float_of_int hot_steps));
-          tend;
-        })
-  in
-  (* Paired interleaved rounds for the overhead ratio: on a loaded
-     single-core machine a ~100ms series varies ±20% run to run, which
-     would drown the few percent the journal actually costs (and any
-     scheme that picks each side's run independently compares a lucky
-     run against an unlucky one).  Each round runs journal-off then
-     journal-on back to back, sharing ambient load, and the reported
-     rows aggregate all rounds — total jobs over total wall — so
-     transient stalls fall out of both sides alike. *)
-  let aggregate rows =
-    let label, cap, ex, _, _, _, _, _, _, _, _ = List.hd rows in
-    let sum f = List.fold_left (fun a r -> a +. f r) 0. rows in
-    let sumi f = List.fold_left (fun a r -> a + f r) 0 rows in
-    let njobs = sumi (fun (_, _, _, n, _, _, _, _, _, _, _) -> n) in
-    let wall = sum (fun (_, _, _, _, _, w, _, _, _, _, _) -> w) in
-    let med f =
-      let a = Array.of_list (List.map f rows) in
-      Array.sort compare a;
-      a.(Array.length a / 2)
-    in
-    ( label, cap, ex, njobs, float_of_int njobs /. wall, wall,
-      sumi (fun (_, _, _, _, _, _, c, _, _, _, _) -> c),
-      sumi (fun (_, _, _, _, _, _, _, h, _, _, _) -> h),
-      med (fun (_, _, _, _, _, _, _, _, p, _, _) -> p),
-      med (fun (_, _, _, _, _, _, _, _, _, p, _) -> p),
-      med (fun (_, _, _, _, _, _, _, _, _, _, p) -> p) )
-  in
-  let pairs =
-    List.init 3 (fun _ ->
-        let off = run_series "journal-off" 64 (journal_burst "jb") in
-        let on_ =
-          run_series ~journal:true "journal-on" 64 (journal_burst "jo")
-        in
-        (off, on_))
-  in
-  let jbase = aggregate (List.map fst pairs) in
-  let wj = aggregate (List.map snd pairs) in
-  (* Recovery: journal a burst of accepts with no terminal records (a
-     crashed server), then measure replay + re-execution to drain. *)
-  let crashed = rename "crash" jobs in
-  if Sys.file_exists journal_path then Sys.remove journal_path;
-  let j = Om_serve.Journal.open_append journal_path in
-  List.iter (fun s -> ignore (Om_serve.Journal.record_accept j s)) crashed;
-  Om_serve.Journal.close j;
-  let recov =
-    run_series ~journal:true ~recover_first:true "recovery" 64 []
-  in
-  if Sys.file_exists journal_path then Sys.remove journal_path;
-  let rows = [ cold; warm; sm1; sm2; jbase; wj; recov ] in
-  let path = Filename.concat out_dir "BENCH_serve.json" in
-  write_serve_json path ~nmodels:(List.length models) ~repeats ~tend ~steps
-    rows;
-  let series_jps (_, _, _, _, jps, _, _, _, _, _, _) = jps in
-  Printf.printf
-    "\nwarm/cold throughput: %.2fx (compile amortised across %d repeats)\n"
-    (series_jps warm /. series_jps cold)
-    repeats;
-  Printf.printf
-    "same-model x2/x1 throughput: %.2fx (scratch-clone executor overlap)\n"
-    (series_jps sm2 /. series_jps sm1);
-  Printf.printf
-    "journal overhead: %.3fx journal-off throughput (group-commit fsync; \
-     < 1.05 is the acceptance bar)\n"
-    (series_jps jbase /. series_jps wj);
-  Printf.printf "recovery drain: %.1f jobs/s from a cold journal replay\n"
-    (series_jps recov);
-  Printf.printf "machine-readable results written to %s\n" path
-
-let serve_bench () = serve_run ~nmodels:12 ~repeats:6 ()
-
-(* Cheap CI variant: fewer models and repeats, still writes the JSON. *)
-let serve_smoke () = serve_run ~nmodels:4 ~repeats:3 ()
-
-(* ------------------------------------------------------------------ *)
-(* Sparse Jacobians: colored compressed columns + sparse LU vs the     *)
-(* dense Newton pipeline, over method-of-lines heat-equation sizes.    *)
-
-type jac_row = {
-  jr_states : int;
-  jr_nnz : int;
-  jr_colors : int;
-  jr_fd_evals : int;  (** measured RHS evaluations of one fd Jacobian *)
-  jr_sparse : float * float * float;  (** jac, assemble+factor, solve [s] *)
-  jr_dense : (float * float * float) option;  (** None above [dense_cap] *)
-}
-
-let write_jacobian_json path rows =
-  let buf = Buffer.create 2048 in
-  let num v = Printf.sprintf "%.6g" v in
-  Buffer.add_string buf "{\n  \"schema\": \"objectmath-bench-jacobian/1\",\n";
-  Buffer.add_string buf
-    "  \"model\": \"heat_1d\",\n  \"alpha\": 1.5,\n  \"beta\": 1e-4,\n";
-  Buffer.add_string buf "  \"sizes\": [\n";
-  List.iteri
-    (fun i r ->
-      let sj, sf, ss = r.jr_sparse in
-      let sparse_step = sj +. sf +. ss in
-      let dense_fields =
-        match r.jr_dense with
-        | None ->
-            "\"dense_jac_s\": null, \"dense_factor_s\": null, \
-             \"dense_solve_s\": null, \"dense_step_s\": null, \
-             \"newton_speedup\": null"
-        | Some (dj, df, ds) ->
-            let dense_step = dj +. df +. ds in
-            Printf.sprintf
-              "\"dense_jac_s\": %s, \"dense_factor_s\": %s, \
-               \"dense_solve_s\": %s, \"dense_step_s\": %s, \
-               \"newton_speedup\": %s"
-              (num dj) (num df) (num ds) (num dense_step)
-              (num (dense_step /. sparse_step))
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"states\": %d, \"nnz\": %d, \"colors\": %d, \
-            \"fd_evals\": %d, \"sparse_jac_s\": %s, \"sparse_factor_s\": \
-            %s, \"sparse_solve_s\": %s, \"sparse_step_s\": %s, %s }%s\n"
-           r.jr_states r.jr_nnz r.jr_colors r.jr_fd_evals (num sj) (num sf)
-           (num ss) (num sparse_step) dense_fields
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc
-
-let jacobian_run ~sizes ~dense_cap () =
-  section
-    "Jacobian — colored sparse columns + sparse LU vs the dense Newton \
-     pipeline (1D heat equation)";
-  ensure_out_dir ();
-  let now = Om_parallel.Monotonic.now in
-  let time_it f =
-    let t0 = now () in
-    let r = f () in
-    (now () -. t0, r)
-  in
-  let alpha = 1.5 and beta = 1e-4 in
-  Printf.printf "%-9s %9s %7s %8s | %11s %11s %11s | %11s %9s\n" "states"
-    "nnz" "colors" "fd evals" "sparse jac" "sp factor" "sp step"
-    "dense step" "speedup";
-  let rows =
-    List.map
-      (fun states ->
-        let m = Om_pde.Discretize.heat_1d ~n:(states + 2) () in
-        let sys =
-          Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false
-            m.equations
-        in
-        let y = Fm.initial_values m in
-        let t = 0.01 in
-        let ctx =
-          match Om_ode.Jacobian.plan ~jac_mode:Om_ode.Odesys.Sparse sys with
-          | Om_ode.Jacobian.Sparse_plan ctx -> ctx
-          | _ -> failwith "jacobian bench: sparse plan expected"
-        in
-        let nnz = Om_ode.Sparse.nnz ctx.spat in
-        let colors = ctx.coloring.ncolors in
-        (* Count the RHS evaluations of one colored fd Jacobian: must be
-           exactly [colors + 1] (one per color plus the base point). *)
-        let calls0 = sys.counters.rhs_calls in
-        Om_ode.Jacobian.sparse_eval_into sys ctx t y;
-        let fd_evals = sys.counters.rhs_calls - calls0 in
-        let sparse_jac_s, () =
-          time_it (fun () -> Om_ode.Jacobian.sparse_eval_into sys ctx t y)
-        in
-        let sparse_factor_s, lu =
-          time_it (fun () ->
-              Om_ode.Sparse.newton_assemble ctx.newton ~jac:ctx.sj ~alpha
-                ~beta;
-              Om_ode.Sparse.lu_factor
-                (Om_ode.Sparse.newton_matrix ctx.newton))
-        in
-        let b = Array.init states (fun i -> Float.sin (float_of_int i)) in
-        let sparse_solve_s, _ =
-          time_it (fun () -> Om_ode.Sparse.lu_solve lu b)
-        in
-        let dense =
-          if states > dense_cap then None
-          else begin
-            let jm = Om_ode.Linalg.make states states 0. in
-            let dense_jac_s, () =
-              time_it (fun () -> Om_ode.Jacobian.eval_into sys t y jm)
-            in
-            let dense_factor_s, dlu =
-              time_it (fun () ->
-                  (* Build the Newton matrix in place to halve the peak
-                     footprint at the big sizes. *)
-                  for i = 0 to states - 1 do
-                    let row = jm.(i) in
-                    for k = 0 to states - 1 do
-                      row.(k) <-
-                        (if i = k then alpha else 0.) -. (beta *. row.(k))
-                    done
-                  done;
-                  Om_ode.Linalg.lu_factor jm)
-            in
-            let dense_solve_s, _ =
-              time_it (fun () -> Om_ode.Linalg.lu_solve dlu b)
-            in
-            Some (dense_jac_s, dense_factor_s, dense_solve_s)
-          end
-        in
-        let sj, sf, ss = (sparse_jac_s, sparse_factor_s, sparse_solve_s) in
-        let sparse_step = sj +. sf +. ss in
-        (match dense with
-        | Some (dj, df, ds) ->
-            let dense_step = dj +. df +. ds in
-            Printf.printf
-              "%-9d %9d %7d %8d | %11.2e %11.2e %11.2e | %11.2e %8.1fx\n"
-              states nnz colors fd_evals sj sf sparse_step dense_step
-              (dense_step /. sparse_step)
-        | None ->
-            Printf.printf
-              "%-9d %9d %7d %8d | %11.2e %11.2e %11.2e | %11s %9s\n" states
-              nnz colors fd_evals sj sf sparse_step "-" "-");
-        {
-          jr_states = states;
-          jr_nnz = nnz;
-          jr_colors = colors;
-          jr_fd_evals = fd_evals;
-          jr_sparse = (sj, sf, ss);
-          jr_dense = dense;
-        })
-      sizes
-  in
-  let path = Filename.concat out_dir "BENCH_jacobian.json" in
-  write_jacobian_json path rows;
-  Printf.printf "\nmachine-readable results written to %s\n" path;
-  Printf.printf
-    "\nThe compressed fd Jacobian costs one RHS evaluation per color plus\n\
-     the base point (tridiagonal heat: 3 colors at every size), and the\n\
-     sparse LU factors the tridiagonal Newton matrix with no fill — both\n\
-     flat in the stencil width instead of the state count, which is where\n\
-     the dense O(n) fd evaluations and O(n^3) factorisation go.\n";
-  rows
-
-let jacobian () =
-  ignore
-    (jacobian_run
-       ~sizes:[ 1000; 3162; 10000; 31623; 100000 ]
-       ~dense_cap:10000 ())
-
-(* Cheap CI variant: one modest size, dense comparison included, with
-   the structural assertions CI relies on. *)
-let jacobian_smoke () =
-  let rows = jacobian_run ~sizes:[ 401 ] ~dense_cap:401 () in
-  List.iter
-    (fun r ->
-      if r.jr_colors >= r.jr_states then
-        failwith
-          (Printf.sprintf "jacobian-smoke: %d colors on %d states"
-             r.jr_colors r.jr_states);
-      if r.jr_fd_evals <> r.jr_colors + 1 then
-        failwith
-          (Printf.sprintf "jacobian-smoke: %d fd evals for %d colors"
-             r.jr_fd_evals r.jr_colors))
-    rows;
-  Printf.printf "jacobian-smoke: colors < states and fd evals = colors + 1\n"
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1580,13 +981,6 @@ let experiments =
     ("ablation-topology", ablation_topology);
     ("extension-pde", extension_pde);
     ("micro", micro);
-    ("multicore", multicore);
-    ("ensemble", ensemble);
-    ("ensemble-smoke", ensemble_smoke);
-    ("serve", serve_bench);
-    ("serve-smoke", serve_smoke);
-    ("jacobian", jacobian);
-    ("jacobian-smoke", jacobian_smoke);
     ("compile-curve", Compile_curve.full);
     ("compile-curve-smoke", Compile_curve.smoke);
   ]

@@ -822,17 +822,23 @@ let serve_cmd =
               let server =
                 Om_serve.Server.create ~config ~journal ~emit ()
               in
-              let recovered = Om_serve.Server.recover server replay in
-              if recovered > 0 then
+              (* Announce the recovery before re-enqueueing: executors
+                 start on a recovered job at once, and its status must
+                 not overtake this record.  Replay deduplicates ids and
+                 recovery bypasses admission, so a fresh server
+                 re-enqueues every pending job. *)
+              let pending = List.length replay.Om_serve.Journal.pending in
+              if pending > 0 then
                 emit
                   (Om_serve.Json.Obj
                      [
                        ("type", Om_serve.Json.Str "recovered");
-                       ("jobs", Om_serve.Json.Int recovered);
+                       ("jobs", Om_serve.Json.Int pending);
                        ( "torn_tail",
                          Om_serve.Json.Bool replay.Om_serve.Journal.torn_tail
                        );
                      ]);
+              ignore (Om_serve.Server.recover server replay);
               server)
     in
     let serve_stdin () =

@@ -9,8 +9,8 @@
     - {!Pipeline}/{!Cse}/{!Partition}/{!Fortran}: the code generator,
     - {!Lpt}/{!Semidynamic}/{!Dag_sched}: scheduling,
     - {!Machine}/{!Supervisor}/{!Round_desc}: the MIMD machine model,
-    - {!Domain_pool}/{!Par_exec}/{!Scaling}: real multicore execution
-      of the generated tasks on OCaml domains,
+    - {!Domain_pool}/{!Par_exec}: real multicore execution of the
+      generated tasks on OCaml domains,
     - {!Odesys}/{!Rk}/{!Adams}/{!Bdf}/{!Lsoda}: the solver stack,
     - {!Runtime}: parallel execution of generated code on the machine
       model under a real solver,
@@ -66,7 +66,6 @@ module Round_desc = Om_machine.Round_desc
 
 module Domain_pool = Om_parallel.Domain_pool
 module Par_exec = Om_parallel.Par_exec
-module Scaling = Om_parallel.Scaling
 
 module Assignments = Om_codegen.Assignments
 module Cse = Om_codegen.Cse

@@ -42,7 +42,6 @@ let rounds t = t.rounds
 let active t = Array.length t.domains > 0
 let compute_seconds t = t.compute
 let round_timing t = t.timing
-let last_round_seconds t = t.timing.(0)
 
 let worker pool w =
   let last = ref 0 in
@@ -181,19 +180,25 @@ let rec supervisor_wait pool budget =
       Mutex.unlock pool.done_mutex
     end
 
-(* Deadline-aware wait: after the spin budget, poll in short sleeps and
-   the first time the deadline passes with workers still outstanding,
-   record a stall event attributing the missing worker (reads of
-   [arrived] are advisory — plain racy int reads, good enough for
-   diagnostics).  Detection never abandons the barrier: the supervisor
-   still waits for completion (a stalled worker that eventually arrives
-   left consistent output), and the caller decides whether to degrade
-   via {!take_stall}. *)
+(* Deadline-aware wait: after the spin budget, poll in short sleeps.
+   Once the deadline has passed, every poll re-reads [arrived] for the
+   rest of the round: several outstanding workers record a
+   [Barrier_timeout], and as soon as exactly one is left the event
+   becomes a [Worker_stall] naming it (workers that merely arrive late
+   must not hide the one that stalled).  Reads of [arrived] are
+   advisory — plain racy int reads, good enough for diagnostics.
+   Detection never abandons the barrier: the supervisor still waits for
+   completion (a stalled worker that eventually arrives left consistent
+   output), and the caller decides whether to degrade via
+   {!take_stall}.  An event from an earlier round that nobody took is
+   kept as it is. *)
 let supervisor_poll pool t0 =
-  let recorded = ref (match pool.stall with None -> false | Some _ -> true) in
+  let attributed =
+    ref (match pool.stall with None -> false | Some _ -> true)
+  in
+  let timed_out = ref false in
   while Atomic.get pool.ndone < pool.nworkers do
-    (if (not !recorded) && Monotonic.now () -. t0 > pool.deadline then begin
-       recorded := true;
+    (if (not !attributed) && Monotonic.now () -. t0 > pool.deadline then begin
        let g = Atomic.get pool.round in
        let missing = ref 0 and culprit = ref (-1) in
        for w = pool.nworkers - 1 downto 0 do
@@ -202,13 +207,19 @@ let supervisor_poll pool t0 =
            culprit := w
          end
        done;
-       let waited = Monotonic.now () -. t0 in
-       if !missing = 1 then
+       if !missing = 1 then begin
+         attributed := true;
          pool.stall <-
            Some
              (Om_guard.Om_error.Worker_stall
-                { worker = !culprit; round = pool.rounds; waited_s = waited })
-       else if !missing > 1 then
+                {
+                  worker = !culprit;
+                  round = pool.rounds;
+                  waited_s = Monotonic.now () -. t0;
+                })
+       end
+       else if !missing > 1 && not !timed_out then begin
+         timed_out := true;
          pool.stall <-
            Some
              (Om_guard.Om_error.Barrier_timeout
@@ -217,6 +228,7 @@ let supervisor_poll pool t0 =
                   missing = !missing;
                   deadline_s = pool.deadline;
                 })
+       end
      end);
     if Atomic.get pool.ndone < pool.nworkers then Unix.sleepf 20e-6
   done

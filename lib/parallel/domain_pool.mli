@@ -31,10 +31,11 @@ val create :
 
     [barrier_deadline] (seconds, default [0.] = disabled) arms stall
     detection: a round that outlives the deadline records a typed
-    {!Om_guard.Om_error.Worker_stall} / [Barrier_timeout] event,
-    retrievable with {!take_stall}.  Detection is advisory — the round
-    still waits for every worker, so a slow worker's writes are never
-    torn.
+    {!Om_guard.Om_error.Worker_stall} event for the one worker left
+    outstanding, or a [Barrier_timeout] if several stay outstanding
+    until the round completes; retrievable with {!take_stall}.
+    Detection is advisory — the round still waits for every worker, so
+    a slow worker's writes are never torn.
 
     [spawn_fail] is a fault-injection hook consulted per worker id
     before any domain is spawned ([Om_guard.Fault_plan.spawn_should_fail]
@@ -88,6 +89,3 @@ val round_timing : t -> float array
     the wall-clock seconds of the last {!round}, from publishing the
     generation to the last worker's completion.  Same aliasing contract
     as {!compute_seconds}. *)
-
-val last_round_seconds : t -> float
-(** [(round_timing t).(0)], for callers outside the hot path. *)

@@ -40,11 +40,7 @@ type t = {
 }
 
 let worker_tasks t = t.worker_tasks
-let nworkers t = t.nworkers
 let rounds t = Domain_pool.rounds t.pool
-let task_seconds t = t.task_seconds
-let worker_compute t = Domain_pool.compute_seconds t.pool
-let last_round_seconds t = Domain_pool.last_round_seconds t.pool
 let take_stall t = Domain_pool.take_stall t.pool
 
 let live_workers t =
@@ -232,7 +228,6 @@ type measured = {
 
 let executor m = m.exec
 let stats m = m.stats
-let semidynamic m = m.semidyn
 
 (* Initial cost estimates for the rescheduler: the static costs
    normalised to sum 1, so the per-round time shares observed later live
@@ -254,12 +249,9 @@ let create_measured ?spin_budget ?barrier_deadline ?fault ?semidynamic
     | Some period ->
         if Array.length tasks <> ntasks then
           invalid_arg "Par_exec.create_measured: tasks length mismatch";
-        let sd =
-          Sd.create ~period ~costs:(normalized desc.task_flops) tasks
-            ~nprocs:nworkers
-        in
-        Round_stats.set_live_makespan stats (Sd.current sd).Om_sched.Lpt.makespan;
-        Some sd
+        Some
+          (Sd.create ~period ~costs:(normalized desc.task_flops) tasks
+             ~nprocs:nworkers)
   in
   { exec; stats; semidyn; shares = Array.make ntasks 0.; scratch = [| 0. |] }
 
@@ -295,7 +287,6 @@ let measured_rhs_fn m time y ydot =
           set_assignment m.exec sched.Om_sched.Lpt.assignment;
           Round_stats.note_reschedule m.stats
             ~seconds:(Monotonic.now () -. t0)
-            ~makespan:sched.Om_sched.Lpt.makespan
         end
       end
 

@@ -104,25 +104,12 @@ val with_executor :
   'a
 (** [create], run the callback, and {!shutdown} even on exceptions. *)
 
-val nworkers : t -> int
-
 val rounds : t -> int
 (** Rounds executed so far. *)
 
 val worker_tasks : t -> int array array
 (** Task ids per worker, ascending — the materialised live assignment
     (mutated in place by {!set_assignment}). *)
-
-val task_seconds : t -> float array
-(** The per-task timing buffer: [(task_seconds t).(i)] is the wall
-    seconds task [i] took in the last round, measured on its worker.
-    The buffer itself (not a copy); stable only between rounds. *)
-
-val worker_compute : t -> float array
-(** {!Domain_pool.compute_seconds} of the underlying pool. *)
-
-val last_round_seconds : t -> float
-(** Wall seconds of the last round ({!Domain_pool.last_round_seconds}). *)
 
 (** {1 Measured execution}
 
@@ -186,4 +173,3 @@ val with_measured :
 
 val executor : measured -> t
 val stats : measured -> Round_stats.t
-val semidynamic : measured -> Om_sched.Semidynamic.t option

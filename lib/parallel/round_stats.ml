@@ -22,9 +22,8 @@ type t = {
 let i_round_seconds = 0 (* total wall time of all rounds *)
 let i_barrier_seconds = 1 (* total round time minus critical-path compute *)
 let i_resched_seconds = 2 (* supervisor time rebuilding schedules *)
-let i_live_makespan = 3 (* estimated makespan of the live schedule *)
-let i_scratch = 4 (* per-call scratch (max-compute of the round) *)
-let n_acc = 5
+let i_scratch = 3 (* per-call scratch (max-compute of the round) *)
+let n_acc = 4
 
 let create ~nworkers =
   if nworkers < 1 then invalid_arg "Round_stats.create: nworkers < 1";
@@ -36,15 +35,6 @@ let create ~nworkers =
     rounds = 0;
     reschedules = 0;
   }
-
-let reset t =
-  Array.fill t.compute 0 t.nworkers 0.;
-  Array.fill t.wait 0 t.nworkers 0.;
-  t.acc.(i_round_seconds) <- 0.;
-  t.acc.(i_barrier_seconds) <- 0.;
-  t.acc.(i_resched_seconds) <- 0.;
-  t.rounds <- 0;
-  t.reschedules <- 0
 
 let observe_round t ~timing ~compute =
   if Array.length compute <> t.nworkers then
@@ -67,19 +57,15 @@ let observe_round t ~timing ~compute =
   if barrier > 0. then
     t.acc.(i_barrier_seconds) <- t.acc.(i_barrier_seconds) +. barrier
 
-let note_reschedule t ~seconds ~makespan =
+let note_reschedule t ~seconds =
   t.reschedules <- t.reschedules + 1;
-  t.acc.(i_resched_seconds) <- t.acc.(i_resched_seconds) +. seconds;
-  t.acc.(i_live_makespan) <- makespan
+  t.acc.(i_resched_seconds) <- t.acc.(i_resched_seconds) +. seconds
 
-let set_live_makespan t makespan = t.acc.(i_live_makespan) <- makespan
-let nworkers t = t.nworkers
 let rounds t = t.rounds
 let reschedules t = t.reschedules
 let round_seconds t = t.acc.(i_round_seconds)
 let barrier_seconds t = t.acc.(i_barrier_seconds)
 let reschedule_seconds t = t.acc.(i_resched_seconds)
-let live_makespan t = t.acc.(i_live_makespan)
 let worker_compute t = Array.copy t.compute
 let worker_wait t = Array.copy t.wait
 
@@ -89,16 +75,3 @@ let utilization t =
   else
     Array.fold_left ( +. ) 0. t.compute /. (float_of_int t.nworkers *. total)
 
-let pp ppf t =
-  Format.fprintf ppf
-    "%d rounds on %d workers: %.6f s wall, utilization %.1f%%, %d \
-     reschedule(s) (%.6f s), barrier %.6f s@."
-    t.rounds t.nworkers
-    t.acc.(i_round_seconds)
-    (100. *. utilization t) t.reschedules
-    t.acc.(i_resched_seconds)
-    t.acc.(i_barrier_seconds);
-  for w = 0 to t.nworkers - 1 do
-    Format.fprintf ppf "  worker %d: compute %.6f s, wait %.6f s@." w
-      t.compute.(w) t.wait.(w)
-  done

@@ -3,9 +3,9 @@
     Accumulates, over the lifetime of a {!Par_exec} executor, what the
     machine simulator reports analytically: per-worker compute versus
     barrier-wait time, total round wall time, reschedule count and the
-    supervisor time spent rebuilding schedules, and the estimated
-    makespan of the live schedule.  {!Runtime.report} surfaces these
-    instead of the placeholder values real execution used to fake.
+    supervisor time spent rebuilding schedules.  {!Runtime.report}
+    surfaces these instead of the placeholder values real execution
+    used to fake.
 
     {!observe_round} is allocation-free: scalar accumulators live in a
     pre-allocated float array (a mutable [float] record field would box
@@ -24,19 +24,9 @@ val observe_round : t -> timing:float array -> compute:float array -> unit
     job seconds ({!Domain_pool.compute_seconds}).  Allocation-free.
     @raise Invalid_argument if [compute] is not [nworkers] long. *)
 
-val note_reschedule : t -> seconds:float -> makespan:float -> unit
-(** Record one schedule rebuild: the supervisor seconds it took and the
-    LPT-estimated makespan of the new schedule (in the rescheduler's
-    cost units). *)
+val note_reschedule : t -> seconds:float -> unit
+(** Record one schedule rebuild and the supervisor seconds it took. *)
 
-val set_live_makespan : t -> float -> unit
-(** Initialise the live-schedule makespan before the first rebuild. *)
-
-val reset : t -> unit
-(** Zero every accumulator (e.g. after warm-up rounds).  Keeps the
-    live-schedule makespan. *)
-
-val nworkers : t -> int
 val rounds : t -> int
 
 val round_seconds : t -> float
@@ -63,8 +53,3 @@ val reschedules : t -> int
 val reschedule_seconds : t -> float
 (** Supervisor wall-clock seconds spent rebuilding LPT schedules. *)
 
-val live_makespan : t -> float
-(** Estimated makespan of the schedule currently executing, in the
-    rescheduler's (normalised) cost units. *)
-
-val pp : Format.formatter -> t -> unit

@@ -155,6 +155,22 @@ let test_pool_stall_detection () =
       Alcotest.(check (array int)) "barrier waited for the straggler"
         [| 2; 2 |] done_flags)
 
+let test_pool_stall_attribution () =
+  (* Both workers are still busy at the deadline, but worker 1 arrives
+     long before worker 0: the stall belongs to worker 0, not to a
+     two-worker barrier timeout. *)
+  let job w = busy_wait (if w = 0 then 0.1 else 0.01) in
+  let pool = Domain_pool.create ~barrier_deadline:0.002 ~job 2 in
+  Fun.protect
+    ~finally:(fun () -> Domain_pool.shutdown pool)
+    (fun () ->
+      Domain_pool.round pool;
+      match Domain_pool.take_stall pool with
+      | Some (Om_guard.Om_error.Worker_stall { worker; _ }) ->
+          Alcotest.(check int) "slowest worker attributed" 0 worker
+      | Some e -> Alcotest.fail (Om_guard.Om_error.to_string e)
+      | None -> Alcotest.fail "stall not detected")
+
 let test_pool_spawn_fail () =
   (* Injected spawn failure: typed error, nothing leaks, and the same
      job can immediately be spawned without injection. *)
@@ -532,60 +548,6 @@ let test_measured_round_zero_alloc () =
   let d2 = words 550 in
   Alcotest.(check (float 0.)) "zero words per measured round" 0. (d2 -. d1)
 
-(* ---------- scaling JSON ---------- *)
-
-let test_scaling_json_nan () =
-  (* Non-finite measurements must serialise as null, never as the
-     invalid-JSON tokens nan/inf. *)
-  let module S = Om_parallel.Scaling in
-  let point =
-    {
-      S.workers = 2;
-      rounds = 10;
-      seconds = Float.nan;
-      rhs_per_sec = Float.infinity;
-      speedup = Float.neg_infinity;
-      identical = false;
-      first_diff = Some 3;
-      worker_compute = [| 0.5; Float.nan |];
-      worker_wait = [| 0.; 0.1 |];
-      reschedules = 1;
-    }
-  in
-  let series =
-    {
-      S.model = "nan-model";
-      dim = 4;
-      ntasks = 7;
-      semidynamic = Some 10;
-      points = [ point ];
-    }
-  in
-  let path = Filename.temp_file "scaling" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      S.write_json ~path ~ncores:4 [ series ];
-      let ic = open_in path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let contains sub =
-        let n = String.length text and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub text i m = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "nan serialised as null" true
-        (contains "\"seconds\": null");
-      Alcotest.(check bool) "nan inside float array serialised as null" true
-        (contains "null]");
-      Alcotest.(check bool) "first_diff index present" true
-        (contains "\"first_diff\": 3");
-      Alcotest.(check bool) "no nan token" false (contains "nan,");
-      Alcotest.(check bool) "no inf token" false (contains "inf"))
-
 let () =
   Alcotest.run "om_parallel"
     [
@@ -598,6 +560,8 @@ let () =
           Alcotest.test_case "typed fault passthrough" `Quick
             test_pool_typed_fault_passthrough;
           Alcotest.test_case "stall detection" `Quick test_pool_stall_detection;
+          Alcotest.test_case "stall attribution" `Quick
+            test_pool_stall_attribution;
           Alcotest.test_case "spawn failure" `Quick test_pool_spawn_fail;
         ] );
       ( "round_desc",
@@ -630,6 +594,4 @@ let () =
           Alcotest.test_case "semidynamic identical" `Quick
             test_identical_semidynamic;
         ] );
-      ( "scaling",
-        [ Alcotest.test_case "nan json" `Quick test_scaling_json_nan ] );
     ]

@@ -166,8 +166,23 @@ let prop_colored_fd_bitwise =
       done;
       !ok_structural && !ok_zero)
 
-(* The fd cost model the bench and the report advertise: one Jacobian
-   evaluation costs exactly [colors + 1] RHS calls. *)
+(* The fd cost model the report advertises: one Jacobian evaluation
+   costs exactly [colors + 1] RHS calls. *)
+let check_fd_cost name sys y ~colors =
+  let ctx =
+    match Jacobian.plan ~jac_mode:Odesys.Sparse sys with
+    | Jacobian.Sparse_plan c -> c
+    | _ -> Alcotest.fail (name ^ ": no sparse plan")
+  in
+  Alcotest.(check int) (name ^ " colors") colors
+    ctx.Jacobian.coloring.S.ncolors;
+  Odesys.reset_counters sys;
+  Jacobian.sparse_eval_into sys ctx 0. y;
+  Alcotest.(check int) (name ^ " jac_calls") 1
+    sys.Odesys.counters.Odesys.jac_calls;
+  Alcotest.(check int) (name ^ " rhs calls = colors + 1") (colors + 1)
+    sys.Odesys.counters.Odesys.rhs_calls
+
 let test_fd_evals_equals_colors_plus_one () =
   let n = 20 in
   let entries = ref [] in
@@ -178,18 +193,17 @@ let test_fd_evals_equals_colors_plus_one () =
   done;
   let pat = S.pattern_of_entries ~rows:n ~cols:n !entries in
   let sys = Odesys.make ~sparsity:pat ~dim:n (structural_rhs pat) in
-  let ctx =
-    match Jacobian.plan ~jac_mode:Odesys.Sparse sys with
-    | Jacobian.Sparse_plan c -> c
-    | _ -> Alcotest.fail "no sparse plan"
+  check_fd_cost "tridiagonal" sys (Array.make n 1.) ~colors:3;
+  (* A compiled model: method-of-lines heat at 401 states, whose
+     pattern is derived from its equations, colors with 3. *)
+  let heat = Om_pde.Discretize.heat_1d ~n:403 () in
+  let sys =
+    Odesys.of_equations ~with_symbolic_jacobian:false heat.equations
   in
-  Alcotest.(check int) "tridiagonal colors" 3 ctx.Jacobian.coloring.S.ncolors;
-  Odesys.reset_counters sys;
-  let y = Array.make n 1. in
-  Jacobian.sparse_eval_into sys ctx 0. y;
-  Alcotest.(check int) "jac_calls" 1 sys.Odesys.counters.Odesys.jac_calls;
-  Alcotest.(check int) "rhs calls = colors + 1" 4
-    sys.Odesys.counters.Odesys.rhs_calls
+  Alcotest.(check int) "heat states" 401 sys.Odesys.dim;
+  check_fd_cost "heat-401" sys
+    (Om_lang.Flat_model.initial_values heat)
+    ~colors:3
 
 (* ---------- sparse LU vs dense LU ---------- *)
 
