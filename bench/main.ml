@@ -498,7 +498,7 @@ let table_jacobian () =
     0.
   (* numeric jacobians cost RHS calls, already counted *);
   run "generated"
-    (Om_codegen.Jacobian_gen.to_odesys fm)
+    (Om_ode.Odesys.of_equations fm.equations)
     (Om_codegen.Jacobian_gen.flops jg);
   Printf.printf
     "\nPaper §3.2.1: providing the solver with a generated Jacobian \
@@ -848,13 +848,12 @@ let micro () =
     Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false heat.equations
   in
   let heat_y = Fm.initial_values heat in
-  let heat_n = Fm.dim heat in
-  let heat_ctx =
+  let heat_plan =
     match Om_ode.Jacobian.plan ~jac_mode:Om_ode.Odesys.Sparse heat_sys with
-    | Om_ode.Jacobian.Sparse_plan ctx -> ctx
-    | _ -> failwith "micro: sparse plan expected for heat"
+    | Om_ode.Jacobian.Sparse_plan _ as p -> p
+    | Om_ode.Jacobian.Dense_plan ->
+        failwith "micro: sparse plan expected for heat"
   in
-  let heat_jm = Om_ode.Linalg.make heat_n heat_n 0. in
   let alpha = 1.5 and beta = 1e-4 in
   let tests =
     Test.make_grouped ~name:"objectmath"
@@ -898,23 +897,12 @@ let micro () =
                brhs ~times ~y:by ~ydot:bydot ~lo:0 ~hi:width));
         Test.make ~name:"newton-heat-401-dense"
           (Staged.stage (fun () ->
-               Om_ode.Jacobian.eval_into heat_sys 0.01 heat_y heat_jm;
-               (* The Newton matrix alpha*I - beta*J, built in place. *)
-               Array.iteri
-                 (fun i row ->
-                   Array.iteri
-                     (fun k v ->
-                       row.(k) <- (if i = k then alpha else 0.) -. (beta *. v))
-                     row)
-                 heat_jm;
-               Om_ode.Linalg.lu_factor heat_jm));
+               Om_ode.Jacobian.newton_factor Om_ode.Jacobian.Dense_plan
+                 heat_sys 0.01 heat_y ~alpha ~beta));
         Test.make ~name:"newton-heat-401-sparse"
           (Staged.stage (fun () ->
-               Om_ode.Jacobian.sparse_eval_into heat_sys heat_ctx 0.01 heat_y;
-               Om_ode.Sparse.newton_assemble heat_ctx.newton ~jac:heat_ctx.sj
-                 ~alpha ~beta;
-               Om_ode.Sparse.lu_factor
-                 (Om_ode.Sparse.newton_matrix heat_ctx.newton)));
+               Om_ode.Jacobian.newton_factor heat_plan heat_sys 0.01 heat_y
+                 ~alpha ~beta));
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) () in

@@ -54,92 +54,6 @@ let density t =
 
 let flops t = Cse.block_cost t.block
 
-let pattern t =
-  Om_ode.Sparse.pattern_of_entries ~rows:t.dim ~cols:t.dim
-    (List.map (fun (r, c, _) -> (r, c)) t.entries)
-
-(* One register program for the CSE'd block over the layout states, [t],
-   temps: temps store to their env slots, root [j] to output slot [j].
-   Returns a runner loading [(t, y)] and executing into an output
-   buffer, plus each root's [(row, col)]. *)
-let compile_block t ~state_names =
-  let dim = t.dim in
-  if Array.length state_names <> dim then
-    invalid_arg "Jacobian_gen: state_names length mismatch";
-  let temps = Array.of_list t.block.temps in
-  let names =
-    Array.concat
-      [
-        state_names;
-        [| "t" |];
-        Array.map (fun (b : Cse.binding) -> b.name) temps;
-      ]
-  in
-  let n_roots = List.length t.block.roots in
-  let stmts =
-    Array.to_list
-      (Array.mapi
-         (fun i (b : Cse.binding) -> (b.expr, Om_expr.Vm.To_env (dim + 1 + i)))
-         temps)
-    @ List.mapi (fun j (_, e) -> (e, Om_expr.Vm.To_out j)) t.block.roots
-  in
-  let program =
-    Om_expr.Vm.compile_stmts
-      ~private_env_slot:(fun s -> s > dim)
-      ~out_size:n_roots (Om_expr.Layout.of_names names) stmts
-  in
-  let env = Array.make (Array.length names) 0. in
-  let out = Array.make n_roots 0. in
-  let run time y =
-    Array.blit y 0 env 0 dim;
-    env.(dim) <- time;
-    Om_expr.Vm.exec program ~env ~out;
-    out
-  in
-  (run, List.map (fun (tgt, _) -> target_coords tgt) t.block.roots)
-
-let compile t ~state_names =
-  let dim = t.dim in
-  let run, coords = compile_block t ~state_names in
-  let coords = Array.of_list coords in
-  fun time y (m : Om_ode.Linalg.mat) ->
-    let out = run time y in
-    Array.iter (fun row -> Array.fill row 0 dim 0.) m;
-    Array.iteri (fun j (r, c) -> m.(r).(c) <- out.(j)) coords
-
-let compile_values t ~state_names =
-  let run, coords = compile_block t ~state_names in
-  let pat = pattern t in
-  (* Each root lands at its compressed slot in [pat]'s CSR value order,
-     so the closure matches [Odesys.t.sjac]'s contract. *)
-  let slots =
-    Array.of_list
-      (List.map
-         (fun (r, c) ->
-           let k = Om_ode.Sparse.index pat r c in
-           assert (k >= 0);
-           k)
-         coords)
-  in
-  let nnz = Om_ode.Sparse.nnz pat in
-  let f time y (v : float array) =
-    let out = run time y in
-    Array.fill v 0 nnz 0.;
-    Array.iteri (fun j k -> v.(k) <- out.(j)) slots
-  in
-  (pat, f)
-
-let to_odesys (fm : Om_lang.Flat_model.t) =
-  let state_names = Om_lang.Flat_model.state_names fm in
-  let base =
-    Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false fm.equations
-  in
-  let g = generate fm in
-  let jac = compile g ~state_names in
-  let sparsity, sjac = compile_values g ~state_names in
-  Om_ode.Odesys.make ~names:state_names ~jac ~sparsity ~sjac ~dim:base.dim
-    base.f
-
 let fortran t ~state_names ~model_name =
   let buf = Buffer.create 4096 in
   let n_lines = ref 0 in

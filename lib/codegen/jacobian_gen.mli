@@ -7,8 +7,10 @@
     time might be reduced drastically."
 
     This module derives the sparse Jacobian [df_i/dy_j] of a flat model
-    symbolically, shares work across entries with CSE, and provides both
-    an executable closure (for {!Om_ode.Odesys.t}) and Fortran 90 text. *)
+    symbolically, shares work across entries with CSE, and prints it as
+    the Fortran 90 [JAC] subroutine; its entry count, density and flop
+    cost feed {!Stats}.  The executable symbolic Jacobian the solvers run
+    is {!Om_ode.Odesys.of_equations}'s. *)
 
 type t = {
   dim : int;
@@ -31,31 +33,6 @@ val flops : t -> float
 (** Mean-branch flop cost of one Jacobian evaluation through the CSE'd
     block (compare with [dim + 1] RHS evaluations for the numeric
     difference approximation). *)
-
-val compile :
-  t -> state_names:string array ->
-  float -> float array -> Om_ode.Linalg.mat -> unit
-(** Executable form, suitable for [Odesys.make ~jac]. *)
-
-val pattern : t -> Om_ode.Sparse.pattern
-(** CSR sparsity pattern of the structurally nonzero entries (those whose
-    symbolic derivative is not identically zero). *)
-
-val compile_values :
-  t ->
-  state_names:string array ->
-  Om_ode.Sparse.pattern * (float -> float array -> float array -> unit)
-(** Compressed executable form: the pattern together with a closure
-    writing the entry values in the pattern's CSR order, suitable for
-    [Odesys.make ~sparsity ~sjac].  Shares the CSE'd block with
-    {!compile}, so dense and compressed evaluations are bitwise equal
-    entry for entry. *)
-
-val to_odesys : Om_lang.Flat_model.t -> Om_ode.Odesys.t
-(** Build an ODE system whose RHS is the direct evaluation of the model
-    and whose Jacobian is the generated sparse code — attached both as a
-    dense writer ([jac]) and as a compressed-column pair
-    ([sparsity]/[sjac]), so every {!Odesys.jac_mode} is available. *)
 
 val fortran : t -> state_names:string array -> model_name:string -> Fortran.source
 (** A [subroutine JAC(t, yin, pd)] filling the dense matrix [pd]

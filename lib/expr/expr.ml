@@ -104,7 +104,6 @@ let two = Const 2.
 let minus_one = Const (-1.)
 let pi = Const (Float.pi)
 let is_const = function Const _ -> true | _ -> false
-let const_value = function Const x -> Some x | _ -> None
 
 (* Split a product term into (numeric coefficient, remaining factors).  Used
    by [add] to collect like terms: 2*x and 3*x merge into 5*x. *)

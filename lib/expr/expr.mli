@@ -117,7 +117,6 @@ val ( ~- ) : t -> t
 (** {1 Inspection} *)
 
 val is_const : t -> bool
-val const_value : t -> float option
 
 val children : t -> t list
 (** Immediate sub-expressions, including those inside conditions. *)

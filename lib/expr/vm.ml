@@ -631,7 +631,6 @@ let raw p =
 (* ---- inspection ---- *)
 
 let length p = Array.length p.code / Vm_code.stride
-let reg_count p = p.nregs
 let result_reg p = p.result
 let instructions p = Vm_code.decode p.code p.consts
 

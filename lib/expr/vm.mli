@@ -117,8 +117,6 @@ val raw : program -> raw
 val length : program -> int
 (** Instruction count. *)
 
-val reg_count : program -> int
-
 val result_reg : program -> int
 (** Register holding the final value, or [-1] for statement programs. *)
 

@@ -251,8 +251,3 @@ let round_desc m ~nworkers ~strategy (d : Round_desc.t) =
   round m ~nworkers ~assignment:d.assignment ~task_flops:d.task_flops
     ~task_reads:d.task_reads ~task_writes:d.task_writes
     ~state_dim:d.state_dim ~strategy
-
-let tree_round_desc m ~fanout ~nworkers (d : Round_desc.t) =
-  tree_round m ~fanout ~nworkers ~assignment:d.assignment
-    ~task_flops:d.task_flops ~task_reads:d.task_reads
-    ~task_writes:d.task_writes ~state_dim:d.state_dim

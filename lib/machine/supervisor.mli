@@ -96,6 +96,3 @@ val tree_round :
     broadcast strategy is meaningful here.
     @raise Invalid_argument if [fanout < 2] or [nworkers < 1]. *)
 
-val tree_round_desc :
-  Machine.t -> fanout:int -> nworkers:int -> Round_desc.t -> round_result
-(** {!tree_round} on a shared {!Round_desc.t}. *)

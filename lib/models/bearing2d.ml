@@ -1,5 +1,3 @@
-let default_tend = 0.05
-
 (* Raceway profile correction: a truncated harmonic series in the roller
    position (raceway waviness / out-of-roundness, standard in rolling
    bearing dynamics).  The terms involve the compression, so the cost sits

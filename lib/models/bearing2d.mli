@@ -22,9 +22,6 @@ val source : ?n_rollers:int -> unit -> string
 val model : ?n_rollers:int -> unit -> Om_lang.Flat_model.t
 (** Parsed and flattened. *)
 
-val default_tend : float
-(** A simulated time span suitable for the performance experiments. *)
-
 val default_profile_order : int
 
 val generate :

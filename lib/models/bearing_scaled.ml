@@ -1,5 +1,3 @@
-let default_tend = 0.02
-
 let source ?(n_rollers = 30) ?(profile_order = 40) () =
   Bearing2d.generate ~model_name:"Bearing3DScale" ~n_rollers ~profile_order
 

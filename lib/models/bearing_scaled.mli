@@ -15,4 +15,3 @@ val source : ?n_rollers:int -> ?profile_order:int -> unit -> string
 val model :
   ?n_rollers:int -> ?profile_order:int -> unit -> Om_lang.Flat_model.t
 
-val default_tend : float

@@ -1,5 +1,3 @@
-let default_tend = 600.
-
 let gate_class = {|
 class Gate
   parameter tau_servo = 2.5;      // throttle actuator time constant [s]

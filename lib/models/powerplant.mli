@@ -16,4 +16,3 @@ val source : ?n_gates:int -> unit -> string
 
 val model : ?n_gates:int -> unit -> Om_lang.Flat_model.t
 
-val default_tend : float

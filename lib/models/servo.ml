@@ -1,5 +1,3 @@
-let default_tend = 5.
-
 (* A two-axis positioning servo: each axis is a composite (controller,
    motor, integrator, compliant load, sensor) built with parts; the two
    axes are an instance array.  The axes are mutually independent, so the

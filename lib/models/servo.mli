@@ -10,4 +10,3 @@
 
 val source : unit -> string
 val model : unit -> Om_lang.Flat_model.t
-val default_tend : float

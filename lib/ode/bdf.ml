@@ -1,38 +1,21 @@
-let solve_implicit_stage_with (jplan : Jacobian.plan) (sys : Odesys.t) ~tol
+let solve_implicit_stage (jplan : Jacobian.plan) (sys : Odesys.t) ~tol
     ~max_iter ~t_next ~beta_h ~rhs_const ~alpha0 ~y_guess =
   let n = sys.dim in
-  (* A structurally/numerically singular Newton matrix can never
-     converge, so it joins the Newton taxonomy instead of escaping as a
-     raw linear-algebra exception (callers like LSODA answer
-     [Newton_failure] with step reduction). *)
-  let singular () =
-    Om_guard.Om_error.(
-      error (Newton_failure { time = t_next; iterations = 0 }))
-  in
   (* Modified Newton: factor [alpha0*I - beta_h*J] at the predictor and
-     reuse the factorisation for every iteration of this step.  With a
-     sparsity pattern the Jacobian is evaluated in compressed colored columns and factored
-     by the sparse LU — bitwise the dense results (see {!Sparse}). *)
+     reuse the factorisation for every iteration of this step. *)
   let solve =
-    match jplan with
-    | Jacobian.Sparse_plan ctx -> (
-        Jacobian.sparse_eval_into sys ctx t_next y_guess;
-        Sparse.newton_assemble ctx.newton ~jac:ctx.sj ~alpha:alpha0
-          ~beta:beta_h;
-        match Sparse.lu_factor (Sparse.newton_matrix ctx.newton) with
-        | lu -> Sparse.lu_solve lu
-        | exception Linalg.Singular _ -> singular ())
-    | Jacobian.Dense_plan -> (
-        let j = Linalg.make n n 0. in
-        Jacobian.eval_into sys t_next y_guess j;
-        let m =
-          Array.init n (fun i ->
-              Array.init n (fun k ->
-                  (if i = k then alpha0 else 0.) -. (beta_h *. j.(i).(k))))
-        in
-        match Linalg.lu_factor m with
-        | lu -> Linalg.lu_solve lu
-        | exception Linalg.Singular _ -> singular ())
+    match
+      Jacobian.newton_factor jplan sys t_next y_guess ~alpha:alpha0
+        ~beta:beta_h
+    with
+    | solve -> solve
+    | exception Linalg.Singular _ ->
+        (* A singular Newton matrix can never converge, so it joins the
+           Newton taxonomy instead of escaping as a raw linear-algebra
+           exception (callers like LSODA answer [Newton_failure] with
+           step reduction). *)
+        Om_guard.Om_error.(
+          error (Newton_failure { time = t_next; iterations = 0 }))
   in
   sys.counters.lu_factorisations <- sys.counters.lu_factorisations + 1;
   let y = Array.copy y_guess in
@@ -58,11 +41,6 @@ let solve_implicit_stage_with (jplan : Jacobian.plan) (sys : Odesys.t) ~tol
   in
   iterate 0;
   y
-
-let solve_implicit_stage ?jac_mode (sys : Odesys.t) ~tol ~max_iter ~t_next
-    ~beta_h ~rhs_const ~alpha0 ~y_guess =
-  solve_implicit_stage_with (Jacobian.plan ?jac_mode sys)
-    sys ~tol ~max_iter ~t_next ~beta_h ~rhs_const ~alpha0 ~y_guess
 
 (* alpha0 and history coefficients of fixed-step BDF k:
    alpha0 * y_{n+1} = sum_i coeff_i * y_{n-i} + h * f_{n+1}. *)
@@ -99,7 +77,7 @@ let integrate ?(order = 2) ?(newton_tol = 1e-10) ?(max_newton = 25) ?jac_mode
     in
     let t_next = !t +. h' in
     let y =
-      solve_implicit_stage_with jplan sys ~tol:newton_tol
+      solve_implicit_stage jplan sys ~tol:newton_tol
         ~max_iter:max_newton ~t_next ~beta_h:h' ~rhs_const ~alpha0
         ~y_guess:harr.(0)
     in

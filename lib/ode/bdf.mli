@@ -4,9 +4,10 @@
     stiff ODEs").
 
     Fixed step size.  The Newton iteration matrix [I - h*beta*J] is
-    factorised once per step and reused across iterations (modified
-    Newton); the Jacobian comes from the system's analytic function when
-    available, otherwise finite differences.  [jac_mode] selects the
+    factorised once per step by {!Jacobian.newton_factor} and reused
+    across iterations (modified Newton); the Jacobian comes from the
+    system's analytic function when available, otherwise finite
+    differences.  [jac_mode] selects the
     dense or sparse Newton path ({!Odesys.jac_mode}, default [Auto]),
     with the sparse path producing trajectories bitwise equal
     to the dense one (see {!Sparse}). *)
@@ -31,24 +32,6 @@ val integrate :
     converge or the iteration matrix is singular. *)
 
 val solve_implicit_stage :
-  ?jac_mode:Odesys.jac_mode ->
-  Odesys.t ->
-  tol:float ->
-  max_iter:int ->
-  t_next:float ->
-  beta_h:float ->
-  rhs_const:float array ->
-  alpha0:float ->
-  y_guess:float array ->
-  float array
-(** Solve [alpha0 * y = rhs_const + beta_h * f(t_next, y)] by modified
-    Newton; shared with the LSODA-style driver.  Resolves the Jacobian
-    plan per call; drivers that step repeatedly should resolve once with
-    {!Jacobian.plan} and call {!solve_implicit_stage_with}.
-    @raise Om_guard.Om_error.Error ([Newton_failure]) on non-convergence
-    or a singular iteration matrix. *)
-
-val solve_implicit_stage_with :
   Jacobian.plan ->
   Odesys.t ->
   tol:float ->
@@ -59,6 +42,9 @@ val solve_implicit_stage_with :
   alpha0:float ->
   y_guess:float array ->
   float array
-(** {!solve_implicit_stage} against a pre-resolved plan, so the sparse
-    workspace (pattern, coloring, fd buffers) is built once per
-    integration rather than once per step. *)
+(** Solve [alpha0 * y = rhs_const + beta_h * f(t_next, y)] by modified
+    Newton against a plan resolved once per integration with
+    {!Jacobian.plan}; shared with the LSODA-style driver.  The Newton
+    matrix comes from {!Jacobian.newton_factor} at [y_guess].
+    @raise Om_guard.Om_error.Error ([Newton_failure]) on non-convergence
+    or a singular iteration matrix. *)

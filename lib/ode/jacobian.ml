@@ -48,43 +48,33 @@ type sparse_ctx = {
   batch : batch_rhs option;
 }
 
-let sparse_ctx ?batch (sys : Odesys.t) =
-  match sys.sparsity with
-  | None -> None
-  | Some spat ->
-      let coloring = Sparse.color_columns spat in
-      Some
-        {
-          spat;
-          coloring;
-          sj = Sparse.create spat;
-          fd = Sparse.make_fd_ws spat coloring;
-          f0 = Array.make sys.dim 0.;
-          newton = Sparse.make_newton spat;
-          batch;
-        }
+let sparse_ctx ?batch (sys : Odesys.t) spat =
+  let coloring = Sparse.color_columns spat in
+  {
+    spat;
+    coloring;
+    sj = Sparse.create spat;
+    fd = Sparse.make_fd_ws spat coloring;
+    f0 = Array.make sys.dim 0.;
+    newton = Sparse.make_newton spat;
+    batch;
+  }
 
 type plan = Dense_plan | Sparse_plan of sparse_ctx
 
-let auto_dim_min = 16
-let auto_density_max = 0.25
+(* The pattern the sparse path would run on, or [None] for the dense
+   path: the one statement of the [Auto] rule that [plan] documents. *)
+let sparse_pattern jac_mode (sys : Odesys.t) =
+  match (jac_mode, sys.sparsity) with
+  | Odesys.Dense, _ | _, None -> None
+  | Odesys.Sparse, Some p -> Some p
+  | Odesys.Auto, Some p ->
+      if sys.dim >= 16 && Sparse.density p <= 0.25 then Some p else None
 
 let plan ?(jac_mode = Odesys.Auto) ?batch (sys : Odesys.t) =
-  match jac_mode with
-  | Odesys.Dense -> Dense_plan
-  | Odesys.Sparse -> (
-      match sparse_ctx ?batch sys with
-      | Some c -> Sparse_plan c
-      | None -> Dense_plan)
-  | Odesys.Auto -> (
-      match sys.sparsity with
-      | Some p
-        when sys.dim >= auto_dim_min && Sparse.density p <= auto_density_max
-        -> (
-          match sparse_ctx ?batch sys with
-          | Some c -> Sparse_plan c
-          | None -> Dense_plan)
-      | _ -> Dense_plan)
+  match sparse_pattern jac_mode sys with
+  | None -> Dense_plan
+  | Some spat -> Sparse_plan (sparse_ctx ?batch sys spat)
 
 let sparse_eval_into ?eps (sys : Odesys.t) ctx t y =
   sys.counters.jac_calls <- sys.counters.jac_calls + 1;
@@ -107,26 +97,26 @@ let sparse_eval_into ?eps (sys : Odesys.t) ctx t y =
           done);
       Sparse.fd_scatter ctx.fd ~f0:ctx.f0 ~jac:ctx.sj
 
-let mode_stats ?(jac_mode = Odesys.Auto) (sys : Odesys.t) =
-  let sparse_stats (p : Sparse.pattern) =
-    let c = Sparse.color_columns p in
-    ("sparse", Some (Sparse.nnz p, c.Sparse.ncolors))
-  in
-  match jac_mode with
-  | Odesys.Dense -> ("dense", None)
-  | Odesys.Sparse -> (
-      match sys.sparsity with
-      | Some p -> sparse_stats p
-      | None -> ("dense", None))
-  | Odesys.Auto -> (
-      match sys.sparsity with
-      | Some p
-        when sys.dim >= auto_dim_min && Sparse.density p <= auto_density_max
-        ->
-          sparse_stats p
-      | _ -> ("dense", None))
-
-let plan_stats = function
-  | Dense_plan -> ("dense", None)
+let newton_factor jplan (sys : Odesys.t) t y ~alpha ~beta =
+  match jplan with
   | Sparse_plan ctx ->
-      ("sparse", Some (Sparse.nnz ctx.spat, ctx.coloring.ncolors))
+      sparse_eval_into sys ctx t y;
+      Sparse.newton_assemble ctx.newton ~jac:ctx.sj ~alpha ~beta;
+      Sparse.lu_solve (Sparse.lu_factor (Sparse.newton_matrix ctx.newton))
+  | Dense_plan ->
+      let n = sys.dim in
+      let m = Linalg.make n n 0. in
+      eval_into sys t y m;
+      (* Overwrite J with the Newton matrix; [Linalg.lu_factor] factors
+         a copy. *)
+      for i = 0 to n - 1 do
+        for k = 0 to n - 1 do
+          m.(i).(k) <- (if i = k then alpha else 0.) -. (beta *. m.(i).(k))
+        done
+      done;
+      Linalg.lu_solve (Linalg.lu_factor m)
+
+let mode_stats ?(jac_mode = Odesys.Auto) (sys : Odesys.t) =
+  match sparse_pattern jac_mode sys with
+  | None -> ("dense", None)
+  | Some p -> ("sparse", Some (Sparse.nnz p, (Sparse.color_columns p).ncolors))

@@ -42,9 +42,6 @@ type sparse_ctx = {
     coloring, value storage, colored-fd buffers and the assembled
     [alpha*I - beta*J] matrix.  Built once by {!plan}. *)
 
-val sparse_ctx : ?batch:batch_rhs -> Odesys.t -> sparse_ctx option
-(** [None] when the system declares no sparsity pattern. *)
-
 (** Resolved Newton-matrix strategy for a whole integration. *)
 type plan = Dense_plan | Sparse_plan of sparse_ctx
 
@@ -66,12 +63,24 @@ val sparse_eval_into :
     [counters.jac_calls]; the fd path bumps [counters.rhs_calls] by
     [colors + 1]. *)
 
-val plan_stats : plan -> string * (int * int) option
-(** Human-readable mode name, plus [(nnz, colors)] for the sparse
-    plan — surfaced in the runtime report and [omc --jac-mode]. *)
+val newton_factor :
+  plan -> Odesys.t -> float -> float array -> alpha:float -> beta:float ->
+  float array -> float array
+(** [newton_factor plan sys t y ~alpha ~beta] evaluates J at [(t, y)]
+    through [plan], forms the Newton matrix [alpha*I - beta*J], factors
+    it and returns its solve — the one place the stiff solvers ({!Bdf},
+    {!Rosenbrock}) build that matrix.  The dense plan computes every
+    entry as [(if i = k then alpha else 0.) -. beta *. j.(i).(k)] and
+    factors with {!Linalg.lu_factor}; the sparse plan replays the same
+    arithmetic with {!Sparse.newton_assemble} and {!Sparse.lu_factor},
+    so both solves are bitwise equal.  Bumps [counters.jac_calls] (and
+    the fd path's [rhs_calls]) like the evaluation entry points; the
+    caller counts the factorisation.
+    @raise Linalg.Singular when the Newton matrix is singular. *)
 
 val mode_stats :
   ?jac_mode:Odesys.jac_mode -> Odesys.t -> string * (int * int) option
-(** {!plan_stats} of the plan {!plan} would resolve, without building
-    the sparse workspace — for reporting paths that never factor a
-    matrix themselves. *)
+(** Human-readable name of the mode {!plan} would resolve (["dense"] or
+    ["sparse"]), plus [(nnz, colors)] for the sparse one, without
+    building the sparse workspace — surfaced in the runtime report and
+    [omc --jac-mode]. *)

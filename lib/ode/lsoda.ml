@@ -120,7 +120,7 @@ let integrate ?(atol = 1e-8) ?(rtol = 1e-6) ?h0 ?(max_steps = 2_000_000)
       | None -> (1., Array.copy !y)
     in
     match
-      Bdf.solve_implicit_stage_with (Lazy.force jplan) sys ~tol:1e-8
+      Bdf.solve_implicit_stage (Lazy.force jplan) sys ~tol:1e-8
         ~max_iter:12 ~t_next ~beta_h:h' ~rhs_const ~alpha0 ~y_guess:pred
     with
     | exception Om_guard.Om_error.Error (Om_guard.Om_error.Newton_failure _)

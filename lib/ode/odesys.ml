@@ -56,9 +56,10 @@ let make ?names ?jac ?sparsity ?sjac ~dim f =
         a
     | None -> Array.init dim (Printf.sprintf "y%d")
   in
-  (match sparsity with
-  | Some (p : Sparse.pattern) when p.rows <> dim || p.cols <> dim ->
+  (match (sparsity, sjac) with
+  | Some (p : Sparse.pattern), _ when p.rows <> dim || p.cols <> dim ->
       invalid_arg "Odesys.make: sparsity shape mismatch"
+  | None, Some _ -> invalid_arg "Odesys.make: sjac without sparsity"
   | _ -> ());
   { dim; names; f; jac; symbolic = None; sparsity; sjac;
     counters = fresh_counters () }

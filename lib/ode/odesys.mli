@@ -64,7 +64,8 @@ val make :
   (float -> float array -> float array -> unit) ->
   t
 (** @raise Invalid_argument when [names] or [sparsity] shapes disagree
-    with [dim]. *)
+    with [dim], or when [sjac] comes without the [sparsity] that fixes
+    its value order. *)
 
 val rhs : t -> float -> float array -> float array
 (** Allocating wrapper around [f] that bumps the call counter. *)

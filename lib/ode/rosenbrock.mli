@@ -8,18 +8,9 @@
     multistep BDF family.
 
     This is the L-stable two-stage ROS2 scheme of Verwer et al. with
-    [gamma = 1 + 1/sqrt 2]; both stages reuse one LU factorisation. *)
-
-val step :
-  ?jac_mode:Odesys.jac_mode -> Odesys.t -> float -> float array -> float ->
-  float array
-(** [step sys t y h] advances one step of size [h].  Resolves the
-    Jacobian plan per call; see {!step_with} for repeated stepping. *)
-
-val step_with :
-  Jacobian.plan -> Odesys.t -> float -> float array -> float -> float array
-(** {!step} against a pre-resolved {!Jacobian.plan}, so the sparse
-    workspace is built once per integration rather than once per step. *)
+    [gamma = 1 + 1/sqrt 2]; both stages reuse one LU factorisation,
+    built by {!Jacobian.newton_factor} with [alpha = 1] and
+    [beta = gamma h]. *)
 
 val integrate :
   ?jac_mode:Odesys.jac_mode ->

@@ -478,8 +478,6 @@ let lu_factor (a : t) =
   done;
   { n; l_rp; l_ci; l_v; u_rp; u_ci; u_v; u_diag; piv = piv_ord }
 
-let lu_nnz lu = lu.n + Array.length lu.l_v + Array.length lu.u_v
-
 let lu_solve lu b =
   let n = lu.n in
   if Array.length b <> n then invalid_arg "Sparse.lu_solve: dimension mismatch";
@@ -498,95 +496,6 @@ let lu_solve lu b =
     x.(i) <- x.(i) /. lu.u_diag.(i)
   done;
   x
-
-(* ------------------------------------------------------------------ *)
-(* Fill-reducing ordering (reverse Cuthill–McKee)                      *)
-(* ------------------------------------------------------------------ *)
-
-let rcm_ordering p =
-  if p.rows <> p.cols then invalid_arg "Sparse.rcm_ordering: not square";
-  let n = p.rows in
-  (* Symmetrized adjacency: i ~ j iff (i,j) or (j,i) in the pattern. *)
-  let sym = Hashtbl.create (4 * nnz p) in
-  let adj = Array.make n [] in
-  let add i j =
-    if i <> j && not (Hashtbl.mem sym (i, j)) then begin
-      Hashtbl.replace sym (i, j) ();
-      adj.(i) <- j :: adj.(i)
-    end
-  in
-  for i = 0 to n - 1 do
-    for k = p.row_ptr.(i) to p.row_ptr.(i + 1) - 1 do
-      let j = p.col_ind.(k) in
-      add i j;
-      add j i
-    done
-  done;
-  let deg = Array.map List.length adj in
-  Array.iteri
-    (fun i l -> adj.(i) <- List.sort (fun a b -> compare (deg.(a), a) (deg.(b), b)) l)
-    adj;
-  let order = Array.make n 0 in
-  let visited = Array.make n false in
-  let count = ref 0 in
-  let q = Queue.create () in
-  let bfs_from s =
-    visited.(s) <- true;
-    Queue.push s q;
-    while not (Queue.is_empty q) do
-      let v = Queue.pop q in
-      order.(!count) <- v;
-      incr count;
-      List.iter
-        (fun w ->
-          if not visited.(w) then begin
-            visited.(w) <- true;
-            Queue.push w q
-          end)
-        adj.(v)
-    done
-  in
-  (* Start each component from a minimum-degree vertex. *)
-  let by_deg = Array.init n Fun.id in
-  Array.sort (fun a b -> compare (deg.(a), a) (deg.(b), b)) by_deg;
-  Array.iter (fun s -> if not visited.(s) then bfs_from s) by_deg;
-  (* Reverse for RCM. *)
-  Array.init n (fun k -> order.(n - 1 - k))
-
-let permute_symmetric (a : t) perm =
-  let p = a.pat in
-  if p.rows <> p.cols then invalid_arg "Sparse.permute_symmetric";
-  let n = p.rows in
-  if Array.length perm <> n then invalid_arg "Sparse.permute_symmetric: perm";
-  (* inv.(old) = new *)
-  let inv = Array.make n (-1) in
-  Array.iteri (fun k old -> inv.(old) <- k) perm;
-  Array.iter (fun v -> if v < 0 then invalid_arg "Sparse.permute_symmetric: not a permutation") inv;
-  let entries = ref [] in
-  for i = 0 to n - 1 do
-    for k = p.row_ptr.(i) to p.row_ptr.(i + 1) - 1 do
-      entries := (inv.(i), inv.(p.col_ind.(k))) :: !entries
-    done
-  done;
-  let pat = pattern_of_entries ~rows:n ~cols:n !entries in
-  let b = create pat in
-  for i = 0 to n - 1 do
-    for k = p.row_ptr.(i) to p.row_ptr.(i + 1) - 1 do
-      let s = index pat inv.(i) inv.(p.col_ind.(k)) in
-      b.v.(s) <- a.v.(k)
-    done
-  done;
-  b
-
-let solve_with_ordering (a : t) ~perm b =
-  let n = a.pat.rows in
-  let inv = Array.make n 0 in
-  Array.iteri (fun k old -> inv.(old) <- k) perm;
-  let pa = permute_symmetric a perm in
-  let lu = lu_factor pa in
-  let pb = Array.init n (fun k -> b.(perm.(k))) in
-  let px = lu_solve lu pb in
-  Array.init n (fun i -> px.(inv.(i)))
 
 (* ------------------------------------------------------------------ *)
 (* Newton iteration matrix  M = alpha*I - beta*J                       *)

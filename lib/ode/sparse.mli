@@ -103,32 +103,15 @@ type lu
 
 val lu_factor : t -> lu
 (** Left-looking factorisation with partial pivoting, numerically
-    identical to {!Linalg.lu_factor} (see the module preamble).
+    identical to {!Linalg.lu_factor} (see the module preamble).  It
+    keeps the natural row and column order: any fill-reducing
+    reordering would change the rounding and break that equality.
     @raise Linalg.Singular with the same pivot-step index as the dense
     code when a pivot column is exactly zero. *)
 
 val lu_solve : lu -> float array -> float array
 (** Bitwise-identical to {!Linalg.lu_solve} on the corresponding dense
     factorisation. *)
-
-val lu_nnz : lu -> int
-(** Stored entries of L and U including the unit/actual diagonals —
-    [nnz] of the input plus fill-in. *)
-
-val rcm_ordering : pattern -> int array
-(** Reverse Cuthill–McKee ordering of the symmetrized pattern:
-    [perm.(k)] is the original index placed at position [k].  A
-    fill-reducing symmetric permutation for the LU; note that any
-    reordering changes the rounding of the factorisation, so the
-    solvers only apply it when the caller asks (the bitwise
-    dense-equivalence guarantee holds for the natural order). *)
-
-val permute_symmetric : t -> int array -> t
-(** [P A Pᵀ] for the permutation [perm.(new) = old]. *)
-
-val solve_with_ordering : t -> perm:int array -> float array -> float array
-(** Solve [A x = b] by factoring the symmetrically permuted matrix and
-    unpermuting the solution; pair with {!rcm_ordering}. *)
 
 (** {1 Newton iteration matrix} *)
 

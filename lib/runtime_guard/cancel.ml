@@ -20,7 +20,6 @@ let elapsed t = t.now () -. t.t0
 let armed t = t.deadline_s > 0.
 let expired t = armed t && elapsed t > t.deadline_s
 let deadline_s t = if armed t then Some t.deadline_s else None
-let remaining_s t = if armed t then Some (t.deadline_s -. elapsed t) else None
 
 let check t =
   match Atomic.get t.reason with

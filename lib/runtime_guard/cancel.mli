@@ -41,10 +41,6 @@ val expired : t -> bool
 val deadline_s : t -> float option
 (** The armed deadline in seconds after creation, if any. *)
 
-val remaining_s : t -> float option
-(** Seconds until the deadline expires (negative once overdue); [None]
-    when disarmed. *)
-
 val check : t -> unit
 (** The polling point: returns unless the token was cancelled or its
     deadline expired.

@@ -230,7 +230,6 @@ let member v k =
   match v with Obj fields -> List.assoc_opt k fields | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 
 let to_float = function
   | Int n -> Some (float_of_int n)

@@ -40,7 +40,6 @@ val member : t -> string -> t option
 (** Field of an {!Obj} ([None] on missing field or non-object). *)
 
 val to_str : t -> string option
-val to_bool : t -> bool option
 
 val to_float : t -> float option
 (** {!Int} and {!Num} both convert. *)

@@ -437,6 +437,15 @@ let test_of_equations_errors () =
     (Invalid_argument "Odesys.of_equations: duplicate x") (fun () ->
       ignore (Odesys.of_equations [ ("x", E.var "x"); ("x", E.var "x") ]))
 
+(* A compressed Jacobian writer has no value order without a pattern,
+   so [make] refuses it instead of silently never calling it. *)
+let test_make_sjac_needs_sparsity () =
+  Alcotest.check_raises "sjac without sparsity"
+    (Invalid_argument "Odesys.make: sjac without sparsity") (fun () ->
+      ignore
+        (Odesys.make ~sjac:(fun _ _ v -> v.(0) <- -1.) ~dim:1
+           (fun _ y ydot -> ydot.(0) <- Float.neg y.(0))))
+
 (* The compiled RHS and the lazily compiled symbolic Jacobian of
    generated models, at seeded random states, against the tree walk:
    [f] against Eval.eval of each equation, [sjac] and [jac] against
@@ -787,9 +796,9 @@ let test_sparse_singular_newton_failure () =
         (Ge.Error (Ge.Newton_failure { time = 0.; iterations = 0 }))
         (fun () ->
           ignore
-            (Bdf.solve_implicit_stage ~jac_mode sys ~tol:1e-10 ~max_iter:4
-               ~t_next:0. ~beta_h:1. ~rhs_const:[| 0.; 0. |] ~alpha0:1.
-               ~y_guess:[| 1.; 1. |])))
+            (Bdf.solve_implicit_stage (Jacobian.plan ~jac_mode sys) sys
+               ~tol:1e-10 ~max_iter:4 ~t_next:0. ~beta_h:1.
+               ~rhs_const:[| 0.; 0. |] ~alpha0:1. ~y_guess:[| 1.; 1. |])))
     [ Odesys.Dense; Odesys.Sparse ]
 
 (* Every numeric-Jacobian entry point bumps jac_calls exactly once and
@@ -917,6 +926,8 @@ let () =
         [
           Alcotest.test_case "elaboration errors" `Quick
             test_of_equations_errors;
+          Alcotest.test_case "sjac needs sparsity" `Quick
+            test_make_sjac_needs_sparsity;
           Alcotest.test_case "counters" `Quick test_counters_reset;
           q prop_of_equations_matches_eval;
           Alcotest.test_case "counters printing" `Quick test_pp_counters;

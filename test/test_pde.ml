@@ -249,30 +249,12 @@ let test_wave_energy_conserved () =
 
 (* ---------- stiff PDE with sparse Newton ---------- *)
 
-let test_bdf_sparse_matches_dense () =
-  (* The generated dense and sparse Jacobian writers drive BDF to the
-     same trajectory, bit for bit. *)
-  let m = Dz.heat_1d ~n:31 () in
-  let y0 = Fm.initial_values m in
-  let run jac_mode =
-    let sys = Om_codegen.Jacobian_gen.to_odesys m in
-    Om_ode.Odesys.final_state
-      (Om_ode.Bdf.integrate ~order:2 ~jac_mode sys ~t0:0. ~y0 ~tend:0.1
-         ~h:2e-3)
-  in
-  let dense = run Om_ode.Odesys.Dense and sparse = run Om_ode.Odesys.Sparse in
-  Array.iteri
-    (fun i v ->
-      Alcotest.(check int64) (string_of_int i) (Int64.bits_of_float v)
-        (Int64.bits_of_float sparse.(i)))
-    dense
-
 let test_bdf_sparse_heat_accuracy () =
-  (* Stiff integration of the heat equation with the generated sparse
+  (* Stiff integration of the heat equation with the symbolic sparse
      Jacobian still matches the analytic mode decay. *)
   let alpha = 0.1 in
   let m = Dz.heat_1d ~n:31 ~alpha () in
-  let sys = Om_codegen.Jacobian_gen.to_odesys m in
+  let sys = Om_ode.Odesys.of_equations m.equations in
   let y0 = Fm.initial_values m in
   let tend = 0.5 in
   let tr =
@@ -329,8 +311,6 @@ let () =
           Alcotest.test_case "SCC structure" `Quick test_pde_scc_structure;
           Alcotest.test_case "banded jacobian" `Quick test_pde_jacobian_banded;
           Alcotest.test_case "parallelises" `Quick test_pde_parallelises;
-          Alcotest.test_case "sparse BDF matches dense" `Quick
-            test_bdf_sparse_matches_dense;
           Alcotest.test_case "sparse BDF accuracy" `Quick
             test_bdf_sparse_heat_accuracy;
         ] );
