@@ -737,6 +737,12 @@ let micro_pairs =
     ( "guard-powerplant",
       "objectmath/powerplant-rhs-bytecode",
       "objectmath/powerplant-rhs-guarded" );
+    (* What keeps the second program form: the 71 per-task programs
+       run one after the other (what Par_exec splits across domains)
+       against the merged program every sequential path runs. *)
+    ( "bearing-rhs-rounds",
+      "objectmath/bearing-rhs-rounds",
+      "objectmath/bearing-rhs-bytecode" );
     (* What keeps Vm_batch: 64 perturbed bearing states through the
        scalar VM one at a time, against one batched call at width 64. *)
     ( "ensemble-w64",
@@ -877,6 +883,16 @@ let micro () =
           (Staged.stage (fun () -> Om_ode.Linalg.lu_factor lu_mat));
         Test.make ~name:"bearing-rhs-bytecode"
           (Staged.stage (fun () -> P.rhs_fn r 0. y0 ydot));
+        Test.make ~name:"bearing-rhs-rounds"
+          (Staged.stage (fun () ->
+               let c = r.compiled in
+               c.set_state 0. y0;
+               Array.iter
+                 (fun (tk : Om_codegen.Bytecode_backend.compiled_task) ->
+                   tk.eval ())
+                 c.tasks;
+               c.run_epilogue ();
+               Array.blit c.out 0 ydot 0 c.dim));
         Test.make ~name:"bearing-rhs-guarded"
           (Staged.stage (fun () ->
                P.rhs_fn r 0. y0 ydot;

@@ -1,12 +1,13 @@
 (** Batched (SoA) execution of a compiled bytecode backend.
 
-    Wraps the register programs of a {!Bytecode_backend.t} into
-    {!Om_expr.Vm_batch} instances sharing one
-    structure-of-arrays environment, and exposes the batched right-hand
-    side [brhs]: per lane it computes exactly what
-    {!Bytecode_backend.rhs_fn} computes (set state, evaluate every task
-    in order, run the reduction epilogue, copy derivative slots out) —
-    Int64-bitwise, per the {!Om_expr.Vm_batch} contract.
+    Wraps the merged sequential program of a {!Bytecode_backend.t}
+    ({!Bytecode_backend.t.sequential}) and its epilogue program into two
+    {!Om_expr.Vm_batch} instances sharing one structure-of-arrays
+    environment, and exposes the batched right-hand side [brhs]: per
+    lane it computes exactly what {!Bytecode_backend.rhs_fn} computes
+    (set state, run the merged program, run the reduction epilogue,
+    copy derivative slots out) — Int64-bitwise, per the
+    {!Om_expr.Vm_batch} contract.
 
     The [brhs] signature matches {!Ode.Ensemble.brhs}, so a batch
     backend plugs directly into the lockstep ensemble steppers.

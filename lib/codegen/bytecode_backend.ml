@@ -17,6 +17,8 @@ type t = {
   tasks : compiled_task array;
   set_state : float -> float array -> unit;
   out : float array;
+  run_sequential : unit -> unit;
+  sequential : unit -> Om_expr.Vm.program;
   run_epilogue : unit -> unit;
   epilogue_program : Om_expr.Vm.program;
   epilogue_flops : float;
@@ -37,6 +39,18 @@ let slot_of_target s =
   | None -> invalid_arg "Bytecode_backend: bad slot target"
 
 let no_env = [||]
+
+(* A clone of [program ()] with its own register file, made on the
+   first call. *)
+let cloned_on_first_use program =
+  let clone = ref None in
+  fun () ->
+    match !clone with
+    | Some p -> p
+    | None ->
+        let p = Om_expr.Vm.clone_scratch (program ()) in
+        clone := Some p;
+        p
 
 let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
     ~state_names =
@@ -168,19 +182,42 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
   in
   let cse_temp_total = List.length temp_names in
   let epilogue_flops = plan.epilogue_flops in
+  (* The task programs merged into one (Vm.merge), built on first use
+     and shared by every instance.  Instances on several domains may
+     ask at once: the lock makes exactly one of them build it. *)
+  let merged = Atomic.make None in
+  let lock = Mutex.create () in
+  let sequential () =
+    match Atomic.get merged with
+    | Some p -> p
+    | None ->
+        Mutex.protect lock (fun () ->
+            match Atomic.get merged with
+            | Some p -> p
+            | None ->
+                let p =
+                  Om_expr.Vm.merge
+                    ~private_env_slot:(fun s -> s > dim)
+                    (List.map (fun (_, _, code, _, _, _, _) -> code) task_plans)
+                in
+                Atomic.set merged (Some p);
+                p)
+  in
   (* Instantiation binds the shared plans to fresh mutable scratch: the
-     env/out value arrays, a register file per task program
-     (Vm.clone_scratch) and the evaluation closures over them.
-     [compile] instantiates once; [clone_scratch] re-instantiates so
-     another executor can run the same artifact concurrently. *)
+     env/out value arrays, the evaluation closures over them and, on
+     first use, a register file for the merged program and for each
+     task program (Vm.clone_scratch) — an instance that only runs
+     sequentially never allocates the per-task ones.  [compile]
+     instantiates once; [clone_scratch] re-instantiates so another
+     executor can run the same artifact concurrently. *)
   let rec instantiate () =
     let env = Array.make env_size 0. in
     let out = Array.make out_size 0. in
     let build_task
-        (id, label, code, (temp_msteps, root_msteps), static_cost, reads,
+        (id, label, program, (temp_msteps, root_msteps), static_cost, reads,
          writes) =
-      let program = Om_expr.Vm.clone_scratch code in
-      let eval () = Om_expr.Vm.exec program ~env ~out in
+      let own = cloned_on_first_use (fun () -> program) in
+      let eval () = Om_expr.Vm.exec (own ()) ~env ~out in
       let measured_eval () =
         let acc = ref 0. in
         List.iter (fun (slot, f) -> env.(slot) <- f env acc) temp_msteps;
@@ -194,6 +231,8 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
       Array.blit y 0 env 0 dim;
       env.(dim) <- t
     in
+    let own_sequential = cloned_on_first_use sequential in
+    let run_sequential () = Om_expr.Vm.exec (own_sequential ()) ~env ~out in
     let epilogue_program = Om_expr.Vm.clone_scratch epilogue_code in
     let run_epilogue () =
       Om_expr.Vm.exec epilogue_program ~env:no_env ~out
@@ -204,6 +243,8 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
       tasks;
       set_state;
       out;
+      run_sequential;
+      sequential;
       run_epilogue;
       epilogue_program;
       epilogue_flops;
@@ -221,7 +262,7 @@ let clone_scratch c = c.fresh_scratch ()
 
 let rhs_fn c t y ydot =
   c.set_state t y;
-  Array.iter (fun tk -> tk.eval ()) c.tasks;
+  c.run_sequential ();
   c.run_epilogue ();
   Array.blit c.out 0 ydot 0 c.dim
 

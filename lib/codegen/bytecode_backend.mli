@@ -3,8 +3,9 @@
     The paper's generated Fortran 90 is compiled by an F90 compiler and
     linked with the runtime; here the equivalent executable artifact is a
     register-VM program per task ({!Om_expr.Vm}) over a shared value
-    environment, which the sequential driver and the machine simulator
-    both call.  Semantics match the textual backends exactly (same
+    environment, which the parallel executor runs, plus those programs
+    merged into one ({!t.sequential}), which every sequential path
+    runs.  Semantics match the textual backends exactly (same
     temps, same evaluation order). *)
 
 type cse_scope =
@@ -17,15 +18,18 @@ type compiled_task = {
   label : string;
   eval : unit -> unit;
       (** evaluate temps then roots; reads the state environment set by
-          {!set_state}, writes into {!out} *)
+          {!set_state}, writes into {!out}.  The parallel executor's
+          unit of work: sequential paths run {!t.run_sequential}
+          instead.  Allocates the task's register file on first call. *)
   measured_eval : unit -> float;
       (** like [eval] but returns the branch-resolved flop cost *)
   static_cost : float;  (** mean-branch estimate, includes temps *)
   reads : int list;
   writes : int list;
   program : Om_expr.Vm.program;
-      (** the task's register program, for disassembly and instruction
-          statistics *)
+      (** the task's register program, shared by every instance — for
+          disassembly, instruction statistics and {!Om_expr.Vm.merge},
+          never for execution *)
 }
 
 type t = {
@@ -34,6 +38,15 @@ type t = {
   tasks : compiled_task array;
   set_state : float -> float array -> unit;
   out : float array;  (** output slots: derivatives then partials *)
+  run_sequential : unit -> unit;
+      (** run every task's work as one program, {!sequential}: the
+          same [out] slots as each task's [eval] in order, Int64-bitwise.
+          Clones it (a register file) on first call. *)
+  sequential : unit -> Om_expr.Vm.program;
+      (** the task programs merged by {!Om_expr.Vm.merge}, built on
+          first call and shared by every instance of the artifact; safe
+          to call from several domains at once.  Engines that
+          reinterpret it (e.g. {!Batch_backend}) must not [exec] it. *)
   run_epilogue : unit -> unit;
   epilogue_program : Om_expr.Vm.program;
       (** the reduction-epilogue program, for engines that reinterpret it
@@ -63,17 +76,22 @@ val compile :
 val clone_scratch : t -> t
 (** An independently runnable instance of the same compiled artifact:
     the lowered register programs are shared —
-    they are immutable after {!compile} — while the value environment,
-    output slots, per-task register files and the evaluation closures
-    around them are fresh.  No re-lowering, CSE, peephole or validation
+    they are immutable after {!compile}, and so is the merged program
+    once built — while the value environment, output slots and the
+    evaluation closures around them are fresh, and the register files
+    are allocated on first use.  No re-lowering, CSE, peephole or validation
     happens, so the cost is a few array allocations: cheap enough to
     call at every job start.  Clone and original may execute
     concurrently from different domains; the serve layer clones one
     scratch per executor instead of locking the cached artifact. *)
 
 val rhs_fn : t -> float -> float array -> float array -> unit
-(** Sequential execution of every task plus the epilogue: the reference
-    semantics used for [Odesys.make].  When the plan splits no
+(** Sequential execution: set the state, run the merged program
+    ({!t.run_sequential}), run the epilogue, copy the derivatives out.
+    Int64-bitwise what a parallel round computes, since the merge
+    executes exactly the tasks' instructions minus exact repeats; the
+    reference semantics used for [Odesys.make].  Allocation-free after
+    the first call.  When the plan splits no
     assignment ([Partition.partition ~split_threshold:infinity]), each
     derivative is evaluated in {!Om_expr.Eval.eval}'s order and equals
     it bit for bit, up to the sign of zero ({!Om_expr.Vm}'s contract).

@@ -89,4 +89,4 @@ let compile_source ?config ?optimize source =
 let system_level_speedup a ~comm ~nprocs =
   Om_sched.Dag_sched.speedup a.condensed ~weights:a.scc_weights ~comm ~nprocs
 
-let rhs_fn r = Bytecode_backend.rhs_fn r.compiled
+let rhs_fn r t y ydot = Bytecode_backend.rhs_fn r.compiled t y ydot

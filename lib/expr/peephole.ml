@@ -55,6 +55,12 @@ type scratch = {
   mutable known : bool array;
   mutable uses : int array;
   mutable reg_map : int array;
+  mutable last_store : int array;
+      (* per env slot, kept at -1 between passes: the last live [ste]
+         to it before the instruction [fuse_pass] is at *)
+  mutable env_readers : int array;
+      (* per env slot, kept at 0 between passes: live instructions that
+         read it, during [dse_pass] *)
 }
 
 let scratch () =
@@ -72,14 +78,20 @@ let scratch () =
     known = [||];
     uses = [||];
     reg_map = [||];
+    last_store = [||];
+    env_readers = [||];
   }
 
-(* Grow [s] to hold [n] instructions and [nregs] registers. *)
-let reserve s n nregs =
+(* Grow [s] to hold [n] instructions, [nregs] registers and env slots
+   below [nslots].  The per-slot tables start at their resting value,
+   which the passes restore, so no program pays for the env size. *)
+let reserve s n nregs nslots =
   let grow a len fill =
     if Array.length a >= len then a
     else Array.make (max len (2 * Array.length a)) fill
   in
+  s.last_store <- grow s.last_store nslots (-1);
+  s.env_readers <- grow s.env_readers nslots 0;
   s.op <- grow s.op n 0;
   s.dst <- grow s.dst n 0;
   s.fa <- grow s.fa n 0;
@@ -98,7 +110,31 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
   let n = len / stride in
   if n = 0 then { p with code = [||] }
   else begin
-    reserve s n p.nregs;
+    (* The env slots the program names, whether it stores to any, and
+       whether to a private one: programs without stores (whole-RHS and
+       Jacobian programs) skip the per-slot bookkeeping below. *)
+    let nslots = ref 0 and stores = ref false and private_stores = ref false in
+    for i = 0 to n - 1 do
+      let w = i * stride in
+      let o = p.code.(w) in
+      let slot k = nslots := max !nslots (p.code.(w + k) + 1) in
+      if o = op_ldv then slot 2
+      else if o = op_vmul then begin
+        slot 2;
+        slot 3
+      end
+      else if o = op_vmacc then begin
+        slot 3;
+        slot 4
+      end
+      else if o = op_ste then begin
+        slot 4;
+        stores := true;
+        if private_env_slot p.code.(w + 4) then private_stores := true
+      end
+    done;
+    let stores = !stores and private_stores = !private_stores in
+    reserve s n p.nregs !nslots;
     let op = s.op and dst = s.dst and fa = s.fa and fb = s.fb and fc = s.fc in
     for i = 0 to n - 1 do
       op.(i) <- p.code.((i * stride) + 0);
@@ -158,16 +194,6 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
     (* Unique definition of register [r], or -1.  Multi-definition
        registers (If joins) are opaque to every pass. *)
     let def r = if defc.(r) = 1 then defi.(r) else -1 in
-    (* No store to env slot [s] strictly between instructions j and i.
-       Jumps are forward-only, so the instructions executed between two
-       program points lie within the program-order range. *)
-    let env_clean s j i =
-      let rec go k =
-        k >= i
-        || ((not (live.(k) && op.(k) = op_ste && fc.(k) = s)) && go (k + 1))
-      in
-      go (j + 1)
-    in
     (* ---- pass: constant folding and strength reduction ---- *)
     let fold_pass () =
       compute_defs ();
@@ -336,6 +362,13 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
     (* ---- pass: fusion and superinstructions ---- *)
     let fuse_pass () =
       compute_defs ();
+      let last_store = s.last_store in
+      (* No store to env slot [s] strictly between instruction [j] and
+         the one being rewritten: the last store before it precedes
+         [j].  Jumps are forward-only, so the instructions executed
+         between two program points lie within the program-order
+         range. *)
+      let env_clean s j = last_store.(s) < j in
       let changed = ref false in
       (* Rewrite instruction i once if a pattern applies.  Reading a
          fused operand's own operands is sound because registers are
@@ -365,8 +398,8 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
             end
             else if
               op.(j) = op_vmul
-              && env_clean fa.(j) j i
-              && env_clean fb.(j) j i
+              && env_clean fa.(j) j
+              && env_clean fb.(j) j
             then begin
               op.(i) <- op_vmacc;
               let sa = fa.(j) and sb = fb.(j) in
@@ -405,8 +438,8 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
           if
             ja >= 0 && jb >= 0 && ja < i && jb < i
             && op.(ja) = op_ldv && op.(jb) = op_ldv
-            && env_clean fa.(ja) ja i
-            && env_clean fa.(jb) jb i
+            && env_clean fa.(ja) ja
+            && env_clean fa.(jb) jb
           then begin
             op.(i) <- op_vmul;
             let sa = fa.(ja) and sb = fa.(jb) in
@@ -421,8 +454,8 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
           if
             ja >= 0 && jb >= 0 && ja < i && jb < i
             && op.(ja) = op_ldv && op.(jb) = op_ldv
-            && env_clean fa.(ja) ja i
-            && env_clean fa.(jb) jb i
+            && env_clean fa.(ja) ja
+            && env_clean fa.(jb) jb
           then begin
             op.(i) <- op_vmacc;
             let sa = fa.(ja) and sb = fa.(jb) in
@@ -436,11 +469,17 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
         else false
       in
       for i = 0 to n - 1 do
-        if live.(i) then
+        if live.(i) then begin
           while rewrite i do
             changed := true
-          done
+          done;
+          if op.(i) = op_ste then last_store.(fc.(i)) <- i
+        end
       done;
+      if stores then
+        for i = 0 to n - 1 do
+          if op.(i) = op_ste then last_store.(fc.(i)) <- -1
+        done;
       !changed
     in
     (* ---- pass: dead-store elimination ---- *)
@@ -450,20 +489,27 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
       for i = 0 to n - 1 do
         if live.(i) then iter_reg_reads i (fun r -> uses.(r) <- uses.(r) + 1)
       done;
-      let env_read s =
-        let found = ref false in
-        for i = 0 to n - 1 do
-          if live.(i) then begin
-            let o = op.(i) in
-            if
-              (o = op_ldv && fa.(i) = s)
-              || (o = op_vmul && (fa.(i) = s || fb.(i) = s))
-              || (o = op_vmacc && (fb.(i) = s || fc.(i) = s))
-            then found := true
+      let readers = s.env_readers in
+      (* Add [d] to the reader count of each env slot instruction [i]
+         reads.  Only stores to private slots consult the counts. *)
+      let count_env_reads i d =
+        if private_stores then begin
+          let o = op.(i) in
+          let add s = readers.(s) <- readers.(s) + d in
+          if o = op_ldv then add fa.(i)
+          else if o = op_vmul then begin
+            add fa.(i);
+            add fb.(i)
           end
-        done;
-        !found
+          else if o = op_vmacc then begin
+            add fb.(i);
+            add fc.(i)
+          end
+        end
       in
+      for i = 0 to n - 1 do
+        if live.(i) then count_env_reads i 1
+      done;
       let changed = ref false in
       let deleted = ref true in
       while !deleted do
@@ -475,11 +521,12 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
             then begin
               live.(i) <- false;
               iter_reg_reads i (fun r -> uses.(r) <- uses.(r) - 1);
+              count_env_reads i (-1);
               deleted := true;
               changed := true
             end
             else if
-              o = op_ste && private_env_slot fc.(i) && not (env_read fc.(i))
+              o = op_ste && private_env_slot fc.(i) && readers.(fc.(i)) = 0
             then begin
               (* A task-private CSE temporary every consumer of which
                  was folded away: the store itself is dead. *)
@@ -490,6 +537,10 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
             end
           end
         done
+      done;
+      (* Back to all zeros: subtract the readers still live. *)
+      for i = 0 to n - 1 do
+        if live.(i) then count_env_reads i (-1)
       done;
       !changed
     in

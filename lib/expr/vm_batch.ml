@@ -191,9 +191,12 @@ let compact code nregs result =
      28 emula   d <- env.(a) *. regs.(b)
      29 emulb   d <- regs.(a) *. env.(b)
 
-   Fusion is restricted to a def/use pair inside one jump-free segment
-   (no jump instruction or jump target strictly between them) — the
-   awake-lane set cannot change there, so the consumer reads env for
+   Fusion is restricted to a load whose register the whole program
+   reads exactly once ([reads] counts the virtual registers of the
+   scalar code, [jnot], [ste] and [sto] included — after compaction a
+   physical row serves many), to a def/use pair inside one jump-free
+   segment (no jump instruction or jump target strictly between them) —
+   the awake-lane set cannot change there, so the consumer reads env for
    exactly the lanes the [ldv] would have served — and to env slots not
    stored to ([ste]) in between.  [emula]/[emulb] keep the operand
    order of the original [mul] so NaN payload propagation stays
@@ -202,7 +205,27 @@ let compact code nregs result =
    code in place, never the scalar program's; jump targets are
    remapped over the deleted instructions. *)
 
-let fuse code =
+(* Reads of each virtual register in the scalar code; the result
+   register is also read after the program ends. *)
+let read_counts code nregs result =
+  let reads = Array.make (max nregs 1) 0 in
+  if result >= 0 then reads.(result) <- 1;
+  for i = 0 to (Array.length code / 5) - 1 do
+    let _, ka, kb, kc = Vm_code.field_kinds code.(i * 5) in
+    let count kind k =
+      if kind = Vm_code.K_reg then
+        let r = code.((i * 5) + k) in
+        reads.(r) <- reads.(r) + 1
+    in
+    count ka 2;
+    count kb 3;
+    count kc 4
+  done;
+  reads
+
+(* [read_once i]: the load at instruction [i] has one reader in the
+   whole program. *)
+let fuse ~read_once code =
   let nops = Array.length code / 5 in
   let boundary = Array.make (nops + 1) false in
   for i = 0 to nops - 1 do
@@ -216,7 +239,7 @@ let fuse code =
   let dead = Array.make (max nops 1) false in
   let changed = ref false in
   for i = 0 to nops - 1 do
-    if code.(i * 5) = 1 (* ldv *) then begin
+    if code.(i * 5) = 1 (* ldv *) && read_once i then begin
       let r = code.((i * 5) + 1) and e = code.((i * 5) + 2) in
       let j = ref (i + 1) in
       let halt = ref false and blocked = ref false in
@@ -342,7 +365,10 @@ let create (p : Vm.program) ~width =
   if width < 1 then invalid_arg "Vm_batch.create: width < 1";
   let r = Vm.raw p in
   let code, nregs, result = compact r.rw_code r.rw_nregs r.rw_result in
-  let code = fuse code in
+  let reads = read_counts r.rw_code r.rw_nregs r.rw_result in
+  let code =
+    fuse code ~read_once:(fun i -> reads.(r.rw_code.((i * 5) + 1)) = 1)
+  in
   let env_cols, out_cols =
     columns code ~env_size:r.rw_env_size ~out_size:r.rw_out_size
   in

@@ -30,9 +30,14 @@
     for batched execution, preserving per-lane semantics bitwise: the
     compiler's write-once virtual registers are renamed onto a small
     physical file by occurrence-interval reuse (a few hundred
-    [width]-float rows would fall out of cache), and single-use
-    [ldv]s are fused into their consumer as batch-only env-operand
-    opcodes, deleting a row round-trip per load.
+    [width]-float rows would fall out of cache), and [ldv]s are fused
+    into their consumer as batch-only env-operand opcodes, deleting a
+    row round-trip per load.  A load is fused only when its register
+    has exactly one reader in the whole program — [jnot], [ste] and
+    [sto] reads counted, and an expression program's result register
+    counted as read — and that reader sits in the load's jump-free
+    segment with no store to the loaded slot in between: a load shared
+    across a branch (as {!Vm.merge} produces) keeps its row.
 
     {b Concurrency.}  All mutable state is lane-indexed, so disjoint
     lane ranges of the same instance may run concurrently from

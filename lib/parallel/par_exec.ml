@@ -6,9 +6,10 @@
    worker.  Domain safety rests on three properties of the compiled
    form:
 
-   - every task owns its register program and therefore its scratch
-     register file (Om_expr.Vm allocates one per program), and a task is
-     assigned to exactly one worker;
+   - every task owns its scratch register file (allocated on its first
+     [eval]; only this executor runs the per-task programs — sequential
+     paths run them merged into one), and a task is assigned to exactly
+     one worker per round;
    - CSE temporaries are task-private environment slots (per-task
      prefixes), so concurrent [ste] stores from different tasks hit
      disjoint indices of the shared [env] float array;

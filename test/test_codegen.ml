@@ -732,6 +732,156 @@ let test_pipeline_rhs_equivalence () =
       Alcotest.(check (float 1e-10)) (Printf.sprintf "deriv %d" i) v d2.(i))
     d1
 
+(* ---------- the merged sequential program ---------- *)
+
+(* One per-task round, as the parallel executor computes it: every
+   task's own program in order, then the epilogue. *)
+let per_task_rhs (c : Bc.t) t y ydot =
+  c.set_state t y;
+  Array.iter (fun (tk : Bc.compiled_task) -> tk.eval ()) c.tasks;
+  c.run_epilogue ();
+  Array.blit c.out 0 ydot 0 c.dim
+
+let check_bits_array what a b =
+  Array.iteri
+    (fun i x ->
+      if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then
+        Alcotest.failf "%s %d: %h vs %h" what i x b.(i))
+    a
+
+let check_merged_rounds name m ~h =
+  (* 200 RK4 steps through the merged program and through the per-task
+     rounds, on separate instances of one compile. *)
+  let r = P.compile m in
+  let seq = P.clone_scratch r in
+  let rk4 f =
+    let dim = r.compiled.dim in
+    let sys = Om_ode.Odesys.make ~dim f in
+    Om_ode.Rk.integrate_fixed Om_ode.Rk.rk4 sys ~t0:0. ~y0:(Fm.initial_values m)
+      ~tend:(200. *. h) ~h
+  in
+  let a = rk4 (per_task_rhs r.compiled) and b = rk4 (P.rhs_fn seq) in
+  Alcotest.(check int) (name ^ ": steps") (Array.length a.ts)
+    (Array.length b.ts);
+  Alcotest.(check bool) (name ^ ": at least 200 steps") true
+    (Array.length a.ts > 200);
+  Array.iteri
+    (fun k y -> check_bits_array (Printf.sprintf "%s step %d state" name k) y
+        b.states.(k))
+    a.states
+
+let test_merged_bearing () =
+  check_merged_rounds "bearing2d" (Om_models.Bearing2d.model ()) ~h:1e-5
+
+let test_merged_powerplant () =
+  check_merged_rounds "powerplant" (Om_models.Powerplant.model ()) ~h:1e-2
+
+let test_merged_servo () =
+  check_merged_rounds "servo" (Om_models.Servo.model ()) ~h:1e-3
+
+let test_merged_heat () =
+  check_merged_rounds "heat-500" (Om_pde.Discretize.heat_1d ~n:500 ()) ~h:1e-7
+
+let test_merged_smaller () =
+  (* Per-task CSE repeats loads, constants and shared subterms in every
+     task; the merge keeps one of each (8,668 of 13,295 instructions,
+     epilogue included, when this was written). *)
+  let r = P.compile (Om_models.Bearing2d.model ()) in
+  let per_task =
+    Array.fold_left
+      (fun n (tk : Bc.compiled_task) -> n + Om_expr.Vm.length tk.program)
+      0 r.compiled.tasks
+  in
+  let merged = Om_expr.Vm.length (r.compiled.sequential ()) in
+  if not (10 * merged < 8 * per_task) then
+    Alcotest.failf "merged %d instructions, per-task %d" merged per_task
+
+let test_merged_zero_alloc () =
+  let r = P.compile (Om_models.Bearing2d.model ()) in
+  let y = Fm.initial_values r.model in
+  let ydot = Array.make r.compiled.dim 0. in
+  let words n =
+    P.rhs_fn r 0. y ydot;
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      P.rhs_fn r 0. y ydot
+    done;
+    Gc.minor_words () -. before
+  in
+  let d1 = words 20 in
+  let d2 = words 220 in
+  Alcotest.(check (float 0.)) "zero words per call" 0. (d2 -. d1)
+
+(* [vac] is loaded once in the merged program, read by the [sqr] of the
+   first equation and by the condition of the second, across the jump
+   boundary.  Vm_batch's load fusion once counted readers only up to
+   that boundary, fused the load into the [sqr] and left the condition
+   reading a stale row. *)
+let shared_load_source =
+  {|model SharedLoad;
+    class C
+      alias qaa = 1.0;
+      variable vab init 0.5;
+      variable vac init 2.0;
+      variable vbb init 0.25;
+      equation der(vab) = vac ^ 2.0;
+      equation der(vac) = if vac >= qaa then 0.75 else vab;
+      equation der(vbb) = vab;
+    end
+    instance rba of C;|}
+
+let vac_slot (c : Bc.t) =
+  let rec find i = if c.state_names.(i) = "rba.vac" then i else find (i + 1) in
+  find 0
+
+let test_merged_batch_shared_load () =
+  let r = P.compile (tiny_model shared_load_source) in
+  let c = r.compiled in
+  let p = c.sequential () in
+  let scalar = Om_expr.Vm.clone_scratch p in
+  let batch = Om_expr.Vm_batch.create p ~width:1 in
+  let env_size = (Om_expr.Vm.raw p).rw_env_size in
+  List.iter
+    (fun vac ->
+      let env = Array.make env_size 0. in
+      Array.blit (Fm.initial_values r.model) 0 env 0 c.dim;
+      env.(vac_slot c) <- vac;
+      let out = Array.make c.n_slots 0. in
+      Om_expr.Vm.exec scalar ~env ~out;
+      let benv = Array.map (fun v -> [| v |]) env in
+      let bout = Array.init c.n_slots (fun _ -> [| nan |]) in
+      Om_expr.Vm_batch.exec batch ~env:benv ~out:bout ~lo:0 ~hi:1;
+      check_bits_array
+        (Printf.sprintf "vac=%g: batch vs scalar out" vac)
+        out
+        (Array.map (fun col -> col.(0)) bout))
+    [ 2.0; 0.5; 1.0 ]
+
+let test_merged_batch_lanes () =
+  (* Lanes on both sides of the branch through Batch_backend, each
+     against the scalar rhs_fn. *)
+  let r = P.compile (tiny_model shared_load_source) in
+  let c = r.compiled in
+  let width = 4 in
+  let bb = Om_codegen.Batch_backend.create c ~width in
+  let vacs = [| 2.0; 0.5; 1.0; -3.0 |] in
+  let y =
+    Array.init c.dim (fun i ->
+        Array.init width (fun j ->
+            if i = vac_slot c then vacs.(j) else 0.5 +. float i))
+  in
+  let times = Array.make width 0. in
+  let ydot = Array.init c.dim (fun _ -> Array.make width 0.) in
+  Om_codegen.Batch_backend.brhs bb ~times ~y ~ydot ~lo:0 ~hi:width;
+  let d = Array.make c.dim 0. in
+  for j = 0 to width - 1 do
+    Bc.rhs_fn c 0. (Array.init c.dim (fun i -> y.(i).(j))) d;
+    check_bits_array
+      (Printf.sprintf "lane %d" j)
+      d
+      (Array.init c.dim (fun i -> ydot.(i).(j)))
+  done
+
 let test_stats_directions () =
   (* The paper's qualitative relations: intermediate form larger than
      source; parallel CSE count >= serial CSE count; serial code smaller
@@ -1012,5 +1162,21 @@ let () =
           Alcotest.test_case "stats directions" `Quick test_stats_directions;
           Alcotest.test_case "system-level speedup" `Quick
             test_system_level_speedup;
+        ] );
+      ( "merged",
+        [
+          Alcotest.test_case "bearing equals per-task rounds" `Quick
+            test_merged_bearing;
+          Alcotest.test_case "powerplant equals per-task rounds" `Quick
+            test_merged_powerplant;
+          Alcotest.test_case "servo equals per-task rounds" `Quick
+            test_merged_servo;
+          Alcotest.test_case "heat equals per-task rounds" `Quick
+            test_merged_heat;
+          Alcotest.test_case "fewer instructions" `Quick test_merged_smaller;
+          Alcotest.test_case "zero allocation" `Quick test_merged_zero_alloc;
+          Alcotest.test_case "batch shared load" `Quick
+            test_merged_batch_shared_load;
+          Alcotest.test_case "batch lanes" `Quick test_merged_batch_lanes;
         ] );
     ]

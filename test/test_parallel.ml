@@ -496,6 +496,48 @@ let test_measured_telemetry () =
   let u = Rs.utilization st in
   Alcotest.(check bool) "utilization in (0, 1]" true (u > 0. && u <= 1.)
 
+(* ---------- the merged program across domains ---------- *)
+
+let test_merged_shared_across_domains () =
+  (* A fresh compile has not built its merged program yet: two domains,
+     each holding its own clone, race to build it on their first call.
+     Both must end up on the one program and compute the same bits as a
+     per-task round. *)
+  let r = P.compile (Om_models.Bearing2d.model ()) in
+  let dim = r.compiled.dim in
+  let y = Om_lang.Flat_model.initial_values r.model in
+  let ready = Atomic.make 0 in
+  let run (c : P.result) =
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        let ydot = Array.make dim 0. in
+        for _ = 1 to 20 do
+          P.rhs_fn c 0.5 y ydot
+        done;
+        (ydot, c.compiled.sequential ()))
+  in
+  let doms = Array.map run [| P.clone_scratch r; P.clone_scratch r |] in
+  let a, pa = Domain.join doms.(0) in
+  let b, pb = Domain.join doms.(1) in
+  Alcotest.(check bool) "one merged program" true (pa == pb);
+  Alcotest.(check bool) "the original shares it" true
+    (r.compiled.sequential () == pa);
+  let c = r.compiled in
+  c.set_state 0.5 y;
+  Array.iter (fun (tk : Bb.compiled_task) -> tk.eval ()) c.tasks;
+  c.run_epilogue ();
+  let reference = Array.sub c.out 0 dim in
+  Array.iteri
+    (fun i v ->
+      let bits = Int64.bits_of_float in
+      if bits a.(i) <> bits v || bits b.(i) <> bits v then
+        Alcotest.failf "deriv %d: domains %h %h, per-task round %h" i a.(i)
+          b.(i) v)
+    reference
+
 (* ---------- zero allocation in the steady state ---------- *)
 
 let test_round_zero_alloc () =
@@ -571,6 +613,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_exec_validation;
           Alcotest.test_case "partition" `Quick test_exec_partition;
           Alcotest.test_case "zero-alloc round" `Quick test_round_zero_alloc;
+          Alcotest.test_case "merged program shared across domains" `Quick
+            test_merged_shared_across_domains;
           Alcotest.test_case "set_assignment" `Quick test_set_assignment;
           Alcotest.test_case "set_assignment invalid" `Quick
             test_set_assignment_invalid;
