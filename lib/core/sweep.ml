@@ -133,22 +133,26 @@ let integrate_batch ?(domains = 1) ?atol ?rtol c ~draws ~tend =
       Om_ode.Ensemble.rkf45 ~record:true ?atol ?rtol ens ~t0:0. ~tend)
 
 let run_compiled ?domains c ~values ~tend ?atol ?rtol ~metric () =
-  let draws = Array.of_list (List.map (fun v -> [| v |]) values) in
-  let rep = integrate_batch ?domains ?atol ?rtol c ~draws ~tend in
-  let trajs =
-    match rep.Om_ode.Ensemble.trajectories with
-    | Some t -> t
-    | None -> assert false
-  in
-  List.mapi
-    (fun m v ->
-      {
-        value = v;
-        metric = metric c.sys trajs.(m);
-        steps = rep.steps.(m);
-        rhs_calls = rep.rhs_evals.(m);
-      })
-    values
+  (* No values is no members, and a batch backend has at least one lane:
+     answer before building one, as the legacy path does. *)
+  if values = [] then []
+  else
+    let draws = Array.of_list (List.map (fun v -> [| v |]) values) in
+    let rep = integrate_batch ?domains ?atol ?rtol c ~draws ~tend in
+    let trajs =
+      match rep.Om_ode.Ensemble.trajectories with
+      | Some t -> t
+      | None -> assert false
+    in
+    List.mapi
+      (fun m v ->
+        {
+          value = v;
+          metric = metric c.sys trajs.(m);
+          steps = rep.steps.(m);
+          rhs_calls = rep.rhs_evals.(m);
+        })
+      values
 
 (* ---- legacy per-value path (structural overrides) ---- *)
 

@@ -72,7 +72,8 @@ val run_compiled :
   point list
 (** Integrate one batch over a prepared model: one ensemble member per
     value, adaptive lockstep RKF45, RHS rounds optionally split across
-    [domains] worker domains (default 1, no pool). *)
+    [domains] worker domains (default 1, no pool).  No values yield
+    [[]] without building a batch, like the legacy path of {!run}. *)
 
 (** {1 Monte Carlo} *)
 

@@ -14,24 +14,28 @@
    scalar VM exactly.
 
    There is one instruction kernel, [sloop], which runs a jump-free
-   stretch of code unmasked over a range of lanes.  Control flow
+   stretch of code unmasked over a list of lane indices.  Control flow
    ([If] lowering: forward-only [jnot]/[jmp] with a join register, see
    {!Vm}) is linearised SIMT-style by the [drive] walk: a per-lane
    wake-up pc [sleep] puts lanes to sleep over the branch arm they are
-   not taking, and each segment between jumps and wake-ups runs as one
-   [sloop] call per maximal run of awake lanes.  Because jumps are
+   not taking, and each segment between jumps and wake-ups runs as
+   exactly one [sloop] call over the lanes awake in it, compacted into
+   an index list: however finely the awake lanes interleave, each
+   instruction of a segment is decoded once.  Because jumps are
    forward-only and structured, every lane executes exactly the
    instruction subsequence the scalar interpreter would, in the same
-   order.  A jump-free program is one segment and one [sloop] call.
+   order.  A jump-free program is one segment and one [sloop] call
+   over the identity list.
 
    [create] conditions the instruction stream for batched execution
    (virtual-register compaction, load/consumer fusion — see the passes
    below); both rewrites preserve per-lane arithmetic bitwise.
 
-   All mutable state — register rows, the sleep array, env/out columns —
-   is indexed by lane, so running disjoint lane ranges of the same
-   instance from different domains is safe (the parallel ensemble
-   driver relies on this). *)
+   All mutable state — register rows, the sleep array, the awake-lane
+   buffer, env/out columns — is indexed by lane (a run over lanes
+   [lo..hi] writes the buffer only at positions [lo..hi]), so running
+   disjoint lane ranges of the same instance from different domains is
+   safe (the parallel ensemble driver relies on this). *)
 
 type t = {
   code : int array;
@@ -48,6 +52,10 @@ type t = {
   regs : float array array; (* nregs rows of length width *)
   sleep : int array; (* per-lane wake-up pc: lane [j] is awake at [pc]
                         iff [sleep.(j) <= pc] *)
+  ident : int array; (* the lane list [0..width-1], immutable, shared by
+                        clones: the lanes of a segment no lane sleeps in *)
+  lanes : int array; (* the awake lanes of the current segment, compacted
+                        per call from position [lo]: see [drive] *)
   njump : int array; (* per op: code offset of the next jmp/jnot at or
                         after it (code length if none); ends the
                         jump-free segments [drive] runs unmasked *)
@@ -395,18 +403,21 @@ let create (p : Vm.program) ~width =
     out_cols;
     regs = Array.init (max nregs 1) (fun _ -> Array.make width 0.);
     sleep = Array.make width 0;
+    ident = Array.init width Fun.id;
+    lanes = Array.make width 0;
     njump;
   }
 
-(* The conditioned code, constant pool and njump table are immutable
-   after [create]; the register rows and sleep counters are the only
-   mutable state.  Cloning those gives an independent instance without
-   re-running compaction/fusion. *)
+(* The conditioned code, constant pool, njump table and identity lane
+   list are immutable after [create]; the register rows, sleep counters
+   and awake-lane buffer are the only mutable state.  Cloning those
+   gives an independent instance without re-running compaction/fusion. *)
 let clone_scratch t =
   {
     t with
     regs = Array.init (Array.length t.regs) (fun _ -> Array.make t.width 0.);
     sleep = Array.make t.width 0;
+    lanes = Array.make t.width 0;
   }
 
 let width t = t.width
@@ -431,13 +442,16 @@ let[@inline] fmax x y =
 
 (* ---- the instruction kernel ----
 
-   [sloop] runs the jump-free code [pc, stop) unmasked over lanes
-   [lo..hi]; [drive] below feeds it segments and lane runs.  Toplevel
+   [sloop] runs the jump-free code [pc, stop) unmasked over the lanes
+   [idx.(lo)], ..., [idx.(hi)]; [drive] below feeds it segments and
+   their awake-lane lists.  Every kernel loop reads lane
+   [j = idx.(q)]: one kernel serves both the identity list and a
+   compacted one, so there is no second, contiguous copy.  Toplevel
    recursive functions over immediate parameters, like the scalar
    [Vm.loop]: a local recursive function would capture the arrays in a
    closure and allocate on every call. *)
 
-let rec sloop code consts regs env out stop pc lo hi =
+let rec sloop code consts regs env out idx stop pc lo hi =
   if pc < stop then begin
     let op = Array.unsafe_get code pc in
     let d = Array.unsafe_get code (pc + 1) in
@@ -448,32 +462,37 @@ let rec sloop code consts regs env out stop pc lo hi =
     | 0 (* ldc *) ->
         let dst = Array.unsafe_get regs d in
         let k = Array.unsafe_get consts c in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j k
         done
     | 1 (* ldv *) ->
         let dst = Array.unsafe_get regs d in
         let src = Array.unsafe_get env a in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get src j)
         done
     | 2 (* ldo *) ->
         let dst = Array.unsafe_get regs d in
         let src = Array.unsafe_get out a in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get src j)
         done
     | 3 (* mov *) ->
         let dst = Array.unsafe_get regs d in
         let src = Array.unsafe_get regs a in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get src j)
         done
     | 4 (* add *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get regs b in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j
             (Array.unsafe_get xa j +. Array.unsafe_get xb j)
         done
@@ -481,7 +500,8 @@ let rec sloop code consts regs env out stop pc lo hi =
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get regs b in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j
             (Array.unsafe_get xa j -. Array.unsafe_get xb j)
         done
@@ -489,34 +509,39 @@ let rec sloop code consts regs env out stop pc lo hi =
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get regs b in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j
             (Array.unsafe_get xa j *. Array.unsafe_get xb j)
         done
     | 7 (* neg *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (-.Array.unsafe_get xa j)
         done
     | 8 (* sqr *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           let x = Array.unsafe_get xa j in
           Array.unsafe_set dst j (x *. x)
         done
     | 9 (* recip *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (1. /. Array.unsafe_get xa j)
         done
     | 10 (* pow *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get regs b in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j
             (Expr.eval_pow (Array.unsafe_get xa j) (Array.unsafe_get xb j))
         done
@@ -527,7 +552,8 @@ let rec sloop code consts regs env out stop pc lo hi =
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get regs b in
         let xc = Array.unsafe_get regs c in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j
             ((Array.unsafe_get xa j *. Array.unsafe_get xb j)
             +. Array.unsafe_get xc j)
@@ -536,14 +562,16 @@ let rec sloop code consts regs env out stop pc lo hi =
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let k = Array.unsafe_get consts c in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get xa j +. k)
         done
     | 13 (* mulk *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let k = Array.unsafe_get consts c in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get xa j *. k)
         done
     | 14 (* call1 *) ->
@@ -551,59 +579,73 @@ let rec sloop code consts regs env out stop pc lo hi =
         let xa = Array.unsafe_get regs a in
         (match c with
         | 0 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.sin (Array.unsafe_get xa j))
             done
         | 1 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.cos (Array.unsafe_get xa j))
             done
         | 2 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.tan (Array.unsafe_get xa j))
             done
         | 3 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.asin (Array.unsafe_get xa j))
             done
         | 4 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.acos (Array.unsafe_get xa j))
             done
         | 5 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.atan (Array.unsafe_get xa j))
             done
         | 6 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.sinh (Array.unsafe_get xa j))
             done
         | 7 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.cosh (Array.unsafe_get xa j))
             done
         | 8 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.tanh (Array.unsafe_get xa j))
             done
         | 9 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.exp (Array.unsafe_get xa j))
             done
         | 10 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.log (Array.unsafe_get xa j))
             done
         | 11 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.sqrt (Array.unsafe_get xa j))
             done
         | 12 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.abs (Array.unsafe_get xa j))
             done
         | _ (* 13: sign *) ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               let x = Array.unsafe_get xa j in
               Array.unsafe_set dst j
                 (if x > 0. then 1. else if x < 0. then -1. else 0.)
@@ -614,22 +656,26 @@ let rec sloop code consts regs env out stop pc lo hi =
         let xb = Array.unsafe_get regs b in
         (match c with
         | 0 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j
                 (Float.atan2 (Array.unsafe_get xa j) (Array.unsafe_get xb j))
             done
         | 1 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j
                 (fmin (Array.unsafe_get xa j) (Array.unsafe_get xb j))
             done
         | 2 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j
                 (fmax (Array.unsafe_get xa j) (Array.unsafe_get xb j))
             done
         | _ (* 3: hypot *) ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j
                 (Float.hypot (Array.unsafe_get xa j) (Array.unsafe_get xb j))
             done)
@@ -637,7 +683,8 @@ let rec sloop code consts regs env out stop pc lo hi =
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         let xb = Array.unsafe_get env b in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j
             (Array.unsafe_get xa j *. Array.unsafe_get xb j)
         done
@@ -646,7 +693,8 @@ let rec sloop code consts regs env out stop pc lo hi =
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get env b in
         let xc = Array.unsafe_get env c in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j
             (Array.unsafe_get xa j
             +. (Array.unsafe_get xb j *. Array.unsafe_get xc j))
@@ -654,46 +702,53 @@ let rec sloop code consts regs env out stop pc lo hi =
     | 20 (* ste *) ->
         let dst = Array.unsafe_get env c in
         let src = Array.unsafe_get regs a in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get src j)
         done
     | 21 (* sto *) ->
         let dst = Array.unsafe_get out c in
         let src = Array.unsafe_get regs a in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get src j)
         done
     | 22 (* emulk *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         let k = Array.unsafe_get consts c in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get xa j *. k)
         done
     | 23 (* eaddk *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         let k = Array.unsafe_get consts c in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get xa j +. k)
         done
     | 24 (* eneg *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (-.Array.unsafe_get xa j)
         done
     | 25 (* esqr *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           let x = Array.unsafe_get xa j in
           Array.unsafe_set dst j (x *. x)
         done
     | 26 (* erecip *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (1. /. Array.unsafe_get xa j)
         done
     | 27 (* ecall1 *) ->
@@ -701,59 +756,73 @@ let rec sloop code consts regs env out stop pc lo hi =
         let xa = Array.unsafe_get env a in
         (match c with
         | 0 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.sin (Array.unsafe_get xa j))
             done
         | 1 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.cos (Array.unsafe_get xa j))
             done
         | 2 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.tan (Array.unsafe_get xa j))
             done
         | 3 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.asin (Array.unsafe_get xa j))
             done
         | 4 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.acos (Array.unsafe_get xa j))
             done
         | 5 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.atan (Array.unsafe_get xa j))
             done
         | 6 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.sinh (Array.unsafe_get xa j))
             done
         | 7 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.cosh (Array.unsafe_get xa j))
             done
         | 8 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.tanh (Array.unsafe_get xa j))
             done
         | 9 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.exp (Array.unsafe_get xa j))
             done
         | 10 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.log (Array.unsafe_get xa j))
             done
         | 11 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.sqrt (Array.unsafe_get xa j))
             done
         | 12 ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               Array.unsafe_set dst j (Float.abs (Array.unsafe_get xa j))
             done
         | _ (* 13: sign *) ->
-            for j = lo to hi do
+            for q = lo to hi do
+              let j = Array.unsafe_get idx q in
               let x = Array.unsafe_get xa j in
               Array.unsafe_set dst j
                 (if x > 0. then 1. else if x < 0. then -1. else 0.)
@@ -762,7 +831,8 @@ let rec sloop code consts regs env out stop pc lo hi =
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         let xb = Array.unsafe_get regs b in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j
             (Array.unsafe_get xa j *. Array.unsafe_get xb j)
         done
@@ -770,42 +840,34 @@ let rec sloop code consts regs env out stop pc lo hi =
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get env b in
-        for j = lo to hi do
+        for q = lo to hi do
+          let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j
             (Array.unsafe_get xa j *. Array.unsafe_get xb j)
         done);
-    sloop code consts regs env out stop (pc + 5) lo hi
+    sloop code consts regs env out idx stop (pc + 5) lo hi
   end
 
 (* ---- control flow (see the file header) ----
 
-   [runs] executes a jump-free segment [pc, stop) for the lanes of
-   [j..hi] awake at [pc], one [sloop] per maximal run of them.  Exact
-   because the awake set cannot change inside the segment and every
-   kernel reads and writes only its own lane. *)
-
-let rec runs code consts regs env out sleep stop pc j hi =
-  if j <= hi then
-    if Array.unsafe_get sleep j > pc then
-      runs code consts regs env out sleep stop pc (j + 1) hi
-    else begin
-      let k = ref j in
-      while !k < hi && Array.unsafe_get sleep (!k + 1) <= pc do
-        incr k
-      done;
-      sloop code consts regs env out stop pc j !k;
-      runs code consts regs env out sleep stop pc (!k + 2) hi
-    end
-
-(* One walk over the code.  [nasleep] counts lanes with
+   One walk over the code.  [nasleep] counts lanes with
    [sleep.(j) > pc]; [next_wake] is the smallest wake-up pc among them
    ([max_int] when none sleep), so sleeper counts are only recomputed
    at pcs where a lane can actually wake.  When a jump leaves no lane
    awake the walk hops straight to the earliest wake-up: a [jmp] always
    does, and a [jnot] no awake lane passes skips its then-arm exactly
-   like the scalar interpreter. *)
-let rec drive code consts njump regs env out sleep stop pc lo hi nasleep
-    next_wake =
+   like the scalar interpreter.
+
+   Each jump-free segment is one [sloop] call.  With no lane asleep it
+   runs over [ident], the identity list, at positions [lo..hi];
+   otherwise the lanes of [lo..hi] awake at [pc] are first written, in
+   lane order, to positions [lo, lo + 1, ...] of [lanes] and the call
+   runs over those.  Exact because the awake set cannot change inside
+   the segment and every kernel reads and writes only its own lane.  A
+   call over [lo..hi] writes [lanes] only at positions [lo..hi], so
+   disjoint lane ranges may run concurrently on one instance. *)
+let rec drive code consts njump regs env out ident lanes sleep stop pc lo hi
+    nasleep next_wake =
   if pc < stop then
     if pc >= next_wake then begin
       (* a wake-up pc: recount the sleepers *)
@@ -817,17 +879,27 @@ let rec drive code consts njump regs env out sleep stop pc lo hi nasleep
           if s < !nw then nw := s
         end
       done;
-      drive code consts njump regs env out sleep stop pc lo hi !n !nw
+      drive code consts njump regs env out ident lanes sleep stop pc lo hi !n
+        !nw
     end
     else begin
       let j = Array.unsafe_get njump (pc / 5) in
       if j > pc then begin
         (* jump-free segment up to the next jump or wake-up *)
         let seg = if next_wake < j then next_wake else j in
-        if nasleep = 0 then sloop code consts regs env out seg pc lo hi
-        else runs code consts regs env out sleep seg pc lo hi;
-        drive code consts njump regs env out sleep stop seg lo hi nasleep
-          next_wake
+        (if nasleep = 0 then sloop code consts regs env out ident seg pc lo hi
+         else begin
+           let n = ref lo in
+           for j = lo to hi do
+             if Array.unsafe_get sleep j <= pc then begin
+               Array.unsafe_set lanes !n j;
+               incr n
+             end
+           done;
+           sloop code consts regs env out lanes seg pc lo (!n - 1)
+         end);
+        drive code consts njump regs env out ident lanes sleep stop seg lo hi
+          nasleep next_wake
       end
       else begin
         let c = Array.unsafe_get code (pc + 4) in
@@ -868,9 +940,11 @@ let rec drive code consts njump regs env out sleep stop pc lo hi nasleep
         let nw = if !k > 0 && c < next_wake then c else next_wake in
         if nl = hi - lo + 1 then
           (* no lane awake: hop to the earliest wake-up *)
-          drive code consts njump regs env out sleep stop nw lo hi nl nw
+          drive code consts njump regs env out ident lanes sleep stop nw lo hi
+            nl nw
         else
-          drive code consts njump regs env out sleep stop (pc + 5) lo hi nl nw
+          drive code consts njump regs env out ident lanes sleep stop (pc + 5)
+            lo hi nl nw
       end
     end
 
@@ -890,8 +964,8 @@ let exec t ~env ~out ~lo ~hi =
       invalid_arg "Vm_batch.exec: out column too short"
   done;
   Array.fill t.sleep lo (hi - lo) 0;
-  drive t.code t.consts t.njump t.regs env out t.sleep (Array.length t.code) 0
-    lo (hi - 1) 0 max_int
+  drive t.code t.consts t.njump t.regs env out t.ident t.lanes t.sleep
+    (Array.length t.code) 0 lo (hi - 1) 0 max_int
 
 let result_row t =
   if t.result < 0 then

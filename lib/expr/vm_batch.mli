@@ -20,11 +20,13 @@
     [jmp] puts the awake lanes to sleep until the join.  Forward-only
     structured jumps (the only kind {!Vm} emits) make this exact: each
     lane executes precisely the scalar taken path.  There is a single
-    unmasked instruction kernel: between jumps and wake-ups the set of
-    awake lanes is fixed, so each such segment runs once per maximal
-    run of awake lanes.  A jump-free program is one segment over the
-    whole lane range, and a branch no awake lane takes is skipped like
-    in the scalar interpreter.
+    unmasked instruction kernel, run over a list of lane indices:
+    between jumps and wake-ups the set of awake lanes is fixed, so each
+    such segment runs as exactly one kernel call over the awake lanes,
+    compacted into a list however finely they interleave.  A segment no
+    lane sleeps in runs over the identity list, so a jump-free program
+    is one call over the whole lane range, and a branch no awake lane
+    takes is skipped like in the scalar interpreter.
 
     {b Program conditioning.}  [create] rewrites the instruction stream
     for batched execution, preserving per-lane semantics bitwise: the
@@ -39,14 +41,17 @@
     segment with no store to the loaded slot in between: a load shared
     across a branch (as {!Vm.merge} produces) keeps its row.
 
-    {b Concurrency.}  All mutable state is lane-indexed, so disjoint
-    lane ranges of the same instance may run concurrently from
-    different domains.  Overlapping ranges race, as do concurrent runs
-    over shared env/out columns with overlapping lanes.
+    {b Concurrency.}  All mutable state is lane-indexed, the awake-lane
+    buffer included: a run over lanes [lo..hi-1] writes its compacted
+    lane list only at positions [lo..hi-1].  So disjoint lane ranges of
+    the same instance may run concurrently from different domains.
+    Overlapping ranges race, as do concurrent runs over shared env/out
+    columns with overlapping lanes.
 
     {b Allocation.}  [exec] performs zero heap allocation: the register
-    file is preallocated at {!create} and the interpreter loops are
-    closure-free. *)
+    file, sleep counters and awake-lane buffer are preallocated at
+    {!create} (the identity lane list once, shared by clones), and the
+    interpreter loops are closure-free. *)
 
 type t
 
@@ -58,8 +63,9 @@ val create : Vm.program -> width:int -> t
 
 val clone_scratch : t -> t
 (** An independent instance over the same conditioned instruction
-    stream: register rows and sleep counters are fresh; the
-    (immutable) code, constant pool and jump table are shared.  Skips
+    stream: register rows, sleep counters and the awake-lane buffer are
+    fresh; the (immutable) code, constant pool, jump table and identity
+    lane list are shared.  Skips
     the compaction/fusion passes of {!create}, so it is cheap enough to
     call per job; clone and original may run concurrently from
     different domains. *)

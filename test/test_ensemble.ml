@@ -63,6 +63,30 @@ let soa_env width =
   Array.init (Array.length names) (fun i ->
       Array.init width (fun j -> lane_envs.(j).(i)))
 
+(* Lane environments that send neighbouring lanes down different arms:
+   [branch] takes its arms by [j mod 2] and [nested branch] by
+   [j mod 3], so the awake lanes of every innermost arm come in runs
+   one lane long.  Scaling every value by a positive factor keeps each
+   lane's arms. *)
+let alternating_env label width =
+  let lane j =
+    let e = 1e-3 *. float_of_int j in
+    match label with
+    | "branch" ->
+        if j mod 2 = 0 then [| 0.1 +. e; 0.9 +. e; -0.5 +. e |]
+        else [| 0.9 +. e; 0.1 +. e; 0.3 |]
+    | _ -> (
+        match j mod 3 with
+        | 0 -> [| -0.4 -. e; 0.2; 0.7 |]
+        | 1 -> [| 0.2 +. e; 0.8 +. e; 0.1 |]
+        | _ -> [| 0.2 +. e; 0.1; 0.8 +. e |])
+  in
+  let lanes = Array.init width lane in
+  Array.init (Array.length names) (fun i ->
+      Array.init width (fun j -> lanes.(j).(i)))
+
+let scalar_lane env j = Array.map (fun col -> col.(j)) env
+
 let test_batch_matches_scalar () =
   let width = Array.length lane_envs in
   let env = soa_env width in
@@ -119,15 +143,16 @@ let test_batch_subrange () =
   done
 
 let test_batch_zero_alloc () =
-  (* A jump-free program and a diverging nested branch. *)
+  (* A jump-free program and a diverging nested branch at width 64, and
+     the nested branch at width 512 with every awake run one lane long,
+     so the awake-lane list is rebuilt for every segment. *)
+  let cycled width =
+    Array.init (Array.length names) (fun i ->
+        Array.init width (fun j -> lane_envs.(j mod Array.length lane_envs).(i)))
+  in
   List.iter
-    (fun (_, e) ->
-      let p = Vm.compile names e in
-      let width = 64 in
-      let env =
-        Array.init (Array.length names) (fun i ->
-            Array.init width (fun j -> lane_envs.(j mod Array.length lane_envs).(i)))
-      in
+    (fun (label, width, env) ->
+      let p = Vm.compile names (List.assoc label sample_exprs) in
       let b = Vb.create p ~width in
       let words n =
         Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width;
@@ -139,8 +164,14 @@ let test_batch_zero_alloc () =
       in
       let d1 = words 500 in
       let d2 = words 5_500 in
-      Alcotest.(check (float 0.)) "zero words per exec" 0. (d2 -. d1))
-    [ List.nth sample_exprs 0; List.nth sample_exprs 4 ]
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%s, width %d: zero words per exec" label width)
+        0. (d2 -. d1))
+    [
+      ("poly", 64, cycled 64);
+      ("nested branch", 64, cycled 64);
+      ("nested branch", 512, alternating_env "nested branch" 512);
+    ]
 
 let test_batch_rejects_swapped_column () =
   (* Column lengths are checked on every call: a column swapped for a
@@ -163,6 +194,81 @@ let test_batch_rejects_swapped_column () =
   Alcotest.check_raises "short out column"
     (Invalid_argument "Vm_batch.exec: out column too short") (fun () ->
       Vb.exec b ~env:[||] ~out ~lo:0 ~hi:width)
+
+let test_batch_one_lane_runs () =
+  let width = 512 and lo = 37 and hi = 300 in
+  List.iter
+    (fun label ->
+      let p = Vm.compile names (List.assoc label sample_exprs) in
+      let b = Vb.create p ~width in
+      let env = alternating_env label width in
+      Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width;
+      let before = Array.copy (Vb.result_row b) in
+      for j = 0 to width - 1 do
+        check_bits
+          (Printf.sprintf "%s lane %d" label j)
+          (Vm.run p (scalar_lane env j))
+          before.(j)
+      done;
+      Array.iter
+        (fun col -> Array.iteri (fun j v -> col.(j) <- 1.5 *. v) col)
+        env;
+      Vb.exec b ~env ~out:[||] ~lo ~hi;
+      let after = Vb.result_row b in
+      for j = 0 to width - 1 do
+        if j < lo || j >= hi then
+          check_bits
+            (Printf.sprintf "%s lane %d untouched" label j)
+            before.(j) after.(j)
+        else
+          check_bits
+            (Printf.sprintf "%s lane %d in [%d, %d)" label j lo hi)
+            (Vm.run p (scalar_lane env j))
+            after.(j)
+      done)
+    [ "branch"; "nested branch" ]
+
+let test_batch_domains_disjoint_halves () =
+  (* Two domains run the two halves of one instance, each at its own
+     pace, over diverging lanes; every round's results must be the bits
+     of a sequential run. *)
+  let width = 256 and rounds = 200 in
+  let e =
+    E.add
+      [
+        List.assoc "branch" sample_exprs;
+        List.assoc "nested branch" sample_exprs;
+      ]
+  in
+  let p = Vm.compile names e in
+  let envs =
+    Array.init rounds (fun r ->
+        Array.init (Array.length names) (fun i ->
+            Array.init width (fun j ->
+                let k = (7 * j) + (13 * r) + (5 * i) in
+                1.5 *. Float.sin (float_of_int k))))
+  in
+  let shared = Vb.create p ~width in
+  let results = Array.init rounds (fun _ -> Array.make width 0.) in
+  let half lo hi () =
+    for r = 0 to rounds - 1 do
+      Vb.exec shared ~env:envs.(r) ~out:[||] ~lo ~hi;
+      Array.blit (Vb.result_row shared) lo results.(r) lo (hi - lo)
+    done
+  in
+  let other = Domain.spawn (half (width / 2) width) in
+  half 0 (width / 2) ();
+  Domain.join other;
+  let seq = Vb.create p ~width in
+  for r = 0 to rounds - 1 do
+    Vb.exec seq ~env:envs.(r) ~out:[||] ~lo:0 ~hi:width;
+    let row = Vb.result_row seq in
+    for j = 0 to width - 1 do
+      if not (Int64.equal (bits row.(j)) (bits results.(r).(j))) then
+        Alcotest.failf "round %d lane %d: %h sequential, %h on two domains" r j
+          row.(j) results.(r).(j)
+    done
+  done
 
 (* Random nested conditionals over lanes whose environments straddle
    the conditions, so awake lanes interleave in every pattern.  Each
@@ -495,13 +601,14 @@ let test_sweep_promotes () =
   | Objectmath.Sweep.Legacy reason ->
       Alcotest.failf "expected promotion, got legacy: %s" reason
 
+(* An instance [with] binding rebinding the swept parameter forces the
+   legacy path. *)
+let structural_source =
+  {|model M; class C parameter k = 1.0; variable x init 1.0;
+    equation der(x) = 0.0 - k * x; end; instance c of C with k = 2.0;|}
+
 let test_sweep_structural_fallback () =
-  (* An instance [with] binding rebinding the swept parameter forces the
-     legacy path. *)
-  let source =
-    {|model M; class C parameter k = 1.0; variable x init 1.0;
-      equation der(x) = 0.0 - k * x; end; instance c of C with k = 2.0;|}
-  in
+  let source = structural_source in
   (match Objectmath.Sweep.prepare ~source ~cls:"C" ~param:"k" with
   | Objectmath.Sweep.Legacy _ -> ()
   | Objectmath.Sweep.Promoted _ ->
@@ -514,6 +621,20 @@ let test_sweep_structural_fallback () =
       ()
   in
   Alcotest.(check int) "two points" 2 (List.length points)
+
+let test_sweep_no_values () =
+  (* Both engines answer an empty sweep with no points. *)
+  let run source =
+    Objectmath.Sweep.run ~source ~cls:"C" ~param:"k" ~values:[] ~tend:1.
+      ~metric:(Objectmath.Sweep.final_value "c.x")
+      ()
+  in
+  (match Objectmath.Sweep.prepare ~source:sweep_source ~cls:"C" ~param:"k" with
+  | Objectmath.Sweep.Promoted _ -> ()
+  | Objectmath.Sweep.Legacy reason ->
+      Alcotest.failf "expected promotion, got legacy: %s" reason);
+  Alcotest.(check int) "compile-once engine" 0 (List.length (run sweep_source));
+  Alcotest.(check int) "legacy engine" 0 (List.length (run structural_source))
 
 let test_sweep_unknown_param () =
   Alcotest.check_raises "unknown parameter"
@@ -581,6 +702,10 @@ let () =
           Alcotest.test_case "width one" `Quick test_batch_width_one;
           Alcotest.test_case "subrange execution" `Quick test_batch_subrange;
           Alcotest.test_case "zero allocation" `Quick test_batch_zero_alloc;
+          Alcotest.test_case "one-lane awake runs" `Quick
+            test_batch_one_lane_runs;
+          Alcotest.test_case "two domains on disjoint halves" `Quick
+            test_batch_domains_disjoint_halves;
           Alcotest.test_case "swapped short column rejected" `Quick
             test_batch_rejects_swapped_column;
           Qcheck_seed.to_alcotest prop_diverging_lanes_match_scalar;
@@ -611,6 +736,7 @@ let () =
             test_sweep_structural_fallback;
           Alcotest.test_case "unknown parameter" `Quick
             test_sweep_unknown_param;
+          Alcotest.test_case "no values" `Quick test_sweep_no_values;
           Alcotest.test_case "matches analytic" `Quick
             test_sweep_matches_legacy_numerics;
           Alcotest.test_case "monte carlo deterministic" `Quick
