@@ -728,6 +728,15 @@ let micro_pairs =
       "objectmath/bearing-rhs-bytecode" );
     ("simplify", "objectmath/simplify-roller-eq", "objectmath/simplify-roller-eq");
     ("cse", "objectmath/cse-servo", "objectmath/cse-servo");
+    (* The symbolic Jacobian of [omc simulate]: deriving it alone, and
+       building it from scratch as a fresh system's first [sjac] does
+       (RHS compile, derive, lower, peephole, one evaluation). *)
+    ( "bearing-jacobian-derive",
+      "objectmath/bearing-jacobian-derive",
+      "objectmath/bearing-jacobian-derive" );
+    ( "bearing-jacobian-build",
+      "objectmath/bearing-jacobian-build",
+      "objectmath/bearing-jacobian-build" );
     (* The finite guard's overhead on a full RHS evaluation: the "after"
        side scans the derivative vector after the round (EXPERIMENTS.md
        targets < 2%). *)
@@ -830,6 +839,12 @@ let micro () =
     List.map (fun (s, e) -> (s, e)) (Lazy.force servo).model.equations
   in
   let jac_rows = Array.of_list (List.map snd r.model.equations) in
+  let jac_vals =
+    Array.make
+      (Om_ode.Sparse.nnz
+         (Om_ode.Odesys.pattern_of_equations r.model.equations))
+      0.
+  in
   (* Relative offsets of up to 1e-3, as in the e2e ensemble workload:
      large enough that lanes split at the bearing's conditionals. *)
   let width = 64 in
@@ -871,6 +886,10 @@ let micro () =
         Test.make ~name:"bearing-jacobian-derive"
           (Staged.stage (fun () ->
                Om_expr.Deriv.jacobian state_names jac_rows));
+        Test.make ~name:"bearing-jacobian-build"
+          (Staged.stage (fun () ->
+               let sys = Om_ode.Odesys.of_equations r.model.equations in
+               Option.get sys.sjac 0. y0 jac_vals));
         Test.make ~name:"eval-roller-eq"
           (Staged.stage (fun () -> Om_expr.Eval.eval tbl heavy_eq));
         Test.make ~name:"vm-roller-eq"

@@ -126,6 +126,10 @@ let eval_pow b n =
   else if n = 0. then 1.
   else Float.pow b n
 
+let rec sorted = function
+  | a :: (b :: _ as rest) -> compare a b <= 0 && sorted rest
+  | _ -> true
+
 (* Like-term collection with no per-call table.  [items] are
    [(key, weight, position)] in occurrence order; a stable sort on the
    key keeps equal keys in that order, so each run of equal keys sums
@@ -179,11 +183,13 @@ let rec add terms =
     (fun es -> Add es)
     (if !konst = 0. then rebuilt else (Const !konst, -1) :: rebuilt)
 
-(* Rebuild a product from factors already in collected form. *)
+(* Rebuild a product from factors already in collected form.  A stable
+   sort leaves a sorted list as it is, so only an unsorted one is
+   sorted. *)
 and mul_nocollect = function
   | [] -> one
   | [ e ] -> e
-  | es -> Mul (List.sort compare es)
+  | es -> Mul (if sorted es then es else List.sort compare es)
 
 and mul factors =
   let flat_iter f = List.iter (function Mul xs -> List.iter f xs | e -> f e) in
@@ -225,6 +231,73 @@ and pow base expo =
       if Float.is_finite r then Const r else Pow (base, expo)
   | Pow (b, Const m), Const n -> pow b (Const (m *. n))
   | _ -> Pow (base, expo)
+
+(* A non-constant factor as [mul] rebuilds it: its base, raised to its
+   exponent unless that is 1. *)
+let rebuilt f =
+  let b, n = power_split f in
+  if n = 1. then b else pow b (Const n)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let is_product fs =
+  match mul fs with
+  | Mul gs ->
+      List.compare_lengths fs gs = 0
+      && List.for_all2
+           (fun f g ->
+             match (f, g) with
+             | Const a, Const b -> bits_equal a b
+             | Const _, _ | _, Const _ -> false
+             | _ -> compare f g = 0 && compare (rebuilt f) f = 0)
+           fs gs
+  | _ -> false
+
+(* [mul (x :: fs)] for [fs] a sublist of an [is_product] list: at most
+   a leading constant [c], then factors strictly sorted, with distinct
+   bases, each as [mul] rebuilds it.  So [mul]'s constant is [1. *. c]
+   (times [x] first, if [x] is a constant), its like-term collection
+   merges nothing unless [x]'s base is among [fs]'s, and its sorts leave
+   [fs]'s rebuilt factors in order: it remains to insert [x]'s factor
+   ahead of every factor it does not exceed ([x] comes first, so it
+   wins ties).  A product [x] or a like base goes through [mul]. *)
+let mul_into x fs =
+  let konst, rest =
+    match fs with Const c :: rest -> (1. *. c, rest) | _ -> (1., fs)
+  in
+  let finish konst ts =
+    match if konst = 1. then ts else Const konst :: ts with
+    | [] -> one
+    | [ e ] -> e
+    | es -> Mul es
+  in
+  match x with
+  | Mul _ -> mul (x :: fs)
+  | Const cx ->
+      let konst =
+        match fs with Const c :: _ -> 1. *. cx *. c | _ -> 1. *. cx
+      in
+      if konst = 0. then zero else finish konst (List.map rebuilt rest)
+  | _ -> (
+      let bx, nx = power_split x in
+      let like f =
+        match f with
+        | Const _ -> true
+        | _ -> compare (fst (power_split f)) bx = 0
+      in
+      if nx = 0. || konst = 0. || List.exists like rest then mul (x :: fs)
+      else
+        match rebuilt x with
+        | Const _ -> mul (x :: fs)
+        | tx ->
+            let rec insert = function
+              | [] -> [ tx ]
+              | f :: fs' ->
+                  let t = rebuilt f in
+                  if compare tx t <= 0 then tx :: t :: List.map rebuilt fs'
+                  else t :: insert fs'
+            in
+            finish konst (insert rest))
 
 let neg e = mul [ minus_one; e ]
 let sub a b = add [ a; neg b ]

@@ -84,6 +84,17 @@ val mul : t list -> t
 (** As {!add}, for products: folds the constants (a zero product is
     [zero]) and collects powers by base ([x * x^2 = x^3]). *)
 
+val is_product : t list -> bool
+(** [is_product fs]: [mul fs] rebuilds [Mul fs], constants bit for bit
+    — [fs] is the factor list of a product [mul] built. *)
+
+val mul_into : t -> t list -> t
+(** [mul_into x fs] is [mul (x :: fs)] for [fs] a sublist, in order, of
+    an {!is_product} list: the same tree, constants bit for bit, with
+    fresh nodes where [mul] makes them.  It merges [x]'s factor into
+    [fs] instead of re-sorting them, and leaves to [mul] a constant or
+    product [x], and an [x] whose base is one of [fs]'s. *)
+
 val neg : t -> t
 val div : t -> t -> t
 val pow : t -> t -> t

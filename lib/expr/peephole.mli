@@ -6,11 +6,20 @@
     an [If], which is assigned by the final [Mov] of each branch.  Jump
     targets must be forward-only.  {!Vm.compile} guarantees both.
 
-    Passes (iterated to a fixpoint): constant folding and strength
+    Passes, run in rounds to a fixpoint: constant folding and strength
     reduction, copy propagation, instruction fusion
     ([Mul]+[Add] -> [Fma], [Add]+[Neg] -> [Sub], load-load-mul[-add]
-    superinstructions [Vmul]/[Vmacc]), and dead-store elimination.  All
-    rewrites are IEEE-exact with respect to {!Eval.eval}. *)
+    superinstructions [Vmul]/[Vmacc]), and dead-store elimination.  Each
+    pass completes its own work in one sweep, and the driver starts
+    another round only when a pass made work for an earlier one (fusion
+    made a [Mov]; copy propagation made a [Mul] of a register by
+    itself), so it stops at the fixpoint without a confirming round and
+    with no round cap: optimising the output again returns it unchanged.
+    The passes allocate nothing per instruction.
+
+    All rewrites are IEEE-exact with respect to {!Eval.eval}: the same
+    bits for a non-NaN result, a NaN for a NaN (its sign bit may differ,
+    e.g. [x * -1 -> -x]). *)
 
 type t = {
   code : int array;  (** flat code, {!Vm_code.stride} words/instruction *)

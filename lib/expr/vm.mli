@@ -2,8 +2,11 @@
 
     The compiler lowers {!Expr.t} into a flat instruction array
     ({!Vm_code}) with pre-resolved register slots and a separate
-    constant pool, runs the {!Peephole} optimiser over it (constant
-    folding, [Fma]/[Vmul]/[Vmacc] fusion, dead-store elimination), and
+    constant pool — a product or sum led by a literal constant straight
+    to [Mulk] ([Neg] for [-1]) or [Addk], a square or reciprocal power
+    to [Sqr] or [Recip] — runs the {!Peephole} optimiser over it
+    (constant folding, [Fma]/[Vmul]/[Vmacc] fusion, dead-store
+    elimination), and
     validates every operand once — so the interpreter is a tight loop
     over [Array.unsafe_get]/[unsafe_set] with zero heap allocation in
     steady state.  Primitives dispatch directly to [float -> float]
@@ -15,9 +18,12 @@
     the number of distinct nodes rather than in the tree size.  Reuse
     never crosses out of an [If] arm or over a [To_env] store.
 
-    Semantics match {!Eval.eval} exactly, up to the sign of zero in
-    empty/unit summands (the tree evaluator folds sums from [0.] and
-    products from [1.]; the VM folds pairwise).
+    Semantics match {!Eval.eval}: the same bits (Int64) for a non-NaN
+    result, up to the sign of zero in empty/unit summands (the tree
+    evaluator folds sums from [0.] and products from [1.]; the VM folds
+    pairwise), and a NaN for a NaN.  A NaN's sign bit may differ: the VM
+    negates where Eval multiplies by [-1.], and x86-64 keeps the sign in
+    [-1. *. nan] but flips it in [-. nan].
 
     A program owns a scratch register file: running the same program
     concurrently from two domains is a race.  Use {!clone_scratch} to

@@ -78,22 +78,26 @@ let rhs sys t y =
    nonzero-derivative positions — which is what colored finite
    differences need: a perturbation outside the pattern cannot change
    f_i, so out-of-pattern forward differences are exactly [+0.]. *)
-let pattern_of_equations eqs =
-  let dim = List.length eqs in
-  let names = Array.of_list (List.map fst eqs) in
+let pattern_of_reads names reads =
+  let dim = Array.length names in
   let index = Hashtbl.create (2 * dim) in
   Array.iteri (fun i s -> Hashtbl.replace index s i) names;
   let entries =
     List.concat
       (List.mapi
-         (fun i (_, e) ->
+         (fun i vs ->
            List.filter_map
              (fun v ->
                Option.map (fun c -> (i, c)) (Hashtbl.find_opt index v))
-             (Om_expr.Expr.vars e))
-         eqs)
+             vs)
+         reads)
   in
   Sparse.pattern_of_entries ~rows:dim ~cols:dim entries
+
+let pattern_of_equations eqs =
+  pattern_of_reads
+    (Array.of_list (List.map fst eqs))
+    (List.map (fun (_, e) -> Om_expr.Expr.vars e) eqs)
 
 let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
   let states = List.map fst eqs in
@@ -105,14 +109,14 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
         else S.add v s)
       S.empty states
   in
+  (* Each equation's variables, read once for the free-variable check
+     and the sparsity pattern. *)
+  let reads = List.map (fun (_, e) -> Om_expr.Expr.vars e) eqs in
   List.iter
-    (fun (_, e) ->
-      List.iter
-        (fun v ->
-          if (not (S.mem v state_set)) && v <> time_var then
-            invalid_arg ("Odesys.of_equations: free variable " ^ v))
-        (Om_expr.Expr.vars e))
-    eqs;
+    (List.iter (fun v ->
+         if (not (S.mem v state_set)) && v <> time_var then
+           invalid_arg ("Odesys.of_equations: free variable " ^ v)))
+    reads;
   let dim = List.length eqs in
   let names = Array.of_list states in
   (* Value vector layout: states first, then time. *)
@@ -131,7 +135,7 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
     load t y;
     Vm.exec rhs_prog ~env:buf ~out:ydot
   in
-  let sparsity = pattern_of_equations eqs in
+  let sparsity = pattern_of_reads names reads in
   let jac, sjac =
     if not with_symbolic_jacobian then (None, None)
     else begin

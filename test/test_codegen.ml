@@ -796,6 +796,94 @@ let test_merged_smaller () =
   if not (10 * merged < 8 * per_task) then
     Alcotest.failf "merged %d instructions, per-task %d" merged per_task
 
+(* ---------- byte-identical programs ---------- *)
+
+(* Digest of a program's code words, constant bits, register count and
+   result register: equal digests, the same program.  A compile-time
+   speed-up must keep the pinned values; a change to them is a change to
+   what the bearing runs. *)
+let program_digest p =
+  let r = Om_expr.Vm.raw p in
+  let b = Buffer.create 65536 in
+  Array.iter (fun w -> Buffer.add_string b (Printf.sprintf "%d," w)) r.rw_code;
+  Buffer.add_char b '|';
+  Array.iter
+    (fun x -> Buffer.add_string b (Printf.sprintf "%Ld," (Int64.bits_of_float x)))
+    r.rw_consts;
+  Buffer.add_string b (Printf.sprintf "|%d|%d" r.rw_nregs r.rw_result);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The RHS and Jacobian programs [Odesys.of_equations] builds, built the
+   way it builds them. *)
+let odesys_programs ?optimize eqs =
+  let module Vm = Om_expr.Vm in
+  let names = Array.of_list (List.map fst eqs) in
+  let layout = Om_expr.Layout.of_names (Array.append names [| "t" |]) in
+  let rhs =
+    Vm.compile_stmts ?optimize ~out_size:(Array.length names) layout
+      (List.mapi (fun i (_, e) -> (e, Vm.To_out i)) eqs)
+  in
+  let pattern = Om_ode.Odesys.pattern_of_equations eqs in
+  let nnz = Om_ode.Sparse.nnz pattern in
+  let slots = Array.make nnz E.zero in
+  Array.iteri
+    (fun i row ->
+      Array.iter
+        (fun (c, d) ->
+          let k = Om_ode.Sparse.index pattern i c in
+          if k >= 0 then slots.(k) <- d)
+        row)
+    (Om_expr.Deriv.jacobian names (Array.of_list (List.map snd eqs)));
+  let jac =
+    Vm.compile_stmts ?optimize ~out_size:nnz layout
+      (List.init nnz (fun k -> (slots.(k), Vm.To_out k)))
+  in
+  (rhs, jac)
+
+let check_program what ~instrs ~digest p =
+  Alcotest.(check int) (what ^ " instructions") instrs (Om_expr.Vm.length p);
+  Alcotest.(check string) (what ^ " digest") digest (program_digest p)
+
+let test_odesys_programs_pinned () =
+  let m = Om_models.Bearing2d.model () in
+  let rhs, jac = odesys_programs m.equations in
+  check_program "rhs" ~instrs:6285 ~digest:"a5306f6002ba78091ba3900738453adc"
+    rhs;
+  check_program "jacobian" ~instrs:34882
+    ~digest:"e84c4df1bc493a7e5416f2e682b4f1ce" jac;
+  (* They are the programs Odesys runs: the same outputs, bit for bit. *)
+  let sys = Om_ode.Odesys.of_equations m.equations in
+  let y0 = Fm.initial_values m in
+  let env = Array.append y0 [| 0.25 |] in
+  let bits a = Array.map Int64.bits_of_float a in
+  let ydot = Array.make (Array.length y0) 0. in
+  let out = Array.make (Array.length y0) 0. in
+  sys.f 0.25 y0 ydot;
+  Om_expr.Vm.exec rhs ~env ~out;
+  Alcotest.(check (array int64)) "rhs outputs" (bits out) (bits ydot);
+  let nnz = Om_ode.Sparse.nnz (Option.get sys.sparsity) in
+  let v = Array.make nnz 0. and out = Array.make nnz 0. in
+  (Option.get sys.sjac) 0.25 y0 v;
+  Om_expr.Vm.exec jac ~env ~out;
+  Alcotest.(check (array int64)) "jacobian outputs" (bits out) (bits v)
+
+(* The lowering emits the constant-operand forms itself, so the
+   unoptimised Jacobian is a quarter smaller than its 54,754 ldc/mul
+   form (39,084 when this was written). *)
+let test_lowered_jacobian_ceiling () =
+  let _, jac =
+    odesys_programs ~optimize:false (Om_models.Bearing2d.model ()).equations
+  in
+  let n = Om_expr.Vm.length jac in
+  if n > 39_100 then Alcotest.failf "lowered jacobian: %d instructions" n
+
+let test_pipeline_programs_pinned () =
+  let r = P.compile (Om_models.Bearing2d.model ()) in
+  check_program "merged" ~instrs:8626 ~digest:"dc5bb7854c38c0d2818af3c138e2c366"
+    (r.compiled.sequential ());
+  check_program "task 24" ~instrs:566
+    ~digest:"1a3b334d2bd7f1fcc75a71b01fa38225" r.compiled.tasks.(24).program
+
 let test_merged_zero_alloc () =
   let r = P.compile (Om_models.Bearing2d.model ()) in
   let y = Fm.initial_values r.model in
@@ -1178,5 +1266,14 @@ let () =
           Alcotest.test_case "batch shared load" `Quick
             test_merged_batch_shared_load;
           Alcotest.test_case "batch lanes" `Quick test_merged_batch_lanes;
+        ] );
+      ( "programs",
+        [
+          Alcotest.test_case "odesys rhs and jacobian pinned" `Quick
+            test_odesys_programs_pinned;
+          Alcotest.test_case "lowered jacobian ceiling" `Quick
+            test_lowered_jacobian_ceiling;
+          Alcotest.test_case "merged and task programs pinned" `Quick
+            test_pipeline_programs_pinned;
         ] );
     ]
