@@ -37,6 +37,26 @@ let density p =
   if p.rows = 0 || p.cols = 0 then 0.
   else float_of_int (nnz p) /. (float_of_int p.rows *. float_of_int p.cols)
 
+(* Sort [a.(lo) .. a.(hi - 1)] in place: an insertion sort for the
+   short runs of a sparse row or column, which needs no copy, and a
+   heap sort beyond. *)
+let sort_ints a lo hi =
+  if hi - lo > 32 then begin
+    let seg = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare seg;
+    Array.blit seg 0 a lo (hi - lo)
+  end
+  else
+    for i = lo + 1 to hi - 1 do
+      let v = a.(i) in
+      let j = ref i in
+      while !j > lo && a.(!j - 1) > v do
+        a.(!j) <- a.(!j - 1);
+        decr j
+      done;
+      a.(!j) <- v
+    done
+
 let pattern_of_entries ~rows ~cols entries =
   if rows < 0 || cols < 0 then invalid_arg "Sparse.pattern_of_entries";
   List.iter
@@ -65,15 +85,13 @@ let pattern_of_entries ~rows ~cols entries =
   let k = ref 0 in
   for i = 0 to rows - 1 do
     let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
-    let seg = Array.sub raw lo (hi - lo) in
-    Array.sort compare seg;
-    Array.iteri
-      (fun s c ->
-        if s = 0 || c <> seg.(s - 1) then begin
-          dedup_ci.(!k) <- c;
-          incr k
-        end)
-      seg;
+    sort_ints raw lo hi;
+    for s = lo to hi - 1 do
+      if s = lo || raw.(s) <> raw.(s - 1) then begin
+        dedup_ci.(!k) <- raw.(s);
+        incr k
+      end
+    done;
     dedup_ptr.(i + 1) <- !k
   done;
   { rows; cols; row_ptr = dedup_ptr; col_ind = Array.sub dedup_ci 0 !k }
@@ -385,16 +403,16 @@ let lu_factor (a : t) =
         incr npiv
       end
     done;
-    let piv_part = Array.sub pivotal 0 !npiv in
-    Array.sort compare piv_part;
-    Array.iter
-      (fun pp ->
-        let xi = x.(rowat.(pp)) in
-        for k = l_cp.(pp) to l_cp.(pp + 1) - 1 do
-          let r = lbuf.idx.(k) in
-          x.(r) <- x.(r) -. (lbuf.data.(k) *. xi)
-        done)
-      piv_part;
+    (* The positions are distinct, so any sort gives this order. *)
+    sort_ints pivotal 0 !npiv;
+    for q = 0 to !npiv - 1 do
+      let pp = pivotal.(q) in
+      let xi = x.(rowat.(pp)) in
+      for k = l_cp.(pp) to l_cp.(pp + 1) - 1 do
+        let r = lbuf.idx.(k) in
+        x.(r) <- x.(r) -. (lbuf.data.(k) *. xi)
+      done
+    done;
     (* Pivot search over non-pivotal reach entries; everything outside
        the reach is an exact zero in the dense path.  Dense scans
        positions j..n-1 taking the first strictly-larger magnitude, so
@@ -426,7 +444,10 @@ let lu_factor (a : t) =
     end;
     (* Emit U column j (pivotal rows ascending, then the diagonal) and
        L column j (multipliers, original row indices). *)
-    Array.iter (fun pp -> buf_push ubuf pp x.(rowat.(pp))) piv_part;
+    for q = 0 to !npiv - 1 do
+      let pp = pivotal.(q) in
+      buf_push ubuf pp x.(rowat.(pp))
+    done;
     u_diag.(j) <- pivot;
     for t = 0 to !nreach - 1 do
       let r = reach.(t) in
