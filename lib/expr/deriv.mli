@@ -25,7 +25,10 @@ val jacobian : string array -> Expr.t array -> (int * Expr.t) array array
     overflows) makes [0 * c] a NaN, as [diff] does, and then the row
     lists every column.  Results share their common subtrees
     physically, which {!Vm}'s DAG-aware lowering turns into reused
-    registers.
+    registers: the parts of a node's derivative no column changes (the
+    outer derivative of a call, [b^(n-1)], a reciprocal denominator,
+    the product rule's other factors) are built once per node and read
+    by every column.
     @raise Invalid_argument if [vars] has a duplicate. *)
 
 val gradient : string list -> Expr.t -> (string * Expr.t) list
