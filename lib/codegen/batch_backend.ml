@@ -1,8 +1,8 @@
 (* Batched execution of a compiled bytecode backend: the merged
-   sequential program and the epilogue program, reinterpreted over
+   sequential program, epilogue included, reinterpreted over
    structure-of-arrays lanes by {!Om_expr.Vm_batch}.  Per lane the
    semantics are exactly {!Bytecode_backend.rhs_fn} — set state, run the
-   merged program, run the epilogue, copy the derivative slots out. *)
+   merged program, copy the derivatives out. *)
 
 module Bb = Bytecode_backend
 module Vb = Om_expr.Vm_batch
@@ -10,10 +10,10 @@ module Vb = Om_expr.Vm_batch
 type t = {
   dim : int;
   width : int;
-  env : float array array; (* env_size x width: states, t, CSE temps *)
-  out : float array array; (* n_slots x width *)
+  env : float array array;
+      (* env_size x width: states, t, CSE temps, partials *)
+  out : float array array; (* dim x width *)
   program : Vb.t;
-  epilogue : Vb.t;
 }
 
 let create (c : Bb.t) ~width =
@@ -24,9 +24,8 @@ let create (c : Bb.t) ~width =
     dim = c.dim;
     width;
     env = Array.init env_size (fun _ -> Array.make width 0.);
-    out = Array.init c.n_slots (fun _ -> Array.make width 0.);
+    out = Array.init c.dim (fun _ -> Array.make width 0.);
     program = Vb.create ~width p;
-    epilogue = Vb.create ~width c.epilogue_program;
   }
 
 (* Fresh SoA columns and Vm_batch scratch over the shared conditioned
@@ -38,7 +37,6 @@ let clone_scratch t =
     env = Array.init (Array.length t.env) (fun _ -> Array.make t.width 0.);
     out = Array.init (Array.length t.out) (fun _ -> Array.make t.width 0.);
     program = Vb.clone_scratch t.program;
-    epilogue = Vb.clone_scratch t.epilogue;
   }
 
 let width t = t.width
@@ -51,7 +49,6 @@ let brhs t ~times ~y ~ydot ~lo ~hi =
   done;
   Array.blit times lo t.env.(t.dim) lo n;
   Vb.exec t.program ~env:t.env ~out:t.out ~lo ~hi;
-  Vb.exec t.epilogue ~env:t.env ~out:t.out ~lo ~hi;
   for i = 0 to t.dim - 1 do
     Array.blit t.out.(i) lo ydot.(i) lo n
   done

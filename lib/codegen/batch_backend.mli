@@ -1,13 +1,12 @@
 (** Batched (SoA) execution of a compiled bytecode backend.
 
     Wraps the merged sequential program of a {!Bytecode_backend.t}
-    ({!Bytecode_backend.t.sequential}) and its epilogue program into two
-    {!Om_expr.Vm_batch} instances sharing one structure-of-arrays
+    ({!Bytecode_backend.t.sequential}, epilogue included) into an
+    {!Om_expr.Vm_batch} instance over a structure-of-arrays
     environment, and exposes the batched right-hand side [brhs]: per
     lane it computes exactly what {!Bytecode_backend.rhs_fn} computes
-    (set state, run the merged program, run the reduction epilogue,
-    copy derivative slots out) — Int64-bitwise, per the
-    {!Om_expr.Vm_batch} contract.
+    (set state, run the merged program, copy the derivatives out) —
+    Int64-bitwise, per the {!Om_expr.Vm_batch} contract.
 
     The [brhs] signature matches {!Ode.Ensemble.brhs}, so a batch
     backend plugs directly into the lockstep ensemble steppers.
@@ -24,7 +23,7 @@ val create : Bytecode_backend.t -> width:int -> t
 
 val clone_scratch : t -> t
 (** An independent batch instance at the same width: environment and
-    output columns plus every {!Om_expr.Vm_batch} register file are
+    output columns plus the {!Om_expr.Vm_batch} register file are
     fresh, while the conditioned instruction streams are shared (they
     are immutable).  Unlike driving disjoint lane ranges of one
     instance, a clone may run {e any} lanes concurrently with the

@@ -8,20 +8,18 @@ type compiled_task = {
   static_cost : float;
   reads : int list;
   writes : int list;
+  poison : float -> unit;
   program : Om_expr.Vm.program;
 }
 
 type t = {
   dim : int;
-  n_slots : int;
   tasks : compiled_task array;
   set_state : float -> float array -> unit;
   out : float array;
   run_sequential : unit -> unit;
   sequential : unit -> Om_expr.Vm.program;
   run_epilogue : unit -> unit;
-  epilogue_program : Om_expr.Vm.program;
-  epilogue_flops : float;
   state_names : string array;
   cse_temp_total : int;
   vm_instrs : int;
@@ -37,8 +35,6 @@ let slot_of_target s =
   | Some i ->
       int_of_string (String.sub s (i + 1) (String.length s - i - 1))
   | None -> invalid_arg "Bytecode_backend: bad slot target"
-
-let no_env = [||]
 
 (* A clone of [program ()] with its own register file, made on the
    first call. *)
@@ -101,7 +97,8 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
         in
         [ (0, "serial", block, union info.reads, union info.writes) ]
   in
-  (* Environment: states, time, then every temp of every block. *)
+  (* Environment: states, time, every temp of every block, then the
+     partials. *)
   let temp_names =
     List.concat_map
       (fun (_, _, (b : Cse.block), _, _) ->
@@ -110,13 +107,24 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
   in
   let names =
     Array.concat
-      [ state_names; [| "t" |]; Array.of_list temp_names ]
+      [
+        state_names;
+        [| "t" |];
+        Array.of_list temp_names;
+        Array.init plan.n_partials Partition.partial_name;
+      ]
   in
   let env_size = Array.length names in
   (* One name -> slot table for every program of this compile. *)
   let layout = Om_expr.Layout.of_names names in
   let slot_of_name = Om_expr.Layout.slot layout in
-  let out_size = Partition.n_slots plan in
+  let out_size = dim in
+  (* A plan slot's store: derivatives to [out], partials to their env
+     slots. *)
+  let target slot =
+    if slot < dim then Om_expr.Vm.To_out slot
+    else Om_expr.Vm.To_env (slot_of_name (Partition.partial_name (slot - dim)))
+  in
   (* The lowering's buffers, reused from one program to the next.  Local
      to this call: serve compiles on several domains at once. *)
   let scratch = Om_expr.Vm.scratch () in
@@ -125,9 +133,9 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
      lowering, CSE, peephole and validation work happens here, once. *)
   let plan_block (id, label, (block : Cse.block), reads, writes) =
     (* One register program per task: temps store to their env slots,
-       roots to their output slots.  Temp slots are task-private (per-task
-       CSE prefixes make the names unique), so the optimiser may drop
-       stores nothing reads. *)
+       roots to their targets.  Temp slots are task-private (per-task CSE
+       prefixes make the names unique), so the optimiser may drop stores
+       nothing reads; partials are read by the epilogue. *)
     let code =
       let module Iset = Set.Make (Int) in
       let priv =
@@ -141,8 +149,7 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
             (b.expr, Om_expr.Vm.To_env (slot_of_name b.name)))
           block.temps
         @ List.map
-            (fun (target, e) ->
-              (e, Om_expr.Vm.To_out (slot_of_target target)))
+            (fun (name, e) -> (e, target (slot_of_target name)))
             block.roots
       in
       Om_expr.Vm.compile_stmts ~optimize
@@ -157,8 +164,8 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
     in
     let root_msteps =
       List.map
-        (fun (target, e) ->
-          (slot_of_target target, Om_expr.Cost_dyn.build layout e))
+        (fun (name, e) ->
+          (target (slot_of_target name), Om_expr.Cost_dyn.build layout e))
         block.roots
     in
     ( id, label, code, (temp_msteps, root_msteps), Cse.block_cost block,
@@ -166,7 +173,8 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
   in
   let task_plans = List.map plan_block blocks in
   let epilogue_code =
-    Om_expr.Vm.compile_epilogue ~optimize ~scratch ~out_size plan.epilogue
+    Om_expr.Vm.compile_stmts ~optimize ~scratch ~out_size layout
+      (List.map (fun (d, e) -> (e, Om_expr.Vm.To_out d)) plan.epilogue)
   in
   let vm_instrs, vm_flops, vm_fused =
     let add (i, fl, fu) p =
@@ -181,10 +189,11 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
     add acc epilogue_code
   in
   let cse_temp_total = List.length temp_names in
-  let epilogue_flops = plan.epilogue_flops in
-  (* The task programs merged into one (Vm.merge), built on first use
-     and shared by every instance.  Instances on several domains may
-     ask at once: the lock makes exactly one of them build it. *)
+  (* The task programs and the epilogue merged into one (Vm.merge),
+     built on first use and shared by every instance.  Partials, like
+     temps, are private to the merge: stored once, then read from the
+     register.  Instances on several domains may ask at once: the lock
+     makes exactly one of them build it. *)
   let merged = Atomic.make None in
   let lock = Mutex.create () in
   let sequential () =
@@ -198,7 +207,8 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
                 let p =
                   Om_expr.Vm.merge
                     ~private_env_slot:(fun s -> s > dim)
-                    (List.map (fun (_, _, code, _, _, _, _) -> code) task_plans)
+                    (List.map (fun (_, _, code, _, _, _, _) -> code) task_plans
+                    @ [ epilogue_code ])
                 in
                 Atomic.set merged (Some p);
                 p)
@@ -213,6 +223,11 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
   let rec instantiate () =
     let env = Array.make env_size 0. in
     let out = Array.make out_size 0. in
+    let store tgt v =
+      match tgt with
+      | Om_expr.Vm.To_env s -> env.(s) <- v
+      | Om_expr.Vm.To_out s -> out.(s) <- v
+    in
     let build_task
         (id, label, program, (temp_msteps, root_msteps), static_cost, reads,
          writes) =
@@ -221,10 +236,12 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
       let measured_eval () =
         let acc = ref 0. in
         List.iter (fun (slot, f) -> env.(slot) <- f env acc) temp_msteps;
-        List.iter (fun (slot, f) -> out.(slot) <- f env acc) root_msteps;
+        List.iter (fun (tgt, f) -> store tgt (f env acc)) root_msteps;
         !acc
       in
-      { id; label; eval; measured_eval; static_cost; reads; writes; program }
+      let poison v = List.iter (fun slot -> store (target slot) v) writes in
+      { id; label; eval; measured_eval; static_cost; reads; writes; poison;
+        program }
     in
     let tasks = Array.of_list (List.map build_task task_plans) in
     let set_state t y =
@@ -233,21 +250,16 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
     in
     let own_sequential = cloned_on_first_use sequential in
     let run_sequential () = Om_expr.Vm.exec (own_sequential ()) ~env ~out in
-    let epilogue_program = Om_expr.Vm.clone_scratch epilogue_code in
-    let run_epilogue () =
-      Om_expr.Vm.exec epilogue_program ~env:no_env ~out
-    in
+    let own_epilogue = cloned_on_first_use (fun () -> epilogue_code) in
+    let run_epilogue () = Om_expr.Vm.exec (own_epilogue ()) ~env ~out in
     {
       dim;
-      n_slots = out_size;
       tasks;
       set_state;
       out;
       run_sequential;
       sequential;
       run_epilogue;
-      epilogue_program;
-      epilogue_flops;
       state_names;
       cse_temp_total;
       vm_instrs;
@@ -263,7 +275,6 @@ let clone_scratch c = c.fresh_scratch ()
 let rhs_fn c t y ydot =
   c.set_state t y;
   c.run_sequential ();
-  c.run_epilogue ();
   Array.blit c.out 0 ydot 0 c.dim
 
 let task_costs_static c = Array.map (fun tk -> tk.static_cost) c.tasks

@@ -25,7 +25,8 @@ type compiled_task = {
       (** like [eval] but returns the branch-resolved flop cost *)
   static_cost : float;  (** mean-branch estimate, includes temps *)
   reads : int list;
-  writes : int list;
+  writes : int list;  (** plan slots: derivatives and partials *)
+  poison : float -> unit;  (** overwrite every slot in [writes] *)
   program : Om_expr.Vm.program;
       (** the task's register program, shared by every instance — for
           disassembly, instruction statistics and {!Om_expr.Vm.merge},
@@ -34,24 +35,23 @@ type compiled_task = {
 
 type t = {
   dim : int;
-  n_slots : int;
   tasks : compiled_task array;
   set_state : float -> float array -> unit;
-  out : float array;  (** output slots: derivatives then partials *)
+  out : float array;  (** the derivatives *)
   run_sequential : unit -> unit;
-      (** run every task's work as one program, {!sequential}: the
-          same [out] slots as each task's [eval] in order, Int64-bitwise.
-          Clones it (a register file) on first call. *)
+      (** run every task's work and the epilogue as one program,
+          {!sequential}: the same [out] as each task's [eval] in order,
+          then {!run_epilogue}, Int64-bitwise.  Clones it (a register
+          file) on first call. *)
   sequential : unit -> Om_expr.Vm.program;
-      (** the task programs merged by {!Om_expr.Vm.merge}, built on
-          first call and shared by every instance of the artifact; safe
-          to call from several domains at once.  Engines that
-          reinterpret it (e.g. {!Batch_backend}) must not [exec] it. *)
+      (** the task programs and the epilogue merged by
+          {!Om_expr.Vm.merge}, built on first call and shared by every
+          instance of the artifact; safe to call from several domains at
+          once.  Engines that reinterpret it (e.g. {!Batch_backend})
+          must not [exec] it. *)
   run_epilogue : unit -> unit;
-  epilogue_program : Om_expr.Vm.program;
-      (** the reduction-epilogue program, for engines that reinterpret it
-          (e.g. {!Batch_backend}) *)
-  epilogue_flops : float;
+      (** the residuals ({!Partition.plan.epilogue}), over the partials
+          the tasks stored *)
   state_names : string array;
   cse_temp_total : int;  (** temporaries across all tasks *)
   vm_instrs : int;  (** static VM instructions across tasks + epilogue *)
@@ -87,16 +87,12 @@ val clone_scratch : t -> t
 
 val rhs_fn : t -> float -> float array -> float array -> unit
 (** Sequential execution: set the state, run the merged program
-    ({!t.run_sequential}), run the epilogue, copy the derivatives out.
-    Int64-bitwise what a parallel round computes, since the merge
-    executes exactly the tasks' instructions minus exact repeats; the
-    reference semantics used for [Odesys.make].  Allocation-free after
-    the first call.  When the plan splits no
-    assignment ([Partition.partition ~split_threshold:infinity]), each
-    derivative is evaluated in {!Om_expr.Eval.eval}'s order and equals
-    it bit for bit, up to the sign of zero ({!Om_expr.Vm}'s contract).
-    A split assignment's partial sums are added up in the epilogue with
-    a different association, so with the default plan the two agree to
-    rounding only (within 1e-13 relative on the bearing). *)
+    ({!t.run_sequential}), copy the derivatives out.  Int64-bitwise what
+    a parallel round and its epilogue compute, since the merge executes
+    exactly their instructions minus exact repeats; the reference
+    semantics used for [Odesys.make].  Allocation-free after the first
+    call.  Split or not, each derivative is evaluated in
+    {!Om_expr.Eval.eval}'s order and equals it bit for bit, up to the
+    sign of zero ({!Om_expr.Vm}'s contract). *)
 
 val task_costs_static : t -> float array

@@ -261,12 +261,11 @@ let generate ~mode (plan : Partition.plan) ~state_names ~initial ~model_name =
                    (expr_to_c var_name e)))
             block.roots;
           List.iter
-            (fun (deriv, slots) ->
+            (fun (deriv, e) ->
               stmt em
                 (Printf.sprintf "  const double %s = %s;"
                    (slot_name dim state_names deriv)
-                   (String.concat " + "
-                      (List.map (slot_name dim state_names) slots))))
+                   (expr_to_c var_name e)))
             plan.epilogue;
           Array.iteri
             (fun i _ ->
@@ -280,15 +279,18 @@ let generate ~mode (plan : Partition.plan) ~state_names ~initial ~model_name =
   (match mode with
   | Parallel ->
       line em
-        (Printf.sprintf "void gather_epilogue(double yout[%d])"
+        (Printf.sprintf
+           "void gather_epilogue(const double yin[%d], double yout[%d])"
+           (dim + 1)
            (Partition.n_slots plan));
       line em "{";
+      let gathered =
+        Fortran.gather_names plan ~state_names (Printf.sprintf "%s[%d]")
+      in
       List.iter
-        (fun (deriv, slots) ->
+        (fun (deriv, e) ->
           stmt em
-            (Printf.sprintf "  yout[%d] = %s;" deriv
-               (String.concat " + "
-                  (List.map (fun s -> Printf.sprintf "yout[%d]" s) slots))))
+            (Printf.sprintf "  yout[%d] = %s;" deriv (expr_to_c gathered e)))
         plan.epilogue;
       line em "}";
       line em ""

@@ -186,6 +186,17 @@ let slot_name dim state_names slot =
   if slot < dim then mangle state_names.(slot) ^ "_dot"
   else Printf.sprintf "partial_%d" (slot - dim)
 
+(* How the gather epilogue names a residual's variables: a state or the
+   time as an element of [yin], a partial as one of [yout]; [elem array
+   i] renders element [i], counting from 0. *)
+let gather_names (plan : Partition.plan) ~state_names elem =
+  let partials = Array.init plan.n_partials Partition.partial_name in
+  let names = Array.concat [ state_names; [| "t" |]; partials ] in
+  let layout = Om_expr.Layout.of_names names in
+  fun v ->
+    let i = Om_expr.Layout.slot layout v in
+    if i <= plan.dim then elem "yin" i else elem "yout" (i - 1)
+
 let generate ~mode (plan : Partition.plan) ~state_names ~initial ~model_name =
   let dim = plan.dim in
   let info = Comm_analysis.analyse plan ~state_names in
@@ -264,10 +275,9 @@ let generate ~mode (plan : Partition.plan) ~state_names ~initial ~model_name =
     blocks;
   (match mode with
   | Serial ->
-      (* Serial code also evaluates the partials and the epilogue. *)
+      (* Serial code also evaluates the residuals. *)
       List.iter
-        (fun (_, slots) ->
-          List.iter (fun s -> declare (slot_name dim state_names s)) slots)
+        (fun (deriv, _) -> declare (slot_name dim state_names deriv))
         plan.epilogue
   | Parallel -> ());
   let emit_block indent (tk : Partition.task) (block : Cse.block) =
@@ -332,14 +342,13 @@ let generate ~mode (plan : Partition.plan) ~state_names ~initial ~model_name =
                 (Printf.sprintf "    %s = %s" (mangle target)
                    (expr_to_fortran var_name e)))
             block.roots;
-          (* Epilogue: fold partials into derivatives, then store. *)
+          (* Epilogue: the residuals read the partials, then store. *)
           List.iter
-            (fun (deriv, slots) ->
+            (fun (deriv, e) ->
               stmt em
                 (Printf.sprintf "    %s = %s"
                    (slot_name dim state_names deriv)
-                   (String.concat " + "
-                      (List.map (slot_name dim state_names) slots))))
+                   (expr_to_fortran var_name e)))
             plan.epilogue;
           Array.iteri
             (fun i n ->
@@ -353,17 +362,22 @@ let generate ~mode (plan : Partition.plan) ~state_names ~initial ~model_name =
   line em "";
   (match mode with
   | Parallel ->
-      (* Supervisor-side gather epilogue. *)
-      line em "  subroutine gather_epilogue(yout)";
+      (* Supervisor-side gather epilogue: the residuals, over the state
+         and the gathered partials. *)
+      line em "  subroutine gather_epilogue(yin, yout)";
+      line em (Printf.sprintf "    real(dp), intent(in) :: yin(%d)" (dim + 1));
       line em
         (Printf.sprintf "    real(dp), intent(inout) :: yout(%d)"
            (Partition.n_slots plan));
+      let gathered =
+        gather_names plan ~state_names (fun a i ->
+            Printf.sprintf "%s(%d)" a (i + 1))
+      in
       List.iter
-        (fun (deriv, slots) ->
+        (fun (deriv, e) ->
           stmt em
             (Printf.sprintf "    yout(%d) = %s" (deriv + 1)
-               (String.concat " + "
-                  (List.map (fun s -> Printf.sprintf "yout(%d)" (s + 1)) slots))))
+               (expr_to_fortran gathered e)))
         plan.epilogue;
       line em "  end subroutine gather_epilogue";
       line em ""

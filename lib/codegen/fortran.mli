@@ -37,3 +37,13 @@ val mangle : string -> string
 
 val expr_to_fortran : (string -> string) -> Om_expr.Expr.t -> string
 (** Render an expression with the given variable renderer. *)
+
+val gather_names :
+  Partition.plan ->
+  state_names:string array ->
+  (string -> int -> string) ->
+  string ->
+  string
+(** How [gather_epilogue] names a residual's variables: states and time
+    as elements of [yin], partials as elements of [yout], rendered by
+    [elem array i] (0-based). *)

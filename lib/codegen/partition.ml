@@ -10,64 +10,69 @@ type plan = {
   dim : int;
   n_partials : int;
   tasks : task array;
-  epilogue : (int * int list) list;
+  epilogue : (int * E.t) list;
   epilogue_flops : float;
 }
 
 let n_slots p = p.dim + p.n_partials
+let partial_name k = Printf.sprintf "partial$%d" k
 
-let task_cost t =
-  List.fold_left
-    (fun acc (_, e) -> acc +. Om_expr.Cost.flops_mean e)
-    0. t.roots
+let flops es =
+  List.fold_left (fun acc e -> acc +. Om_expr.Cost.flops_mean e) 0. es
 
-(* Additive decomposition of an expression for task splitting.  Beyond
-   top-level sums this descends through two meaning-preserving rewrites:
+let cost roots = flops (List.map snd roots)
 
-   - a product with a sum factor distributes when the remaining cofactor
-     is cheap enough to duplicate;
-   - a unilateral conditional [If (c, body, 0)] — the shape of every
-     contact force — first absorbs cheap product cofactors
-     ([k * If (c, b, 0) = If (c, k * b, 0)]) and then distributes over
-     the terms of its taken branch ([If (c, sum t_i, 0) = sum If (c, t_i, 0)]),
-     duplicating only the (cheap) condition.
-
-   The cofactor/condition budget caps the recomputation this introduces. *)
-let duplication_budget = 80.
-
-let rec split_terms (e : E.t) : E.t list =
+(* The subtrees a split may hoist out of [e]: the terms of a sum, of a
+   product's one sum factor, or of a unilateral If's arm — with the
+   nodes passed through to reach them, [e] and the sum included. *)
+let rec parts path (e : E.t) =
   match e with
-  | E.Add ts -> List.concat_map split_terms ts
+  | E.Add ts -> Some (e :: path, ts)
   | E.Mul fs -> (
-      (* Pull a unilateral If out of the product. *)
-      let ifs, others =
-        List.partition
-          (function E.If (_, _, E.Const 0.) -> true | _ -> false)
-          fs
-      in
-      match ifs with
-      | E.If (c, body, _) :: rest_ifs ->
-          split_terms (E.if_ c (E.mul (body :: rest_ifs @ others)) E.zero)
-      | _ -> (
-          (* Distribute over one sum factor if the cofactor is cheap. *)
-          let adds, rest =
-            List.partition (function E.Add _ -> true | _ -> false) fs
-          in
-          match adds with
-          | E.Add ts :: other_adds
-            when Om_expr.Cost.flops_mean (E.mul (other_adds @ rest))
-                 <= duplication_budget ->
-              List.concat_map
-                (fun t -> split_terms (E.mul (t :: other_adds @ rest)))
-                ts
-          | _ -> [ e ]))
-  | E.If (c, a, E.Const 0.)
-    when Om_expr.Cost.flops_mean c.lhs +. Om_expr.Cost.flops_mean c.rhs
-         <= duplication_budget -> (
-      match split_terms a with
-      | [ _ ] -> [ e ]
-      | ts -> List.map (fun t -> E.if_ c t E.zero) ts)
-  | _ -> [ e ]
+      match List.filter (function E.Add _ -> true | _ -> false) fs with
+      | [ sum ] -> parts (e :: path) sum
+      | _ -> None)
+  | E.If (_, a, E.Const 0.) -> parts (e :: path) a
+  | _ -> None
+
+(* Hoisting: the subtrees of [rhs] that worker tasks compute, each into
+   its own partial slot.  A subtree is split further through its
+   [parts] while it costs more than [budget] and the parts carry most of
+   that cost: what a descent leaves behind, the residual computes on the
+   supervisor.  Leaves stay where they are, and a subtree reached twice
+   is hoisted once.  Also returns the nodes passed through: the spine
+   the residual rebuilds. *)
+let hoist budget rhs =
+  let hoisted = ref [] and spine = ref [] in
+  let rec descend e =
+    let c = Om_expr.Cost.flops_mean e in
+    match parts [] e with
+    | Some (path, ts) when c > budget && 2. *. flops ts > c ->
+        spine := path @ !spine;
+        List.iter go ts;
+        true
+    | _ -> false
+  and go e =
+    match e with
+    | E.Const _ | E.Var _ -> ()
+    | _ when List.memq e !hoisted -> ()
+    | _ -> if not (descend e) then hoisted := e :: !hoisted
+  in
+  ignore (descend rhs);
+  (List.rev !hoisted, !spine)
+
+(* The residual: [rhs] with each hoisted subtree replaced by a read of
+   its partial slot.  Rebuilt with raw constructors ([map_exact]), so
+   every operation and operand order is the original's and the residual
+   evaluates to the same bits; subtrees off the spine stay physically
+   shared. *)
+let residual rhs ~spine slots =
+  E.map_exact
+    (fun s ->
+      match List.assq_opt s slots with
+      | Some k -> Some (E.var (partial_name k))
+      | None -> if List.memq s spine then None else Some s)
+    rhs
 
 (* Split the terms of a sum into chunks of roughly [threshold] cost. *)
 let chunk_terms threshold terms =
@@ -88,35 +93,39 @@ let chunk_terms threshold terms =
 
 let partition ?(merge_threshold = 50.) ?(split_threshold = 4000.) assigns =
   let dim = Array.length assigns in
+  let budget = split_threshold /. 2. in
   let next_partial = ref 0 in
   let epilogue = ref [] in
-  (* Worker work items: (slot, expr, cost), before grouping. *)
+  (* Worker work items: (roots, cost, label), before grouping. *)
   let items = ref [] in
+  let whole (a : Assignments.t) c =
+    items := ([ (a.state_index, a.rhs) ], c, a.state) :: !items
+  in
   Array.iter
     (fun (a : Assignments.t) ->
       let c = Assignments.cost a in
-      match split_terms a.rhs with
-      | terms when c > split_threshold && List.length terms >= 2 ->
-          let chunks = chunk_terms (split_threshold /. 2.) terms in
-          if List.length chunks = 1 then
-            items := (a.state_index, a.rhs, c, a.state) :: !items
-          else begin
-            let slots =
-              List.map
-                (fun chunk ->
-                  let slot = dim + !next_partial in
-                  incr next_partial;
-                  let e = E.add chunk in
-                  items :=
-                    (slot, e, Om_expr.Cost.flops_mean e,
-                     Printf.sprintf "%s#%d" a.state (slot - dim))
-                    :: !items;
-                  slot)
-                chunks
-            in
-            epilogue := (a.state_index, slots) :: !epilogue
-          end
-      | _ -> items := (a.state_index, a.rhs, c, a.state) :: !items)
+      if c <= split_threshold then whole a c
+      else
+        let hoisted, spine = hoist budget a.rhs in
+        match chunk_terms budget hoisted with
+        | [] | [ _ ] -> whole a c
+        | chunks ->
+            let slots = ref [] in
+            List.iter
+              (fun chunk ->
+                let label = Printf.sprintf "%s#%d" a.state !next_partial in
+                let roots =
+                  List.map
+                    (fun e ->
+                      slots := (e, !next_partial) :: !slots;
+                      incr next_partial;
+                      (dim + !next_partial - 1, e))
+                    chunk
+                in
+                items := (roots, cost roots, label) :: !items)
+              chunks;
+            epilogue :=
+              (a.state_index, residual a.rhs ~spine !slots) :: !epilogue)
     assigns;
   let items = List.rev !items in
   (* Group cheap items; expensive ones become singleton tasks. *)
@@ -125,19 +134,18 @@ let partition ?(merge_threshold = 50.) ?(split_threshold = 4000.) assigns =
     match group with
     | [] -> ()
     | _ ->
-        let roots = List.rev_map (fun (slot, e, _, _) -> (slot, e)) group in
+        let roots = List.concat (List.rev_map (fun (r, _, _) -> r) group) in
         let label =
           match group with
-          | [ (_, _, _, n) ] -> n
-          | (_, _, _, n) :: _ ->
-              Printf.sprintf "%s+%d" n (List.length group - 1)
+          | [ (_, _, n) ] -> n
+          | (_, _, n) :: _ -> Printf.sprintf "%s+%d" n (List.length group - 1)
           | [] -> assert false
         in
         tasks := (label, roots) :: !tasks
   in
   let group = ref [] and group_cost = ref 0. in
   List.iter
-    (fun ((_, _, c, _) as item) ->
+    (fun ((_, c, _) as item) ->
       if c >= merge_threshold then begin
         (* Large enough to stand alone. *)
         flush !group;
@@ -162,11 +170,7 @@ let partition ?(merge_threshold = 50.) ?(split_threshold = 4000.) assigns =
     |> Array.of_list
   in
   let epilogue = List.rev !epilogue in
-  let epilogue_flops =
-    List.fold_left
-      (fun acc (_, slots) -> acc +. float_of_int (List.length slots))
-      0. epilogue
-  in
+  let epilogue_flops = cost epilogue in
   { dim; n_partials = !next_partial; tasks; epilogue; epilogue_flops }
 
 let validate p =
@@ -184,7 +188,7 @@ let validate p =
         t.roots)
     p.tasks;
   List.iter
-    (fun (deriv, slots) ->
+    (fun (deriv, _) ->
       if deriv < 0 || deriv >= p.dim then
         invalid_arg "Partition.validate: epilogue derivative out of range";
       if written.(deriv) then
@@ -192,15 +196,11 @@ let validate p =
           (Printf.sprintf
              "Partition.validate: derivative %d both direct and via epilogue"
              deriv);
-      written.(deriv) <- true;
-      List.iter
-        (fun s ->
-          if s < p.dim || s >= n_slots p then
-            invalid_arg "Partition.validate: epilogue partial out of range")
-        slots)
+      written.(deriv) <- true)
     p.epilogue;
-  for i = 0 to p.dim - 1 do
-    if not written.(i) then
-      invalid_arg
-        (Printf.sprintf "Partition.validate: derivative %d never produced" i)
-  done
+  Array.iteri
+    (fun i w ->
+      if not w then
+        invalid_arg
+          (Printf.sprintf "Partition.validate: slot %d never produced" i))
+    written

@@ -6,15 +6,18 @@
 
     - Grouping: assignments cheaper than [merge_threshold] are packed
       greedily into tasks of about that size.
-    - Splitting: an assignment costlier than [split_threshold] whose
-      right-hand side is a sum has its terms divided into chunks; each
-      chunk becomes a task computing a {e partial} output, and the
-      supervisor adds the partials into the derivative during the gather
-      phase (keeping all worker tasks mutually independent, as the paper's
-      LPT scheduler requires).
+    - Splitting, by hoisting: an assignment costlier than
+      [split_threshold] hands subtrees — the terms of its sum, of its one
+      sum factor or of a unilateral [If]'s arm, split further while they
+      exceed half the threshold and their terms carry most of their
+      cost — to worker tasks, each into its own {e partial}.  The
+      supervisor then evaluates the {e residual}: the original tree with
+      each subtree replaced by a read of its partial, so the same
+      operations in the same order, to the same bits.  A subtree hoisted
+      out of an [If] arm is computed even when the arm is not taken.
 
-    Output slots: indices [0 .. dim-1] are derivative entries, indices
-    [dim ..] are partials. *)
+    Output slots: [0 .. dim-1] are derivatives, [dim + k] is partial
+    [k], which residuals read as the variable {!partial_name}[ k]. *)
 
 type task = {
   tid : int;
@@ -27,9 +30,8 @@ type plan = {
   dim : int;  (** state-vector dimension *)
   n_partials : int;
   tasks : task array;
-  epilogue : (int * int list) list;
-      (** [(deriv, partial slots)] — supervisor sums these after gather *)
-  epilogue_flops : float;
+  epilogue : (int * Om_expr.Expr.t) list;  (** [(deriv, residual)] *)
+  epilogue_flops : float;  (** the residuals' cost *)
 }
 
 val partition :
@@ -44,7 +46,9 @@ val partition :
 val n_slots : plan -> int
 (** [dim + n_partials]. *)
 
-val task_cost : task -> float
+val partial_name : int -> string
+(** The variable a residual reads partial [k] as. *)
+
 val validate : plan -> unit
-(** @raise Invalid_argument if slots are written twice or an epilogue
-    entry references an unknown partial. *)
+(** @raise Invalid_argument if a slot is written twice or never, or a
+    derivative is both direct and via the epilogue. *)

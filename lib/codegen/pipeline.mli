@@ -71,8 +71,5 @@ val system_level_speedup : analysis -> comm:float -> nprocs:int -> float
 val rhs_fn : result -> float -> float array -> float array -> unit
 (** Sequential reference execution of the generated code: the task
     programs merged into one ({!Bytecode_backend.rhs_fn}), Int64-bitwise
-    equal to a parallel round.  It equals
-    {!Om_expr.Eval.eval} of the flat equations bit for bit only when
-    [split_threshold] is [infinity]; with split assignments (the
-    default) the epilogue's re-association makes them agree to rounding
-    (see {!Bytecode_backend.rhs_fn}). *)
+    equal to a parallel round and, split or not, to {!Om_expr.Eval.eval}
+    of the flat equations (up to the sign of zero). *)

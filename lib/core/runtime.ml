@@ -79,9 +79,9 @@ let simulate_round config (r : Om_codegen.Pipeline.result) assignment costs =
           ~task_flops:costs ~task_reads:reads ~task_writes:writes
           ~state_dim:r.compiled.dim ~strategy:config.strategy
   in
-  (* The supervisor folds the partials into the derivatives after the
-     gather phase. *)
-  let epilogue = r.compiled.epilogue_flops *. m.flop_time in
+  (* The supervisor evaluates the residuals of split assignments after
+     the gather phase. *)
+  let epilogue = r.plan.epilogue_flops *. m.flop_time in
   let utilization =
     if config.nworkers = 0 || round.duration <= 0. then 1.
     else
@@ -139,9 +139,9 @@ let[@inline] cancel_check config =
    the paper's §3.2.3 rescheduler, and rebuilt LPT schedules are swapped
    into the live executor between rounds (Par_exec.create_measured) —
    trajectories stay bit-identical regardless, because tasks write
-   disjoint output slots and the epilogue folds on the supervisor in a
-   fixed order.  The report's overhead/utilization fields are measured
-   per-worker telemetry (Om_parallel.Round_stats), not placeholders. *)
+   disjoint slots and the epilogue runs on the supervisor.  The
+   report's overhead/utilization fields are measured per-worker
+   telemetry (Om_parallel.Round_stats), not placeholders. *)
 let execute_real config ~nworkers ~solver ~t0 ~tend
     (r : Om_codegen.Pipeline.result) =
   let compiled = r.compiled in
@@ -235,7 +235,7 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
       (* A barrier-deadline overrun recorded by the pool steps the
          ladder: drop the stalled worker (its tasks go to the survivors
          by LPT; trajectories stay bit-identical because output slots
-         are disjoint and the epilogue folds in fixed order).  The round
+         are disjoint and the epilogue runs on the supervisor).  The round
          itself always completed — detection is advisory — so [ydot] is
          already consistent. *)
       (match Om_parallel.Par_exec.take_stall exec with
@@ -394,10 +394,7 @@ let execute_simulated ?(config = default_config) ?solver ?(t0 = 0.) ~tend
           let p =
             Om_guard.Fault_plan.task_poison plan ~round:!round_idx ~task:i
           in
-          if p <> 0. then
-            List.iter
-              (fun slot -> compiled.out.(slot) <- p)
-              compiled.tasks.(i).writes
+          if p <> 0. then compiled.tasks.(i).poison p
     done;
     compiled.run_epilogue ();
     Array.blit compiled.out 0 ydot 0 compiled.dim;

@@ -39,14 +39,13 @@ type stats = { instrs : int; flops : float; fused : int }
 let () =
   assert (Vm_code.stride = 5);
   assert (
-    Vm_code.op_ldc = 0 && Vm_code.op_ldv = 1 && Vm_code.op_ldo = 2
-    && Vm_code.op_mov = 3 && Vm_code.op_add = 4 && Vm_code.op_sub = 5
-    && Vm_code.op_mul = 6 && Vm_code.op_neg = 7 && Vm_code.op_sqr = 8
-    && Vm_code.op_recip = 9 && Vm_code.op_pow = 10 && Vm_code.op_fma = 11
-    && Vm_code.op_addk = 12 && Vm_code.op_mulk = 13 && Vm_code.op_call1 = 14
-    && Vm_code.op_call2 = 15 && Vm_code.op_vmul = 16 && Vm_code.op_vmacc = 17
-    && Vm_code.op_jmp = 18 && Vm_code.op_jnot = 19 && Vm_code.op_ste = 20
-    && Vm_code.op_sto = 21)
+    Vm_code.op_ldc = 0 && Vm_code.op_ldv = 1 && Vm_code.op_mov = 2
+    && Vm_code.op_add = 3 && Vm_code.op_sub = 4 && Vm_code.op_mul = 5
+    && Vm_code.op_neg = 6 && Vm_code.op_sqr = 7 && Vm_code.op_recip = 8
+    && Vm_code.op_pow = 9 && Vm_code.op_fma = 10 && Vm_code.op_addk = 11
+    && Vm_code.op_mulk = 12 && Vm_code.op_call1 = 13 && Vm_code.op_call2 = 14
+    && Vm_code.op_vmul = 15 && Vm_code.op_vmacc = 16 && Vm_code.op_jmp = 17
+    && Vm_code.op_jnot = 18 && Vm_code.op_ste = 19 && Vm_code.op_sto = 20)
 
 (* ---- lowering memo ---- *)
 
@@ -607,29 +606,6 @@ let compile_stmts ?optimize ?private_env_slot ?(scratch = scratch ())
   finish ?optimize ?private_env_slot scratch ~result:(-1)
     ~env_size:(Layout.size layout) ~out_size
 
-let compile_epilogue ?optimize ?(scratch = scratch ()) ~out_size groups =
-  let em = start scratch in
-  List.iter
-    (fun (deriv, slots) ->
-      (* Fold from 0., left to right: the epilogue's reference order
-         (addition is commutative bitwise, so the addk strength
-         reduction downstream preserves it). *)
-      let acc0 = fresh em in
-      emit em Vm_code.op_ldc acc0 0 0 (kpool em 0.);
-      let r =
-        List.fold_left
-          (fun acc s ->
-            let rs = fresh em in
-            emit em Vm_code.op_ldo rs s 0 0;
-            let r = fresh em in
-            emit em Vm_code.op_add r acc rs 0;
-            r)
-          acc0 slots
-      in
-      emit em Vm_code.op_sto 0 r 0 deriv)
-    groups;
-  finish ?optimize scratch ~result:(-1) ~env_size:0 ~out_size
-
 (* ---- merging: one sequential program from many ----
 
    A single pass over the programs in order, value-numbering as it
@@ -647,9 +623,8 @@ let compile_epilogue ?optimize ?(scratch = scratch ()) ~out_size groups =
    register of the last statement-level store to that slot; a slot
    stored exactly once, at statement level, and never read in place by
    a fused [vmul]/[vmacc] loses its store if it is private.  Loads and
-   fused reads of stored slots are otherwise never value-numbered, and
-   [ldo] reads [out], which the programs write: both are copied, like
-   jumps, join [mov]s and [ste]/[sto]. *)
+   fused reads of stored slots are otherwise never value-numbered: they
+   are copied, like jumps, join [mov]s and [ste]/[sto]. *)
 
 let merge ~private_env_slot progs =
   let env_size = List.fold_left (fun m p -> max m p.env_size) 0 progs in
@@ -750,7 +725,7 @@ let merge ~private_env_slot progs =
         else begin
           let fa = field ka a and fb = field kb b and fc = field kc c in
           let numberable =
-            o <> Vm_code.op_mov && o <> Vm_code.op_ldo
+            o <> Vm_code.op_mov
             && not
                  ((o = Vm_code.op_vmul && (stores.(a) > 0 || stores.(b) > 0))
                  || o = Vm_code.op_vmacc
@@ -800,54 +775,51 @@ let rec loop code consts regs env out stop pc =
       | 1 (* ldv *) ->
           Array.unsafe_set regs d (Array.unsafe_get env a);
           loop code consts regs env out stop (pc + 5)
-      | 2 (* ldo *) ->
-          Array.unsafe_set regs d (Array.unsafe_get out a);
-          loop code consts regs env out stop (pc + 5)
-      | 3 (* mov *) ->
+      | 2 (* mov *) ->
           Array.unsafe_set regs d (Array.unsafe_get regs a);
           loop code consts regs env out stop (pc + 5)
-      | 4 (* add *) ->
+      | 3 (* add *) ->
           Array.unsafe_set regs d
             (Array.unsafe_get regs a +. Array.unsafe_get regs b);
           loop code consts regs env out stop (pc + 5)
-      | 5 (* sub *) ->
+      | 4 (* sub *) ->
           Array.unsafe_set regs d
             (Array.unsafe_get regs a -. Array.unsafe_get regs b);
           loop code consts regs env out stop (pc + 5)
-      | 6 (* mul *) ->
+      | 5 (* mul *) ->
           Array.unsafe_set regs d
             (Array.unsafe_get regs a *. Array.unsafe_get regs b);
           loop code consts regs env out stop (pc + 5)
-      | 7 (* neg *) ->
+      | 6 (* neg *) ->
           Array.unsafe_set regs d (-.Array.unsafe_get regs a);
           loop code consts regs env out stop (pc + 5)
-      | 8 (* sqr *) ->
+      | 7 (* sqr *) ->
           let x = Array.unsafe_get regs a in
           Array.unsafe_set regs d (x *. x);
           loop code consts regs env out stop (pc + 5)
-      | 9 (* recip *) ->
+      | 8 (* recip *) ->
           Array.unsafe_set regs d (1. /. Array.unsafe_get regs a);
           loop code consts regs env out stop (pc + 5)
-      | 10 (* pow *) ->
+      | 9 (* pow *) ->
           Array.unsafe_set regs d
             (Expr.eval_pow (Array.unsafe_get regs a) (Array.unsafe_get regs b));
           loop code consts regs env out stop (pc + 5)
-      | 11 (* fma *) ->
+      | 10 (* fma *) ->
           (* Two rounded operations, matching Eval.eval — not a hardware
              fused multiply-add. *)
           Array.unsafe_set regs d
             ((Array.unsafe_get regs a *. Array.unsafe_get regs b)
             +. Array.unsafe_get regs c);
           loop code consts regs env out stop (pc + 5)
-      | 12 (* addk *) ->
+      | 11 (* addk *) ->
           Array.unsafe_set regs d
             (Array.unsafe_get regs a +. Array.unsafe_get consts c);
           loop code consts regs env out stop (pc + 5)
-      | 13 (* mulk *) ->
+      | 12 (* mulk *) ->
           Array.unsafe_set regs d
             (Array.unsafe_get regs a *. Array.unsafe_get consts c);
           loop code consts regs env out stop (pc + 5)
-      | 14 (* call1 *) ->
+      | 13 (* call1 *) ->
           let x = Array.unsafe_get regs a in
           (match c with
           | 0 -> Array.unsafe_set regs d (Float.sin x)
@@ -867,7 +839,7 @@ let rec loop code consts regs env out stop pc =
               Array.unsafe_set regs d
                 (if x > 0. then 1. else if x < 0. then -1. else 0.));
           loop code consts regs env out stop (pc + 5)
-      | 15 (* call2 *) ->
+      | 14 (* call2 *) ->
           let x = Array.unsafe_get regs a in
           let y = Array.unsafe_get regs b in
           (match c with
@@ -893,17 +865,17 @@ let rec loop code consts regs env out stop pc =
                  else x)
           | _ (* 3: hypot *) -> Array.unsafe_set regs d (Float.hypot x y));
           loop code consts regs env out stop (pc + 5)
-      | 16 (* vmul *) ->
+      | 15 (* vmul *) ->
           Array.unsafe_set regs d
             (Array.unsafe_get env a *. Array.unsafe_get env b);
           loop code consts regs env out stop (pc + 5)
-      | 17 (* vmacc *) ->
+      | 16 (* vmacc *) ->
           Array.unsafe_set regs d
             (Array.unsafe_get regs a
             +. (Array.unsafe_get env b *. Array.unsafe_get env c));
           loop code consts regs env out stop (pc + 5)
-      | 18 (* jmp *) -> loop code consts regs env out stop c
-      | 19 (* jnot *) ->
+      | 17 (* jmp *) -> loop code consts regs env out stop c
+      | 18 (* jnot *) ->
           let x = Array.unsafe_get regs a in
           let y = Array.unsafe_get regs b in
           let holds =
@@ -915,10 +887,10 @@ let rec loop code consts regs env out stop pc =
           in
           if holds then loop code consts regs env out stop (pc + 5)
           else loop code consts regs env out stop c
-      | 20 (* ste *) ->
+      | 19 (* ste *) ->
           Array.unsafe_set env c (Array.unsafe_get regs a);
           loop code consts regs env out stop (pc + 5)
-      | _ (* 21: sto *) ->
+      | _ (* 20: sto *) ->
           Array.unsafe_set out c (Array.unsafe_get regs a);
           loop code consts regs env out stop (pc + 5)
     end

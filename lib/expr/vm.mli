@@ -78,16 +78,6 @@ val compile_stmts :
     {!exec}.
     @raise Eval.Unbound for variables the layout lacks. *)
 
-val compile_epilogue :
-  ?optimize:bool ->
-  ?scratch:scratch ->
-  out_size:int ->
-  (int * int list) list ->
-  program
-(** Compile a reduction epilogue: each [(deriv, slots)] sets
-    [out.(deriv) <- sum of out.(slot)]s, folding left to right from
-    [0.].  Reads and writes only [out]. *)
-
 val merge : private_env_slot:(int -> bool) -> program list -> program
 (** One statement program that runs the given statement programs one
     after the other, with the work they repeat done once.  A single
@@ -101,8 +91,7 @@ val merge : private_env_slot:(int -> bool) -> program list -> program
       the register the last statement-level store to it wrote; a
       [private_env_slot] stored once, at statement level, and read in
       place by no fused [vmul]/[vmacc] loses its store;
-    - jumps (re-targeted), join [mov]s, [ldo], [ste] and [sto] are
-      copied.
+    - jumps (re-targeted), join [mov]s, [ste] and [sto] are copied.
 
     {b Exactness.}  The merged program executes each program's
     instructions in order minus exact repeats: a skipped instruction

@@ -64,7 +64,7 @@ type t = {
 let () =
   (* Same literal-opcode contract as the scalar interpreter. *)
   assert (Vm_code.stride = 5);
-  assert (Vm_code.op_jmp = 18 && Vm_code.op_jnot = 19)
+  assert (Vm_code.op_jmp = 17 && Vm_code.op_jnot = 18)
 
 (* ---- register compaction ----
 
@@ -101,22 +101,22 @@ let compact code nregs result =
     and b = code.((i * 5) + 3)
     and c = code.((i * 5) + 4) in
     match op with
-    | 0 | 1 | 2 | 16 (* ldc/ldv/ldo/vmul: only [d] is a register *) ->
+    | 0 | 1 | 15 (* ldc/ldv/vmul: only [d] is a register *) ->
         touch d i
-    | 3 | 7 | 8 | 9 | 12 | 13 | 14 | 17 (* unary on [a] *) ->
+    | 2 | 6 | 7 | 8 | 11 | 12 | 13 | 16 (* unary on [a] *) ->
         touch d i;
         touch a i
-    | 4 | 5 | 6 | 10 | 15 (* binary on [a],[b] *) ->
+    | 3 | 4 | 5 | 9 | 14 (* binary on [a],[b] *) ->
         touch d i;
         touch a i;
         touch b i
-    | 11 (* fma *) ->
+    | 10 (* fma *) ->
         touch d i;
         touch a i;
         touch b i;
         touch c i
-    | 18 (* jmp: no registers *) -> ()
-    | 19 (* jnot: [d] is the relation id *) ->
+    | 17 (* jmp: no registers *) -> ()
+    | 18 (* jnot: [d] is the relation id *) ->
         touch a i;
         touch b i
     | _ (* ste/sto: [c] is an env/out slot *) -> touch a i
@@ -161,21 +161,21 @@ let compact code nregs result =
     let op = code'.(i * 5) in
     let remap k = code'.((i * 5) + k) <- phys.(code'.((i * 5) + k)) in
     match op with
-    | 0 | 1 | 2 | 16 -> remap 1
-    | 3 | 7 | 8 | 9 | 12 | 13 | 14 | 17 ->
+    | 0 | 1 | 15 -> remap 1
+    | 2 | 6 | 7 | 8 | 11 | 12 | 13 | 16 ->
         remap 1;
         remap 2
-    | 4 | 5 | 6 | 10 | 15 ->
+    | 3 | 4 | 5 | 9 | 14 ->
         remap 1;
         remap 2;
         remap 3
-    | 11 ->
+    | 10 ->
         remap 1;
         remap 2;
         remap 3;
         remap 4
-    | 18 -> ()
-    | 19 ->
+    | 17 -> ()
+    | 18 ->
         remap 2;
         remap 3
     | _ -> remap 2
@@ -186,18 +186,18 @@ let compact code nregs result =
 
    Generated code is full of [ldv r, slot] feeding exactly one
    consumer: per lane that is a row write plus a row read for a value
-   that already sits in an env column.  Batch-only opcodes (22..29,
+   that already sits in an env column.  Batch-only opcodes (21..28,
    never produced by {!Vm.compile}) let the consumer read the env
    column in place, and the dead [ldv] is deleted outright:
 
-     22 emulk   d <- env.(a) *. consts.(c)
-     23 eaddk   d <- env.(a) +. consts.(c)
-     24 eneg    d <- -. env.(a)
-     25 esqr    d <- env.(a) * env.(a)
-     26 erecip  d <- 1. /. env.(a)
-     27 ecall1  d <- prim_c (env.(a))
-     28 emula   d <- env.(a) *. regs.(b)
-     29 emulb   d <- regs.(a) *. env.(b)
+     21 emulk   d <- env.(a) *. consts.(c)
+     22 eaddk   d <- env.(a) +. consts.(c)
+     23 eneg    d <- -. env.(a)
+     24 esqr    d <- env.(a) * env.(a)
+     25 erecip  d <- 1. /. env.(a)
+     26 ecall1  d <- prim_c (env.(a))
+     27 emula   d <- env.(a) *. regs.(b)
+     28 emulb   d <- regs.(a) *. env.(b)
 
    Fusion is restricted to a load whose register the whole program
    reads exactly once ([reads] counts the virtual registers of the
@@ -238,7 +238,7 @@ let fuse ~read_once code =
   let boundary = Array.make (nops + 1) false in
   for i = 0 to nops - 1 do
     let op = code.(i * 5) in
-    if op = 18 || op = 19 then begin
+    if op = 17 || op = 18 then begin
       boundary.(i) <- true;
       let t = code.((i * 5) + 4) / 5 in
       boundary.(min t nops) <- true
@@ -262,26 +262,26 @@ let fuse ~read_once code =
           and c = code.((!j * 5) + 4) in
           let reads =
             match op with
-            | 3 | 7 | 8 | 9 | 12 | 13 | 14 -> if a = r then 1 else 0
-            | 4 | 5 | 6 | 10 | 15 ->
+            | 2 | 6 | 7 | 8 | 11 | 12 | 13 -> if a = r then 1 else 0
+            | 3 | 4 | 5 | 9 | 14 ->
                 (if a = r then 1 else 0) + if b = r then 1 else 0
-            | 11 ->
+            | 10 ->
                 (if a = r then 1 else 0)
                 + (if b = r then 1 else 0)
                 + if c = r then 1 else 0
-            | 17 | 20 | 21 -> if a = r then 1 else 0
-            | 28 -> if b = r then 1 else 0
-            | 29 -> if a = r then 1 else 0
+            | 16 | 19 | 20 -> if a = r then 1 else 0
+            | 27 -> if b = r then 1 else 0
+            | 28 -> if a = r then 1 else 0
             | _ -> 0
           in
           if reads > 0 then begin
             nuses := !nuses + reads;
             use := !j
           end;
-          if op = 20 && c = e then blocked := true;
+          if op = 19 && c = e then blocked := true;
           let defines =
             match op with
-            | 18 | 19 | 20 | 21 -> false
+            | 17 | 18 | 19 | 20 -> false
             | _ -> d = r
           in
           if defines then halt := true else incr j
@@ -298,14 +298,14 @@ let fuse ~read_once code =
           changed := true
         in
         match op with
-        | 13 -> rewrite 22 2
-        | 12 -> rewrite 23 2
+        | 12 -> rewrite 21 2
+        | 11 -> rewrite 22 2
+        | 6 -> rewrite 23 2
         | 7 -> rewrite 24 2
         | 8 -> rewrite 25 2
-        | 9 -> rewrite 26 2
-        | 14 -> rewrite 27 2
-        | 6 when a = r -> rewrite 28 2
-        | 6 when b = r -> rewrite 29 3
+        | 13 -> rewrite 26 2
+        | 5 when a = r -> rewrite 27 2
+        | 5 when b = r -> rewrite 28 3
         | _ -> ()
       end
     end
@@ -325,7 +325,7 @@ let fuse ~read_once code =
         let p = newpos.(i) * 5 in
         Array.blit code (i * 5) code' p 5;
         let op = code'.(p) in
-        if op = 18 || op = 19 then
+        if op = 17 || op = 18 then
           code'.(p + 4) <- newpos.(min (code'.(p + 4) / 5) nops) * 5
       end
     done;
@@ -342,18 +342,17 @@ let columns code ~env_size ~out_size =
   for i = 0 to (Array.length code / 5) - 1 do
     let f k = code.((i * 5) + k) in
     match f 0 with
-    | 1 | 22 | 23 | 24 | 25 | 26 | 27 | 28 (* env operand [a] *) ->
+    | 1 | 21 | 22 | 23 | 24 | 25 | 26 | 27 (* env operand [a] *) ->
         env.(f 2) <- true
-    | 29 (* emulb *) -> env.(f 3) <- true
-    | 16 (* vmul *) ->
+    | 28 (* emulb *) -> env.(f 3) <- true
+    | 15 (* vmul *) ->
         env.(f 2) <- true;
         env.(f 3) <- true
-    | 17 (* vmacc *) ->
+    | 16 (* vmacc *) ->
         env.(f 3) <- true;
         env.(f 4) <- true
-    | 20 (* ste *) -> env.(f 4) <- true
-    | 2 (* ldo *) -> out.(f 2) <- true
-    | 21 (* sto *) -> out.(f 4) <- true
+    | 19 (* ste *) -> env.(f 4) <- true
+    | 20 (* sto *) -> out.(f 4) <- true
     | _ -> ()
   done;
   let slots used =
@@ -386,7 +385,7 @@ let create (p : Vm.program) ~width =
     let nearest = ref (Array.length code) in
     for i = nops - 1 downto 0 do
       let op = code.(i * 5) in
-      if op = 18 || op = 19 then nearest := i * 5;
+      if op = 17 || op = 18 then nearest := i * 5;
       nj.(i) <- !nearest
     done;
     nj
@@ -473,21 +472,14 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get src j)
         done
-    | 2 (* ldo *) ->
-        let dst = Array.unsafe_get regs d in
-        let src = Array.unsafe_get out a in
-        for q = lo to hi do
-          let j = Array.unsafe_get idx q in
-          Array.unsafe_set dst j (Array.unsafe_get src j)
-        done
-    | 3 (* mov *) ->
+    | 2 (* mov *) ->
         let dst = Array.unsafe_get regs d in
         let src = Array.unsafe_get regs a in
         for q = lo to hi do
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get src j)
         done
-    | 4 (* add *) ->
+    | 3 (* add *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get regs b in
@@ -496,7 +488,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           Array.unsafe_set dst j
             (Array.unsafe_get xa j +. Array.unsafe_get xb j)
         done
-    | 5 (* sub *) ->
+    | 4 (* sub *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get regs b in
@@ -505,7 +497,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           Array.unsafe_set dst j
             (Array.unsafe_get xa j -. Array.unsafe_get xb j)
         done
-    | 6 (* mul *) ->
+    | 5 (* mul *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get regs b in
@@ -514,14 +506,14 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           Array.unsafe_set dst j
             (Array.unsafe_get xa j *. Array.unsafe_get xb j)
         done
-    | 7 (* neg *) ->
+    | 6 (* neg *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         for q = lo to hi do
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (-.Array.unsafe_get xa j)
         done
-    | 8 (* sqr *) ->
+    | 7 (* sqr *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         for q = lo to hi do
@@ -529,14 +521,14 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           let x = Array.unsafe_get xa j in
           Array.unsafe_set dst j (x *. x)
         done
-    | 9 (* recip *) ->
+    | 8 (* recip *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         for q = lo to hi do
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (1. /. Array.unsafe_get xa j)
         done
-    | 10 (* pow *) ->
+    | 9 (* pow *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get regs b in
@@ -545,7 +537,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           Array.unsafe_set dst j
             (Expr.eval_pow (Array.unsafe_get xa j) (Array.unsafe_get xb j))
         done
-    | 11 (* fma *) ->
+    | 10 (* fma *) ->
         (* Two rounded operations, matching Eval.eval — not a hardware
            fused multiply-add. *)
         let dst = Array.unsafe_get regs d in
@@ -558,7 +550,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
             ((Array.unsafe_get xa j *. Array.unsafe_get xb j)
             +. Array.unsafe_get xc j)
         done
-    | 12 (* addk *) ->
+    | 11 (* addk *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let k = Array.unsafe_get consts c in
@@ -566,7 +558,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get xa j +. k)
         done
-    | 13 (* mulk *) ->
+    | 12 (* mulk *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let k = Array.unsafe_get consts c in
@@ -574,7 +566,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get xa j *. k)
         done
-    | 14 (* call1 *) ->
+    | 13 (* call1 *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         (match c with
@@ -650,7 +642,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
               Array.unsafe_set dst j
                 (if x > 0. then 1. else if x < 0. then -1. else 0.)
             done)
-    | 15 (* call2 *) ->
+    | 14 (* call2 *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get regs b in
@@ -679,7 +671,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
               Array.unsafe_set dst j
                 (Float.hypot (Array.unsafe_get xa j) (Array.unsafe_get xb j))
             done)
-    | 16 (* vmul *) ->
+    | 15 (* vmul *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         let xb = Array.unsafe_get env b in
@@ -688,7 +680,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           Array.unsafe_set dst j
             (Array.unsafe_get xa j *. Array.unsafe_get xb j)
         done
-    | 17 (* vmacc *) ->
+    | 16 (* vmacc *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get env b in
@@ -699,21 +691,21 @@ let rec sloop code consts regs env out idx stop pc lo hi =
             (Array.unsafe_get xa j
             +. (Array.unsafe_get xb j *. Array.unsafe_get xc j))
         done
-    | 20 (* ste *) ->
+    | 19 (* ste *) ->
         let dst = Array.unsafe_get env c in
         let src = Array.unsafe_get regs a in
         for q = lo to hi do
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get src j)
         done
-    | 21 (* sto *) ->
+    | 20 (* sto *) ->
         let dst = Array.unsafe_get out c in
         let src = Array.unsafe_get regs a in
         for q = lo to hi do
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get src j)
         done
-    | 22 (* emulk *) ->
+    | 21 (* emulk *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         let k = Array.unsafe_get consts c in
@@ -721,7 +713,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get xa j *. k)
         done
-    | 23 (* eaddk *) ->
+    | 22 (* eaddk *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         let k = Array.unsafe_get consts c in
@@ -729,14 +721,14 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (Array.unsafe_get xa j +. k)
         done
-    | 24 (* eneg *) ->
+    | 23 (* eneg *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         for q = lo to hi do
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (-.Array.unsafe_get xa j)
         done
-    | 25 (* esqr *) ->
+    | 24 (* esqr *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         for q = lo to hi do
@@ -744,14 +736,14 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           let x = Array.unsafe_get xa j in
           Array.unsafe_set dst j (x *. x)
         done
-    | 26 (* erecip *) ->
+    | 25 (* erecip *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         for q = lo to hi do
           let j = Array.unsafe_get idx q in
           Array.unsafe_set dst j (1. /. Array.unsafe_get xa j)
         done
-    | 27 (* ecall1 *) ->
+    | 26 (* ecall1 *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         (match c with
@@ -827,7 +819,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
               Array.unsafe_set dst j
                 (if x > 0. then 1. else if x < 0. then -1. else 0.)
             done)
-    | 28 (* emula *) ->
+    | 27 (* emula *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get env a in
         let xb = Array.unsafe_get regs b in
@@ -836,7 +828,7 @@ let rec sloop code consts regs env out idx stop pc lo hi =
           Array.unsafe_set dst j
             (Array.unsafe_get xa j *. Array.unsafe_get xb j)
         done
-    | _ (* 29: emulb *) ->
+    | _ (* 28: emulb *) ->
         let dst = Array.unsafe_get regs d in
         let xa = Array.unsafe_get regs a in
         let xb = Array.unsafe_get env b in
@@ -904,7 +896,7 @@ let rec drive code consts njump regs env out ident lanes sleep stop pc lo hi
       else begin
         let c = Array.unsafe_get code (pc + 4) in
         let k = ref 0 in
-        (if Array.unsafe_get code pc = 18 then
+        (if Array.unsafe_get code pc = 17 then
            (* jmp: the awake lanes sleep until the join *)
            for j = lo to hi do
              if Array.unsafe_get sleep j <= pc then begin

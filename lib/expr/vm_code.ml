@@ -12,27 +12,26 @@ let stride = 5
 (* Opcodes.  [dst]/[a]/[b] are register indices unless noted. *)
 let op_ldc = 0 (* dst <- consts.(c) *)
 let op_ldv = 1 (* dst <- env.(a) *)
-let op_ldo = 2 (* dst <- out.(a) *)
-let op_mov = 3 (* dst <- regs.(a) *)
-let op_add = 4 (* dst <- regs.(a) +. regs.(b) *)
-let op_sub = 5 (* dst <- regs.(a) -. regs.(b) *)
-let op_mul = 6 (* dst <- regs.(a) *. regs.(b) *)
-let op_neg = 7 (* dst <- -. regs.(a) *)
-let op_sqr = 8 (* dst <- regs.(a) *. regs.(a) *)
-let op_recip = 9 (* dst <- 1. /. regs.(a) *)
-let op_pow = 10 (* dst <- regs.(a) ** regs.(b) *)
-let op_fma = 11 (* dst <- regs.(a) *. regs.(b) +. regs.(c) *)
-let op_addk = 12 (* dst <- regs.(a) +. consts.(c) *)
-let op_mulk = 13 (* dst <- regs.(a) *. consts.(c) *)
-let op_call1 = 14 (* dst <- prim1[c] regs.(a) *)
-let op_call2 = 15 (* dst <- prim2[c] regs.(a) regs.(b) *)
-let op_vmul = 16 (* dst <- env.(a) *. env.(b) *)
-let op_vmacc = 17 (* dst <- regs.(a) +. env.(b) *. env.(c) *)
-let op_jmp = 18 (* pc <- c *)
-let op_jnot = 19 (* unless rel[dst] regs.(a) regs.(b): pc <- c *)
-let op_ste = 20 (* env.(c) <- regs.(a) *)
-let op_sto = 21 (* out.(c) <- regs.(a) *)
-let n_opcodes = 22
+let op_mov = 2 (* dst <- regs.(a) *)
+let op_add = 3 (* dst <- regs.(a) +. regs.(b) *)
+let op_sub = 4 (* dst <- regs.(a) -. regs.(b) *)
+let op_mul = 5 (* dst <- regs.(a) *. regs.(b) *)
+let op_neg = 6 (* dst <- -. regs.(a) *)
+let op_sqr = 7 (* dst <- regs.(a) *. regs.(a) *)
+let op_recip = 8 (* dst <- 1. /. regs.(a) *)
+let op_pow = 9 (* dst <- regs.(a) ** regs.(b) *)
+let op_fma = 10 (* dst <- regs.(a) *. regs.(b) +. regs.(c) *)
+let op_addk = 11 (* dst <- regs.(a) +. consts.(c) *)
+let op_mulk = 12 (* dst <- regs.(a) *. consts.(c) *)
+let op_call1 = 13 (* dst <- prim1[c] regs.(a) *)
+let op_call2 = 14 (* dst <- prim2[c] regs.(a) regs.(b) *)
+let op_vmul = 15 (* dst <- env.(a) *. env.(b) *)
+let op_vmacc = 16 (* dst <- regs.(a) +. env.(b) *. env.(c) *)
+let op_jmp = 17 (* pc <- c *)
+let op_jnot = 18 (* unless rel[dst] regs.(a) regs.(b): pc <- c *)
+let op_ste = 19 (* env.(c) <- regs.(a) *)
+let op_sto = 20 (* out.(c) <- regs.(a) *)
+let n_opcodes = 21
 
 (* Primitive ids for op_call1/op_call2.  The split mirrors
    {!Expr.func_arity}. *)
@@ -72,7 +71,6 @@ let rel_of_id = function
 type instr =
   | Ldc of int * float
   | Ldv of int * int
-  | Ldo of int * int
   | Mov of int * int
   | Add of int * int * int
   | Sub of int * int * int
@@ -101,7 +99,6 @@ let decode_at code consts pos =
   and c = code.(pos + 4) in
   if op = op_ldc then Ldc (dst, consts.(c))
   else if op = op_ldv then Ldv (dst, a)
-  else if op = op_ldo then Ldo (dst, a)
   else if op = op_mov then Mov (dst, a)
   else if op = op_add then Add (dst, a, b)
   else if op = op_sub then Sub (dst, a, b)
@@ -133,7 +130,6 @@ let pp_instr ppf i =
     match i with
     | Ldc (d, x) -> Printf.sprintf "ldc   r%d, %s" d (g x)
     | Ldv (d, s) -> Printf.sprintf "ldv   r%d, env[%d]" d s
-    | Ldo (d, s) -> Printf.sprintf "ldo   r%d, out[%d]" d s
     | Mov (d, a) -> Printf.sprintf "mov   r%d, r%d" d a
     | Add (d, a, b) -> Printf.sprintf "add   r%d, r%d, r%d" d a b
     | Sub (d, a, b) -> Printf.sprintf "sub   r%d, r%d, r%d" d a b
@@ -166,7 +162,7 @@ let pp_instr ppf i =
    charge the operations they combine. *)
 let flop_weight code pos =
   let op = code.(pos) in
-  if op = op_ldc || op = op_ldv || op = op_ldo || op = op_mov || op = op_jmp
+  if op = op_ldc || op = op_ldv || op = op_mov || op = op_jmp
      || op = op_ste || op = op_sto
   then 0.
   else if op = op_add || op = op_sub || op = op_mul || op = op_neg
@@ -202,7 +198,6 @@ type field_kind =
 let field_kinds o =
   if o = op_ldc then (K_reg, K_none, K_none, K_const)
   else if o = op_ldv then (K_reg, K_env, K_none, K_none)
-  else if o = op_ldo then (K_reg, K_out, K_none, K_none)
   else if o = op_mov || o = op_neg || o = op_sqr || o = op_recip then
     (K_reg, K_reg, K_none, K_none)
   else if o = op_add || o = op_sub || o = op_mul || o = op_pow then

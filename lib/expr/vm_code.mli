@@ -11,7 +11,6 @@ val stride : int
 
 val op_ldc : int
 val op_ldv : int
-val op_ldo : int
 val op_mov : int
 val op_add : int
 val op_sub : int
@@ -49,7 +48,6 @@ val rel_of_id : int -> Expr.rel
 type instr =
   | Ldc of int * float
   | Ldv of int * int
-  | Ldo of int * int
   | Mov of int * int
   | Add of int * int * int
   | Sub of int * int * int

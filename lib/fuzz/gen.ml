@@ -328,7 +328,7 @@ let gen_instances rng infos : A.instance_def list =
 
 (* ------------------------------------------------------------------ *)
 
-let candidate rng : A.model =
+let model rng : A.model =
   let n_classes = 2 + Random.State.int rng 3 in
   let infos = ref [] in
   let classes = ref [] in
@@ -339,28 +339,6 @@ let candidate rng : A.model =
   done;
   let instances = gen_instances rng !infos in
   { A.mname = "Fuzzed"; classes = !classes; instances }
-
-let max_equation_cost (f : Om_lang.Flat_model.t) =
-  List.fold_left
-    (fun acc (_, e) -> Float.max acc (Om_expr.Cost.flops_mean e))
-    0. f.equations
-
-let model rng : A.model =
-  (* Regenerate (rarely) when the flat cost bound is exceeded: the
-     trajectory oracle requires the partitioner never to split an
-     equation, because splitting rewrites expressions and is not
-     bit-preserving against the raw-equation interpreter.  Structural
-     failures are NOT retried — a generated model that fails to flatten
-     is a real bug and must reach the oracle. *)
-  let rec go attempts =
-    let m = candidate rng in
-    match Om_lang.Flatten.flatten m with
-    | exception Om_lang.Flatten.Error _ -> m
-    | f ->
-        if max_equation_cost f <= 1500. || attempts >= 20 then m
-        else go (attempts + 1)
-  in
-  go 0
 
 let source rng = Om_lang.Unparse.model (model rng)
 

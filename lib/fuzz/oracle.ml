@@ -8,6 +8,7 @@ type violation = { invariant : string; detail : string }
 type result = {
   dim : int;
   n_tasks : int;
+  split : bool;
   discarded : string option;
   violations : violation list;
 }
@@ -20,6 +21,10 @@ let pp_violation ppf v = Fmt.pf ppf "[%s] %s" v.invariant v.detail
 let t0 = 0.
 let tend = 0.4
 let h = 0.025
+
+(* The split threshold of the split-plan strategies, in flop units: low
+   enough that an equation with two non-leaf terms splits. *)
+let split_threshold = 2.
 
 let bits = Int64.bits_of_float
 
@@ -50,7 +55,8 @@ let check ?chaos (m : A.model) : result =
   let fail invariant fmt =
     Printf.ksprintf (fun detail -> vs := { invariant; detail } :: !vs) fmt
   in
-  let dim = ref 0 and n_tasks = ref 0 and discarded = ref None in
+  let dim = ref 0 and n_tasks = ref 0 and split = ref false in
+  let discarded = ref None in
   (* ---- unparse → parse round trip ---------------------------------- *)
   let src = Om_lang.Unparse.model m in
   let reparsed =
@@ -137,7 +143,8 @@ let check ?chaos (m : A.model) : result =
   match Om_lang.Flatten.flatten m with
   | exception Om_lang.Flatten.Error msg ->
       fail "flatten" "%s" msg;
-      { dim = 0; n_tasks = 0; discarded = None; violations = List.rev !vs }
+      let violations = List.rev !vs in
+      { dim = 0; n_tasks = 0; split = false; discarded = None; violations }
   | f ->
       dim := FM.dim f;
       (match Om_lang.Typecheck.check f with
@@ -319,11 +326,6 @@ let check ?chaos (m : A.model) : result =
           fail "pipeline" "compile raised %s" (Printexc.to_string exn)
       | r ->
           n_tasks := Array.length r.tasks;
-          if r.plan.n_partials <> 0 then
-            fail "no-split"
-              "partitioner split an equation (%d partials); the generator's \
-               cost bound should prevent this"
-              r.plan.n_partials;
           (* ---- schedule validity ----------------------------------- *)
           let check_sched what (s : Om_sched.Lpt.schedule) =
             let n = Array.length r.tasks in
@@ -380,7 +382,9 @@ let check ?chaos (m : A.model) : result =
            if Om_sched.Semidynamic.reschedule_count sd < 1 then
              fail "schedule" "semidynamic never rescheduled in 5 rounds");
           (* ---- bitwise trajectory identity ------------------------- *)
-          let reference = integrate_seq f (Om_codegen.Pipeline.rhs_fn r) in
+          (* Every strategy must reproduce the raw-equation interpreter's
+             trajectory bit for bit. *)
+          let reference = integrate_seq f (interp_rhs f) in
           if not (finite_trajectory reference) then
             discarded := Some "non-finite reference trajectory"
           else begin
@@ -424,30 +428,53 @@ let check ?chaos (m : A.model) : result =
               | exception exn ->
                   fail "trajectory" "%s raised %s" what (Printexc.to_string exn)
             in
-            strategy "eval-interp" (fun () -> integrate_seq f (interp_rhs f));
+            strategy "exec-vm" (fun () ->
+                integrate_seq f (Om_codegen.Pipeline.rhs_fn r));
             strategy "exec-vm-nopeephole" (fun () ->
                 let rn = Om_codegen.Pipeline.compile ~optimize:false f in
                 integrate_seq f (Om_codegen.Pipeline.rhs_fn rn));
-            let runtime what config =
+            let runtime r what config =
               strategy what (fun () ->
                   (R.execute ~config ~solver:(R.Rk4 h) ~t0 ~tend r).trajectory)
             in
-            runtime "simulated"
-              { R.default_config with nworkers = 2 };
-            runtime "simulated-semidynamic"
-              { R.default_config with nworkers = 2; scheduling = R.Semidynamic 3 };
-            List.iter
-              (fun n ->
-                runtime
-                  (Printf.sprintf "real-domains-%d" n)
-                  { R.default_config with execution = R.Real_domains n })
-              [ 1; 2; 4 ];
-            runtime "real-domains-2-semidynamic"
-              {
-                R.default_config with
-                execution = R.Real_domains 2;
-                scheduling = R.Semidynamic 3;
-              };
+            let semidynamic c = { c with R.scheduling = R.Semidynamic 3 } in
+            let simulated = { R.default_config with nworkers = 2 } in
+            let domains n = { R.default_config with execution = R.Real_domains n } in
+            let configs =
+              [
+                ("simulated", simulated);
+                ("simulated-semidynamic", semidynamic simulated);
+                ("real-domains-1", domains 1);
+                ("real-domains-2", domains 2);
+                ("real-domains-4", domains 4);
+                ("real-domains-2-semidynamic", semidynamic (domains 2));
+              ]
+            in
+            List.iter (fun (what, config) -> runtime r what config) configs;
+            (* ---- split plan: hoisting is exact ----------------------- *)
+            (* The model compiled with a low split threshold, so that its
+               equations split into partials and residuals: each
+               trajectory must be the tree interpreter's bit for bit. *)
+            (match
+               Om_codegen.Pipeline.compile
+                 ~config:
+                   { Om_codegen.Pipeline.default_config with split_threshold }
+                 f
+             with
+            | exception exn ->
+                fail "split" "compile raised %s" (Printexc.to_string exn)
+            | rs ->
+                split := rs.plan.n_partials > 0;
+                strategy "split-sequential" (fun () ->
+                    integrate_seq f (Om_codegen.Pipeline.rhs_fn rs));
+                List.iter
+                  (fun what ->
+                    runtime rs ("split-" ^ what)
+                      (List.assoc what configs))
+                  [
+                    "simulated"; "real-domains-1"; "real-domains-2";
+                    "real-domains-2-semidynamic";
+                  ]);
             (* ---- batched ensemble: lockstep RK4 ≡ scalar runs -------- *)
             let run_batch y0s =
               let bb =
@@ -594,6 +621,7 @@ let check ?chaos (m : A.model) : result =
       {
         dim = !dim;
         n_tasks = !n_tasks;
+        split = !split;
         discarded = !discarded;
         violations = List.rev !vs;
       }

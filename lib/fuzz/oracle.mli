@@ -13,9 +13,6 @@
     - {b scc} / {b topo}: Tarjan components partition the dependency
       graph, the condensation is acyclic, preserves cross-component
       edges, and topologically sorts consistently;
-    - {b no-split}: the partitioner never splits a generated equation
-      (the generator's cost bound guarantees it, and the bitwise
-      trajectory matrix depends on it);
     - {b schedule}: LPT on 1/2/4 processors and the semi-dynamic
       rescheduler produce valid schedules — every task exactly once, on
       a processor in range, with consistent loads and makespan;
@@ -35,7 +32,12 @@
       register VM with and without the peephole pass, the
       simulated machine (with and without semi-dynamic rescheduling),
       and real OCaml domains with 1, 2 and 4 workers including live
-      reschedules.
+      reschedules;
+    - {b split}: the model compiled again with a split threshold of 2
+      flop units, so that its equations split into hoisted partials and
+      residuals, reproduces the raw-equation interpreter's trajectory
+      bitwise sequentially, on the simulated machine and on 1 and 2
+      real domains, with and without semi-dynamic rescheduling.
 
     When the reference trajectory is non-finite (explosive dynamics the
     bounded grammar cannot fully rule out) the trajectory matrix is
@@ -57,6 +59,9 @@ val pp_violation : violation Fmt.t
 type result = {
   dim : int;  (** flat state dimension, 0 if flattening failed *)
   n_tasks : int;  (** generated task count, 0 if compilation failed *)
+  split : bool;
+      (** the split-plan strategies ran on a plan that split an
+          equation *)
   discarded : string option;
       (** set when the trajectory matrix was skipped, with the reason *)
   violations : violation list;  (** empty = all invariants hold *)

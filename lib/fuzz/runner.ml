@@ -11,6 +11,7 @@ type failure = {
 type summary = {
   cases : int;
   discarded : int;
+  split : int;
   dim_total : int;
   task_total : int;
   failures : failure list;
@@ -53,6 +54,7 @@ let run ?out_dir ?check ?(shrink_budget = 300) ?(chaos = false) ?(log = ignore)
   in
   let failures = ref [] in
   let discarded = ref 0 in
+  let split = ref 0 in
   let dim_total = ref 0 in
   let task_total = ref 0 in
   for i = 0 to cases - 1 do
@@ -62,6 +64,7 @@ let run ?out_dir ?check ?(shrink_budget = 300) ?(chaos = false) ?(log = ignore)
     let res = check m in
     dim_total := !dim_total + res.Oracle.dim;
     task_total := !task_total + res.Oracle.n_tasks;
+    if res.Oracle.split then incr split;
     (match res.Oracle.discarded with
     | Some why ->
         incr discarded;
@@ -105,13 +108,16 @@ let run ?out_dir ?check ?(shrink_budget = 300) ?(chaos = false) ?(log = ignore)
   {
     cases;
     discarded = !discarded;
+    split = !split;
     dim_total = !dim_total;
     task_total = !task_total;
     failures = List.rev !failures;
   }
 
 let pp_summary ppf s =
-  Fmt.pf ppf "%d cases: %d failed, %d discarded (mean dim %.1f, mean tasks %.1f)"
-    s.cases (List.length s.failures) s.discarded
+  Fmt.pf ppf
+    "%d cases: %d failed, %d discarded, %d split (mean dim %.1f, mean tasks \
+     %.1f)"
+    s.cases (List.length s.failures) s.discarded s.split
     (if s.cases = 0 then 0. else float_of_int s.dim_total /. float_of_int s.cases)
     (if s.cases = 0 then 0. else float_of_int s.task_total /. float_of_int s.cases)

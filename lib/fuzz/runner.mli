@@ -19,6 +19,7 @@ type failure = {
 type summary = {
   cases : int;
   discarded : int;  (** trajectory matrix skipped (non-finite reference) *)
+  split : int;  (** cases whose split-plan strategies split an equation *)
   dim_total : int;  (** summed flat dimensions, for mean-size reporting *)
   task_total : int;
   failures : failure list;

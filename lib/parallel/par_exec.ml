@@ -13,12 +13,12 @@
    - CSE temporaries are task-private environment slots (per-task
      prefixes), so concurrent [ste] stores from different tasks hit
      disjoint indices of the shared [env] float array;
-   - tasks write disjoint output slots, and the reduction epilogue runs
-     on the supervisor after the barrier, folding partials in the same
-     fixed order as sequential execution — which is why trajectories
-     are bit-identical for every worker count {e and} for every task
-     assignment, including assignments swapped in mid-run by the
-     semi-dynamic rescheduler.
+   - tasks write disjoint output slots and partials, and the epilogue
+     (each split assignment's residual) runs on the supervisor after the
+     barrier, computing what the unsplit assignment would — which is why
+     trajectories are bit-identical for every worker count {e and} for
+     every task assignment, including assignments swapped in mid-run by
+     the semi-dynamic rescheduler.
 
    Every task is timed with the unboxed monotonic clock into a shared
    pre-allocated [task_seconds] buffer (disjoint slots per task, so the
@@ -115,12 +115,9 @@ let create ?spin_budget ?barrier_deadline ?fault ~nworkers
             Array.unsafe_set task_seconds tid (Monotonic.now () -. t0);
             let p = Om_guard.Fault_plan.task_poison plan ~round ~task:tid in
             if p <> 0. then
-              (* Overwrite every output slot the task owns; NaN/Inf then
-                 survives the reduction epilogue into the derivative
-                 vector, exactly like a genuinely non-finite task. *)
-              List.iter
-                (fun slot -> compiled.Bb.out.(slot) <- p)
-                (Array.unsafe_get tasks tid).Bb.writes
+              (* Overwrite every slot the task owns, exactly like a
+                 genuinely non-finite task. *)
+              (Array.unsafe_get tasks tid).Bb.poison p
           done;
           let d = Om_guard.Fault_plan.delay_micros plan ~round ~worker:w in
           if d > 0 then begin
@@ -168,8 +165,8 @@ let set_assignment t assignment =
    least-loaded live worker).  The pool itself is untouched — the dead
    worker's domain stays in the barrier with nothing to do, so shutdown
    still joins everything — and because tasks write disjoint slots and
-   the epilogue folds on the supervisor in fixed order, the trajectory
-   stays bit-identical across the reassignment. *)
+   the epilogue runs on the supervisor, the trajectory stays
+   bit-identical across the reassignment. *)
 let drop_worker t w =
   if w < 0 || w >= t.nworkers then
     invalid_arg "Par_exec.drop_worker: worker id out of range";

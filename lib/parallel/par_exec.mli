@@ -7,10 +7,10 @@
     runs the tasks on [nworkers] pre-spawned domains sharing the state
     environment and output vector.
 
-    Determinism: tasks write disjoint output slots and task-private
-    environment temporaries, and the reduction epilogue runs on the
-    supervisor domain after the round barrier in the same order as
-    sequential execution, so the derivative vector — and therefore any
+    Determinism: tasks write disjoint output slots, partials and
+    task-private environment temporaries, and the epilogue (the split
+    assignments' residuals) runs on the supervisor domain after the
+    round barrier, so the derivative vector — and therefore any
     trajectory integrated through {!rhs_fn} — is bit-identical to
     sequential evaluation for every worker count and for every task
     assignment, including assignments swapped mid-run by
@@ -55,7 +55,7 @@ val create :
 
 val rhs_fn : t -> float -> float array -> float array -> unit
 (** [rhs_fn t time y ydot]: one parallel round — publish [(time, y)] to
-    the shared environment, run every task on its worker domain, fold
+    the shared environment, run every task on its worker domain, run
     the epilogue on the supervisor, and write the derivatives into
     [ydot].  Drop-in replacement for
     {!Om_codegen.Bytecode_backend.rhs_fn}. *)
@@ -76,7 +76,7 @@ val drop_worker : t -> int -> unit
     joins every barrier with an empty slice, so {!shutdown} is
     unaffected); trajectories stay bit-identical across the
     reassignment because output slots are disjoint and the epilogue
-    folds on the supervisor in fixed order.
+    runs on the supervisor.
     @raise Invalid_argument on an unknown, already-dropped, or last
     remaining worker. *)
 

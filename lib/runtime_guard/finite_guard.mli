@@ -1,7 +1,7 @@
 (** Allocation-free finite check over an RHS output vector.
 
     One NaN produced by one task would otherwise flow silently through
-    the reduction epilogue into the solver's error estimator and poison
+    the epilogue into the solver's error estimator and poison
     the whole trajectory (LSODA's weighted-RMS norm turns NaN into a
     NaN step size).  The guard scans the derivative vector after every
     round — a subtraction and a compare per slot, no allocation — and

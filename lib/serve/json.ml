@@ -105,10 +105,17 @@ let parse_number st =
       | Some f -> Num f
       | None -> fail start (Printf.sprintf "bad number %s" text))
 
-let rec parse_value st =
+(* Arrays and objects nest at most this deep: the parser recurses once
+   per level, so an unbounded nesting (one hostile line of a million
+   ['['s) would overflow the stack instead of failing with [Error]. *)
+let max_depth = 512
+
+let rec parse_value st depth =
   skip_ws st;
   match peek st with
   | None -> fail st.i "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth ->
+      fail st.i (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '"' -> Str (parse_string st)
   | Some '{' ->
       expect st '{';
@@ -121,7 +128,7 @@ let rec parse_value st =
           let k = parse_string st in
           skip_ws st;
           expect st ':';
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           fields := (k, v) :: !fields;
           skip_ws st;
           match peek st with
@@ -139,7 +146,7 @@ let rec parse_value st =
       else begin
         let items = ref [] in
         let rec go () =
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           items := v :: !items;
           skip_ws st;
           match peek st with
@@ -158,7 +165,7 @@ let rec parse_value st =
 
 let of_string s =
   let st = { s; i = 0 } in
-  let v = parse_value st in
+  let v = parse_value st 0 in
   skip_ws st;
   if st.i <> String.length s then fail st.i "trailing garbage";
   v

@@ -28,7 +28,8 @@ exception Error of string
 val of_string : string -> t
 (** Parse one JSON value (surrounding whitespace allowed, nothing else).
     Integral numbers within [int] range parse as {!Int}, everything
-    else as {!Num}.
+    else as {!Num}.  Arrays and objects may nest 512 deep; a deeper
+    value is malformed input.
     @raise Error on malformed input. *)
 
 val to_string : t -> string

@@ -186,14 +186,18 @@ let test_batch_rejects_swapped_column () =
   Alcotest.check_raises "short env column"
     (Invalid_argument "Vm_batch.exec: env column too short") (fun () ->
       Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width);
-  let p = Vm.compile_epilogue ~out_size:2 [ (0, [ 1 ]) ] in
+  let p =
+    Vm.compile_stmts ~out_size:2 (Om_expr.Layout.of_names names)
+      [ (E.var names.(0), Vm.To_out 0) ]
+  in
   let b = Vb.create p ~width in
+  let env = Array.init (Array.length names) (fun _ -> Array.make width 0.5) in
   let out = Array.init 2 (fun _ -> Array.make width 1.) in
-  Vb.exec b ~env:[||] ~out ~lo:0 ~hi:width;
+  Vb.exec b ~env ~out ~lo:0 ~hi:width;
   out.(0) <- [| 3.0 |];
   Alcotest.check_raises "short out column"
     (Invalid_argument "Vm_batch.exec: out column too short") (fun () ->
-      Vb.exec b ~env:[||] ~out ~lo:0 ~hi:width)
+      Vb.exec b ~env ~out ~lo:0 ~hi:width)
 
 let test_batch_one_lane_runs () =
   let width = 512 and lo = 37 and hi = 300 in

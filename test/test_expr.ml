@@ -875,13 +875,6 @@ let test_vm_stmts () =
   in
   Alcotest.(check bool) "dead temp store eliminated" false stores_dead
 
-let test_vm_epilogue () =
-  let p = Vm.compile_epilogue ~out_size:5 [ (0, [ 2; 3 ]); (1, [ 4 ]) ] in
-  let out = [| 0.; 0.; 1.5; 2.5; -4. |] in
-  Vm.exec p ~env:[||] ~out;
-  check_float "sum slots" 4. out.(0);
-  check_float "single slot" (-4.) out.(1)
-
 (* DAG lowering: a physically shared subtree is computed once. *)
 let test_vm_dag_sharing () =
   let s = E.sin (E.add [ x; z ]) in
@@ -1384,7 +1377,6 @@ let () =
           Alcotest.test_case "constant folding" `Quick test_vm_constant_folding;
           Alcotest.test_case "negation and nan" `Quick test_vm_neg_nan;
           Alcotest.test_case "statement block" `Quick test_vm_stmts;
-          Alcotest.test_case "epilogue" `Quick test_vm_epilogue;
           Alcotest.test_case "dag sharing" `Quick test_vm_dag_sharing;
           Alcotest.test_case "sharing across if" `Quick
             test_vm_shared_across_if;

@@ -122,6 +122,7 @@ let test_runner_dumps_counterexamples () =
     {
       Oracle.dim;
       n_tasks = 0;
+      split = false;
       discarded = None;
       violations = [ { Oracle.invariant = "synthetic"; detail = "always" } ];
     }

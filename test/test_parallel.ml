@@ -538,6 +538,73 @@ let test_merged_shared_across_domains () =
           b.(i) v)
     reference
 
+(* ---------- split plan against the unsplit RHS ---------- *)
+
+(* The bearing's default plan splits Inner.vx and Inner.vy.  Along a
+   200-step RK4 run of Odesys.of_equations' RHS, every evaluator of the
+   split plan gives its derivatives at each step, bit for bit: per-task
+   rounds plus the epilogue, the merged sequential program, rounds on 2
+   real domains and the batched VM at width 1. *)
+let test_split_bearing_equals_odesys () =
+  let r = Lazy.force bearing in
+  Alcotest.(check bool) "the default plan splits" true
+    (r.plan.Om_codegen.Partition.n_partials > 0);
+  let m = r.model in
+  let dim = r.compiled.dim in
+  let sys =
+    Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false m.equations
+  in
+  let h = 1e-5 in
+  let tr =
+    Om_ode.Rk.integrate_fixed Om_ode.Rk.rk4 sys ~t0:0.
+      ~y0:(Om_lang.Flat_model.initial_values m) ~tend:(200. *. h) ~h
+  in
+  Alcotest.(check bool) "200 steps" true (Array.length tr.ts > 200);
+  let per_task t y ydot =
+    let c = r.compiled in
+    c.set_state t y;
+    Array.iter (fun (tk : Bb.compiled_task) -> tk.eval ()) c.tasks;
+    c.run_epilogue ();
+    Array.blit c.out 0 ydot 0 dim
+  in
+  let sequential = Bb.rhs_fn (Bb.clone_scratch r.compiled) in
+  let batch =
+    let b = Om_codegen.Batch_backend.create r.compiled ~width:1 in
+    let ycols = Array.init dim (fun _ -> [| 0. |]) in
+    let dcols = Array.init dim (fun _ -> [| 0. |]) in
+    fun t y ydot ->
+      Array.iteri (fun i v -> ycols.(i).(0) <- v) y;
+      Om_codegen.Batch_backend.brhs b ~times:[| t |] ~y:ycols ~ydot:dcols
+        ~lo:0 ~hi:1;
+      Array.iteri (fun i col -> ydot.(i) <- col.(0)) dcols
+  in
+  let clone = P.clone_scratch r in
+  Par_exec.with_executor ~nworkers:2 (desc_of ~nworkers:2 clone)
+    clone.compiled
+  @@ fun px ->
+  let reference = Array.make dim 0. and ydot = Array.make dim 0. in
+  Array.iteri
+    (fun k t ->
+      let y = tr.states.(k) in
+      Om_ode.Odesys.rhs_into sys t y reference;
+      List.iter
+        (fun (what, f) ->
+          f t y ydot;
+          Array.iteri
+            (fun i v ->
+              if Int64.bits_of_float v <> Int64.bits_of_float reference.(i)
+              then
+                Alcotest.failf "%s: step %d deriv %d: %h vs Odesys %h" what k
+                  i v reference.(i))
+            ydot)
+        [
+          ("per-task rounds", per_task);
+          ("rhs_fn", sequential);
+          ("2 real domains", Par_exec.rhs_fn px);
+          ("batch width 1", batch);
+        ])
+    tr.ts
+
 (* ---------- zero allocation in the steady state ---------- *)
 
 let test_round_zero_alloc () =
@@ -633,6 +700,8 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "bearing identical" `Quick test_identical_bearing;
+          Alcotest.test_case "split bearing equals odesys" `Quick
+            test_split_bearing_equals_odesys;
           Alcotest.test_case "powerplant identical" `Quick
             test_identical_powerplant;
           Alcotest.test_case "semidynamic identical" `Quick

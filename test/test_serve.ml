@@ -56,10 +56,23 @@ let test_json_floats () =
     (match J.of_string printed with J.Num g -> g | J.Int n -> float_of_int n | _ -> Float.nan)
 
 let test_json_errors () =
-  let bad = [ "{"; "[1,"; "tru"; "\"unterminated"; "{\"a\":}"; "1 2" ] in
+  (* Nesting is bounded at 512 levels, so a hostile line fails with
+     [Error] instead of overflowing the stack. *)
+  let nested n = String.make n '[' ^ String.make n ']' in
+  Alcotest.(check bool) "512 levels parse" true
+    (match J.of_string (nested 512) with J.Arr [ _ ] -> true | _ -> false);
+  let bad =
+    [ "{"; "[1,"; "tru"; "\"unterminated"; "{\"a\":}"; "1 2"; nested 513 ]
+    @ [
+        String.make 1_000_000 '[';
+        String.concat "" (List.init 600 (fun _ -> {|{"a":|}));
+      ]
+  in
   List.iter
     (fun s ->
-      Alcotest.(check bool) ("rejects " ^ s) true
+      Alcotest.(check bool)
+        ("rejects " ^ String.sub s 0 (min 20 (String.length s)))
+        true
         (match J.of_string s with
         | exception J.Error _ -> true
         | _ -> false))
@@ -364,6 +377,8 @@ let test_server_cancel () =
 let test_server_model_error_and_invalid () =
   let server, records = collecting_server () in
   let feed line = ignore (S.handle_line server line) in
+  (* a million open brackets: an invalid reply, and serving goes on *)
+  feed (String.make 1_000_000 '[');
   feed {|{"id":"bad","source":"not a model"}|};
   feed "this is not json";
   feed {|{"id":"nomodel"}|};
@@ -376,7 +391,7 @@ let test_server_model_error_and_invalid () =
   let invalids =
     List.length (List.filter (fun (_, st) -> st = "invalid") (statuses rs))
   in
-  Alcotest.(check int) "three invalid records" 3 invalids
+  Alcotest.(check int) "four invalid records" 4 invalids
 
 let test_server_chunk_stream () =
   (* chunk=150 over a 401-row trajectory: 3 chunk records, rows
