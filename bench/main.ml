@@ -748,7 +748,7 @@ let micro_pairs =
       "objectmath/powerplant-rhs-guarded" );
     (* What keeps the second program form: the 71 per-task programs
        run one after the other (what Par_exec splits across domains)
-       against the merged program every sequential path runs. *)
+       against the sequential program every sequential path runs. *)
     ( "bearing-rhs-rounds",
       "objectmath/bearing-rhs-rounds",
       "objectmath/bearing-rhs-bytecode" );

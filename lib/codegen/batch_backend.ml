@@ -1,8 +1,8 @@
-(* Batched execution of a compiled bytecode backend: the merged
-   sequential program, epilogue included, reinterpreted over
-   structure-of-arrays lanes by {!Om_expr.Vm_batch}.  Per lane the
-   semantics are exactly {!Bytecode_backend.rhs_fn} — set state, run the
-   merged program, copy the derivatives out. *)
+(* Batched execution of a compiled bytecode backend: the sequential
+   program reinterpreted over structure-of-arrays lanes by
+   {!Om_expr.Vm_batch}.  Per lane the semantics are exactly
+   {!Bytecode_backend.rhs_fn} — set state, run the sequential program,
+   copy the derivatives out. *)
 
 module Bb = Bytecode_backend
 module Vb = Om_expr.Vm_batch

@@ -1,11 +1,11 @@
 (** Batched (SoA) execution of a compiled bytecode backend.
 
-    Wraps the merged sequential program of a {!Bytecode_backend.t}
-    ({!Bytecode_backend.t.sequential}, epilogue included) into an
+    Wraps the sequential program of a {!Bytecode_backend.t}
+    ({!Bytecode_backend.t.sequential}) into an
     {!Om_expr.Vm_batch} instance over a structure-of-arrays
     environment, and exposes the batched right-hand side [brhs]: per
     lane it computes exactly what {!Bytecode_backend.rhs_fn} computes
-    (set state, run the merged program, copy the derivatives out) —
+    (set state, run the sequential program, copy the derivatives out) —
     Int64-bitwise, per the {!Om_expr.Vm_batch} contract.
 
     The [brhs] signature matches {!Ode.Ensemble.brhs}, so a batch

@@ -189,33 +189,35 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
     add acc epilogue_code
   in
   let cse_temp_total = List.length temp_names in
-  (* The task programs and the epilogue merged into one (Vm.merge),
-     built on first use and shared by every instance.  Partials, like
-     temps, are private to the merge: stored once, then read from the
-     register.  Instances on several domains may ask at once: the lock
-     makes exactly one of them build it. *)
-  let merged = Atomic.make None in
+  (* The sequential program: the unsplit right-hand sides lowered as one
+     DAG, as [Odesys.of_equations] lowers them, over states and time
+     only.  Built on first use and shared by every instance.  Instances
+     on several domains may ask at once: the lock makes exactly one of
+     them build it. *)
+  let built = Atomic.make None in
   let lock = Mutex.create () in
   let sequential () =
-    match Atomic.get merged with
+    match Atomic.get built with
     | Some p -> p
     | None ->
         Mutex.protect lock (fun () ->
-            match Atomic.get merged with
+            match Atomic.get built with
             | Some p -> p
             | None ->
                 let p =
-                  Om_expr.Vm.merge
-                    ~private_env_slot:(fun s -> s > dim)
-                    (List.map (fun (_, _, code, _, _, _, _) -> code) task_plans
-                    @ [ epilogue_code ])
+                  Om_expr.Vm.compile_stmts ~optimize ~out_size
+                    (Om_expr.Layout.of_names
+                       (Array.append state_names [| "t" |]))
+                    (List.mapi
+                       (fun i e -> (e, Om_expr.Vm.To_out i))
+                       (Array.to_list plan.rhs))
                 in
-                Atomic.set merged (Some p);
+                Atomic.set built (Some p);
                 p)
   in
   (* Instantiation binds the shared plans to fresh mutable scratch: the
      env/out value arrays, the evaluation closures over them and, on
-     first use, a register file for the merged program and for each
+     first use, a register file for the sequential program and for each
      task program (Vm.clone_scratch) — an instance that only runs
      sequentially never allocates the per-task ones.  [compile]
      instantiates once; [clone_scratch] re-instantiates so another

@@ -3,10 +3,10 @@
     The paper's generated Fortran 90 is compiled by an F90 compiler and
     linked with the runtime; here the equivalent executable artifact is a
     register-VM program per task ({!Om_expr.Vm}) over a shared value
-    environment, which the parallel executor runs, plus those programs
-    merged into one ({!t.sequential}), which every sequential path
-    runs.  Semantics match the textual backends exactly (same
-    temps, same evaluation order). *)
+    environment, which the parallel executor runs, plus one program of
+    the unsplit right-hand sides ({!t.sequential}), which every
+    sequential path runs.  Semantics match the textual backends exactly
+    (same evaluation order). *)
 
 type cse_scope =
   | Cse_none
@@ -29,8 +29,7 @@ type compiled_task = {
   poison : float -> unit;  (** overwrite every slot in [writes] *)
   program : Om_expr.Vm.program;
       (** the task's register program, shared by every instance — for
-          disassembly, instruction statistics and {!Om_expr.Vm.merge},
-          never for execution *)
+          disassembly and instruction statistics, never for execution *)
 }
 
 type t = {
@@ -39,16 +38,17 @@ type t = {
   set_state : float -> float array -> unit;
   out : float array;  (** the derivatives *)
   run_sequential : unit -> unit;
-      (** run every task's work and the epilogue as one program,
-          {!sequential}: the same [out] as each task's [eval] in order,
-          then {!run_epilogue}, Int64-bitwise.  Clones it (a register
-          file) on first call. *)
+      (** run {!sequential} over the state environment: the same [out]
+          as each task's [eval] in order, then {!run_epilogue},
+          Int64-bitwise.  Clones it (a register file) on first call. *)
   sequential : unit -> Om_expr.Vm.program;
-      (** the task programs and the epilogue merged by
-          {!Om_expr.Vm.merge}, built on first call and shared by every
-          instance of the artifact; safe to call from several domains at
-          once.  Engines that reinterpret it (e.g. {!Batch_backend})
-          must not [exec] it. *)
+      (** {!Partition.plan.rhs}, each stored to its derivative, lowered
+          as one DAG by {!Om_expr.Vm.compile_stmts} over the states and
+          [t]: the program [Odesys.of_equations] builds for the same
+          equations.  Built on first call and shared by every instance
+          of the artifact; safe to call from several domains at once.
+          Engines that reinterpret it (e.g. {!Batch_backend}) must not
+          [exec] it. *)
   run_epilogue : unit -> unit;
       (** the residuals ({!Partition.plan.epilogue}), over the partials
           the tasks stored *)
@@ -69,15 +69,15 @@ val compile :
   state_names:string array ->
   t
 (** Default scope is [Cse_per_task].  [optimize] (default [true]) runs
-    the peephole pass
-    over every task and epilogue program; the fuzz oracle compiles with
+    the peephole pass over every task program, the epilogue and the
+    sequential program; the fuzz oracle compiles with
     [~optimize:false] to check that the pass is bit-preserving. *)
 
 val clone_scratch : t -> t
 (** An independently runnable instance of the same compiled artifact:
     the lowered register programs are shared —
-    they are immutable after {!compile}, and so is the merged program
-    once built — while the value environment, output slots and the
+    they are immutable after {!compile}, and so is the sequential
+    program once built — while the value environment, output slots and the
     evaluation closures around them are fresh, and the register files
     are allocated on first use.  No re-lowering, CSE, peephole or validation
     happens, so the cost is a few array allocations: cheap enough to
@@ -86,12 +86,13 @@ val clone_scratch : t -> t
     scratch per executor instead of locking the cached artifact. *)
 
 val rhs_fn : t -> float -> float array -> float array -> unit
-(** Sequential execution: set the state, run the merged program
+(** Sequential execution: set the state, run the sequential program
     ({!t.run_sequential}), copy the derivatives out.  Int64-bitwise what
-    a parallel round and its epilogue compute, since the merge executes
-    exactly their instructions minus exact repeats; the reference
-    semantics used for [Odesys.make].  Allocation-free after the first
-    call.  Split or not, each derivative is evaluated in
+    a parallel round and its epilogue compute: per-task CSE, the DAG
+    lowering's sharing and the partials only change where a value is
+    kept, never the operations that make it or their order; the
+    reference semantics used for [Odesys.make].  Allocation-free after
+    the first call.  Split or not, each derivative is evaluated in
     {!Om_expr.Eval.eval}'s order and equals it bit for bit, up to the
     sign of zero ({!Om_expr.Vm}'s contract). *)
 

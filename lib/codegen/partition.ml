@@ -8,6 +8,7 @@ type task = {
 
 type plan = {
   dim : int;
+  rhs : E.t array;
   n_partials : int;
   tasks : task array;
   epilogue : (int * E.t) list;
@@ -171,9 +172,13 @@ let partition ?(merge_threshold = 50.) ?(split_threshold = 4000.) assigns =
   in
   let epilogue = List.rev !epilogue in
   let epilogue_flops = cost epilogue in
-  { dim; n_partials = !next_partial; tasks; epilogue; epilogue_flops }
+  let rhs = Array.make dim E.zero in
+  Array.iter (fun (a : Assignments.t) -> rhs.(a.state_index) <- a.rhs) assigns;
+  { dim; rhs; n_partials = !next_partial; tasks; epilogue; epilogue_flops }
 
 let validate p =
+  if Array.length p.rhs <> p.dim then
+    invalid_arg "Partition.validate: rhs length mismatch";
   let written = Array.make (n_slots p) false in
   Array.iter
     (fun t ->

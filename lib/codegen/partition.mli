@@ -28,6 +28,9 @@ type task = {
 
 type plan = {
   dim : int;  (** state-vector dimension *)
+  rhs : Om_expr.Expr.t array;
+      (** the unsplit right-hand sides by derivative slot: what the
+          sequential program computes *)
   n_partials : int;
   tasks : task array;
   epilogue : (int * Om_expr.Expr.t) list;  (** [(deriv, residual)] *)
@@ -50,5 +53,6 @@ val partial_name : int -> string
 (** The variable a residual reads partial [k] as. *)
 
 val validate : plan -> unit
-(** @raise Invalid_argument if a slot is written twice or never, or a
-    derivative is both direct and via the epilogue. *)
+(** @raise Invalid_argument if a slot is written twice or never, a
+    derivative is both direct and via the epilogue, or [rhs] is not
+    [dim] long. *)

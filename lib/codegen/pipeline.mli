@@ -69,7 +69,8 @@ val system_level_speedup : analysis -> comm:float -> nprocs:int -> float
     condensation DAG — the paper's first parallelisation approach. *)
 
 val rhs_fn : result -> float -> float array -> float array -> unit
-(** Sequential reference execution of the generated code: the task
-    programs merged into one ({!Bytecode_backend.rhs_fn}), Int64-bitwise
-    equal to a parallel round and, split or not, to {!Om_expr.Eval.eval}
-    of the flat equations (up to the sign of zero). *)
+(** Sequential reference execution of the generated code: the unsplit
+    right-hand sides as one program ({!Bytecode_backend.rhs_fn}),
+    Int64-bitwise equal to a parallel round and, split or not, to
+    {!Om_expr.Eval.eval} of the flat equations (up to the sign of
+    zero). *)

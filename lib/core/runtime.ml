@@ -153,9 +153,9 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
      sequential evaluation on the supervisor. *)
   let degradations = ref [] in
   (* Rung 0 of the ladder: no live workers left, so the supervisor
-     evaluates the RHS itself — still guarded, through the tasks merged
-     into one program (Bytecode_backend.rhs_fn), which executes exactly
-     their instructions minus exact repeats, so the trajectory is
+     evaluates the RHS itself — still guarded, through the sequential
+     program (Bytecode_backend.rhs_fn), which applies the rounds'
+     operations in their order to the same values, so the trajectory is
      bit-identical. *)
   let run_sequential () =
     let f t y ydot =

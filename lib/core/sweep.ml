@@ -31,7 +31,9 @@ let final_value name sys tr =
 
 type compiled = {
   result : Om_codegen.Pipeline.result;
-  sys : Om_ode.Odesys.t; (* promoted system, for metric name lookup *)
+  sys : Om_ode.Odesys.t;
+      (* promoted system over [result]'s sequential program, for metric
+         name lookup *)
   y0 : float array; (* promoted model's default initial state *)
   slot_sets : int array array; (* per promoted parameter: its state slots *)
 }
@@ -76,8 +78,10 @@ let prepare_many ~source params =
     let fm = Om_lang.Flatten.flatten ast in
     let result = Om_codegen.Pipeline.compile fm in
     let sys =
-      Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false
-        fm.Om_lang.Flat_model.equations
+      Om_ode.Odesys.make
+        ~names:(Om_lang.Flat_model.state_names fm)
+        ~dim:result.compiled.dim
+        (Om_codegen.Pipeline.rhs_fn result)
     in
     let index_of =
       let h = Hashtbl.create 64 in

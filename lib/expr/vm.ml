@@ -606,156 +606,6 @@ let compile_stmts ?optimize ?private_env_slot ?(scratch = scratch ())
   finish ?optimize ?private_env_slot scratch ~result:(-1)
     ~env_size:(Layout.size layout) ~out_size
 
-(* ---- merging: one sequential program from many ----
-
-   A single pass over the programs in order, value-numbering as it
-   copies.  Each source register maps to a merged register; a pure
-   instruction whose opcode and mapped operands match one already
-   emitted at statement level is skipped and its destination mapped to
-   that instruction's register.  Statement-level instructions run
-   unconditionally, before everything that follows them, so such a
-   register holds its value wherever a later program reads it; an
-   instruction inside an If arm is reused by nothing.  Equal inputs
-   through the same operation give equal bits, so the merged program
-   computes exactly what the programs compute one after the other.
-
-   A load of an env slot some store writes is forwarded from the
-   register of the last statement-level store to that slot; a slot
-   stored exactly once, at statement level, and never read in place by
-   a fused [vmul]/[vmacc] loses its store if it is private.  Loads and
-   fused reads of stored slots are otherwise never value-numbered: they
-   are copied, like jumps, join [mov]s and [ste]/[sto]. *)
-
-let merge ~private_env_slot progs =
-  let env_size = List.fold_left (fun m p -> max m p.env_size) 0 progs in
-  let out_size = List.fold_left (fun m p -> max m p.out_size) 0 progs in
-  (* Per env slot: how many stores write it, whether a fused instruction
-     reads it in place. *)
-  let stores = Array.make env_size 0 in
-  let in_place = Array.make env_size false in
-  List.iter
-    (fun p ->
-      if p.result >= 0 then invalid_arg "Vm.merge: expression program";
-      let code = p.code in
-      for i = 0 to (Array.length code / Vm_code.stride) - 1 do
-        let pos = i * Vm_code.stride in
-        let o = code.(pos) in
-        if o = Vm_code.op_ste then
-          stores.(code.(pos + 4)) <- stores.(code.(pos + 4)) + 1
-        else if o = Vm_code.op_vmul then begin
-          in_place.(code.(pos + 2)) <- true;
-          in_place.(code.(pos + 3)) <- true
-        end
-        else if o = Vm_code.op_vmacc then begin
-          in_place.(code.(pos + 3)) <- true;
-          in_place.(code.(pos + 4)) <- true
-        end
-      done)
-    progs;
-  let em = new_emitter () in
-  (* The merge is never longer than its inputs. *)
-  let words = List.fold_left (fun n p -> n + Array.length p.code) 0 progs in
-  em.buf <- Array.make (max words Vm_code.stride) 0;
-  (* Value numbers: (opcode, mapped operands) -> merged register. *)
-  let numbered : (int * int * int * int, int) Hashtbl.t =
-    Hashtbl.create (words / Vm_code.stride)
-  in
-  (* Merged register of the last statement-level store to each slot. *)
-  let stored_reg = Array.make env_size (-1) in
-  List.iter
-    (fun p ->
-      let code = p.code in
-      let n = Array.length code / Vm_code.stride in
-      let reg_map = Array.make p.nregs (-1) in
-      (* Merged pool index of each of [p]'s constants, found once. *)
-      let const_map = Array.make (Array.length p.consts) (-1) in
-      let const i =
-        if const_map.(i) < 0 then const_map.(i) <- kpool em p.consts.(i);
-        const_map.(i)
-      in
-      (* A register's first definition picks its merged register; an If
-         join's second [mov] finds it taken. *)
-      let dest d =
-        if reg_map.(d) < 0 then reg_map.(d) <- fresh em;
-        reg_map.(d)
-      in
-      (* [newpos.(i)]: merged word offset of source instruction [i], or
-         of the next one emitted if [i] was skipped. *)
-      let newpos = Array.make (n + 1) 0 in
-      let jumps = ref [] in
-      (* Open If arms: [closes.(i)] arms end just before instruction [i]. *)
-      let closes = Array.make (n + 1) 0 in
-      let depth = ref 0 in
-      for i = 0 to n - 1 do
-        depth := !depth - closes.(i);
-        newpos.(i) <- em.len;
-        let pos = i * Vm_code.stride in
-        let o = code.(pos) in
-        let d = code.(pos + 1) and a = code.(pos + 2) in
-        let b = code.(pos + 3) and c = code.(pos + 4) in
-        let _, ka, kb, kc = Vm_code.field_kinds o in
-        let field kind v =
-          match kind with
-          | Vm_code.K_reg -> reg_map.(v)
-          | Vm_code.K_const -> const v
-          | Vm_code.K_none -> 0
-          | _ -> v
-        in
-        if o = Vm_code.op_jnot || o = Vm_code.op_jmp then begin
-          let target = c / Vm_code.stride in
-          closes.(target) <- closes.(target) + 1;
-          incr depth;
-          jumps := (em.len, target) :: !jumps;
-          emit em o d (field ka a) (field kb b) (-1)
-        end
-        else if o = Vm_code.op_ste then begin
-          let r = reg_map.(a) in
-          stored_reg.(c) <- (if !depth = 0 then r else -1);
-          if
-            !depth > 0 || stores.(c) > 1 || in_place.(c)
-            || not (private_env_slot c)
-          then emit em o 0 r 0 c
-        end
-        else if o = Vm_code.op_sto then emit em o 0 reg_map.(a) 0 c
-        else if o = Vm_code.op_ldv && stores.(a) > 0 then begin
-          if stored_reg.(a) >= 0 && reg_map.(d) < 0 then
-            reg_map.(d) <- stored_reg.(a)
-          else emit em o (dest d) a 0 0
-        end
-        else begin
-          let fa = field ka a and fb = field kb b and fc = field kc c in
-          let numberable =
-            o <> Vm_code.op_mov
-            && not
-                 ((o = Vm_code.op_vmul && (stores.(a) > 0 || stores.(b) > 0))
-                 || o = Vm_code.op_vmacc
-                    && (stores.(b) > 0 || stores.(c) > 0))
-          in
-          if not numberable then emit em o (dest d) fa fb fc
-          else begin
-            let key = (o, fa, fb, fc) in
-            match Hashtbl.find_opt numbered key with
-            | Some r -> reg_map.(d) <- r
-            | None ->
-                let r = dest d in
-                emit em o r fa fb fc;
-                if !depth = 0 then Hashtbl.add numbered key r
-          end
-        end
-      done;
-      newpos.(n) <- em.len;
-      List.iter
-        (fun (at, target) -> em.buf.(at + 4) <- newpos.(target))
-        !jumps)
-    progs;
-  of_code ~env_size ~out_size
-    {
-      Peephole.code = Array.sub em.buf 0 em.len;
-      consts = Array.sub em.consts 0 em.nconsts;
-      nregs = max 1 em.next_reg;
-      result = -1;
-    }
-
 (* ---- interpreter ---- *)
 
 (* The loop is a toplevel function over immediate parameters — a local

@@ -78,30 +78,6 @@ val compile_stmts :
     {!exec}.
     @raise Eval.Unbound for variables the layout lacks. *)
 
-val merge : private_env_slot:(int -> bool) -> program list -> program
-(** One statement program that runs the given statement programs one
-    after the other, with the work they repeat done once.  A single
-    pass in order, value-numbering as it copies:
-
-    - a pure instruction with the opcode and (mapped) operands of one
-      already emitted at statement level — outside every [If] arm — is
-      skipped, and its register replaced by that instruction's;
-      constants match by bit pattern;
-    - a load of an env slot that some program stores is forwarded from
-      the register the last statement-level store to it wrote; a
-      [private_env_slot] stored once, at statement level, and read in
-      place by no fused [vmul]/[vmacc] loses its store;
-    - jumps (re-targeted), join [mov]s, [ste] and [sto] are copied.
-
-    {b Exactness.}  The merged program executes each program's
-    instructions in order minus exact repeats: a skipped instruction
-    would have applied the same operation to the same bits as the one
-    whose register replaces it, and that one ran unconditionally
-    before.  [exec] of the merge therefore leaves [out] (and every env
-    slot that keeps its store) Int64-bitwise equal to [exec] of each
-    program in turn.  The programs' [env]/[out] sizes are maximised.
-    @raise Invalid_argument on an expression program. *)
-
 val clone_scratch : program -> program
 (** An independently runnable copy of the program: the instruction
     stream, constant pool and metadata are shared (they are immutable

@@ -39,7 +39,7 @@
     [sto] reads counted, and an expression program's result register
     counted as read — and that reader sits in the load's jump-free
     segment with no store to the loaded slot in between: a load shared
-    across a branch (as {!Vm.merge} produces) keeps its row.
+    across a branch keeps its row.
 
     {b Concurrency.}  All mutable state is lane-indexed, the awake-lane
     buffer included: a run over lanes [lo..hi-1] writes its compacted

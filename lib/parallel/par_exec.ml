@@ -8,8 +8,8 @@
 
    - every task owns its scratch register file (allocated on its first
      [eval]; only this executor runs the per-task programs — sequential
-     paths run them merged into one), and a task is assigned to exactly
-     one worker per round;
+     paths run one program of the unsplit equations), and a task is
+     assigned to exactly one worker per round;
    - CSE temporaries are task-private environment slots (per-task
      prefixes), so concurrent [ste] stores from different tasks hit
      disjoint indices of the shared [env] float array;

@@ -51,10 +51,10 @@ let create ?nworkers (compiled : Om_codegen.Pipeline.result) =
   in
   if nw < 1 then invalid_arg "Par_jac.create: nworkers < 1";
   (* Every worker evaluates through its own scratch clone, so rounds
-     share no mutable state.  The clones run the artifact's one merged
-     program (built once, by whichever worker asks first), each over its
-     own register file, so the values are bitwise those of the
-     supervisor's own evaluator. *)
+     share no mutable state.  The clones run the artifact's one
+     sequential program (built once, by whichever worker asks first),
+     each over its own register file, so the values are bitwise those
+     of the supervisor's own evaluator. *)
   create_with
     (Array.init nw (fun _ ->
          Om_codegen.Pipeline.rhs_fn (Om_codegen.Pipeline.clone_scratch compiled)))

@@ -103,7 +103,13 @@ type degradation = {
 }
 
 let pp_degradation ppf d =
-  Fmt.pf ppf "round %d: dropped worker %d -> %s (%a)" d.at_round d.worker
-    (if d.remaining = 0 then "sequential"
-     else Printf.sprintf "%d live worker(s)" d.remaining)
-    pp d.cause
+  let live =
+    if d.remaining = 0 then "sequential"
+    else Printf.sprintf "%d live worker(s)" d.remaining
+  in
+  if d.worker < 0 then
+    Fmt.pf ppf "round %d: no worker dropped, %s (%a)" d.at_round live pp
+      d.cause
+  else
+    Fmt.pf ppf "round %d: dropped worker %d -> %s (%a)" d.at_round d.worker
+      live pp d.cause

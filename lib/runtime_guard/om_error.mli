@@ -97,7 +97,10 @@ val pp : t Fmt.t
 type degradation = {
   at_round : int;  (** pool round index when the ladder stepped (0 for
                        spawn-time degradation) *)
-  worker : int;  (** the worker removed from the live set *)
+  worker : int;
+      (** the worker removed from the live set, or [-1] for an advisory
+          record that dropped none: the last live worker stalled, or the
+          cause names no worker *)
   remaining : int;  (** live workers after the step *)
   cause : t;
 }

@@ -481,6 +481,7 @@ let test_partition_validate_catches () =
   let plan =
     {
       Part.dim = 1;
+      rhs = [| E.zero |];
       n_partials = 0;
       tasks = [||];
       epilogue = [];
@@ -857,7 +858,7 @@ let test_pipeline_rhs_equivalence () =
       Alcotest.(check (float 1e-10)) (Printf.sprintf "deriv %d" i) v d2.(i))
     d1
 
-(* ---------- the merged sequential program ---------- *)
+(* ---------- the sequential program ---------- *)
 
 (* One per-task round, as the parallel executor computes it: every
    task's own program in order, then the epilogue. *)
@@ -874,9 +875,9 @@ let check_bits_array what a b =
         Alcotest.failf "%s %d: %h vs %h" what i x b.(i))
     a
 
-let check_merged_rounds name m ~h =
-  (* 200 RK4 steps through the merged program and through the per-task
-     rounds, on separate instances of one compile. *)
+let check_sequential_rounds name m ~h =
+  (* 200 RK4 steps through the sequential program and through the
+     per-task rounds, on separate instances of one compile. *)
   let r = P.compile m in
   let seq = P.clone_scratch r in
   let rk4 f =
@@ -895,22 +896,23 @@ let check_merged_rounds name m ~h =
         b.states.(k))
     a.states
 
-let test_merged_bearing () =
-  check_merged_rounds "bearing2d" (Om_models.Bearing2d.model ()) ~h:1e-5
+let test_sequential_bearing () =
+  check_sequential_rounds "bearing2d" (Om_models.Bearing2d.model ()) ~h:1e-5
 
-let test_merged_powerplant () =
-  check_merged_rounds "powerplant" (Om_models.Powerplant.model ()) ~h:1e-2
+let test_sequential_powerplant () =
+  check_sequential_rounds "powerplant" (Om_models.Powerplant.model ()) ~h:1e-2
 
-let test_merged_servo () =
-  check_merged_rounds "servo" (Om_models.Servo.model ()) ~h:1e-3
+let test_sequential_servo () =
+  check_sequential_rounds "servo" (Om_models.Servo.model ()) ~h:1e-3
 
-let test_merged_heat () =
-  check_merged_rounds "heat-500" (Om_pde.Discretize.heat_1d ~n:500 ()) ~h:1e-7
+let test_sequential_heat () =
+  check_sequential_rounds "heat-500" (Om_pde.Discretize.heat_1d ~n:500 ())
+    ~h:1e-7
 
 let test_merged_smaller () =
-  (* Per-task CSE repeats loads, constants and shared subterms in every
-     task; the merge keeps one of each (8,618 of 13,299 instructions,
-     epilogue included, when this was written). *)
+  (* Per-task CSE repeats shared subterms in every task; the DAG
+     lowering computes each once (6,265 instructions against the
+     tasks' and epilogue's 13,299 when this was written). *)
   let r = P.compile (Om_models.Bearing2d.model ()) in
   let per_task =
     Array.fold_left
@@ -1046,10 +1048,15 @@ let test_jacobian_layout_independent () =
   Alcotest.(check string)
     "jacobian digest" (program_digest jac) (program_digest jac')
 
+(* The sequential program is the one [Odesys] runs: the same DAG
+   lowering of the same right-hand sides. *)
 let test_pipeline_programs_pinned () =
-  let r = P.compile (Om_models.Bearing2d.model ()) in
-  check_program "merged" ~instrs:8618 ~digest:"dc5dfeb10250d7418f6610f8444fcc1b"
-    (r.compiled.sequential ());
+  let m = Om_models.Bearing2d.model () in
+  let r = P.compile m in
+  let rhs, _ = odesys_programs m.equations in
+  let seq = r.compiled.sequential () in
+  check_program "sequential" ~instrs:(Om_expr.Vm.length rhs)
+    ~digest:(program_digest rhs) seq;
   check_program "task 24" ~instrs:566
     ~digest:"cfad424fdb0df64172eb2f5146a4487a" r.compiled.tasks.(24).program
 
@@ -1069,11 +1076,13 @@ let test_merged_zero_alloc () =
   let d2 = words 220 in
   Alcotest.(check (float 0.)) "zero words per call" 0. (d2 -. d1)
 
-(* [vac] is loaded once in the merged program, read by the [sqr] of the
-   first equation and by the condition of the second, across the jump
-   boundary.  Vm_batch's load fusion once counted readers only up to
-   that boundary, fused the load into the [sqr] and left the condition
-   reading a stale row. *)
+(* [vac] is read by the [sqr] of the first equation and by the
+   condition of the second, across the jump boundary.  When the
+   sequential program merged the task programs, it loaded [vac] once
+   for both, and Vm_batch's load fusion, which counted readers only up
+   to that boundary, fused the load into the [sqr] and left the
+   condition reading a stale row.  The DAG lowering loads [vac] once
+   per equation. *)
 let shared_load_source =
   {|model SharedLoad;
     class C
@@ -1421,16 +1430,19 @@ let () =
           Alcotest.test_case "system-level speedup" `Quick
             test_system_level_speedup;
         ] );
-      ( "merged",
+      ( "sequential",
         [
           Alcotest.test_case "bearing equals per-task rounds" `Quick
-            test_merged_bearing;
+            test_sequential_bearing;
           Alcotest.test_case "powerplant equals per-task rounds" `Quick
-            test_merged_powerplant;
+            test_sequential_powerplant;
           Alcotest.test_case "servo equals per-task rounds" `Quick
-            test_merged_servo;
+            test_sequential_servo;
           Alcotest.test_case "heat equals per-task rounds" `Quick
-            test_merged_heat;
+            test_sequential_heat;
+        ] );
+      ( "merged",
+        [
           Alcotest.test_case "fewer instructions" `Quick test_merged_smaller;
           Alcotest.test_case "zero allocation" `Quick test_merged_zero_alloc;
           Alcotest.test_case "batch shared load" `Quick

@@ -962,10 +962,9 @@ module Vb = Om_expr.Vm_batch
    built from a pool of shared subterms, nested Ifs, and stores to an
    env slot [t] that later conditions and arms read.  A later If reads
    what an earlier arm of an equal condition computed; every output
-   must be what [Eval] gives, in [Vm], lane by lane in [Vm_batch] over
-   diverging lanes, and in [Vm.merge] of the block split into per-task
-   programs, and the bits of the statements compiled one program each,
-   which share no arm. *)
+   must be what [Eval] gives, in [Vm] and lane by lane in [Vm_batch]
+   over diverging lanes, and the bits of the statements compiled one
+   program each, which share no arm. *)
 let arm_names = [| "x"; "y"; "z"; "t" |]
 let t_var = E.var "t"
 
@@ -1107,13 +1106,6 @@ let prop_shared_arms_match_eval =
         List.iter (fun p -> Vm.exec p ~env ~out) singles;
         out
       in
-      (* Per-task programs: the block cut after its first statement. *)
-      let tasks =
-        match stmts with
-        | [] -> []
-        | s :: rest -> [ compile [ s ]; compile rest ]
-      in
-      let merged = Vm.merge ~private_env_slot:(fun _ -> false) tasks in
       (* The VM folds a sum from its first operand, [Eval] from [0.],
          so a zero's sign may differ from [Eval]'s; the block and its
          statements one by one must agree bit for bit. *)
@@ -1127,7 +1119,6 @@ let prop_shared_arms_match_eval =
             let got = run shared env in
             agree expected got
             && agree expected (run lowered env)
-            && agree expected (run merged env)
             && Array.for_all2 same_value (run_singles env) got)
           envs
       in

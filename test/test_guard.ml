@@ -62,7 +62,12 @@ let test_degradation_pp () =
     (Fmt.str "%a" E.pp_degradation d);
   let seq = { d with remaining = 0 } in
   Alcotest.(check bool) "degradation to sequential" true
-    (contains (Fmt.str "%a" E.pp_degradation seq) "-> sequential")
+    (contains (Fmt.str "%a" E.pp_degradation seq) "-> sequential");
+  let advisory = { d with worker = -1; remaining = 1 } in
+  Alcotest.(check string) "advisory record drops no worker"
+    "round 5: no worker dropped, 1 live worker(s) (worker 1 stalled in \
+     round 5 (waited 0.0020s))"
+    (Fmt.str "%a" E.pp_degradation advisory)
 
 (* ---------- fault plan ---------- *)
 

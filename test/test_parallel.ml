@@ -496,10 +496,10 @@ let test_measured_telemetry () =
   let u = Rs.utilization st in
   Alcotest.(check bool) "utilization in (0, 1]" true (u > 0. && u <= 1.)
 
-(* ---------- the merged program across domains ---------- *)
+(* ---------- the sequential program across domains ---------- *)
 
 let test_merged_shared_across_domains () =
-  (* A fresh compile has not built its merged program yet: two domains,
+  (* A fresh compile has not built its sequential program yet: two domains,
      each holding its own clone, race to build it on their first call.
      Both must end up on the one program and compute the same bits as a
      per-task round. *)
@@ -522,7 +522,7 @@ let test_merged_shared_across_domains () =
   let doms = Array.map run [| P.clone_scratch r; P.clone_scratch r |] in
   let a, pa = Domain.join doms.(0) in
   let b, pb = Domain.join doms.(1) in
-  Alcotest.(check bool) "one merged program" true (pa == pb);
+  Alcotest.(check bool) "one sequential program" true (pa == pb);
   Alcotest.(check bool) "the original shares it" true
     (r.compiled.sequential () == pa);
   let c = r.compiled in
@@ -543,7 +543,7 @@ let test_merged_shared_across_domains () =
 (* The bearing's default plan splits Inner.vx and Inner.vy.  Along a
    200-step RK4 run of Odesys.of_equations' RHS, every evaluator of the
    split plan gives its derivatives at each step, bit for bit: per-task
-   rounds plus the epilogue, the merged sequential program, rounds on 2
+   rounds plus the epilogue, the sequential program, rounds on 2
    real domains and the batched VM at width 1. *)
 let test_split_bearing_equals_odesys () =
   let r = Lazy.force bearing in
