@@ -301,13 +301,21 @@ let simulate_cmd =
     Printf.printf
       "simulated %s to t=%g: %d steps, %d RHS calls, %d Jacobians\n" fm.name
       tend sys.counters.steps sys.counters.rhs_calls sys.counters.jac_calls;
-    (match Om_ode.Jacobian.mode_stats ~jac_mode sys with
-    | mode, Some (nnz, colors) ->
+    (* The sparse path runs the symbolic program when the system has one
+       (Jacobian.sparse_eval_into); colored finite differences only
+       without it. *)
+    (match (Om_ode.Jacobian.mode_stats ~jac_mode sys, sys.sjac) with
+    | (mode, Some (nnz, _)), Some _ ->
+        Printf.printf
+          "jacobian: %s, %d structural nonzeros of %d x %d, symbolic (one \
+           sjac program run per Jacobian, no RHS evals)\n"
+          mode nnz sys.dim sys.dim
+    | (mode, Some (nnz, colors)), None ->
         Printf.printf
           "jacobian: %s, %d structural nonzeros of %d x %d, %d colors (%d \
            RHS evals per fd Jacobian)\n"
           mode nnz sys.dim sys.dim colors (colors + 1)
-    | _, None -> ());
+    | (_, None), _ -> ());
     if csv then begin
       Printf.printf "t,%s\n"
         (String.concat "," (Array.to_list sys.names));

@@ -48,8 +48,8 @@ let cloned_on_first_use program =
         clone := Some p;
         p
 
-let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
-    ~state_names =
+let compile ?(scope = Cse_per_task) ?(optimize = true) ?sequential
+    (plan : Partition.plan) ~state_names =
   let dim = plan.dim in
   if Array.length state_names <> dim then
     invalid_arg "Bytecode_backend.compile: state_names length mismatch";
@@ -190,30 +190,20 @@ let compile ?(scope = Cse_per_task) ?(optimize = true) (plan : Partition.plan)
   in
   let cse_temp_total = List.length temp_names in
   (* The sequential program: the unsplit right-hand sides lowered as one
-     DAG, as [Odesys.of_equations] lowers them, over states and time
-     only.  Built on first use and shared by every instance.  Instances
-     on several domains may ask at once: the lock makes exactly one of
-     them build it. *)
-  let built = Atomic.make None in
-  let lock = Mutex.create () in
-  let sequential () =
-    match Atomic.get built with
-    | Some p -> p
+     DAG by [Odesys.rhs_program], shared by every instance.  A caller
+     that already builds it passes it in; otherwise it is built on first
+     use, once, whichever domains ask. *)
+  let sequential =
+    match sequential with
+    | Some program -> program
     | None ->
-        Mutex.protect lock (fun () ->
-            match Atomic.get built with
-            | Some p -> p
-            | None ->
-                let p =
-                  Om_expr.Vm.compile_stmts ~optimize ~out_size
-                    (Om_expr.Layout.of_names
-                       (Array.append state_names [| "t" |]))
-                    (List.mapi
-                       (fun i e -> (e, Om_expr.Vm.To_out i))
-                       (Array.to_list plan.rhs))
-                in
-                Atomic.set built (Some p);
-                p)
+        let once =
+          Once.make (fun () ->
+              Om_ode.Odesys.rhs_program ~optimize
+                (List.combine (Array.to_list state_names)
+                   (Array.to_list plan.rhs)))
+        in
+        fun () -> Once.force once
   in
   (* Instantiation binds the shared plans to fresh mutable scratch: the
      env/out value arrays, the evaluation closures over them and, on

@@ -43,10 +43,11 @@ type t = {
           Int64-bitwise.  Clones it (a register file) on first call. *)
   sequential : unit -> Om_expr.Vm.program;
       (** {!Partition.plan.rhs}, each stored to its derivative, lowered
-          as one DAG by {!Om_expr.Vm.compile_stmts} over the states and
-          [t]: the program [Odesys.of_equations] builds for the same
-          equations.  Built on first call and shared by every instance
-          of the artifact; safe to call from several domains at once.
+          as one DAG over the states and [t]: the program
+          [Odesys.rhs_program] builds for the same equations, which is
+          where it is built.  {!compile}'s [sequential] argument, when
+          given; else built on first call.  Shared by every instance of
+          the artifact; safe to call from several domains at once.
           Engines that reinterpret it (e.g. {!Batch_backend}) must not
           [exec] it. *)
   run_epilogue : unit -> unit;
@@ -65,13 +66,20 @@ type t = {
 val compile :
   ?scope:cse_scope ->
   ?optimize:bool ->
+  ?sequential:(unit -> Om_expr.Vm.program) ->
   Partition.plan ->
   state_names:string array ->
   t
 (** Default scope is [Cse_per_task].  [optimize] (default [true]) runs
-    the peephole pass over every task program, the epilogue and the
-    sequential program; the fuzz oracle compiles with
-    [~optimize:false] to check that the pass is bit-preserving. *)
+    the peephole pass over every task program and the epilogue, and
+    over the sequential program when [compile] builds it; the fuzz
+    oracle compiles with [~optimize:false] to check that the pass is
+    bit-preserving.  [sequential] is {!t.sequential}: a compiled model
+    passes the program it already built for its sequential paths
+    ([Om_codegen.Pipeline]), so each model lowers its right-hand sides
+    once.  It must be that program for this plan, with the same
+    [optimize], and safe to call from several domains at once.  Without
+    it, the program is built on the first {!t.sequential} call. *)
 
 val clone_scratch : t -> t
 (** An independently runnable instance of the same compiled artifact:

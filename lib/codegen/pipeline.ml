@@ -45,13 +45,20 @@ let analyse (m : Om_lang.Flat_model.t) =
   in
   { graph; comps; condensed; nontrivial; scc_weights }
 
-(* Process-global invocation counter: the serve-layer model cache
-   asserts cache hits skip compilation entirely by watching this. *)
+(* Process-global counters: the serve-layer model cache asserts cache
+   hits skip compilation entirely by watching [compiles] (front ends);
+   [backs] counts the per-task back ends forced, which a sequential job
+   must leave alone. *)
 let compiles = Atomic.make 0
 let compile_count () = Atomic.get compiles
+let backs = Atomic.make 0
+let back_count () = Atomic.get backs
 
-let compile ?(config = default_config) ?optimize (m : Om_lang.Flat_model.t) =
-  Atomic.incr compiles;
+(* The per-task back end: partition, per-task CSE and lowering, the
+   schedulable tasks and the dependency analysis.  The sequential
+   program is the front's. *)
+let back ~config ?optimize ~sequential (m : Om_lang.Flat_model.t) =
+  Atomic.incr backs;
   let assigns = Assignments.of_flat_model m in
   let plan =
     Partition.partition ~merge_threshold:config.merge_threshold
@@ -60,8 +67,8 @@ let compile ?(config = default_config) ?optimize (m : Om_lang.Flat_model.t) =
   Partition.validate plan;
   let state_names = Om_lang.Flat_model.state_names m in
   let compiled =
-    Bytecode_backend.compile ~scope:config.cse_scope ?optimize plan
-      ~state_names
+    Bytecode_backend.compile ~scope:config.cse_scope ?optimize ~sequential
+      plan ~state_names
   in
   let tasks =
     Array.map
@@ -73,6 +80,76 @@ let compile ?(config = default_config) ?optimize (m : Om_lang.Flat_model.t) =
   Om_sched.Task.validate tasks;
   { model = m; assigns; plan; compiled; tasks; analysis = analyse m }
 
+type model = {
+  flat : Om_lang.Flat_model.t;
+  sparsity : Om_ode.Sparse.pattern Once.t;
+  rhs : Om_expr.Vm.program Once.t;
+  jacobian : Om_expr.Vm.program Once.t;
+  full : result Once.t;
+}
+
+(* A model over [m] whose stages are built on first use.  [reads] are
+   the equations' read sets when the caller already walked them; else
+   the sparsity stage walks them.  The pattern is a stage, not part of
+   the front, so that [compile] and [compile_source] build nothing they
+   did not build before. *)
+let stages ?optimize ?reads (m : Om_lang.Flat_model.t) ~rhs ~full =
+  let sparsity =
+    let names = Om_lang.Flat_model.state_names m in
+    Once.make (fun () ->
+        let reads =
+          match reads with
+          | Some r -> r
+          | None -> List.map (fun (_, e) -> Om_expr.Expr.vars e) m.equations
+        in
+        Om_ode.Odesys.pattern_of_reads names reads)
+  in
+  let jacobian =
+    Once.make (fun () ->
+        Om_ode.Odesys.jacobian_program ?optimize (Once.force sparsity)
+          m.equations)
+  in
+  { flat = m; sparsity; rhs; jacobian; full }
+
+let front ?(config = default_config) ?optimize ?reads
+    (m : Om_lang.Flat_model.t) =
+  Atomic.incr compiles;
+  let rhs =
+    Once.make (fun () -> Om_ode.Odesys.rhs_program ?optimize m.equations)
+  in
+  let sequential () = Once.force rhs in
+  stages ?optimize ?reads m ~rhs
+    ~full:(Once.make (fun () -> back ~config ?optimize ~sequential m))
+
+let model_of_flat ?config ?optimize m = front ?config ?optimize m
+
+let model_of_source ?config ?optimize source =
+  let fm = Om_lang.Flatten.flatten_string source in
+  let reads = Om_lang.Typecheck.check_reads fm in
+  front ?config ?optimize ~reads fm
+
+let flat_model m = m.flat
+let sparsity m = Once.force m.sparsity
+let rhs_program m = Once.force m.rhs
+let jacobian_program m = Once.force m.jacobian
+let result m = Once.force m.full
+
+let sequential_fn m =
+  let program = Om_expr.Vm.clone_scratch (rhs_program m) in
+  let dim = Om_lang.Flat_model.dim m.flat in
+  let env = Array.make (dim + 1) 0. in
+  fun t y ydot ->
+    Array.blit y 0 env 0 dim;
+    env.(dim) <- t;
+    Om_expr.Vm.exec program ~env ~out:ydot
+
+let of_result r =
+  stages r.model
+    ~rhs:(Once.make r.compiled.sequential)
+    ~full:(Once.make (fun () -> r))
+
+let compile ?config ?optimize m = result (model_of_flat ?config ?optimize m)
+
 (* Everything in a result except the executable backend is immutable
    analysis data; sharing it across clones keeps per-job cloning at a
    few array allocations. *)
@@ -82,9 +159,7 @@ let clone_scratch r =
 let source_key source = Digest.to_hex (Digest.string source)
 
 let compile_source ?config ?optimize source =
-  let fm = Om_lang.Flatten.flatten_string source in
-  Om_lang.Typecheck.check fm;
-  compile ?config ?optimize fm
+  result (model_of_source ?config ?optimize source)
 
 let system_level_speedup a ~comm ~nprocs =
   Om_sched.Dag_sched.speedup a.condensed ~weights:a.scc_weights ~comm ~nprocs

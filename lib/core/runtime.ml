@@ -101,22 +101,28 @@ let solve ?max_retries ?jac_mode ?jac_batch solver sys ~t0 ~tend ~y0 =
          ~tend)
         .trajectory
 
-(* The structural Jacobian pattern of the model, attached to every system
-   the runtime builds: the compiled RHS evaluates the same equations, so
-   the symbolic read sets are its exact sparsity, and the stiff solvers
-   can take the colored-column sparse path under [config.jac_mode]. *)
-let model_sparsity (r : Om_codegen.Pipeline.result) =
-  Om_ode.Odesys.pattern_of_equations r.model.equations
+(* The system every run integrates: [f] over the model's state names,
+   with the model's structural Jacobian pattern.  The compiled RHS
+   evaluates the same equations, so the symbolic read sets are its
+   exact sparsity, and the stiff solvers can take the colored-column
+   sparse path under [config.jac_mode]. *)
+let system m f =
+  let fm = Om_codegen.Pipeline.flat_model m in
+  Om_ode.Odesys.make ~names:(Om_lang.Flat_model.state_names fm)
+    ~sparsity:(Om_codegen.Pipeline.sparsity m) ~dim:(Om_lang.Flat_model.dim fm)
+    f
 
 (* The post-round finite guard, armed by [config.guard]: scans the
    derivative vector after every RHS evaluation and raises a typed
    [Nonfinite_output] naming the flattened equation, which the solvers
    above answer with retry/backoff. *)
-let guard_of config (compiled : Om_codegen.Bytecode_backend.t) =
+let guard_of config m =
   if config.guard then
+    let fm = Om_codegen.Pipeline.flat_model m in
     Some
-      (Om_guard.Finite_guard.create ~names:compiled.state_names
-         ~dim:compiled.dim)
+      (Om_guard.Finite_guard.create
+         ~names:(Om_lang.Flat_model.state_names fm)
+         ~dim:(Om_lang.Flat_model.dim fm))
   else None
 
 let[@inline] guard_check guard ~time ydot =
@@ -143,31 +149,29 @@ let[@inline] cancel_check config =
    report's overhead/utilization fields are measured per-worker
    telemetry (Om_parallel.Round_stats), not placeholders. *)
 let execute_real config ~nworkers ~solver ~t0 ~tend
-    (r : Om_codegen.Pipeline.result) =
-  let compiled = r.compiled in
-  let guard = guard_of config compiled in
-  let y0 = Om_lang.Flat_model.initial_values r.model in
+    ~(back : unit -> Om_codegen.Pipeline.result) m =
+  let guard = guard_of config m in
+  let y0 =
+    Om_lang.Flat_model.initial_values (Om_codegen.Pipeline.flat_model m)
+  in
   (* Degradation events accumulate across the ladder: spawn-time drops
      (retry with one worker fewer), mid-run drops (a stalled worker's
      tasks are LPT-reassigned to the survivors), and the final fall to
      sequential evaluation on the supervisor. *)
   let degradations = ref [] in
   (* Rung 0 of the ladder: no live workers left, so the supervisor
-     evaluates the RHS itself — still guarded, through the sequential
-     program (Bytecode_backend.rhs_fn), which applies the rounds'
-     operations in their order to the same values, so the trajectory is
-     bit-identical. *)
+     evaluates the RHS itself — still guarded, through the model's
+     sequential program, which applies the rounds' operations in their
+     order to the same values, so the trajectory is bit-identical.  It
+     reads only the front: no per-task code is built for it. *)
   let run_sequential () =
+    let rhs = Om_codegen.Pipeline.sequential_fn m in
     let f t y ydot =
       cancel_check config;
-      Om_codegen.Bytecode_backend.rhs_fn compiled t y ydot;
+      rhs t y ydot;
       guard_check guard ~time:t ydot
     in
-    let sys =
-      Om_ode.Odesys.make
-        ~names:(Array.copy compiled.state_names)
-        ~sparsity:(model_sparsity r) ~dim:compiled.dim f
-    in
+    let sys = system m f in
     let start = Unix.gettimeofday () in
     let trajectory =
       solve ~max_retries:config.retry_budget ~jac_mode:config.jac_mode solver
@@ -202,7 +206,12 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
       jac_calls = sys.counters.jac_calls;
     }
   in
+  (* The per-task back end, built (or taken from the model) on the first
+     rung that spawns workers. *)
+  let result = lazy (back ()) in
   let run_with nworkers =
+    let r = Lazy.force result in
+    let compiled = r.compiled in
     let costs =
       match config.scheduling with
       | Static_with costs -> costs
@@ -227,11 +236,11 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
     in
     Om_parallel.Par_exec.with_measured ?barrier_deadline ?fault:config.faults
       ?semidynamic ~nworkers ~tasks:r.tasks desc compiled
-    @@ fun m ->
-    let exec = Om_parallel.Par_exec.executor m in
+    @@ fun measured ->
+    let exec = Om_parallel.Par_exec.executor measured in
     let f t y ydot =
       cancel_check config;
-      Om_parallel.Par_exec.measured_rhs_fn m t y ydot;
+      Om_parallel.Par_exec.measured_rhs_fn measured t y ydot;
       (* A barrier-deadline overrun recorded by the pool steps the
          ladder: drop the stalled worker (its tasks go to the survivors
          by LPT; trajectories stay bit-identical because output slots
@@ -267,11 +276,7 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
             :: !degradations);
       guard_check guard ~time:t ydot
     in
-    let sys =
-      Om_ode.Odesys.make
-        ~names:(Array.copy compiled.state_names)
-        ~sparsity:(model_sparsity r) ~dim:compiled.dim f
-    in
+    let sys = system m f in
     let jac_mode, jac_sparsity =
       Om_ode.Jacobian.mode_stats ~jac_mode:config.jac_mode sys
     in
@@ -299,7 +304,7 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
     in
     let wall = Unix.gettimeofday () -. start in
     let rhs_calls = sys.counters.rhs_calls in
-    let st = Om_parallel.Par_exec.stats m in
+    let st = Om_parallel.Par_exec.stats measured in
     {
       trajectory;
       rhs_calls;
@@ -343,8 +348,9 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
   in
   attempt nworkers
 
-let execute_simulated ?(config = default_config) ?solver ?(t0 = 0.) ~tend
-    (r : Om_codegen.Pipeline.result) =
+let execute_simulated config ?solver ~t0 ~tend
+    ~(back : unit -> Om_codegen.Pipeline.result) m =
+  let r = back () in
   let compiled = r.compiled in
   let n_tasks = Array.length compiled.tasks in
   let sim_seconds = ref 0. in
@@ -375,7 +381,7 @@ let execute_simulated ?(config = default_config) ?solver ?(t0 = 0.) ~tend
   let reschedules_seen = ref 0 in
   let compute_tot = Array.make (max 0 config.nworkers) 0. in
   let wait_tot = Array.make (max 0 config.nworkers) 0. in
-  let guard = guard_of config compiled in
+  let guard = guard_of config m in
   let round_idx = ref 0 in
   let f t y ydot =
     cancel_check config;
@@ -430,10 +436,7 @@ let execute_simulated ?(config = default_config) ?solver ?(t0 = 0.) ~tend
           reschedules_seen := n
         end)
   in
-  let sys =
-    Om_ode.Odesys.make ~names:(Array.copy compiled.state_names)
-      ~sparsity:(model_sparsity r) ~dim:compiled.dim f
-  in
+  let sys = system m f in
   let y0 = Om_lang.Flat_model.initial_values r.model in
   let solver =
     match solver with Some s -> s | None -> Rk4 ((tend -. t0) /. 400.)
@@ -471,14 +474,26 @@ let execute_simulated ?(config = default_config) ?solver ?(t0 = 0.) ~tend
     jac_calls = sys.counters.jac_calls;
   }
 
-let execute ?(config = default_config) ?solver ?(t0 = 0.) ~tend r =
+(* [back ()] is the back end a run executes: a clone of the model's when
+   the model may be shared, the caller's own result otherwise. *)
+let run ~back ?(config = default_config) ?solver ?(t0 = 0.) ~tend m =
   match config.execution with
-  | Simulated -> execute_simulated ~config ?solver ~t0 ~tend r
+  | Simulated -> execute_simulated config ?solver ~t0 ~tend ~back m
   | Real_domains n ->
       let solver =
         match solver with Some s -> s | None -> Rk4 ((tend -. t0) /. 400.)
       in
-      execute_real config ~nworkers:n ~solver ~t0 ~tend r
+      execute_real config ~nworkers:n ~solver ~t0 ~tend ~back m
+
+let execute_model ?config ?solver ?t0 ~tend m =
+  run
+    ~back:(fun () ->
+      Om_codegen.Pipeline.clone_scratch (Om_codegen.Pipeline.result m))
+    ?config ?solver ?t0 ~tend m
+
+let execute ?config ?solver ?t0 ~tend r =
+  run ~back:(fun () -> r) ?config ?solver ?t0 ~tend
+    (Om_codegen.Pipeline.of_result r)
 
 let round_seconds ?(config = default_config) ?costs
     (r : Om_codegen.Pipeline.result) =

@@ -144,6 +144,39 @@ type report = {
       (** Jacobian evaluations performed ([Odesys.counters.jac_calls]) *)
 }
 
+val execute_model :
+  ?config:config ->
+  ?solver:solver ->
+  ?t0:float ->
+  tend:float ->
+  Om_codegen.Pipeline.model ->
+  report
+(** Integrate the compiled model from its initial state.  Default solver
+    [Rk4 (tend /. 400.)].
+
+    What each mode builds of the model ({!Om_codegen.Pipeline}):
+    [Real_domains 0] runs the model's sequential program
+    ({!Om_codegen.Pipeline.sequential_fn}) and reads nothing else but
+    the front (states, initial values, sparsity), so it builds no
+    per-task code.  {!Simulated} and [Real_domains n] with [n >= 1]
+    build the per-task back end ({!val:Om_codegen.Pipeline.result}) on
+    first use.  The model is never mutated: every run executes on its
+    own scratch (a register-file clone of the sequential program, a
+    {!Om_codegen.Pipeline.clone_scratch} of the back end), so runs of
+    one shared model may proceed on several domains at once.
+
+    Robustness under {!Real_domains}: a failed pool construction
+    ([Spawn_failure]) retries with one worker fewer down to sequential
+    evaluation on the supervisor (the sequential program again); a
+    barrier-deadline stall drops the stalled worker and LPT-reassigns
+    its tasks to the survivors.  Every rung is recorded in
+    [report.degradations], and trajectories stay bit-identical across
+    all of them and across modes.  Guarded non-finite RHS output is
+    retried with step-size backoff inside the solvers (bounded by
+    [config.retry_budget]).
+    @raise Om_guard.Om_error.Error ([Step_failure]) when a solver
+    exhausts its retry or step budget. *)
+
 val execute :
   ?config:config ->
   ?solver:solver ->
@@ -151,19 +184,10 @@ val execute :
   tend:float ->
   Om_codegen.Pipeline.result ->
   report
-(** Integrate the compiled model from its initial state.  Default solver
-    [Rk4 (tend /. 400.)].
-
-    Robustness under {!Real_domains}: a failed pool construction
-    ([Spawn_failure]) retries with one worker fewer down to sequential
-    evaluation on the supervisor; a barrier-deadline stall drops the
-    stalled worker and LPT-reassigns its tasks to the survivors.  Every
-    rung is recorded in [report.degradations], and trajectories stay
-    bit-identical across all of them.  Guarded non-finite RHS output is
-    retried with step-size backoff inside the solvers (bounded by
-    [config.retry_budget]).
-    @raise Om_guard.Om_error.Error ([Step_failure]) when a solver
-    exhausts its retry or step budget. *)
+(** {!execute_model} of {!Om_codegen.Pipeline.of_result}: the same
+    run, for a result already built, which it executes on the result's
+    own scratch rather than a clone — so one result must not run on
+    several domains at once. *)
 
 val round_seconds :
   ?config:config ->

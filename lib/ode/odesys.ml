@@ -120,6 +120,21 @@ let jacobian_stmts sparsity eqs =
     grads;
   List.init (Array.length slots) (fun k -> (slots.(k), Om_expr.Vm.To_out k))
 
+(* The value layout every program of a system reads: states first, then
+   time. *)
+let layout ?(time_var = "t") eqs =
+  Om_expr.Layout.of_names
+    (Array.of_list (List.map fst eqs @ [ time_var ]))
+
+let rhs_program ?time_var ?optimize eqs =
+  Om_expr.Vm.compile_stmts ?optimize ~out_size:(List.length eqs)
+    (layout ?time_var eqs)
+    (List.mapi (fun i (_, e) -> (e, Om_expr.Vm.To_out i)) eqs)
+
+let jacobian_program ?time_var ?optimize sparsity eqs =
+  Om_expr.Vm.compile_stmts ?optimize ~out_size:(Sparse.nnz sparsity)
+    (layout ?time_var eqs) (jacobian_stmts sparsity eqs)
+
 let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
   let states = List.map fst eqs in
   let module S = Set.Make (String) in
@@ -140,13 +155,8 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
     reads;
   let dim = List.length eqs in
   let names = Array.of_list states in
-  (* Value vector layout: states first, then time. *)
-  let layout = Om_expr.Layout.of_names (Array.append names [| time_var |]) in
   let module Vm = Om_expr.Vm in
-  let rhs_prog =
-    Vm.compile_stmts ~out_size:dim layout
-      (List.mapi (fun i (_, e) -> (e, Vm.To_out i)) eqs)
-  in
+  let rhs_prog = rhs_program ~time_var eqs in
   let buf = Array.make (dim + 1) 0. in
   let load t y =
     Array.blit y 0 buf 0 dim;
@@ -164,12 +174,8 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
          CSR slot.  Derived on first use, so runs that never ask for a
          Jacobian never differentiate; one forward pass derives every
          row.  A structural entry the pass leaves out is [+0.]. *)
-      let nnz = Sparse.nnz sparsity in
-      let jac_prog =
-        lazy
-          (Vm.compile_stmts ~out_size:nnz layout (jacobian_stmts sparsity eqs))
-      in
-      let vals = Array.make nnz 0. in
+      let jac_prog = lazy (jacobian_program ~time_var sparsity eqs) in
+      let vals = Array.make (Sparse.nnz sparsity) 0. in
       let jac t y (m : Linalg.mat) =
         load t y;
         Vm.exec (Lazy.force jac_prog) ~env:buf ~out:vals;

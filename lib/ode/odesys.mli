@@ -81,16 +81,46 @@ val pattern_of_equations : (string * Om_expr.Expr.t) list -> Sparse.pattern
     whose RHS is compiled separately (e.g. the runtime's task-parallel
     evaluator) but whose equations are known. *)
 
+val pattern_of_reads : string array -> string list list -> Sparse.pattern
+(** {!pattern_of_equations} from read sets already walked: entry
+    [(i, j)] is structural iff the [i]th list names state [j] (names not
+    among the states, such as time, are skipped). *)
+
 val jacobian_stmts :
   Sparse.pattern -> (string * Om_expr.Expr.t) list ->
   (Om_expr.Expr.t * Om_expr.Vm.target) list
-(** The statements of the program {!of_equations}' [jac] and [sjac]
-    run, given [pattern_of_equations eqs]: each structural entry's
-    derivative, stored to its CSR slot.  {!of_equations} compiles them
-    with {!Om_expr.Vm.compile_stmts} over its value layout (states, then
-    time).  The equations are interned ({!Om_expr.Expr.intern}) before
-    {!Om_expr.Deriv.jacobian} derives them, so derivatives share each
-    distinct subterm physically. *)
+(** The statements {!jacobian_program} lowers, given
+    [pattern_of_equations eqs]: each structural entry's derivative,
+    stored to its CSR slot.  The equations are interned
+    ({!Om_expr.Expr.intern}) before {!Om_expr.Deriv.jacobian} derives
+    them, so derivatives share each distinct subterm physically. *)
+
+(** {2 The programs}
+
+    The one builder of the programs that evaluate symbolic equations:
+    {!of_equations} runs them, and so does every sequential path of the
+    code generator ([Om_codegen.Pipeline]), which lowers them through
+    these two functions and nowhere else.  Both read one value layout:
+    the states in equation order, then time ([time_var], default
+    ["t"]).  [optimize] (default [true]) is {!Om_expr.Vm.compile_stmts}'
+    peephole switch. *)
+
+val rhs_program :
+  ?time_var:string -> ?optimize:bool -> (string * Om_expr.Expr.t) list ->
+  Om_expr.Vm.program
+(** The right-hand sides lowered as one DAG, equation [i] stored to
+    output [i].
+    @raise Om_expr.Eval.Unbound on a variable that is neither a state
+    nor time. *)
+
+val jacobian_program :
+  ?time_var:string -> ?optimize:bool -> Sparse.pattern ->
+  (string * Om_expr.Expr.t) list -> Om_expr.Vm.program
+(** The symbolic Jacobian, given [pattern_of_equations eqs]: one program
+    writing every structural entry's derivative to its CSR slot
+    ({!jacobian_stmts}), from one forward pass of
+    {!Om_expr.Deriv.jacobian} over all the equations.  A structural
+    entry the pass leaves out is [+0.]. *)
 
 val of_equations :
   ?time_var:string -> ?with_symbolic_jacobian:bool ->
@@ -98,14 +128,10 @@ val of_equations :
   t
 (** Elaborate symbolic first-order equations [x' = rhs].  Each right-hand
     side may reference any state variable and the time variable (default
-    ["t"]).  The right-hand sides compile to one {!Om_expr.Vm} program
-    with one output per equation: [f] runs it.  With
-    [with_symbolic_jacobian] (default true) the analytic Jacobian is
-    derived symbolically too, the paper's "extra function dedicated to
-    computing the Jacobian": every structural entry's derivative, from
-    one forward pass of {!Om_expr.Deriv.jacobian} over all the
-    equations, compiles to a second program writing the pattern's CSR
-    slots, which backs both [jac] and [sjac].  That program is built on
+    ["t"]).  [f] runs {!rhs_program}.  With [with_symbolic_jacobian]
+    (default true) the analytic Jacobian is derived symbolically too,
+    the paper's "extra function dedicated to computing the Jacobian":
+    {!jacobian_program} backs both [jac] and [sjac].  It is built on
     the first [jac] or [sjac] call, so runs that never ask for a
     Jacobian never differentiate.  The structural sparsity pattern
     (each equation's state read set) is always recorded in

@@ -47,7 +47,7 @@ let multiset names =
     names;
   h
 
-let check (m : Flat_model.t) =
+let check_reads (m : Flat_model.t) =
   let states = List.map fst m.states in
   let eq_states = List.map fst m.equations in
   let state_count = multiset states in
@@ -83,13 +83,17 @@ let check (m : Flat_model.t) =
   (match List.find_opt (fun s -> Hashtbl.find state_count s > 1) states with
   | Some s -> invalid_arg (Printf.sprintf "Typecheck.check: duplicate state %s" s)
   | None -> ());
-  List.iter
+  List.map
     (fun (s, rhs) ->
+      let reads = Om_expr.Expr.vars rhs in
       List.iter
         (fun v ->
           if (not (Hashtbl.mem state_count v)) && v <> "t" then
             invalid_arg
               (Printf.sprintf "Typecheck.check: %s is free in equation for %s"
                  v s))
-        (Om_expr.Expr.vars rhs))
+        reads;
+      reads)
     m.equations
+
+let check m = ignore (check_reads m)

@@ -18,3 +18,9 @@ val check : Flat_model.t -> unit
 (** Re-validate a flat model: equation/state bijection, distinct state
     names and closed right-hand sides.  @raise Invalid_argument on violations (used by
     property tests; [Flatten.flatten] output always passes). *)
+
+val check_reads : Flat_model.t -> string list list
+(** {!check}, returning each equation's read set: the variables of its
+    right-hand side ({!Om_expr.Expr.vars}), as the free-variable check
+    walks them, in equation order.  A compiled model derives its
+    sparsity pattern from these, so the equations are walked once. *)

@@ -256,7 +256,7 @@ let check_failures pool =
                 (Worker_exception
                    {
                      worker = w;
-                     round = pool.rounds - 1;
+                     round = pool.rounds;
                      detail = Printexc.to_string e;
                    })))
   done
@@ -264,6 +264,7 @@ let check_failures pool =
 let round pool =
   if not (active pool) then invalid_arg "Domain_pool.round: pool is shut down";
   let t0 = Monotonic.now () in
+  pool.rounds <- pool.rounds + 1;
   Atomic.set pool.ndone 0;
   Mutex.lock pool.start_mutex;
   Atomic.incr pool.round;
@@ -284,7 +285,6 @@ let round pool =
   end
   else supervisor_wait pool pool.spin_budget;
   pool.timing.(0) <- Monotonic.now () -. t0;
-  pool.rounds <- pool.rounds + 1;
   check_failures pool
 
 let shutdown pool =

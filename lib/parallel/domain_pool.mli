@@ -71,7 +71,11 @@ val shutdown : t -> unit
 val nworkers : t -> int
 
 val rounds : t -> int
-(** Rounds completed so far. *)
+(** Rounds started so far, which is also the number of the round in
+    progress: rounds are numbered from 1, as
+    {!Om_guard.Fault_plan} numbers them, and the [round] of every stall,
+    timeout or worker-exception record is this number.  Between rounds,
+    the rounds completed. *)
 
 val active : t -> bool
 (** [true] until {!shutdown}. *)

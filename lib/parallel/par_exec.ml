@@ -36,7 +36,9 @@ type t = {
   task_seconds : float array; (* per-task wall seconds of the last round *)
   task_costs : float array; (* static costs, for degradation LPT *)
   live : bool array; (* live worker set (degradation ladder) *)
-  round_box : int array; (* round_box.(0): round index seen by workers *)
+  round_box : int array;
+      (* round_box.(0): the number of the round in progress, as the pool
+         numbers it, for the workers' fault plan *)
   fault : Om_guard.Fault_plan.t option;
 }
 
@@ -201,7 +203,7 @@ let drop_worker t w =
 let rhs_fn t time y ydot =
   let c = t.compiled in
   c.Bb.set_state time y;
-  t.round_box.(0) <- t.round_box.(0) + 1;
+  t.round_box.(0) <- Domain_pool.rounds t.pool + 1;
   Domain_pool.round t.pool;
   c.Bb.run_epilogue ();
   Array.blit c.Bb.out 0 ydot 0 c.Bb.dim

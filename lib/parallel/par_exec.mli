@@ -105,7 +105,9 @@ val with_executor :
 (** [create], run the callback, and {!shutdown} even on exceptions. *)
 
 val rounds : t -> int
-(** Rounds executed so far. *)
+(** Rounds executed so far ({!Domain_pool.rounds}: the fault plan's
+    round [k] is the [k]th round, and a stall in it is reported as round
+    [k]). *)
 
 val worker_tasks : t -> int array array
 (** Task ids per worker, ascending — the materialised live assignment

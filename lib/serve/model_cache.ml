@@ -1,4 +1,4 @@
-type entry = { key : string; compiled : Om_codegen.Pipeline.result }
+type entry = { key : string; compiled : Om_codegen.Pipeline.model }
 
 type stats = {
   compiles : int;
@@ -125,7 +125,7 @@ let rec lookup t source =
              requests for this same source (parked on the latch above),
              never hits or compiles of other sources. *)
           (match t.on_compile with Some f -> f source | None -> ());
-          match Om_codegen.Pipeline.compile_source ?config:t.config source with
+          match Om_codegen.Pipeline.model_of_source ?config:t.config source with
           | compiled ->
               let entry = { key; compiled } in
               Mutex.lock t.mutex;

@@ -1,15 +1,21 @@
 (** Compiled-model cache: the serve layer's compile-once story.
 
     Jobs are keyed by the content hash of their model source
-    ({!Om_codegen.Pipeline.source_key}); a hit returns the cached
-    {!Om_codegen.Pipeline.result} and skips the whole
-    flatten → typecheck → codegen front half of the pipeline — the
-    property the serve tests assert with
-    {!Om_codegen.Pipeline.compile_count}.  Tenancy is deliberately
-    {e not} part of the key: two tenants submitting byte-identical
-    sources share one compiled artifact (compilation is pure), while
-    per-job state (initial values, trajectories, solver scratch) never
-    enters the cache, so no simulation data can leak across tenants.
+    ({!Om_codegen.Pipeline.source_key}); a miss builds the model's front
+    ({!Om_codegen.Pipeline.model_of_source}: flatten, typecheck, read
+    sets, sparsity) and a hit returns the cached
+    {!type:Om_codegen.Pipeline.model}, skipping all of it — the property the
+    serve tests assert with {!Om_codegen.Pipeline.compile_count}.  The
+    model's later stages are built by the first job that needs them and
+    then kept with the entry: the sequential program by the first job of
+    any mode, the per-task back end only by the first [Simulated] or
+    multi-domain job ({!Om_codegen.Pipeline.back_count}), so a server
+    that runs only sequential jobs never builds per-task code.  Tenancy
+    is deliberately {e not} part of the key: two tenants submitting
+    byte-identical sources share one compiled model (compilation is
+    pure), while per-job state (initial values, trajectories, solver
+    scratch) never enters the cache, so no simulation data can leak
+    across tenants.
 
     Eviction is LRU over a fixed capacity.  [capacity = 0] disables the
     cache entirely — every lookup compiles and nothing is stored — which
@@ -20,17 +26,17 @@
     requests for the {e same} source on a per-key in-flight latch (each
     source still compiles exactly once; the waiters resume on the hit
     path), while lookups of {e other} sources — cached or not — proceed
-    untouched: a slow compile never stalls a hit.  The returned
-    {!Om_codegen.Pipeline.result} is shared between every job that hits
-    the same entry; callers must not run it directly from several
-    domains but clone its mutable scratch first
-    ({!Om_codegen.Pipeline.clone_scratch}), which is how the server
-    executes one cached artifact on many executors concurrently. *)
+    untouched: a slow compile never stalls a hit.  The returned model is
+    shared between every job that hits the same entry; it is immutable,
+    its lazy stages are built once whichever executors ask at the same
+    time, and [Objectmath.Runtime.execute_model] runs each job on its
+    own scratch, so one cached model serves many executors at once
+    without a lock. *)
 
 type entry = {
   key : string;  (** {!Om_codegen.Pipeline.source_key} of the source *)
-  compiled : Om_codegen.Pipeline.result;
-      (** shared, read-only: clone its scratch before executing *)
+  compiled : Om_codegen.Pipeline.model;
+      (** shared, read-only; built stages stay with it *)
 }
 
 type stats = {

@@ -334,17 +334,14 @@ let run_job t item =
               cancel = Some item.token;
             }
           in
-          (* The cached artifact is shared read-only; this job executes
-             its own clone of the mutable scratch (value environment,
-             output slots, register files), so any number of executors
-             can run the same hot model concurrently — no per-entry
-             lock. *)
-          let compiled =
-            Om_codegen.Pipeline.clone_scratch entry.Model_cache.compiled
-          in
+          (* The cached model is shared read-only; the runtime executes
+             this job on its own scratch (register files, value vectors),
+             so any number of executors can run the same hot model
+             concurrently — no per-entry lock. *)
           match
-            Objectmath.Runtime.execute ~config:runtime_config
-              ~solver:(runtime_solver spec) ~tend:spec.Job.tend compiled
+            Objectmath.Runtime.execute_model ~config:runtime_config
+              ~solver:(runtime_solver spec) ~tend:spec.Job.tend
+              entry.Model_cache.compiled
           with
           | exception e -> handle ~cache_state e
           | report ->

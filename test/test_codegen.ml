@@ -940,8 +940,9 @@ let program_digest p =
   Buffer.add_string b (Printf.sprintf "|%d|%d" r.rw_nregs r.rw_result);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* The RHS and Jacobian programs [Odesys.of_equations] builds, built the
-   way it builds them. *)
+(* The RHS and Jacobian programs [Odesys.rhs_program] and
+   [Odesys.jacobian_program] build, built the way they build them, on a
+   lowering scratch of the caller's choice. *)
 let odesys_programs ?optimize ?scratch eqs =
   let module Vm = Om_expr.Vm in
   let names = Array.of_list (List.map fst eqs) in
@@ -965,10 +966,17 @@ let check_program what ~instrs ~digest p =
 let test_odesys_programs_pinned () =
   let m = Om_models.Bearing2d.model () in
   let rhs, jac = odesys_programs m.equations in
-  check_program "rhs" ~instrs:6265 ~digest:"e26b85ca9142adcfab2233d9df1f8620"
-    rhs;
-  check_program "jacobian" ~instrs:18546
-    ~digest:"c35b1a782cb4aa582bd65fa92ecf5016" jac;
+  let front = P.model_of_flat m in
+  List.iter
+    (fun (what, rhs, jac) ->
+      check_program (what ^ " rhs") ~instrs:6265
+        ~digest:"e26b85ca9142adcfab2233d9df1f8620" rhs;
+      check_program (what ^ " jacobian") ~instrs:18546
+        ~digest:"c35b1a782cb4aa582bd65fa92ecf5016" jac)
+    [
+      ("odesys", rhs, jac);
+      ("front", P.rhs_program front, P.jacobian_program front);
+    ];
   (* They are the programs Odesys runs: the same outputs, bit for bit. *)
   let sys = Om_ode.Odesys.of_equations m.equations in
   let y0 = Fm.initial_values m in
@@ -1049,14 +1057,17 @@ let test_jacobian_layout_independent () =
     "jacobian digest" (program_digest jac) (program_digest jac')
 
 (* The sequential program is the one [Odesys] runs: the same DAG
-   lowering of the same right-hand sides. *)
+   lowering of the same right-hand sides, lowered once per compiled
+   model — the back end's is the front's, physically. *)
 let test_pipeline_programs_pinned () =
   let m = Om_models.Bearing2d.model () in
-  let r = P.compile m in
+  let front = P.model_of_flat m in
+  let r = P.result front in
   let rhs, _ = odesys_programs m.equations in
   let seq = r.compiled.sequential () in
   check_program "sequential" ~instrs:(Om_expr.Vm.length rhs)
     ~digest:(program_digest rhs) seq;
+  Alcotest.(check bool) "the front's program" true (seq == P.rhs_program front);
   check_program "task 24" ~instrs:566
     ~digest:"cfad424fdb0df64172eb2f5146a4487a" r.compiled.tasks.(24).program
 

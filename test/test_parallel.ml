@@ -76,7 +76,8 @@ let test_pool_exception_containment () =
           Om_guard.Om_error.(
             Error (Worker_exception { worker; round; detail })) ->
           Alcotest.(check int) "worker attributed" 1 worker;
-          Alcotest.(check int) "round attributed" 1 round;
+          (* the second round: rounds are numbered from 1 *)
+          Alcotest.(check int) "round attributed" 2 round;
           Alcotest.(check bool) "detail carries the original" true
             (String.length detail > 0));
       (* The failed round still completed on every worker... *)
@@ -138,15 +139,16 @@ let test_pool_stall_detection () =
       Domain_pool.round pool;
       Atomic.set stall false;
       (match Domain_pool.take_stall pool with
-      | Some (Om_guard.Om_error.Worker_stall { worker; waited_s; _ }) ->
+      | Some (Om_guard.Om_error.Worker_stall { worker; waited_s; round }) ->
           Alcotest.(check int) "stalled worker attributed" 1 worker;
+          Alcotest.(check int) "rounds numbered from 1" 2 round;
           Alcotest.(check bool) "waited past the deadline" true
             (waited_s >= 0.002)
       | Some e ->
           (* More than one worker can miss the deadline under load. *)
-          Alcotest.(check bool) "timeout event" true
+          Alcotest.(check bool) "timeout event in round 2" true
             (match e with
-            | Om_guard.Om_error.Barrier_timeout _ -> true
+            | Om_guard.Om_error.Barrier_timeout { round; _ } -> round = 2
             | _ -> false)
       | None -> Alcotest.fail "stall not detected");
       Alcotest.(check bool) "event consumed" true
@@ -263,6 +265,38 @@ let test_exec_fault_injection () =
     (Array.exists Float.is_nan ydot);
   Par_exec.rhs_fn px 0. y ydot;
   Alcotest.(check bool) "round 3 clean again" true (ydot = reference)
+
+let test_exec_stall_round () =
+  (* A stall the fault plan injects in round 3 is reported as round 3:
+     the plan, the pool's stall records and the degradation ladder share
+     one numbering, from 1.  Events of earlier rounds (scheduler jitter
+     on a loaded machine) are taken and ignored. *)
+  let r = Lazy.force bearing in
+  let nworkers = 2 in
+  let desc = desc_of ~nworkers r in
+  let y = Om_lang.Flat_model.initial_values r.model in
+  let plan =
+    Om_guard.Fault_plan.make
+      [ Om_guard.Fault_plan.Delay_worker
+          { worker = 0; round = 3; micros = 60_000 } ]
+  in
+  Par_exec.with_executor ~fault:plan ~barrier_deadline:0.01 ~nworkers desc
+    r.compiled
+  @@ fun px ->
+  let ydot = Array.make r.compiled.dim 0. in
+  for _ = 1 to 2 do
+    Par_exec.rhs_fn px 0. y ydot;
+    ignore (Par_exec.take_stall px)
+  done;
+  Par_exec.rhs_fn px 0. y ydot;
+  Alcotest.(check int) "three rounds" 3 (Par_exec.rounds px);
+  match Par_exec.take_stall px with
+  | Some
+      ( Om_guard.Om_error.Worker_stall { round; _ }
+      | Om_guard.Om_error.Barrier_timeout { round; _ } ) ->
+      Alcotest.(check int) "stall reported in the injected round" 3 round
+  | Some e -> Alcotest.fail (Om_guard.Om_error.to_string e)
+  | None -> Alcotest.fail "stall not detected"
 
 let test_exec_spawn_fail_injection () =
   let r = Lazy.force bearing in
@@ -687,6 +721,8 @@ let () =
             test_set_assignment_invalid;
           Alcotest.test_case "drop_worker" `Quick test_drop_worker;
           Alcotest.test_case "fault injection" `Quick test_exec_fault_injection;
+          Alcotest.test_case "stall round numbering" `Quick
+            test_exec_stall_round;
           Alcotest.test_case "spawn-fail injection" `Quick
             test_exec_spawn_fail_injection;
         ] );

@@ -379,6 +379,59 @@ let test_spawn_failure_ladder_to_sequential () =
   Alcotest.(check bool) "states identical" true
     (rep.trajectory.states = clean.trajectory.states)
 
+(* ---------- the compiled model's lazy stages ---------- *)
+
+let final (rep : R.report) = Om_ode.Odesys.final_state rep.trajectory
+
+let test_sequential_builds_no_back_end () =
+  (* A sequential run of a model reads only its front: no partition,
+     per-task code, tasks or analysis are built, and the trajectory is
+     bitwise the one the whole compile gives. *)
+  let source = Om_models.Servo.source () in
+  let m = P.model_of_source source in
+  let backs = P.back_count () in
+  let tend = 1e-3 in
+  let sequential = { R.default_config with R.execution = R.Real_domains 0 } in
+  let rep = R.execute_model ~config:sequential ~solver:R.Lsoda ~tend m in
+  Alcotest.(check int) "no back end built" backs (P.back_count ());
+  let reference =
+    R.execute ~config:sequential ~solver:R.Lsoda ~tend
+      (P.compile_source source)
+  in
+  Alcotest.(check bool) "bitwise the whole compile's trajectory" true
+    (rep.trajectory = reference.trajectory);
+  (* Real domains build it, once, and change no bit. *)
+  let backs = P.back_count () in
+  let parallel = { R.default_config with R.execution = R.Real_domains 2 } in
+  let rep2 = R.execute_model ~config:parallel ~solver:R.Lsoda ~tend m in
+  ignore (R.execute_model ~config:parallel ~solver:R.Lsoda ~tend m);
+  Alcotest.(check int) "two domains build the back end once" (backs + 1)
+    (P.back_count ());
+  Alcotest.(check bool) "bitwise across modes" true
+    (final rep2 = final rep)
+
+let test_concurrent_force_builds_once () =
+  (* Two domains asking one model for its back end at the same moment
+     build it once and share it; its sequential program is the front's,
+     physically. *)
+  let m = P.model_of_flat (Om_models.Bearing2d.model ()) in
+  let backs = P.back_count () in
+  let ready = Atomic.make 0 in
+  let force () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    P.result m
+  in
+  let d = Domain.spawn force in
+  let mine = force () in
+  let theirs = Domain.join d in
+  Alcotest.(check int) "built once" (backs + 1) (P.back_count ());
+  Alcotest.(check bool) "one physical result" true (mine == theirs);
+  Alcotest.(check bool) "the front's sequential program" true
+    (mine.compiled.sequential () == P.rhs_program m)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -429,6 +482,13 @@ let () =
         [
           Alcotest.test_case "odesys_of_source" `Quick test_odesys_of_source;
           Alcotest.test_case "odesys_of_result" `Quick test_odesys_of_result;
+        ] );
+      ( "lazy stages",
+        [
+          Alcotest.test_case "sequential run builds no back end" `Quick
+            test_sequential_builds_no_back_end;
+          Alcotest.test_case "concurrent force builds once" `Quick
+            test_concurrent_force_builds_once;
         ] );
       ( "chaos",
         [

@@ -192,12 +192,12 @@ let test_cache_hit_skips_compile_bitwise () =
   in
   Alcotest.(check int) "hit compiles nothing" before (P.compile_count ());
   Alcotest.(check bool) "same artifact" true (e1.MC.compiled == e2.MC.compiled);
-  let final r =
-    Om_ode.Odesys.final_state
-      (Objectmath.Runtime.execute ~tend:1. r).trajectory
+  let final (rep : Objectmath.Runtime.report) =
+    Om_ode.Odesys.final_state rep.trajectory
   in
   Alcotest.(check bool) "bitwise identical to cold compile" true
-    (final cold = final e2.MC.compiled);
+    (final (Objectmath.Runtime.execute ~tend:1. cold)
+    = final (Objectmath.Runtime.execute_model ~tend:1. e2.MC.compiled));
   let s = MC.stats cache in
   Alcotest.(check int) "hits" 1 s.MC.hits;
   Alcotest.(check int) "misses" 1 s.MC.misses;
@@ -259,6 +259,11 @@ let statuses records =
     records
 
 let status_of records job = List.assoc_opt job (statuses records)
+
+let status_record rs id =
+  List.find
+    (fun r -> str_field r "type" = Some "status" && str_field r "job" = Some id)
+    rs
 
 let test_server_tenants_share_artifact_no_leakage () =
   (* Same source from two tenants: one compile, one cached artifact —
@@ -392,6 +397,91 @@ let test_server_model_error_and_invalid () =
     List.length (List.filter (fun (_, st) -> st = "invalid") (statuses rs))
   in
   Alcotest.(check int) "four invalid records" 4 invalids
+
+let final_of records job =
+  match J.member (status_record records job) "final" with
+  | Some (J.Arr xs) -> List.filter_map J.to_float xs
+  | _ -> Alcotest.fail ("no final state for " ^ job)
+
+let test_server_sequential_job_builds_no_back_end () =
+  (* Serve's default execution is sequential: a miss builds the model's
+     front and its sequential program, never the per-task back end.  A
+     job on real domains then builds it, once, and ends on the same
+     bits. *)
+  let server, records = collecting_server () in
+  let source = decay "1.5" "2.0" in
+  let backs = P.back_count () in
+  let submit id domains =
+    match S.submit server { Job.default with Job.id; source; domains } with
+    | `Ok _ -> ()
+    | _ -> Alcotest.fail "submit failed"
+  in
+  submit "seq" 0;
+  ignore (S.drain server);
+  Alcotest.(check int) "sequential job built no back end" backs
+    (P.back_count ());
+  let server2, records2 = collecting_server () in
+  let submit2 id domains =
+    match S.submit server2 { Job.default with Job.id; source; domains } with
+    | `Ok _ -> ()
+    | _ -> Alcotest.fail "submit failed"
+  in
+  submit2 "par" 2;
+  submit2 "seq-again" 0;
+  ignore (S.drain server2);
+  Alcotest.(check int) "a two-domain job builds it once" (backs + 1)
+    (P.back_count ());
+  let rs = records () @ records2 () in
+  List.iter
+    (fun job ->
+      Alcotest.(check (option string)) (job ^ " ok") (Some "ok")
+        (status_of rs job))
+    [ "seq"; "par"; "seq-again" ];
+  Alcotest.(check bool) "bitwise across modes" true
+    (final_of rs "seq" = final_of rs "par"
+    && final_of rs "seq" = final_of rs "seq-again")
+
+let test_server_model_errors_on_miss () =
+  (* Ill-formed sources fail on the miss, as the whole compile did:
+     every front-end error is raised by the eager front, with its
+     status and message, and builds nothing further. *)
+  let server, records = collecting_server () in
+  let body eq =
+    "model M; class C variable x init 2.0; " ^ eq ^ " end; instance c of C;"
+  in
+  let cases =
+    [
+      ("lex", body "equation der(x) = 0.0 - x $;",
+       "lexical error at 1:65: unexpected character '$'");
+      ("syntax", "not a model",
+       "syntax error at 1:1: expected 'model' but found identifier \"not\"");
+      ("class",
+       "model M; class C variable x init 2.0; equation der(x) = 0.0 - x; \
+        end; instance c of D;",
+       "unknown class D (instantiated as c)");
+      ("free", body "equation der(x) = 0.0 - y;",
+       "unresolved name y in the equation for c.x");
+      ("state", body "variable z init 1.0; equation der(x) = 0.0 - x;",
+       "no equation for state variable c.z");
+    ]
+  in
+  let backs = P.back_count () in
+  List.iter
+    (fun (id, source, _) ->
+      ignore (S.submit server { Job.default with Job.id; source }))
+    cases;
+  ignore (S.drain server);
+  let rs = records () in
+  List.iter
+    (fun (id, _, message) ->
+      Alcotest.(check (option string)) (id ^ " status") (Some "model_error")
+        (status_of rs id);
+      Alcotest.(check (option string)) (id ^ " message") (Some message)
+        (str_field (status_record rs id) "error"))
+    cases;
+  Alcotest.(check int) "nothing compiled" 0
+    (MC.stats (S.cache server)).MC.compiles;
+  Alcotest.(check int) "no back end built" backs (P.back_count ())
 
 let test_server_chunk_stream () =
   (* chunk=150 over a 401-row trajectory: 3 chunk records, rows
@@ -1113,11 +1203,6 @@ let test_server_crash_recovery_bitwise () =
 
 let retry_config = { S.default_config with S.retry_backoff_s = 0. }
 
-let status_record rs id =
-  List.find
-    (fun r -> str_field r "type" = Some "status" && str_field r "job" = Some id)
-    rs
-
 let test_server_retry_converges_bitwise () =
   (* Chaos on attempt 1 only: the retry runs clean, the job converges
      to ok on attempt 2 and its final state matches an undisturbed
@@ -1314,6 +1399,10 @@ let () =
           Alcotest.test_case "cancel" `Quick test_server_cancel;
           Alcotest.test_case "model error and invalid" `Quick
             test_server_model_error_and_invalid;
+          Alcotest.test_case "sequential job builds no back end" `Quick
+            test_server_sequential_job_builds_no_back_end;
+          Alcotest.test_case "model errors on the miss" `Quick
+            test_server_model_errors_on_miss;
           Alcotest.test_case "chunk stream" `Quick test_server_chunk_stream;
           Alcotest.test_case "overload rejection" `Quick
             test_server_rejection_overload;
