@@ -51,7 +51,7 @@ let jac_mode_arg =
        & info [ "jac-mode" ] ~docv:"MODE"
            ~doc:"Newton-matrix strategy for the stiff solver path: \
                  $(b,auto), $(b,dense) or $(b,sparse).  $(b,auto) takes \
-                 the colored-column sparse path on large sparse systems; \
+                 the sparse path on large sparse systems; \
                  trajectories are bitwise-identical across modes.")
 
 (* A finite, strictly positive float: anything else is a cmdliner usage
@@ -268,10 +268,25 @@ let read_start_values path fm =
        with End_of_file -> ());
       y0)
 
+(* The Jacobian the stiff path uses, when it takes the sparse route: every
+   system of a compiled model carries its symbolic program
+   (Pipeline.system). *)
+let print_jacobian ?(indent = "") ~dim (mode, nnz) =
+  match nnz with
+  | None -> ()
+  | Some nnz ->
+      Printf.printf
+        "%sjacobian: %s, %d structural nonzeros of %d x %d, symbolic (one \
+         sjac program run per Jacobian, no RHS evals)\n"
+        indent mode nnz dim dim
+
 let simulate_cmd =
   let run file builtin tend solver hstep csv plot init_file jac_mode =
     let _, fm = load file builtin in
-    let sys = Om_ode.Odesys.of_equations fm.equations in
+    let m = Om_codegen.Pipeline.model_of_flat fm in
+    let sys =
+      Om_codegen.Pipeline.system m (Om_codegen.Pipeline.sequential_fn m)
+    in
     let y0 =
       match init_file with
       | Some path -> read_start_values path fm
@@ -301,21 +316,7 @@ let simulate_cmd =
     Printf.printf
       "simulated %s to t=%g: %d steps, %d RHS calls, %d Jacobians\n" fm.name
       tend sys.counters.steps sys.counters.rhs_calls sys.counters.jac_calls;
-    (* The sparse path runs the symbolic program when the system has one
-       (Jacobian.sparse_eval_into); colored finite differences only
-       without it. *)
-    (match (Om_ode.Jacobian.mode_stats ~jac_mode sys, sys.sjac) with
-    | (mode, Some (nnz, _)), Some _ ->
-        Printf.printf
-          "jacobian: %s, %d structural nonzeros of %d x %d, symbolic (one \
-           sjac program run per Jacobian, no RHS evals)\n"
-          mode nnz sys.dim sys.dim
-    | (mode, Some (nnz, colors)), None ->
-        Printf.printf
-          "jacobian: %s, %d structural nonzeros of %d x %d, %d colors (%d \
-           RHS evals per fd Jacobian)\n"
-          mode nnz sys.dim sys.dim colors (colors + 1)
-    | (_, None), _ -> ());
+    print_jacobian ~dim:sys.dim (Om_ode.Jacobian.mode_stats ~jac_mode sys);
     if csv then begin
       Printf.printf "t,%s\n"
         (String.concat "," (Array.to_list sys.names));
@@ -479,13 +480,7 @@ let bench_cmd =
             %.1f calls/s\n  supervisor messaging: %.4f s\n"
            fm.name m.name workers rep.rhs_calls rep.sim_seconds
            rep.rhs_calls_per_sec rep.supervisor_comm_seconds);
-    (match rep.jac_sparsity with
-    | Some (nnz, colors) ->
-        Printf.printf
-          "  jacobian: %s, %d structural nonzeros, %d colors (%d Jacobian \
-           evaluations)\n"
-          rep.jac_mode nnz colors rep.jac_calls
-    | None -> ());
+    print_jacobian ~indent:"  " ~dim:r.compiled.dim (rep.jac_mode, rep.jac_nnz);
     if rep.faults_injected > 0 || rep.retries > 0 || rep.degradations <> []
     then begin
       Printf.printf "  chaos: %d fault(s) injected, %d solver retry(ies)\n"

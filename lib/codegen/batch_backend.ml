@@ -16,17 +16,18 @@ type t = {
   program : Vb.t;
 }
 
-let create (c : Bb.t) ~width =
+let of_program p ~dim ~width =
   if width < 1 then invalid_arg "Batch_backend.create: width < 1";
-  let p = c.sequential () in
-  let env_size = max (c.dim + 1) (Om_expr.Vm.raw p).rw_env_size in
+  let env_size = max (dim + 1) (Om_expr.Vm.raw p).rw_env_size in
   {
-    dim = c.dim;
+    dim;
     width;
     env = Array.init env_size (fun _ -> Array.make width 0.);
-    out = Array.init c.dim (fun _ -> Array.make width 0.);
+    out = Array.init dim (fun _ -> Array.make width 0.);
     program = Vb.create ~width p;
   }
+
+let create (c : Bb.t) ~width = of_program (c.sequential ()) ~dim:c.dim ~width
 
 (* Fresh SoA columns and Vm_batch scratch over the shared conditioned
    instruction streams — no recompaction/refusion, so per-job cloning

@@ -18,8 +18,16 @@
 
 type t
 
+val of_program : Om_expr.Vm.program -> dim:int -> width:int -> t
+(** [of_program p ~dim ~width] batches a sequential program [p] (such
+    as [Pipeline.rhs_program]) of a [dim]-state system: [p] reads the
+    states, then time, and writes the derivatives to its first [dim]
+    outputs.  Builds no per-task code.
+    @raise Invalid_argument if [width < 1]. *)
+
 val create : Bytecode_backend.t -> width:int -> t
-(** @raise Invalid_argument if [width < 1]. *)
+(** [of_program] of the backend's sequential program.
+    @raise Invalid_argument if [width < 1]. *)
 
 val clone_scratch : t -> t
 (** An independent batch instance at the same width: environment and

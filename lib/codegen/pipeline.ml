@@ -48,11 +48,14 @@ let analyse (m : Om_lang.Flat_model.t) =
 (* Process-global counters: the serve-layer model cache asserts cache
    hits skip compilation entirely by watching [compiles] (front ends);
    [backs] counts the per-task back ends forced, which a sequential job
-   must leave alone. *)
+   must leave alone, and [jacobians] the symbolic Jacobians derived,
+   which a run that makes no Jacobian call must leave alone. *)
 let compiles = Atomic.make 0
 let compile_count () = Atomic.get compiles
 let backs = Atomic.make 0
 let back_count () = Atomic.get backs
+let jacobians = Atomic.make 0
+let jacobian_count () = Atomic.get jacobians
 
 (* The per-task back end: partition, per-task CSE and lowering, the
    schedulable tasks and the dependency analysis.  The sequential
@@ -106,6 +109,7 @@ let stages ?optimize ?reads (m : Om_lang.Flat_model.t) ~rhs ~full =
   in
   let jacobian =
     Once.make (fun () ->
+        Atomic.incr jacobians;
         Om_ode.Odesys.jacobian_program ?optimize (Once.force sparsity)
           m.equations)
   in
@@ -142,6 +146,16 @@ let sequential_fn m =
     Array.blit y 0 env 0 dim;
     env.(dim) <- t;
     Om_expr.Vm.exec program ~env ~out:ydot
+
+let system m f =
+  let dim = Om_lang.Flat_model.dim m.flat in
+  let sparsity = sparsity m in
+  let jac, sjac =
+    Om_ode.Odesys.symbolic_jacobian ~dim sparsity (fun () ->
+        Om_expr.Vm.clone_scratch (jacobian_program m))
+  in
+  Om_ode.Odesys.make ~names:(Om_lang.Flat_model.state_names m.flat) ~jac
+    ~sparsity ~sjac ~dim f
 
 let of_result r =
   stages r.model

@@ -41,7 +41,8 @@ val analyse : Om_lang.Flat_model.t -> analysis
     - the sparsity pattern, from the read sets ({!sparsity});
     - the sequential program, the right-hand sides lowered as one DAG
       ({!rhs_program}), which every sequential path runs;
-    - the symbolic-Jacobian program ({!jacobian_program});
+    - the symbolic-Jacobian program ({!jacobian_program}), which every
+      {!system} of the model runs from its first Jacobian call;
     - the per-task back end ({!val:result}): partition, per-task CSE and
       lowering, the schedulable tasks and the dependency analysis, which
       only the simulated machine, real worker domains and the textual
@@ -98,6 +99,24 @@ val jacobian_program : model -> Om_expr.Vm.program
     {!sparsity}), built on the first call.  Shared, like
     {!rhs_program}. *)
 
+val system :
+  model -> (float -> float array -> float array -> unit) -> Om_ode.Odesys.t
+(** [system m f] is the ODE system of [m] with right-hand side [f]: the
+    one builder of every path that integrates a compiled model (the
+    runtime at every execution mode, [omc simulate], the sweeps).  It
+    carries the model's state names, its {!sparsity} and, as [jac] and
+    [sjac], its symbolic Jacobian (the paper's §3.2.1 "extra function
+    dedicated to computing the Jacobian"), so the stiff solvers take no
+    finite differences on a compiled model.  The Jacobian program is
+    derived ({!jacobian_program}, once per model) on the system's first
+    Jacobian call, never here: a run that makes no Jacobian call derives
+    none ({!jacobian_count}).  Each system runs it on a
+    {!Om_expr.Vm.clone_scratch} of its own, so systems of one shared
+    model may run on several domains at once; use each from one domain
+    at a time.  [f] is typically {!sequential_fn}[ m], or any callback
+    Int64-bitwise equal to it (the runtime's guarded rounds), which
+    makes trajectories bitwise equal across the paths. *)
+
 val result : model -> result
 (** The per-task back end, built on the first call (which counts one
     {!back_count}); every later call returns the same result.  Shared:
@@ -127,6 +146,12 @@ val compile_count : unit -> int
 val back_count : unit -> int
 (** Process-global number of per-task back ends built so far (first
     {!val:result} calls).  A sequential run of a model leaves it alone. *)
+
+val jacobian_count : unit -> int
+(** Process-global number of symbolic-Jacobian programs derived so far
+    (first {!jacobian_program} calls, which {!system} makes on a
+    system's first Jacobian call).  A run that makes no Jacobian call
+    leaves it alone. *)
 
 val source_key : string -> string
 (** Content hash of a model source text (hex digest) — the key the

@@ -49,7 +49,6 @@ module Rk = Om_ode.Rk
 module Ensemble = Om_ode.Ensemble
 module Adams = Om_ode.Adams
 module Bdf = Om_ode.Bdf
-module Rosenbrock = Om_ode.Rosenbrock
 module Lsoda = Om_ode.Lsoda
 module Jacobian = Om_ode.Jacobian
 module Events = Om_ode.Events
@@ -95,15 +94,16 @@ module Sweep = Sweep
 module Ensemble_exec = Ensemble_exec
 
 (** Compile an ObjectMath source text down to an ODE system ready for any
-    solver in {!Rk}, {!Adams}, {!Bdf} or {!Lsoda}. *)
+    solver in {!Rk}, {!Adams}, {!Bdf} or {!Lsoda}: the model's sequential
+    program with its sparsity pattern and symbolic Jacobian
+    ({!Pipeline.system}). *)
 let odesys_of_source src =
   let fm = Flatten.flatten_string src in
-  (fm, Odesys.of_equations fm.equations)
+  let m = Pipeline.model_of_flat fm in
+  (fm, Pipeline.system m (Pipeline.sequential_fn m))
 
-(** Compile a flat model through the full code-generation pipeline and wrap
-    the generated (bytecode) RHS as an ODE system. *)
+(** Wrap a result of the full code-generation pipeline as an ODE system
+    over its generated (bytecode) RHS, with the same pattern and
+    symbolic Jacobian. *)
 let odesys_of_result (r : Pipeline.result) =
-  Odesys.make
-    ~names:(Flat_model.state_names r.model)
-    ~dim:r.compiled.dim
-    (Om_codegen.Pipeline.rhs_fn r)
+  Pipeline.system (Pipeline.of_result r) (Pipeline.rhs_fn r)

@@ -55,7 +55,7 @@ type report = {
   faults_injected : int;
   degradations : Om_guard.Om_error.degradation list;
   jac_mode : string;
-  jac_sparsity : (int * int) option;
+  jac_nnz : int option;
   jac_calls : int;
 }
 
@@ -91,26 +91,14 @@ let simulate_round config (r : Om_codegen.Pipeline.result) assignment costs =
   (round.duration +. epilogue, round.supervisor_busy, utilization,
    round.worker_compute)
 
-let solve ?max_retries ?jac_mode ?jac_batch solver sys ~t0 ~tend ~y0 =
+let solve ?max_retries ?jac_mode solver sys ~t0 ~tend ~y0 =
   match solver with
   | Rk4 h ->
       Om_ode.Rk.integrate_fixed ?max_retries Om_ode.Rk.rk4 sys ~t0 ~y0 ~tend ~h
   | Rkf45 -> Om_ode.Rk.rkf45 ?max_retries sys ~t0 ~y0 ~tend
   | Lsoda ->
-      (Om_ode.Lsoda.integrate ?max_retries ?jac_mode ?jac_batch sys ~t0 ~y0
-         ~tend)
+      (Om_ode.Lsoda.integrate ?max_retries ?jac_mode sys ~t0 ~y0 ~tend)
         .trajectory
-
-(* The system every run integrates: [f] over the model's state names,
-   with the model's structural Jacobian pattern.  The compiled RHS
-   evaluates the same equations, so the symbolic read sets are its
-   exact sparsity, and the stiff solvers can take the colored-column
-   sparse path under [config.jac_mode]. *)
-let system m f =
-  let fm = Om_codegen.Pipeline.flat_model m in
-  Om_ode.Odesys.make ~names:(Om_lang.Flat_model.state_names fm)
-    ~sparsity:(Om_codegen.Pipeline.sparsity m) ~dim:(Om_lang.Flat_model.dim fm)
-    f
 
 (* The post-round finite guard, armed by [config.guard]: scans the
    derivative vector after every RHS evaluation and raises a typed
@@ -171,7 +159,7 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
       rhs t y ydot;
       guard_check guard ~time:t ydot
     in
-    let sys = system m f in
+    let sys = Om_codegen.Pipeline.system m f in
     let start = Unix.gettimeofday () in
     let trajectory =
       solve ~max_retries:config.retry_budget ~jac_mode:config.jac_mode solver
@@ -179,7 +167,7 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
     in
     let wall = Unix.gettimeofday () -. start in
     let rhs_calls = sys.counters.rhs_calls in
-    let jac_mode, jac_sparsity =
+    let jac_mode, jac_nnz =
       Om_ode.Jacobian.mode_stats ~jac_mode:config.jac_mode sys
     in
     {
@@ -202,7 +190,7 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
         | Some p -> Om_guard.Fault_plan.injected p);
       degradations = List.rev !degradations;
       jac_mode;
-      jac_sparsity;
+      jac_nnz;
       jac_calls = sys.counters.jac_calls;
     }
   in
@@ -276,31 +264,15 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
             :: !degradations);
       guard_check guard ~time:t ydot
     in
-    let sys = system m f in
-    let jac_mode, jac_sparsity =
+    (* The supervisor evaluates the symbolic Jacobian between rounds. *)
+    let sys = Om_codegen.Pipeline.system m f in
+    let jac_mode, jac_nnz =
       Om_ode.Jacobian.mode_stats ~jac_mode:config.jac_mode sys
-    in
-    (* When the stiff path will take the sparse route, its colored
-       finite-difference column groups are themselves independent RHS
-       evaluations — spread them over a second pool of scratch clones
-       (supervisor/worker again, one level down). *)
-    let par_jac =
-      match (solver, jac_mode) with
-      | Lsoda, "sparse" when nworkers >= 2 ->
-          Some (Om_parallel.Par_jac.create ~nworkers r)
-      | _ -> None
     in
     let start = Unix.gettimeofday () in
     let trajectory =
-      Fun.protect
-        ~finally:(fun () ->
-          match par_jac with
-          | Some pj -> Om_parallel.Par_jac.shutdown pj
-          | None -> ())
-        (fun () ->
-          solve ~max_retries:config.retry_budget ~jac_mode:config.jac_mode
-            ?jac_batch:(Option.map Om_parallel.Par_jac.batch_rhs par_jac)
-            solver sys ~t0 ~tend ~y0)
+      solve ~max_retries:config.retry_budget ~jac_mode:config.jac_mode solver
+        sys ~t0 ~tend ~y0
     in
     let wall = Unix.gettimeofday () -. start in
     let rhs_calls = sys.counters.rhs_calls in
@@ -322,7 +294,7 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
       faults_injected = Om_parallel.Par_exec.faults_injected exec;
       degradations = List.rev !degradations;
       jac_mode;
-      jac_sparsity;
+      jac_nnz;
       jac_calls = sys.counters.jac_calls;
     }
   in
@@ -436,7 +408,7 @@ let execute_simulated config ?solver ~t0 ~tend
           reschedules_seen := n
         end)
   in
-  let sys = system m f in
+  let sys = Om_codegen.Pipeline.system m f in
   let y0 = Om_lang.Flat_model.initial_values r.model in
   let solver =
     match solver with Some s -> s | None -> Rk4 ((tend -. t0) /. 400.)
@@ -447,7 +419,7 @@ let execute_simulated config ?solver ~t0 ~tend
   in
   let rhs_calls = sys.counters.rhs_calls in
   let total = !sim_seconds +. !sched_overhead in
-  let jac_mode, jac_sparsity =
+  let jac_mode, jac_nnz =
     Om_ode.Jacobian.mode_stats ~jac_mode:config.jac_mode sys
   in
   {
@@ -470,7 +442,7 @@ let execute_simulated config ?solver ~t0 ~tend
       | Some p -> Om_guard.Fault_plan.injected p);
     degradations = [];
     jac_mode;
-    jac_sparsity;
+    jac_nnz;
     jac_calls = sys.counters.jac_calls;
   }
 

@@ -78,9 +78,9 @@ type config = {
   jac_mode : Om_ode.Odesys.jac_mode;
       (** Newton-matrix strategy for the stiff solver path (default
           [Auto]).  Every runtime system carries the model's structural
-          sparsity pattern (the equations' read sets), so [Auto] takes
-          the colored-column sparse path on large sparse models;
-          trajectories are bitwise-identical across modes. *)
+          sparsity pattern (the equations' read sets) and its symbolic
+          Jacobian, so [Auto] takes the sparse path on large sparse
+          models; trajectories are bitwise-identical across modes. *)
 }
 
 val default_config : config
@@ -135,11 +135,9 @@ type report = {
   jac_mode : string;
       (** resolved Newton-matrix strategy the stiff path uses (or would
           use): ["dense"] or ["sparse"] *)
-  jac_sparsity : (int * int) option;
-      (** [(nnz, colors)] of the sparse Jacobian: structural nonzeros
-          and the number of compressed column groups (= RHS evaluations
-          per finite-difference Jacobian, against [dim + 1] dense);
-          [None] when the resolved mode is not sparse *)
+  jac_nnz : int option;
+      (** structural nonzeros of the sparse Jacobian; [None] when the
+          resolved mode is not sparse *)
   jac_calls : int;
       (** Jacobian evaluations performed ([Odesys.counters.jac_calls]) *)
 }
@@ -164,6 +162,18 @@ val execute_model :
     own scratch (a register-file clone of the sequential program, a
     {!Om_codegen.Pipeline.clone_scratch} of the back end), so runs of
     one shared model may proceed on several domains at once.
+
+    Every mode integrates the system {!Om_codegen.Pipeline.system}
+    builds over its guarded, cancellable RHS: the stiff solvers take
+    the model's symbolic Jacobian, derived once per model on the first
+    Jacobian call (an RK4 run, or an LSODA run that stays non-stiff,
+    derives none) and evaluated by the supervisor between rounds.  So
+    an LSODA trajectory is bitwise the same at every worker count and
+    equal to [omc simulate]'s, which builds its system the same way.
+    Under {!Simulated} the clock charges RHS rounds only: a Jacobian
+    evaluation adds no simulated time and no round (a finite-difference
+    Jacobian used to cost [colors + 1] charged rounds), so a stiff run's
+    [sim_seconds] and [rhs_calls_per_sec] measure the RHS alone.
 
     Robustness under {!Real_domains}: a failed pool construction
     ([Spawn_failure]) retries with one worker fewer down to sequential

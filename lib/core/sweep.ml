@@ -30,9 +30,9 @@ let final_value name sys tr =
 (* ---- compile-once preparation ---- *)
 
 type compiled = {
-  result : Om_codegen.Pipeline.result;
+  model : Om_codegen.Pipeline.model;
   sys : Om_ode.Odesys.t;
-      (* promoted system over [result]'s sequential program, for metric
+      (* promoted system over [model]'s sequential program, for metric
          name lookup *)
   y0 : float array; (* promoted model's default initial state *)
   slot_sets : int array array; (* per promoted parameter: its state slots *)
@@ -76,12 +76,11 @@ let prepare_many ~source params =
   try
     let ast, slot_names = promote_all ast params in
     let fm = Om_lang.Flatten.flatten ast in
-    let result = Om_codegen.Pipeline.compile fm in
+    (* A sweep runs only the sequential program: no per-task code. *)
+    let model = Om_codegen.Pipeline.model_of_flat fm in
     let sys =
-      Om_ode.Odesys.make
-        ~names:(Om_lang.Flat_model.state_names fm)
-        ~dim:result.compiled.dim
-        (Om_codegen.Pipeline.rhs_fn result)
+      Om_codegen.Pipeline.system model
+        (Om_codegen.Pipeline.sequential_fn model)
     in
     let index_of =
       let h = Hashtbl.create 64 in
@@ -98,7 +97,7 @@ let prepare_many ~source params =
     in
     Promoted
       {
-        result;
+        model;
         sys;
         y0 = Om_lang.Flat_model.initial_values fm;
         slot_sets;
@@ -126,8 +125,9 @@ let integrate_batch ?(domains = 1) ?atol ?rtol c ~draws ~tend =
       draws
   in
   let bb =
-    Om_codegen.Batch_backend.create
-      c.result.Om_codegen.Pipeline.compiled ~width:(Array.length draws)
+    Om_codegen.Batch_backend.of_program
+      (Om_codegen.Pipeline.rhs_program c.model)
+      ~dim ~width:(Array.length draws)
   in
   let ex = Ensemble_exec.create ~domains bb in
   Fun.protect
@@ -160,6 +160,17 @@ let run_compiled ?domains c ~values ~tend ?atol ?rtol ~metric () =
 
 (* ---- legacy per-value path (structural overrides) ---- *)
 
+(* One re-elaborated point: LSODA over the flat model's compiled system,
+   whose symbolic Jacobian is derived only if the run goes stiff. *)
+let integrate_flat ?atol ?rtol fm ~tend =
+  let m = Om_codegen.Pipeline.model_of_flat fm in
+  let sys =
+    Om_codegen.Pipeline.system m (Om_codegen.Pipeline.sequential_fn m)
+  in
+  let y0 = Om_lang.Flat_model.initial_values fm in
+  let r = Om_ode.Lsoda.integrate ?atol ?rtol sys ~t0:0. ~y0 ~tend in
+  (sys, r.trajectory)
+
 let run_legacy ~source ~cls ~param ~values ~tend ?atol ?rtol ~metric () =
   List.map
     (fun value ->
@@ -167,14 +178,10 @@ let run_legacy ~source ~cls ~param ~values ~tend ?atol ?rtol ~metric () =
         Om_lang.Override.flatten_with ~source
           ~overrides:[ (cls, param, value) ]
       in
-      let sys =
-        Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false fm.equations
-      in
-      let y0 = Om_lang.Flat_model.initial_values fm in
-      let r = Om_ode.Lsoda.integrate ?atol ?rtol sys ~t0:0. ~y0 ~tend in
+      let sys, trajectory = integrate_flat ?atol ?rtol fm ~tend in
       {
         value;
-        metric = metric sys r.trajectory;
+        metric = metric sys trajectory;
         steps = sys.counters.steps;
         rhs_calls = sys.counters.rhs_calls;
       })
@@ -268,15 +275,10 @@ let monte_carlo ~source ~specs ~samples ~seed ~tend ?atol ?rtol ?domains
               List.mapi (fun p (cls, prm, _) -> (cls, prm, draws.(m).(p))) specs
             in
             let fm = Om_lang.Override.flatten_with ~source ~overrides in
-            let sys =
-              Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false
-                fm.equations
-            in
-            let y0 = Om_lang.Flat_model.initial_values fm in
-            let r = Om_ode.Lsoda.integrate ?atol ?rtol sys ~t0:0. ~y0 ~tend in
+            let sys, trajectory = integrate_flat ?atol ?rtol fm ~tend in
             {
               draws = draws.(m);
-              mc_metric = metric sys r.trajectory;
+              mc_metric = metric sys trajectory;
               mc_steps = sys.counters.steps;
               mc_rhs_calls = sys.counters.rhs_calls;
             })

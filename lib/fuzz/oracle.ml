@@ -9,6 +9,7 @@ type result = {
   dim : int;
   n_tasks : int;
   split : bool;
+  lsoda_sequential_only : bool;
   discarded : string option;
   violations : violation list;
 }
@@ -25,6 +26,10 @@ let h = 0.025
 (* The split threshold of the split-plan strategies, in flop units: low
    enough that an equation with two non-leaf terms splits. *)
 let split_threshold = 2.
+
+(* The LSODA strategy's window: the stiffened model's fast transient
+   decays in about 0.005, so this is well into the BDF phase. *)
+let lsoda_tend = 0.1
 
 let bits = Int64.bits_of_float
 
@@ -50,12 +55,31 @@ let integrate_seq (f : FM.t) rhs =
   Om_ode.Rk.integrate_fixed Om_ode.Rk.rk4 sys ~t0
     ~y0:(FM.initial_values f) ~tend ~h
 
+(* [f] with one fast mode appended, as in [Gen.stiff_model]: a state
+   relaxing onto [cos t] at rate 2000.  Once its transient decays LSODA
+   switches to BDF, whose Newton matrix reads the Jacobian of every
+   equation, the generated ones included.  Generated instance names
+   start with [m], so the state's name is fresh. *)
+let stiffened (f : FM.t) =
+  let s = "fast.x" in
+  {
+    f with
+    states = f.states @ [ (s, 1.) ];
+    equations =
+      f.equations
+      @ [
+          ( s,
+            E.mul [ E.const (-2000.); E.sub (E.var s) (E.cos (E.var "t")) ] );
+        ];
+  }
+
 let check ?chaos (m : A.model) : result =
   let vs = ref [] in
   let fail invariant fmt =
     Printf.ksprintf (fun detail -> vs := { invariant; detail } :: !vs) fmt
   in
   let dim = ref 0 and n_tasks = ref 0 and split = ref false in
+  let lsoda_sequential_only = ref false in
   let discarded = ref None in
   (* ---- unparse → parse round trip ---------------------------------- *)
   let src = Om_lang.Unparse.model m in
@@ -144,7 +168,14 @@ let check ?chaos (m : A.model) : result =
   | exception Om_lang.Flatten.Error msg ->
       fail "flatten" "%s" msg;
       let violations = List.rev !vs in
-      { dim = 0; n_tasks = 0; split = false; discarded = None; violations }
+      {
+        dim = 0;
+        n_tasks = 0;
+        split = false;
+        lsoda_sequential_only = false;
+        discarded = None;
+        violations;
+      }
   | f ->
       dim := FM.dim f;
       (match Om_lang.Typecheck.check f with
@@ -238,14 +269,10 @@ let check ?chaos (m : A.model) : result =
           let jnames = FM.state_names f in
           let y = FM.initial_values f in
           let tprobe = 0.1 in
-          let sys_num =
-            Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false
-              f.equations
-          in
           match
             ( Om_ode.Jacobian.analytic sys_sym tprobe y,
-              Om_ode.Jacobian.numeric sys_num tprobe y,
-              Om_ode.Jacobian.numeric ~eps:(-1e-8) sys_num tprobe y )
+              Om_ode.Jacobian.numeric sys_sym tprobe y,
+              Om_ode.Jacobian.numeric ~eps:(-1e-8) sys_sym tprobe y )
           with
           | exception _ -> ()
           | sym, num, num_bwd ->
@@ -284,7 +311,7 @@ let check ?chaos (m : A.model) : result =
                    nonzero exactly: a perturbation outside the pattern
                    cannot change f_i, so out-of-pattern differences are
                    identically zero. *)
-                (match sys_num.sparsity with
+                (match sys_sym.sparsity with
                 | None -> fail "jacobian-pattern" "of_equations lost the pattern"
                 | Some pat ->
                     Array.iteri
@@ -300,12 +327,18 @@ let check ?chaos (m : A.model) : result =
                           row)
                       num);
                 (* Colored compressed columns must decompress to the
-                   dense forward differences bitwise. *)
+                   dense forward differences bitwise.  Finite differences
+                   are the path of a system built from a closure, with
+                   a pattern and no symbolic Jacobian. *)
+                let sys_fd =
+                  Om_ode.Odesys.make ?sparsity:sys_sym.sparsity
+                    ~dim:sys_sym.dim sys_sym.f
+                in
                 match
-                  Om_ode.Jacobian.plan ~jac_mode:Om_ode.Odesys.Sparse sys_num
+                  Om_ode.Jacobian.plan ~jac_mode:Om_ode.Odesys.Sparse sys_fd
                 with
                 | Om_ode.Jacobian.Sparse_plan ctx ->
-                    Om_ode.Jacobian.sparse_eval_into sys_num ctx tprobe y;
+                    Om_ode.Jacobian.sparse_eval_into sys_fd ctx tprobe y;
                     let pat = ctx.spat in
                     for i = 0 to FM.dim f - 1 do
                       for k = pat.row_ptr.(i) to pat.row_ptr.(i + 1) - 1 do
@@ -451,6 +484,95 @@ let check ?chaos (m : A.model) : result =
               ]
             in
             List.iter (fun (what, config) -> runtime r what config) configs;
+            let diverges names (a : Om_ode.Odesys.trajectory)
+                (b : Om_ode.Odesys.trajectory) =
+              if Array.length a.ts <> Array.length b.ts then
+                Some
+                  (Printf.sprintf "%d steps vs %d" (Array.length a.ts)
+                     (Array.length b.ts))
+              else begin
+                let d = ref None in
+                Array.iteri
+                  (fun k t ->
+                    if !d = None && bits t <> bits b.ts.(k) then
+                      d :=
+                        Some
+                          (Printf.sprintf "time at step %d: %h vs %h" k t
+                             b.ts.(k)))
+                  a.ts;
+                Array.iteri
+                  (fun k row ->
+                    Array.iteri
+                      (fun i x ->
+                        if !d = None && bits x <> bits b.states.(k).(i) then
+                          d :=
+                            Some
+                              (Printf.sprintf "state %s at t=%g: %h vs %h"
+                                 names.(i) b.ts.(k) x b.states.(k).(i)))
+                      row)
+                  a.states;
+                !d
+              end
+            in
+            (* ---- one stiff path: the runtime's LSODA ≡ Odesys' ------ *)
+            (* The runtime attaches the model's symbolic Jacobian to every
+               system it integrates, so its LSODA must reproduce
+               [Odesys.of_equations] plus [Lsoda.integrate] bit for bit,
+               under [Auto] and [Sparse].  It runs on the stiffened model,
+               whose BDF phase reads the Jacobian of every equation.  A
+               reference run that fails or leaves the finite range has
+               nothing to compare. *)
+            let fs = stiffened f in
+            let lsoda_refs =
+              List.filter_map
+                (fun (mode, jac_mode) ->
+                  match
+                    Om_ode.Lsoda.integrate ~jac_mode
+                      (Om_ode.Odesys.of_equations fs.equations)
+                      ~t0 ~y0:(FM.initial_values fs) ~tend:lsoda_tend
+                  with
+                  | r when finite_trajectory r.trajectory ->
+                      Some (mode, jac_mode, r.trajectory)
+                  | _ | (exception _) -> None)
+                [
+                  ("auto", Om_ode.Odesys.Auto);
+                  ("sparse", Om_ode.Odesys.Sparse);
+                ]
+            in
+            let lsoda what m execution refs =
+              List.iter
+                (fun (mode, jac_mode, (reference : Om_ode.Odesys.trajectory)) ->
+                  let what = Printf.sprintf "lsoda-%s-%s" what mode in
+                  let config = { R.default_config with execution; jac_mode } in
+                  match
+                    R.execute_model ~config ~solver:R.Lsoda ~t0
+                      ~tend:lsoda_tend (Lazy.force m)
+                  with
+                  | rep -> (
+                      match
+                        diverges (FM.state_names fs) rep.trajectory reference
+                      with
+                      | Some d -> fail "lsoda" "%s: %s" what d
+                      | None -> ())
+                  | exception exn ->
+                      fail "lsoda" "%s raised %s" what
+                        (Printexc.to_string exn))
+                refs
+            in
+            lsoda "real-domains-0"
+              (lazy (Om_codegen.Pipeline.model_of_flat fs))
+              (R.Real_domains 0) lsoda_refs;
+            (* On worker domains every RHS call is a barrier round, so a
+               run of many thousand steps costs tens of seconds there: such
+               a reference is checked sequentially only, and the case is
+               counted as such. *)
+            let lsoda_short, lsoda_long =
+              List.partition
+                (fun (_, _, (r : Om_ode.Odesys.trajectory)) ->
+                  Array.length r.ts <= 5_000)
+                lsoda_refs
+            in
+            lsoda_sequential_only := lsoda_long <> [];
             (* ---- split plan: hoisting is exact ----------------------- *)
             (* The model compiled with a low split threshold, so that its
                equations split into partials and residuals: each
@@ -474,7 +596,16 @@ let check ?chaos (m : A.model) : result =
                   [
                     "simulated"; "real-domains-1"; "real-domains-2";
                     "real-domains-2-semidynamic";
-                  ]);
+                  ];
+                lsoda "split-real-domains-2"
+                  (lazy
+                    (Om_codegen.Pipeline.of_result
+                       (Om_codegen.Pipeline.compile
+                          ~config:
+                            { Om_codegen.Pipeline.default_config with
+                              split_threshold }
+                          fs)))
+                  (R.Real_domains 2) lsoda_short);
             (* ---- batched ensemble: lockstep RK4 ≡ scalar runs -------- *)
             let run_batch y0s =
               let bb =
@@ -507,36 +638,6 @@ let check ?chaos (m : A.model) : result =
               in
               Om_ode.Rk.integrate_fixed Om_ode.Rk.rk4 sys ~t0 ~y0 ~tend ~h
             in
-            let diverges (a : Om_ode.Odesys.trajectory)
-                (b : Om_ode.Odesys.trajectory) =
-              if Array.length a.ts <> Array.length b.ts then
-                Some
-                  (Printf.sprintf "%d steps vs %d" (Array.length a.ts)
-                     (Array.length b.ts))
-              else begin
-                let d = ref None in
-                Array.iteri
-                  (fun k t ->
-                    if !d = None && bits t <> bits b.ts.(k) then
-                      d :=
-                        Some
-                          (Printf.sprintf "time at step %d: %h vs %h" k t
-                             b.ts.(k)))
-                  a.ts;
-                Array.iteri
-                  (fun k row ->
-                    Array.iteri
-                      (fun i x ->
-                        if !d = None && bits x <> bits b.states.(k).(i) then
-                          d :=
-                            Some
-                              (Printf.sprintf "state %s at t=%g: %h vs %h"
-                                 names.(i) b.ts.(k) x b.states.(k).(i)))
-                      row)
-                  a.states;
-                !d
-              end
-            in
             (* Relative offsets of up to 1e-3, like the benchmark's
                ensemble starts, so members of branchy models split at
                conditionals and the diverged-lane driver is checked. *)
@@ -557,7 +658,7 @@ let check ?chaos (m : A.model) : result =
                 let rec first_bad m =
                   if m >= nbatch then None
                   else
-                    match diverges trs.(m) (scalar_run y0s.(m)) with
+                    match diverges names trs.(m) (scalar_run y0s.(m)) with
                     | Some d -> Some (m, d)
                     | None -> first_bad (m + 1)
                 in
@@ -571,7 +672,7 @@ let check ?chaos (m : A.model) : result =
                     (match run_batch [| y0s.(m) |] with
                     | exception _ -> ()
                     | trs1 -> (
-                        match diverges trs1.(0) (scalar_run y0s.(m)) with
+                        match diverges names trs1.(0) (scalar_run y0s.(m)) with
                         | Some d1 ->
                             fail "ensemble"
                               "shrunk: member %d alone (batch of 1) still \
@@ -622,6 +723,7 @@ let check ?chaos (m : A.model) : result =
         dim = !dim;
         n_tasks = !n_tasks;
         split = !split;
+        lsoda_sequential_only = !lsoda_sequential_only;
         discarded = !discarded;
         violations = List.rev !vs;
       }

@@ -25,7 +25,8 @@
       from a one-sided difference); every
       numerically nonzero fd entry lies inside the declared read-set
       sparsity pattern (the superset property colored compression needs);
-      and the colored compressed-column evaluation decompresses to the
+      and the colored compressed-column evaluation of a system built
+      from the RHS closure (no symbolic Jacobian) decompresses to the
       uncompressed forward differences bitwise;
     - {b trajectory}: bitwise ([Int64.bits_of_float]) identity of the
       full RK4 trajectory across the raw-equation interpreter, the
@@ -37,7 +38,18 @@
       flop units, so that its equations split into hoisted partials and
       residuals, reproduces the raw-equation interpreter's trajectory
       bitwise sequentially, on the simulated machine and on 1 and 2
-      real domains, with and without semi-dynamic rescheduling.
+      real domains, with and without semi-dynamic rescheduling;
+    - {b lsoda}: the model with one fast mode appended (a state relaxing
+      onto [cos t] at rate 2000, so that LSODA reaches its BDF phase and
+      reads every equation's Jacobian) integrated by LSODA through the
+      runtime, sequentially and on a split plan on 2 real domains, under
+      [jac_mode] [Auto] and [Sparse], reproduces
+      [Om_ode.Odesys.of_equations] plus [Om_ode.Lsoda.integrate]
+      bitwise: every path takes the model's symbolic Jacobian.  A
+      reference run that fails or leaves the finite range is skipped,
+      and one of more than 5,000 steps is checked sequentially only
+      (each RHS call on worker domains is a barrier round; the result's
+      [lsoda_sequential_only] reports it).
 
     When the reference trajectory is non-finite (explosive dynamics the
     bounded grammar cannot fully rule out) the trajectory matrix is
@@ -62,6 +74,9 @@ type result = {
   split : bool;
       (** the split-plan strategies ran on a plan that split an
           equation *)
+  lsoda_sequential_only : bool;
+      (** an LSODA reference of more than 5,000 steps skipped its
+          2-domain split-plan run *)
   discarded : string option;
       (** set when the trajectory matrix was skipped, with the reason *)
   violations : violation list;  (** empty = all invariants hold *)

@@ -12,6 +12,7 @@ type summary = {
   cases : int;
   discarded : int;
   split : int;
+  lsoda_sequential_only : int;
   dim_total : int;
   task_total : int;
   failures : failure list;
@@ -55,6 +56,7 @@ let run ?out_dir ?check ?(shrink_budget = 300) ?(chaos = false) ?(log = ignore)
   let failures = ref [] in
   let discarded = ref 0 in
   let split = ref 0 in
+  let lsoda_sequential_only = ref 0 in
   let dim_total = ref 0 in
   let task_total = ref 0 in
   for i = 0 to cases - 1 do
@@ -65,6 +67,10 @@ let run ?out_dir ?check ?(shrink_budget = 300) ?(chaos = false) ?(log = ignore)
     dim_total := !dim_total + res.Oracle.dim;
     task_total := !task_total + res.Oracle.n_tasks;
     if res.Oracle.split then incr split;
+    if res.Oracle.lsoda_sequential_only then begin
+      incr lsoda_sequential_only;
+      log (Printf.sprintf "case %d: LSODA checked sequentially only" i)
+    end;
     (match res.Oracle.discarded with
     | Some why ->
         incr discarded;
@@ -109,6 +115,7 @@ let run ?out_dir ?check ?(shrink_budget = 300) ?(chaos = false) ?(log = ignore)
     cases;
     discarded = !discarded;
     split = !split;
+    lsoda_sequential_only = !lsoda_sequential_only;
     dim_total = !dim_total;
     task_total = !task_total;
     failures = List.rev !failures;
@@ -116,8 +123,9 @@ let run ?out_dir ?check ?(shrink_budget = 300) ?(chaos = false) ?(log = ignore)
 
 let pp_summary ppf s =
   Fmt.pf ppf
-    "%d cases: %d failed, %d discarded, %d split (mean dim %.1f, mean tasks \
-     %.1f)"
-    s.cases (List.length s.failures) s.discarded s.split
+    "%d cases: %d failed, %d discarded, %d lsoda sequential-only, %d split \
+     (mean dim %.1f, mean tasks %.1f)"
+    s.cases (List.length s.failures) s.discarded s.lsoda_sequential_only
+    s.split
     (if s.cases = 0 then 0. else float_of_int s.dim_total /. float_of_int s.cases)
     (if s.cases = 0 then 0. else float_of_int s.task_total /. float_of_int s.cases)

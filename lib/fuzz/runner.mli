@@ -20,6 +20,8 @@ type summary = {
   cases : int;
   discarded : int;  (** trajectory matrix skipped (non-finite reference) *)
   split : int;  (** cases whose split-plan strategies split an equation *)
+  lsoda_sequential_only : int;
+      (** cases whose long LSODA reference skipped the 2-domain run *)
   dim_total : int;  (** summed flat dimensions, for mean-size reporting *)
   task_total : int;
   failures : failure list;

@@ -51,11 +51,11 @@ let formula = function
   | k -> invalid_arg (Printf.sprintf "Bdf: unsupported order %d" k)
 
 let integrate ?(order = 2) ?(newton_tol = 1e-10) ?(max_newton = 25) ?jac_mode
-    ?jac_batch (sys : Odesys.t) ~t0 ~y0 ~tend ~h =
+    (sys : Odesys.t) ~t0 ~y0 ~tend ~h =
   if order < 1 || order > 3 then invalid_arg "Bdf.integrate: order in 1..3";
   if h <= 0. then invalid_arg "Bdf.integrate: nonpositive step";
   (* One plan (and one sparse workspace) for the whole integration. *)
-  let jplan = Jacobian.plan ?jac_mode ?batch:jac_batch sys in
+  let jplan = Jacobian.plan ?jac_mode sys in
   let n = sys.dim in
   let ts = ref [ t0 ] and ys = ref [ Array.copy y0 ] in
   (* History of accepted states, most recent first. *)

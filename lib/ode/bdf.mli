@@ -17,17 +17,13 @@ val integrate :
   ?newton_tol:float ->
   ?max_newton:int ->
   ?jac_mode:Odesys.jac_mode ->
-  ?jac_batch:Jacobian.batch_rhs ->
   Odesys.t ->
   t0:float ->
   y0:float array ->
   tend:float ->
   h:float ->
   Odesys.trajectory
-(** [jac_batch] lets the sparse finite-difference path evaluate its
-    colored column groups through a caller-supplied (possibly parallel)
-    batch evaluator.
-    @raise Invalid_argument for orders outside 1..3.
+(** @raise Invalid_argument for orders outside 1..3.
     @raise Om_guard.Om_error.Error ([Newton_failure]) if Newton fails to
     converge or the iteration matrix is singular. *)
 

@@ -36,8 +36,6 @@ let analytic (sys : Odesys.t) t y =
 (* Sparse evaluation context and jac-mode resolution                   *)
 (* ------------------------------------------------------------------ *)
 
-type batch_rhs = float -> float array array -> float array array -> unit
-
 type sparse_ctx = {
   spat : Sparse.pattern;
   coloring : Sparse.coloring;
@@ -45,10 +43,9 @@ type sparse_ctx = {
   fd : Sparse.fd_ws;
   f0 : float array;
   newton : Sparse.newton;
-  batch : batch_rhs option;
 }
 
-let sparse_ctx ?batch (sys : Odesys.t) spat =
+let sparse_ctx (sys : Odesys.t) spat =
   let coloring = Sparse.color_columns spat in
   {
     spat;
@@ -57,7 +54,6 @@ let sparse_ctx ?batch (sys : Odesys.t) spat =
     fd = Sparse.make_fd_ws spat coloring;
     f0 = Array.make sys.dim 0.;
     newton = Sparse.make_newton spat;
-    batch;
   }
 
 type plan = Dense_plan | Sparse_plan of sparse_ctx
@@ -71,10 +67,10 @@ let sparse_pattern jac_mode (sys : Odesys.t) =
   | Odesys.Auto, Some p ->
       if sys.dim >= 16 && Sparse.density p <= 0.25 then Some p else None
 
-let plan ?(jac_mode = Odesys.Auto) ?batch (sys : Odesys.t) =
+let plan ?(jac_mode = Odesys.Auto) (sys : Odesys.t) =
   match sparse_pattern jac_mode sys with
   | None -> Dense_plan
-  | Some spat -> Sparse_plan (sparse_ctx ?batch sys spat)
+  | Some spat -> Sparse_plan (sparse_ctx sys spat)
 
 let sparse_eval_into ?eps (sys : Odesys.t) ctx t y =
   sys.counters.jac_calls <- sys.counters.jac_calls + 1;
@@ -86,15 +82,9 @@ let sparse_eval_into ?eps (sys : Odesys.t) ctx t y =
       Sparse.fd_prepare ?eps ctx.fd ~y;
       Odesys.rhs_into sys t y ctx.f0;
       let pts = Sparse.fd_points ctx.fd and vals = Sparse.fd_values ctx.fd in
-      (match ctx.batch with
-      | Some b ->
-          b t pts vals;
-          sys.counters.rhs_calls <-
-            sys.counters.rhs_calls + Sparse.fd_groups ctx.fd
-      | None ->
-          for g = 0 to Sparse.fd_groups ctx.fd - 1 do
-            Odesys.rhs_into sys t pts.(g) vals.(g)
-          done);
+      for g = 0 to Sparse.fd_groups ctx.fd - 1 do
+        Odesys.rhs_into sys t pts.(g) vals.(g)
+      done;
       Sparse.fd_scatter ctx.fd ~f0:ctx.f0 ~jac:ctx.sj
 
 let newton_factor jplan (sys : Odesys.t) t y ~alpha ~beta =
@@ -119,4 +109,4 @@ let newton_factor jplan (sys : Odesys.t) t y ~alpha ~beta =
 let mode_stats ?(jac_mode = Odesys.Auto) (sys : Odesys.t) =
   match sparse_pattern jac_mode sys with
   | None -> ("dense", None)
-  | Some p -> ("sparse", Some (Sparse.nnz p, (Sparse.color_columns p).ncolors))
+  | Some p -> ("sparse", Some (Sparse.nnz p))

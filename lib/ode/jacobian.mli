@@ -21,14 +21,6 @@ val eval_into :
 
 (** {1 Sparse evaluation and jac-mode resolution} *)
 
-type batch_rhs = float -> float array array -> float array array -> unit
-(** [batch t ys outs] evaluates the RHS at every point of [ys], writing
-    into the matching rows of [outs].  The points are independent, so an
-    implementation may run them in parallel (Par_jac in the parallel
-    library); results are bitwise those of sequential evaluation under
-    any scheduling because each point runs the same code on the same
-    inputs. *)
-
 type sparse_ctx = {
   spat : Sparse.pattern;
   coloring : Sparse.coloring;
@@ -36,7 +28,6 @@ type sparse_ctx = {
   fd : Sparse.fd_ws;
   f0 : float array;
   newton : Sparse.newton;
-  batch : batch_rhs option;
 }
 (** Per-integration workspace for the sparse Newton path: pattern,
     coloring, value storage, colored-fd buffers and the assembled
@@ -45,7 +36,7 @@ type sparse_ctx = {
 (** Resolved Newton-matrix strategy for a whole integration. *)
 type plan = Dense_plan | Sparse_plan of sparse_ctx
 
-val plan : ?jac_mode:Odesys.jac_mode -> ?batch:batch_rhs -> Odesys.t -> plan
+val plan : ?jac_mode:Odesys.jac_mode -> Odesys.t -> plan
 (** Resolve a {!Odesys.jac_mode} (default [Auto]) against the system.
     [Auto] selects the sparse path when a pattern
     is declared, [dim >= 16] and the density is at most [0.25] —
@@ -69,7 +60,7 @@ val newton_factor :
 (** [newton_factor plan sys t y ~alpha ~beta] evaluates J at [(t, y)]
     through [plan], forms the Newton matrix [alpha*I - beta*J], factors
     it and returns its solve — the one place the stiff solvers ({!Bdf},
-    {!Rosenbrock}) build that matrix.  The dense plan computes every
+    and through it {!Lsoda}) build that matrix.  The dense plan computes every
     entry as [(if i = k then alpha else 0.) -. beta *. j.(i).(k)] and
     factors with {!Linalg.lu_factor}; the sparse plan replays the same
     arithmetic with {!Sparse.newton_assemble} and {!Sparse.lu_factor},
@@ -79,8 +70,8 @@ val newton_factor :
     @raise Linalg.Singular when the Newton matrix is singular. *)
 
 val mode_stats :
-  ?jac_mode:Odesys.jac_mode -> Odesys.t -> string * (int * int) option
+  ?jac_mode:Odesys.jac_mode -> Odesys.t -> string * int option
 (** Human-readable name of the mode {!plan} would resolve (["dense"] or
-    ["sparse"]), plus [(nnz, colors)] for the sparse one, without
-    building the sparse workspace — surfaced in the runtime report and
-    [omc --jac-mode]. *)
+    ["sparse"]), plus the structural nonzero count of the sparse one,
+    without building the sparse workspace — surfaced in the runtime
+    report and [omc --jac-mode]. *)

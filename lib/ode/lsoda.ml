@@ -23,11 +23,11 @@ let error_weights atol rtol a b =
 
 let integrate ?(atol = 1e-8) ?(rtol = 1e-6) ?h0 ?(max_steps = 2_000_000)
     ?(stiffness_window = 5) ?(start_mode = Adams_mode) ?(max_retries = 8)
-    ?jac_mode ?jac_batch (sys : Odesys.t) ~t0 ~y0 ~tend =
+    ?jac_mode (sys : Odesys.t) ~t0 ~y0 ~tend =
   let n = sys.dim in
   (* The Jacobian plan (and its sparse workspace) is resolved lazily on
      the first BDF attempt: purely non-stiff runs never pay for it. *)
-  let jplan = lazy (Jacobian.plan ?jac_mode ?batch:jac_batch sys) in
+  let jplan = lazy (Jacobian.plan ?jac_mode sys) in
   let span = tend -. t0 in
   if span <= 0. then invalid_arg "Lsoda.integrate: tend <= t0";
   let h = ref (match h0 with Some h -> h | None -> span /. 1000.) in

@@ -30,7 +30,6 @@ val integrate :
   ?start_mode:mode ->
   ?max_retries:int ->
   ?jac_mode:Odesys.jac_mode ->
-  ?jac_batch:Jacobian.batch_rhs ->
   Odesys.t ->
   t0:float ->
   y0:float array ->
@@ -43,10 +42,8 @@ val integrate :
     Newton non-convergence inside a BDF attempt keeps its classic
     treatment (reject, quarter the step).
     [jac_mode] (default [Auto], see {!Odesys.jac_mode}) selects the
-    Newton-matrix path for the stiff regime — the sparse path is
-    bitwise-identical to the dense one — and [jac_batch] supplies an
-    optional parallel evaluator for the colored finite-difference
-    column groups.
+    Newton-matrix path for the stiff regime; the sparse path is
+    bitwise-identical to the dense one.
     @raise Om_guard.Om_error.Error ([Step_failure]) when the step count
     budget (default 2_000_000), the retry budget, or the minimum step
     size is exhausted. *)

@@ -135,6 +135,29 @@ let jacobian_program ?time_var ?optimize sparsity eqs =
   Om_expr.Vm.compile_stmts ?optimize ~out_size:(Sparse.nnz sparsity)
     (layout ?time_var eqs) (jacobian_stmts sparsity eqs)
 
+(* [jac] and [sjac] over one symbolic-Jacobian program, which [program]
+   gives on the first call: runs that never ask for a Jacobian never
+   differentiate.  A structural entry the program leaves out is [+0.]. *)
+let symbolic_jacobian ~dim (sparsity : Sparse.pattern) program =
+  let prog = lazy (program ()) in
+  let env = Array.make (dim + 1) 0. in
+  let vals = Array.make (Sparse.nnz sparsity) 0. in
+  let sjac t y (v : float array) =
+    Array.blit y 0 env 0 dim;
+    env.(dim) <- t;
+    Om_expr.Vm.exec (Lazy.force prog) ~env ~out:v
+  in
+  let jac t y (m : Linalg.mat) =
+    sjac t y vals;
+    Array.iter (fun row -> Array.fill row 0 dim 0.) m;
+    for i = 0 to dim - 1 do
+      for k = sparsity.row_ptr.(i) to sparsity.row_ptr.(i + 1) - 1 do
+        m.(i).(sparsity.col_ind.(k)) <- vals.(k)
+      done
+    done
+  in
+  (jac, sjac)
+
 let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
   let states = List.map fst eqs in
   let module S = Set.Make (String) in
@@ -155,43 +178,22 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
     reads;
   let dim = List.length eqs in
   let names = Array.of_list states in
-  let module Vm = Om_expr.Vm in
   let rhs_prog = rhs_program ~time_var eqs in
   let buf = Array.make (dim + 1) 0. in
-  let load t y =
-    Array.blit y 0 buf 0 dim;
-    buf.(dim) <- t
-  in
   let f t y ydot =
-    load t y;
-    Vm.exec rhs_prog ~env:buf ~out:ydot
+    Array.blit y 0 buf 0 dim;
+    buf.(dim) <- t;
+    Om_expr.Vm.exec rhs_prog ~env:buf ~out:ydot
   in
   let sparsity = pattern_of_reads names reads in
   let jac, sjac =
     if not with_symbolic_jacobian then (None, None)
-    else begin
-      (* One program writing every structural entry's derivative to its
-         CSR slot.  Derived on first use, so runs that never ask for a
-         Jacobian never differentiate; one forward pass derives every
-         row.  A structural entry the pass leaves out is [+0.]. *)
-      let jac_prog = lazy (jacobian_program ~time_var sparsity eqs) in
-      let vals = Array.make (Sparse.nnz sparsity) 0. in
-      let jac t y (m : Linalg.mat) =
-        load t y;
-        Vm.exec (Lazy.force jac_prog) ~env:buf ~out:vals;
-        Array.iter (fun row -> Array.fill row 0 dim 0.) m;
-        for i = 0 to dim - 1 do
-          for k = sparsity.row_ptr.(i) to sparsity.row_ptr.(i + 1) - 1 do
-            m.(i).(sparsity.col_ind.(k)) <- vals.(k)
-          done
-        done
-      in
-      let sjac t y (v : float array) =
-        load t y;
-        Vm.exec (Lazy.force jac_prog) ~env:buf ~out:v
+    else
+      let jac, sjac =
+        symbolic_jacobian ~dim sparsity (fun () ->
+            jacobian_program ~time_var sparsity eqs)
       in
       (Some jac, Some sjac)
-    end
   in
   { dim; names; f; jac; symbolic = Some eqs; sparsity = Some sparsity; sjac;
     counters = fresh_counters () }

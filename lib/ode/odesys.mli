@@ -122,6 +122,21 @@ val jacobian_program :
     {!Om_expr.Deriv.jacobian} over all the equations.  A structural
     entry the pass leaves out is [+0.]. *)
 
+val symbolic_jacobian :
+  dim:int -> Sparse.pattern -> (unit -> Om_expr.Vm.program) ->
+  (float -> float array -> Linalg.mat -> unit)
+  * (float -> float array -> float array -> unit)
+(** [symbolic_jacobian ~dim pattern program] is the [(jac, sjac)] pair
+    of a system whose symbolic Jacobian is [program ()], a
+    {!jacobian_program} over [pattern] reading states and then time.
+    [program] is called on the first [jac] or [sjac] call, not before,
+    so runs that never ask for a Jacobian never build it.  [sjac] writes
+    the program's outputs, the CSR values; [jac] scatters them into the
+    dense matrix, zero elsewhere.  The pair owns one value vector and
+    whatever [program] returns (give it a register file of its own, such
+    as a {!Om_expr.Vm.clone_scratch}): use it from one domain at a time.
+    {!of_equations} and [Om_codegen.Pipeline.system] both attach it. *)
+
 val of_equations :
   ?time_var:string -> ?with_symbolic_jacobian:bool ->
   (string * Om_expr.Expr.t) list ->
@@ -131,9 +146,9 @@ val of_equations :
     ["t"]).  [f] runs {!rhs_program}.  With [with_symbolic_jacobian]
     (default true) the analytic Jacobian is derived symbolically too,
     the paper's "extra function dedicated to computing the Jacobian":
-    {!jacobian_program} backs both [jac] and [sjac].  It is built on
-    the first [jac] or [sjac] call, so runs that never ask for a
-    Jacobian never differentiate.  The structural sparsity pattern
+    {!jacobian_program} backs both [jac] and [sjac]
+    ({!symbolic_jacobian}).  It is built on the first [jac] or [sjac]
+    call, so runs that never ask for a Jacobian never differentiate.  The structural sparsity pattern
     (each equation's state read set) is always recorded in
     [sparsity].
 

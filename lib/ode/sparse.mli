@@ -83,8 +83,7 @@ val fd_prepare : ?eps:float -> fd_ws -> y:float array -> unit
 
 val fd_points : fd_ws -> float array array
 (** The perturbed states, one per group; evaluate the RHS at each and
-    write the results into {!fd_values} (the caller owns this loop so
-    it can run the groups in parallel). *)
+    write the results into {!fd_values}. *)
 
 val fd_values : fd_ws -> float array array
 

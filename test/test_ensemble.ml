@@ -626,6 +626,26 @@ let test_sweep_structural_fallback () =
   in
   Alcotest.(check int) "two points" 2 (List.length points)
 
+let test_sweep_builds_no_back_end () =
+  (* A sweep runs the sequential program only: preparing it and running
+     a batch build no per-task back end. *)
+  let backs = Om_codegen.Pipeline.back_count () in
+  (match Objectmath.Sweep.prepare ~source:sweep_source ~cls:"C" ~param:"k" with
+  | Objectmath.Sweep.Promoted c ->
+      ignore
+        (Objectmath.Sweep.run_compiled c ~values:[ 0.5; 2. ] ~tend:1.
+           ~metric:(Objectmath.Sweep.final_value "c.x")
+           ())
+  | Objectmath.Sweep.Legacy reason ->
+      Alcotest.failf "expected promotion, got legacy: %s" reason);
+  ignore
+    (Objectmath.Sweep.run ~source:structural_source ~cls:"C" ~param:"k"
+       ~values:[ 1.; 2. ] ~tend:1.
+       ~metric:(Objectmath.Sweep.final_value "c.x")
+       ());
+  Alcotest.(check int) "no back end built" backs
+    (Om_codegen.Pipeline.back_count ())
+
 let test_sweep_no_values () =
   (* Both engines answer an empty sweep with no points. *)
   let run source =
@@ -741,6 +761,8 @@ let () =
           Alcotest.test_case "unknown parameter" `Quick
             test_sweep_unknown_param;
           Alcotest.test_case "no values" `Quick test_sweep_no_values;
+          Alcotest.test_case "builds no back end" `Quick
+            test_sweep_builds_no_back_end;
           Alcotest.test_case "matches analytic" `Quick
             test_sweep_matches_legacy_numerics;
           Alcotest.test_case "monte carlo deterministic" `Quick

@@ -123,6 +123,7 @@ let test_runner_dumps_counterexamples () =
       Oracle.dim;
       n_tasks = 0;
       split = false;
+      lsoda_sequential_only = false;
       discarded = None;
       violations = [ { Oracle.invariant = "synthetic"; detail = "always" } ];
     }

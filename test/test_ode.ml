@@ -230,32 +230,6 @@ let test_numeric_jacobian () =
   Alcotest.(check (float 1e-5)) "j10" (-1.) j.(1).(0);
   Alcotest.(check (float 1e-5)) "j00" 0. j.(0).(0)
 
-(* ---------- rosenbrock ---------- *)
-
-module Ros = Om_ode.Rosenbrock
-
-let test_ros2_decay () =
-  let sys = decay () in
-  let tr = Ros.integrate sys ~t0:0. ~y0:[| 1. |] ~tend:1. ~h:1e-3 in
-  Alcotest.(check (float 1e-6)) "exp(-1)" (Float.exp (-1.)) (final tr).(0)
-
-let test_ros2_order () =
-  let err h =
-    let sys = decay () in
-    let tr = Ros.integrate sys ~t0:0. ~y0:[| 1. |] ~tend:1. ~h in
-    Float.abs ((final tr).(0) -. Float.exp (-1.))
-  in
-  let order = Float.log (err 1e-2 /. err 5e-3) /. Float.log 2. in
-  Alcotest.(check bool) "second order" true (order > 1.7 && order < 2.3)
-
-let test_ros2_stiff_stable () =
-  (* One linear solve pair per step at h far beyond the explicit limit. *)
-  let sys = stiff_linear () in
-  let tr = Ros.integrate sys ~t0:0. ~y0:[| 0. |] ~tend:1. ~h:0.01 in
-  Alcotest.(check (float 0.05)) "tracks cos t" (Float.cos 1.) (final tr).(0);
-  Alcotest.(check bool) "no newton iterations" true
-    (sys.counters.newton_iters = 0)
-
 (* ---------- lsoda ---------- *)
 
 let test_lsoda_nonstiff_stays_adams () =
@@ -401,7 +375,7 @@ let linear_system (a01, a10, d0, d1) =
     ]
 
 let prop_solvers_agree =
-  QCheck.Test.make ~name:"rkf45, lsoda and rosenbrock agree" ~count:30
+  QCheck.Test.make ~name:"rkf45 and lsoda agree" ~count:30
     arbitrary_stable (fun (a01, a10, d0, d1, x0, y0) ->
       let y0v = [| x0; y0 |] in
       let final run = run (linear_system (a01, a10, d0, d1)) in
@@ -417,15 +391,8 @@ let prop_solvers_agree =
                  ~tend:1.)
                 .trajectory)
       in
-      let r3 =
-        final (fun sys ->
-            Odesys.final_state
-              (Om_ode.Rosenbrock.integrate sys ~t0:0. ~y0:y0v ~tend:1.
-                 ~h:1e-3))
-      in
       let close a b = Float.abs (a -. b) < 1e-4 in
-      close r1.(0) r2.(0) && close r1.(1) r2.(1)
-      && close r1.(0) r3.(0) && close r1.(1) r3.(1))
+      close r1.(0) r2.(0) && close r1.(1) r2.(1))
 
 (* ---------- of_equations ---------- *)
 
@@ -722,19 +689,6 @@ let test_bdf_sparse_matches_dense_bitwise () =
       check_bitwise_traj ("bdf " ^ name) (run Odesys.Dense) (run Odesys.Sparse))
     [ true; false ]
 
-(* ROS2 factors [I - gamma h J] once per step; its sparse path must
-   replay the dense one bitwise too. *)
-let test_ros2_sparse_matches_dense_bitwise () =
-  List.iter
-    (fun symbolic ->
-      let name = if symbolic then "symbolic" else "fd" in
-      let run jac_mode =
-        let sys, y0 = heat_system ~with_symbolic_jacobian:symbolic () in
-        Ros.integrate ~jac_mode sys ~t0:0. ~y0 ~tend:0.05 ~h:1e-3
-      in
-      check_bitwise_traj ("ros2 " ^ name) (run Odesys.Dense) (run Odesys.Sparse))
-    [ true; false ]
-
 let test_lsoda_sparse_matches_dense_bitwise () =
   List.iter
     (fun symbolic ->
@@ -756,11 +710,12 @@ let test_lsoda_sparse_matches_dense_bitwise () =
    tridiagonal) and must still be bitwise the explicit modes. *)
 let test_auto_resolves_sparse_and_matches () =
   let sys, _ = heat_system ~with_symbolic_jacobian:true () in
-  (match Jacobian.mode_stats sys with
-  | "sparse", Some (nnz, colors) ->
+  (match Jacobian.mode_stats sys, sys.sparsity with
+  | ("sparse", Some nnz), Some p ->
       Alcotest.(check int) "tridiagonal nnz" 94 nnz;
-      Alcotest.(check int) "tridiagonal colors" 3 colors
-  | mode, _ -> Alcotest.failf "Auto resolved to %s" mode);
+      Alcotest.(check int) "tridiagonal colors" 3
+        (Om_ode.Sparse.color_columns p).ncolors
+  | (mode, _), _ -> Alcotest.failf "Auto resolved to %s" mode);
   let run jac_mode =
     let sys, y0 = heat_system ~with_symbolic_jacobian:true () in
     Bdf.integrate ~jac_mode sys ~t0:0. ~y0 ~tend:0.05 ~h:1e-3
@@ -854,14 +809,6 @@ let () =
           Alcotest.test_case "analytic jacobian" `Quick
             test_bdf_uses_analytic_jacobian;
           Alcotest.test_case "numeric jacobian" `Quick test_numeric_jacobian;
-        ] );
-      ( "rosenbrock",
-        [
-          Alcotest.test_case "decay" `Quick test_ros2_decay;
-          Alcotest.test_case "order 2" `Quick test_ros2_order;
-          Alcotest.test_case "stiff stability" `Quick test_ros2_stiff_stable;
-          Alcotest.test_case "sparse matches dense bitwise" `Quick
-            test_ros2_sparse_matches_dense_bitwise;
         ] );
       ( "corner",
         [

@@ -441,6 +441,94 @@ let test_server_sequential_job_builds_no_back_end () =
     (final_of rs "seq" = final_of rs "par"
     && final_of rs "seq" = final_of rs "seq-again")
 
+(* ---------- one stiff path ---------- *)
+
+module R = Objectmath.Runtime
+
+let bits_of = Array.map Int64.bits_of_float
+let final_bits (rep : R.report) = bits_of (Om_ode.Odesys.final_state rep.trajectory)
+let real_domains n = { R.default_config with R.execution = R.Real_domains n }
+
+let served_lsoda ~source ~tend ~domains =
+  let server, records = collecting_server () in
+  (match
+     S.submit server
+       { Job.default with Job.id = "stiff"; source; solver = Job.Lsoda; tend;
+         domains }
+   with
+  | `Ok _ -> ()
+  | _ -> Alcotest.fail "submit failed");
+  ignore (S.drain server);
+  let rs = records () in
+  Alcotest.(check (option string)) "served job ok" (Some "ok")
+    (status_of rs "stiff");
+  bits_of (Array.of_list (final_of rs "stiff"))
+
+let test_one_stiff_trajectory () =
+  (* The bearing under LSODA to t = 0.03 takes 850 steps and reaches its
+     stiff phase.  Every path that integrates the compiled model takes
+     the model's symbolic Jacobian, so all of them end on the same bits:
+     the runtime at 0, 1 and 2 worker domains (the supervisor evaluates
+     the Jacobian between rounds), a served job, and the system
+     [omc simulate] builds. *)
+  let source = Om_models.Bearing2d.source () in
+  let tend = 0.03 in
+  let m = P.model_of_source source in
+  let seq = R.execute_model ~config:(real_domains 0) ~solver:R.Lsoda ~tend m in
+  Alcotest.(check int) "850 steps" 850 seq.solver_steps;
+  Alcotest.(check bool) "the stiff phase is reached" true (seq.jac_calls > 0);
+  let want = final_bits seq in
+  let fm = Om_lang.Flatten.flatten_string source in
+  let sm = P.model_of_flat fm in
+  let sys = P.system sm (P.sequential_fn sm) in
+  let sim =
+    Om_ode.Lsoda.integrate sys ~t0:0.
+      ~y0:(Om_lang.Flat_model.initial_values fm) ~tend
+  in
+  Alcotest.(check bool) "omc simulate's system" true
+    (bits_of (Om_ode.Odesys.final_state sim.trajectory) = want);
+  Alcotest.(check int) "the same Jacobian calls" seq.jac_calls
+    sys.counters.jac_calls;
+  List.iter
+    (fun n ->
+      let rep =
+        R.execute_model ~config:(real_domains n) ~solver:R.Lsoda ~tend m
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "runtime on %d worker domain(s)" n)
+        true
+        (final_bits rep = want))
+    [ 1; 2 ];
+  Alcotest.(check bool) "served job" true
+    (served_lsoda ~source ~tend ~domains:0 = want)
+
+let test_no_jacobian_call_derives_none () =
+  (* The symbolic Jacobian is derived on a system's first Jacobian call,
+     never when the system is built: an RK4 run, and LSODA runs that stay
+     non-stiff (serve-stiff's shortest jobs), derive none. *)
+  let source = Om_models.Bearing2d.source () in
+  let m = P.model_of_source source in
+  let jacobians = P.jacobian_count () in
+  let rk4 =
+    R.execute_model ~config:(real_domains 0) ~solver:(R.Rk4 2.5e-5)
+      ~tend:2.5e-4 m
+  in
+  let lsoda =
+    R.execute_model ~config:(real_domains 0) ~solver:R.Lsoda ~tend:2.5e-4 m
+  in
+  Alcotest.(check int) "no Jacobian calls" 0 (rk4.jac_calls + lsoda.jac_calls);
+  ignore (served_lsoda ~source ~tend:2.5e-4 ~domains:0);
+  Alcotest.(check int) "no Jacobian derived" jacobians (P.jacobian_count ());
+  (* The first Jacobian call derives it, once per model. *)
+  let sys = P.system m (P.sequential_fn m) in
+  let y0 = Om_lang.Flat_model.initial_values (P.flat_model m) in
+  let v = Array.make (Om_ode.Sparse.nnz (P.sparsity m)) 0. in
+  (Option.get sys.sjac) 0. y0 v;
+  (Option.get sys.sjac) 0. y0 v;
+  ignore (P.system m (P.sequential_fn m));
+  Alcotest.(check int) "derived on the first call, once" (jacobians + 1)
+    (P.jacobian_count ())
+
 let test_server_model_errors_on_miss () =
   (* Ill-formed sources fail on the miss, as the whole compile did:
      every front-end error is raised by the eager front, with its
@@ -1357,6 +1445,13 @@ let test_server_result_cache_hit_bitwise () =
 let () =
   Alcotest.run "om_serve"
     [
+      ( "stiff path",
+        [
+          Alcotest.test_case "one stiff trajectory" `Quick
+            test_one_stiff_trajectory;
+          Alcotest.test_case "no Jacobian call derives none" `Quick
+            test_no_jacobian_call_derives_none;
+        ] );
       ( "json",
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;

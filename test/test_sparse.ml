@@ -278,42 +278,6 @@ let prop_newton_assemble_bitwise =
       done;
       !ok)
 
-(* ---------- parallel colored-group evaluation ---------- *)
-
-(* [Par_jac] with caller-supplied pure closures: the ticket-scheduled
-   parallel batch must be bitwise the sequential loop, across repeated
-   reuse of the evaluator. *)
-let test_par_jac_matches_sequential () =
-  let dim = 5 in
-  let f t y out =
-    for i = 0 to dim - 1 do
-      out.(i) <- Float.sin (t +. (y.(i) *. float_of_int (i + 1))) +. y.((i + 1) mod dim)
-    done
-  in
-  let pj = Om_parallel.Par_jac.create_with [| f; f; f |] in
-  Fun.protect
-    ~finally:(fun () -> Om_parallel.Par_jac.shutdown pj)
-    (fun () ->
-      Alcotest.(check int) "workers" 3 (Om_parallel.Par_jac.nworkers pj);
-      for round = 1 to 3 do
-        let npts = 7 in
-        let pts =
-          Array.init npts (fun p ->
-              Array.init dim (fun i ->
-                  Float.cos (float_of_int ((p * dim) + i + round))))
-        in
-        let expected = Array.init npts (fun _ -> Array.make dim 0.) in
-        Array.iteri (fun p pt -> f 0.25 pt expected.(p)) pts;
-        let got = Array.init npts (fun _ -> Array.make dim 0.) in
-        Om_parallel.Par_jac.batch pj 0.25 pts got;
-        Alcotest.(check bool)
-          (Printf.sprintf "round %d bitwise" round)
-          true
-          (Array.for_all2
-             (fun a b -> Array.for_all2 (fun x y -> bits x = bits y) a b)
-             expected got)
-      done)
-
 (* ---------- pattern plumbing ---------- *)
 
 let test_pattern_merge_and_index () =
@@ -356,11 +320,6 @@ let () =
             test_singular_index_parity;
         ] );
       ("newton", [ q prop_newton_assemble_bitwise ]);
-      ( "par_jac",
-        [
-          Alcotest.test_case "parallel batch bitwise" `Quick
-            test_par_jac_matches_sequential;
-        ] );
       ( "pattern",
         [
           Alcotest.test_case "merge and index" `Quick
