@@ -59,25 +59,31 @@ type report = {
   jac_calls : int;
 }
 
-let task_arrays (r : Om_codegen.Pipeline.result) =
-  let reads = Array.map (fun t -> t.Om_sched.Task.reads) r.tasks in
-  let writes = Array.map (fun t -> t.Om_sched.Task.writes) r.tasks in
-  (reads, writes)
+(* The round descriptor of an LPT schedule of [costs] over [nprocs]
+   workers, built once per run: its read and write sets serve every
+   simulated round, and the real executor runs it. *)
+let round_desc (r : Om_codegen.Pipeline.result) ~costs ~nprocs =
+  let sched = Om_sched.Lpt.schedule ~costs r.tasks ~nprocs in
+  Om_machine.Round_desc.make ~assignment:sched.assignment ~task_flops:costs
+    ~task_reads:(Array.map (fun t -> t.Om_sched.Task.reads) r.tasks)
+    ~task_writes:(Array.map (fun t -> t.Om_sched.Task.writes) r.tasks)
+    ~state_dim:r.compiled.dim
 
-(* Simulated seconds for one round given per-task costs and a schedule. *)
-let simulate_round config (r : Om_codegen.Pipeline.result) assignment costs =
-  let reads, writes = task_arrays r in
+(* Simulated seconds for one round of [desc]: its assignment, at its
+   per-task costs. *)
+let simulate_round config (r : Om_codegen.Pipeline.result)
+    (desc : Om_machine.Round_desc.t) =
   let m = config.machine in
   let round =
     match config.topology with
     | Tree fanout when config.nworkers > 0 ->
         Om_machine.Supervisor.tree_round m ~fanout ~nworkers:config.nworkers
-          ~assignment ~task_flops:costs ~task_reads:reads ~task_writes:writes
-          ~state_dim:r.compiled.dim
+          ~assignment:desc.assignment ~task_flops:desc.task_flops
+          ~task_reads:desc.task_reads ~task_writes:desc.task_writes
+          ~state_dim:desc.state_dim
     | Flat | Tree _ ->
-        Om_machine.Supervisor.round m ~nworkers:config.nworkers ~assignment
-          ~task_flops:costs ~task_reads:reads ~task_writes:writes
-          ~state_dim:r.compiled.dim ~strategy:config.strategy
+        Om_machine.Supervisor.round_desc m ~nworkers:config.nworkers
+          ~strategy:config.strategy desc
   in
   (* The supervisor evaluates the residuals of split assignments after
      the gather phase. *)
@@ -127,21 +133,68 @@ let[@inline] cancel_check config =
   | None -> ()
   | Some c -> Om_guard.Cancel.check c
 
+(* The one integrate-and-report step of every mode: integrate the
+   system {!Om_codegen.Pipeline.system} builds over the mode's round
+   [f], and report it.  The report starts as a run on the supervisor
+   alone, timed by the wall clock; [account] fills in the mode's own
+   account of its rounds once the integration has ended. *)
+let integrate config ~solver ~t0 ~tend m f account =
+  let sys = Om_codegen.Pipeline.system m f in
+  let y0 =
+    Om_lang.Flat_model.initial_values (Om_codegen.Pipeline.flat_model m)
+  in
+  let start = Unix.gettimeofday () in
+  let trajectory =
+    solve ~max_retries:config.retry_budget ~jac_mode:config.jac_mode solver
+      sys ~t0 ~tend ~y0
+  in
+  let wall = Unix.gettimeofday () -. start in
+  let jac_mode, jac_nnz =
+    Om_ode.Jacobian.mode_stats ~jac_mode:config.jac_mode sys
+  in
+  let c = sys.counters in
+  let rep =
+    account
+      {
+        trajectory;
+        rhs_calls = c.rhs_calls;
+        sim_seconds = wall;
+        rhs_calls_per_sec = 0.;
+        sched_overhead_seconds = 0.;
+        supervisor_comm_seconds = 0.;
+        worker_utilization = 1.;
+        worker_compute_seconds = [||];
+        worker_wait_seconds = [||];
+        reschedules = 0;
+        solver_steps = c.steps;
+        retries = c.retries;
+        faults_injected =
+          (match config.faults with
+          | None -> 0
+          | Some p -> Om_guard.Fault_plan.injected p);
+        degradations = [];
+        jac_mode;
+        jac_nnz;
+        jac_calls = c.jac_calls;
+      }
+  in
+  let s = rep.sim_seconds in
+  { rep with
+    rhs_calls_per_sec = (if s > 0. then float_of_int c.rhs_calls /. s else 0.)
+  }
+
 (* Real execution: the same LPT schedule as the simulator, but the round
    runs on [nworkers] domains and the clock is the wall clock.  Under
    [Semidynamic period] the measured per-task times of every round feed
    the paper's §3.2.3 rescheduler, and rebuilt LPT schedules are swapped
-   into the live executor between rounds (Par_exec.create_measured) —
-   trajectories stay bit-identical regardless, because tasks write
-   disjoint slots and the epilogue runs on the supervisor.  The
-   report's overhead/utilization fields are measured per-worker
-   telemetry (Om_parallel.Round_stats), not placeholders. *)
+   into the live executor between rounds (Par_exec) — trajectories stay
+   bit-identical regardless, because tasks write disjoint slots and the
+   epilogue runs on the supervisor.  The report's overhead/utilization
+   fields are measured per-worker telemetry (Om_parallel.Round_stats),
+   not placeholders. *)
 let execute_real config ~nworkers ~solver ~t0 ~tend
     ~(back : unit -> Om_codegen.Pipeline.result) m =
   let guard = guard_of config m in
-  let y0 =
-    Om_lang.Flat_model.initial_values (Om_codegen.Pipeline.flat_model m)
-  in
   (* Degradation events accumulate across the ladder: spawn-time drops
      (retry with one worker fewer), mid-run drops (a stalled worker's
      tasks are LPT-reassigned to the survivors), and the final fall to
@@ -159,59 +212,19 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
       rhs t y ydot;
       guard_check guard ~time:t ydot
     in
-    let sys = Om_codegen.Pipeline.system m f in
-    let start = Unix.gettimeofday () in
-    let trajectory =
-      solve ~max_retries:config.retry_budget ~jac_mode:config.jac_mode solver
-        sys ~t0 ~tend ~y0
-    in
-    let wall = Unix.gettimeofday () -. start in
-    let rhs_calls = sys.counters.rhs_calls in
-    let jac_mode, jac_nnz =
-      Om_ode.Jacobian.mode_stats ~jac_mode:config.jac_mode sys
-    in
-    {
-      trajectory;
-      rhs_calls;
-      sim_seconds = wall;
-      rhs_calls_per_sec =
-        (if wall > 0. then float_of_int rhs_calls /. wall else 0.);
-      sched_overhead_seconds = 0.;
-      supervisor_comm_seconds = 0.;
-      worker_utilization = 1.;
-      worker_compute_seconds = [||];
-      worker_wait_seconds = [||];
-      reschedules = 0;
-      solver_steps = sys.counters.steps;
-      retries = sys.counters.retries;
-      faults_injected =
-        (match config.faults with
-        | None -> 0
-        | Some p -> Om_guard.Fault_plan.injected p);
-      degradations = List.rev !degradations;
-      jac_mode;
-      jac_nnz;
-      jac_calls = sys.counters.jac_calls;
-    }
+    integrate config ~solver ~t0 ~tend m f (fun rep ->
+        { rep with degradations = List.rev !degradations })
   in
   (* The per-task back end, built (or taken from the model) on the first
      rung that spawns workers. *)
   let result = lazy (back ()) in
   let run_with nworkers =
     let r = Lazy.force result in
-    let compiled = r.compiled in
     let costs =
       match config.scheduling with
       | Static_with costs -> costs
       | Static | Semidynamic _ ->
-          Om_codegen.Bytecode_backend.task_costs_static compiled
-    in
-    let sched = Om_sched.Lpt.schedule ~costs r.tasks ~nprocs:nworkers in
-    let reads, writes = task_arrays r in
-    let desc =
-      Om_machine.Round_desc.make ~assignment:sched.assignment
-        ~task_flops:costs ~task_reads:reads ~task_writes:writes
-        ~state_dim:compiled.dim
+          Om_codegen.Bytecode_backend.task_costs_static r.compiled
     in
     let semidynamic =
       match config.scheduling with
@@ -222,13 +235,14 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
       if config.barrier_deadline > 0. then Some config.barrier_deadline
       else None
     in
-    Om_parallel.Par_exec.with_measured ?barrier_deadline ?fault:config.faults
-      ?semidynamic ~nworkers ~tasks:r.tasks desc compiled
-    @@ fun measured ->
-    let exec = Om_parallel.Par_exec.executor measured in
+    Om_parallel.Par_exec.with_executor ?barrier_deadline ?fault:config.faults
+      ?semidynamic ~nworkers ~tasks:r.tasks
+      (round_desc r ~costs ~nprocs:nworkers)
+      r.compiled
+    @@ fun exec ->
     let f t y ydot =
       cancel_check config;
-      Om_parallel.Par_exec.measured_rhs_fn measured t y ydot;
+      Om_parallel.Par_exec.rhs_fn exec t y ydot;
       (* A barrier-deadline overrun recorded by the pool steps the
          ladder: drop the stalled worker (its tasks go to the survivors
          by LPT; trajectories stay bit-identical because output slots
@@ -265,38 +279,19 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
       guard_check guard ~time:t ydot
     in
     (* The supervisor evaluates the symbolic Jacobian between rounds. *)
-    let sys = Om_codegen.Pipeline.system m f in
-    let jac_mode, jac_nnz =
-      Om_ode.Jacobian.mode_stats ~jac_mode:config.jac_mode sys
-    in
-    let start = Unix.gettimeofday () in
-    let trajectory =
-      solve ~max_retries:config.retry_budget ~jac_mode:config.jac_mode solver
-        sys ~t0 ~tend ~y0
-    in
-    let wall = Unix.gettimeofday () -. start in
-    let rhs_calls = sys.counters.rhs_calls in
-    let st = Om_parallel.Par_exec.stats measured in
-    {
-      trajectory;
-      rhs_calls;
-      sim_seconds = wall;
-      rhs_calls_per_sec =
-        (if wall > 0. then float_of_int rhs_calls /. wall else 0.);
-      sched_overhead_seconds = Om_parallel.Round_stats.reschedule_seconds st;
-      supervisor_comm_seconds = Om_parallel.Round_stats.barrier_seconds st;
-      worker_utilization = Om_parallel.Round_stats.utilization st;
-      worker_compute_seconds = Om_parallel.Round_stats.worker_compute st;
-      worker_wait_seconds = Om_parallel.Round_stats.worker_wait st;
-      reschedules = Om_parallel.Round_stats.reschedules st;
-      solver_steps = sys.counters.steps;
-      retries = sys.counters.retries;
-      faults_injected = Om_parallel.Par_exec.faults_injected exec;
-      degradations = List.rev !degradations;
-      jac_mode;
-      jac_nnz;
-      jac_calls = sys.counters.jac_calls;
-    }
+    integrate config ~solver ~t0 ~tend m f (fun rep ->
+        let module Rs = Om_parallel.Round_stats in
+        let st = Om_parallel.Par_exec.stats exec in
+        {
+          rep with
+          sched_overhead_seconds = Rs.reschedule_seconds st;
+          supervisor_comm_seconds = Rs.barrier_seconds st;
+          worker_utilization = Rs.utilization st;
+          worker_compute_seconds = Rs.worker_compute st;
+          worker_wait_seconds = Rs.worker_wait st;
+          reschedules = Rs.reschedules st;
+          degradations = List.rev !degradations;
+        })
   in
   (* Spawn-failure rungs: each failed pool construction retries with one
      worker fewer, recording the drop, until sequential evaluation. *)
@@ -320,11 +315,12 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
   in
   attempt nworkers
 
-let execute_simulated config ?solver ~t0 ~tend
+let execute_simulated config ~solver ~t0 ~tend
     ~(back : unit -> Om_codegen.Pipeline.result) m =
   let r = back () in
   let compiled = r.compiled in
   let n_tasks = Array.length compiled.tasks in
+  let nprocs = max 1 config.nworkers in
   let sim_seconds = ref 0. in
   let comm_seconds = ref 0. in
   let sched_overhead = ref 0. in
@@ -335,16 +331,16 @@ let execute_simulated config ?solver ~t0 ~tend
     match config.scheduling with
     | Static | Static_with _ -> None
     | Semidynamic period ->
-        Some
-          (Om_sched.Semidynamic.create ~period r.tasks
-             ~nprocs:(max 1 config.nworkers))
+        Some (Om_sched.Semidynamic.create ~period r.tasks ~nprocs)
   in
-  let static_sched =
-    match config.scheduling with
-    | Static_with costs ->
-        Om_sched.Lpt.schedule ~costs r.tasks ~nprocs:(max 1 config.nworkers)
-    | Static | Semidynamic _ ->
-        Om_sched.Lpt.schedule r.tasks ~nprocs:(max 1 config.nworkers)
+  let desc =
+    let costs =
+      match config.scheduling with
+      | Static_with costs -> costs
+      | Static | Semidynamic _ ->
+          Array.map (fun t -> t.Om_sched.Task.cost) r.tasks
+    in
+    round_desc r ~costs ~nprocs
   in
   let overhead_per_resched =
     Om_sched.Semidynamic.overhead_cost_per_reschedule r.tasks
@@ -378,13 +374,13 @@ let execute_simulated config ?solver ~t0 ~tend
     Array.blit compiled.out 0 ydot 0 compiled.dim;
     guard_check guard ~time:t ydot;
     (* Charge simulated machine time for the round. *)
-    let sched =
+    let assignment =
       match semidyn with
-      | None -> static_sched
-      | Some sd -> Om_sched.Semidynamic.current sd
+      | None -> desc.assignment
+      | Some sd -> (Om_sched.Semidynamic.current sd).assignment
     in
     let duration, busy, util, worker_compute =
-      simulate_round config r sched.assignment measured
+      simulate_round config r { desc with assignment; task_flops = measured }
     in
     sim_seconds := !sim_seconds +. duration;
     comm_seconds := !comm_seconds +. busy;
@@ -396,7 +392,7 @@ let execute_simulated config ?solver ~t0 ~tend
           wait_tot.(w) <- wait_tot.(w) +. Float.max 0. (duration -. c))
         worker_compute;
     incr rounds;
-    (match semidyn with
+    match semidyn with
     | None -> ()
     | Some sd ->
         Om_sched.Semidynamic.observe sd measured;
@@ -406,55 +402,31 @@ let execute_simulated config ?solver ~t0 ~tend
             !sched_overhead
             +. (float_of_int (n - !reschedules_seen) *. overhead_per_resched);
           reschedules_seen := n
-        end)
+        end
   in
-  let sys = Om_codegen.Pipeline.system m f in
-  let y0 = Om_lang.Flat_model.initial_values r.model in
-  let solver =
-    match solver with Some s -> s | None -> Rk4 ((tend -. t0) /. 400.)
-  in
-  let trajectory =
-    solve ~max_retries:config.retry_budget ~jac_mode:config.jac_mode solver
-      sys ~t0 ~tend ~y0
-  in
-  let rhs_calls = sys.counters.rhs_calls in
-  let total = !sim_seconds +. !sched_overhead in
-  let jac_mode, jac_nnz =
-    Om_ode.Jacobian.mode_stats ~jac_mode:config.jac_mode sys
-  in
-  {
-    trajectory;
-    rhs_calls;
-    sim_seconds = total;
-    rhs_calls_per_sec = (if total > 0. then float_of_int rhs_calls /. total else 0.);
-    sched_overhead_seconds = !sched_overhead;
-    supervisor_comm_seconds = !comm_seconds;
-    worker_utilization =
-      (if !rounds = 0 then 1. else !utilization_sum /. float_of_int !rounds);
-    worker_compute_seconds = compute_tot;
-    worker_wait_seconds = wait_tot;
-    reschedules = !reschedules_seen;
-    solver_steps = sys.counters.steps;
-    retries = sys.counters.retries;
-    faults_injected =
-      (match config.faults with
-      | None -> 0
-      | Some p -> Om_guard.Fault_plan.injected p);
-    degradations = [];
-    jac_mode;
-    jac_nnz;
-    jac_calls = sys.counters.jac_calls;
-  }
+  integrate config ~solver ~t0 ~tend m f (fun rep ->
+      {
+        rep with
+        sim_seconds = !sim_seconds +. !sched_overhead;
+        sched_overhead_seconds = !sched_overhead;
+        supervisor_comm_seconds = !comm_seconds;
+        worker_utilization =
+          (if !rounds = 0 then 1.
+           else !utilization_sum /. float_of_int !rounds);
+        worker_compute_seconds = compute_tot;
+        worker_wait_seconds = wait_tot;
+        reschedules = !reschedules_seen;
+      })
 
 (* [back ()] is the back end a run executes: a clone of the model's when
    the model may be shared, the caller's own result otherwise. *)
 let run ~back ?(config = default_config) ?solver ?(t0 = 0.) ~tend m =
+  let solver =
+    match solver with Some s -> s | None -> Rk4 ((tend -. t0) /. 400.)
+  in
   match config.execution with
-  | Simulated -> execute_simulated config ?solver ~t0 ~tend ~back m
+  | Simulated -> execute_simulated config ~solver ~t0 ~tend ~back m
   | Real_domains n ->
-      let solver =
-        match solver with Some s -> s | None -> Rk4 ((tend -. t0) /. 400.)
-      in
       execute_real config ~nworkers:n ~solver ~t0 ~tend ~back m
 
 let execute_model ?config ?solver ?t0 ~tend m =
@@ -474,10 +446,10 @@ let round_seconds ?(config = default_config) ?costs
     | Some c -> c
     | None -> Om_codegen.Bytecode_backend.task_costs_static r.compiled
   in
-  let sched =
-    Om_sched.Lpt.schedule ~costs r.tasks ~nprocs:(max 1 config.nworkers)
+  let duration, _, _, _ =
+    simulate_round config r
+      (round_desc r ~costs ~nprocs:(max 1 config.nworkers))
   in
-  let duration, _, _, _ = simulate_round config r sched.assignment costs in
   duration
 
 let speedup ?(strategy = Om_machine.Supervisor.Broadcast_state) ~machine

@@ -38,10 +38,10 @@ type execution =
           simulated target); time is wall-clock.  [Semidynamic period]
           is honoured: measured per-task times feed the paper's §3.2.3
           rescheduler and rebuilt LPT schedules are swapped into the
-          live executor between rounds
-          ([Om_parallel.Par_exec.create_measured]).  Trajectories stay
-          bit-identical to sequential execution for every domain count
-          and across reschedules. *)
+          live executor between rounds ([Om_parallel.Par_exec], whose
+          every round is measured).  Trajectories stay bit-identical to
+          sequential execution for every domain count and across
+          reschedules. *)
 
 type config = {
   machine : Om_machine.Machine.t;

@@ -38,21 +38,24 @@ let analytic (sys : Odesys.t) t y =
 
 type sparse_ctx = {
   spat : Sparse.pattern;
-  coloring : Sparse.coloring;
   sj : Sparse.t;
-  fd : Sparse.fd_ws;
-  f0 : float array;
+  fd : (Sparse.fd_ws * float array) option;
   newton : Sparse.newton;
 }
 
+(* The colored-fd workspace is built only for a system without [sjac]:
+   one with it never takes finite differences. *)
 let sparse_ctx (sys : Odesys.t) spat =
-  let coloring = Sparse.color_columns spat in
   {
     spat;
-    coloring;
     sj = Sparse.create spat;
-    fd = Sparse.make_fd_ws spat coloring;
-    f0 = Array.make sys.dim 0.;
+    fd =
+      (match sys.sjac with
+      | Some _ -> None
+      | None ->
+          Some
+            ( Sparse.make_fd_ws spat (Sparse.color_columns spat),
+              Array.make sys.dim 0. ));
     newton = Sparse.make_newton spat;
   }
 
@@ -74,18 +77,20 @@ let plan ?(jac_mode = Odesys.Auto) (sys : Odesys.t) =
 
 let sparse_eval_into ?eps (sys : Odesys.t) ctx t y =
   sys.counters.jac_calls <- sys.counters.jac_calls + 1;
-  match sys.sjac with
-  | Some sj -> sj t y ctx.sj.v
-  | None ->
+  match (sys.sjac, ctx.fd) with
+  | Some sj, _ -> sj t y ctx.sj.v
+  | None, Some (fd, f0) ->
       (* Colored forward differences: one RHS evaluation per color plus
          the base point, against [dim + 1] for the dense path. *)
-      Sparse.fd_prepare ?eps ctx.fd ~y;
-      Odesys.rhs_into sys t y ctx.f0;
-      let pts = Sparse.fd_points ctx.fd and vals = Sparse.fd_values ctx.fd in
-      for g = 0 to Sparse.fd_groups ctx.fd - 1 do
+      Sparse.fd_prepare ?eps fd ~y;
+      Odesys.rhs_into sys t y f0;
+      let pts = Sparse.fd_points fd and vals = Sparse.fd_values fd in
+      for g = 0 to Sparse.fd_groups fd - 1 do
         Odesys.rhs_into sys t pts.(g) vals.(g)
       done;
-      Sparse.fd_scatter ctx.fd ~f0:ctx.f0 ~jac:ctx.sj
+      Sparse.fd_scatter fd ~f0 ~jac:ctx.sj
+  | None, None ->
+      invalid_arg "Jacobian.sparse_eval_into: context of a system with sjac"
 
 let newton_factor jplan (sys : Odesys.t) t y ~alpha ~beta =
   match jplan with

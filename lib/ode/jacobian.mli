@@ -23,15 +23,17 @@ val eval_into :
 
 type sparse_ctx = {
   spat : Sparse.pattern;
-  coloring : Sparse.coloring;
   sj : Sparse.t;  (** current Jacobian values *)
-  fd : Sparse.fd_ws;
-  f0 : float array;
+  fd : (Sparse.fd_ws * float array) option;
+      (** colored-fd buffers and the base-point derivative; [None] for a
+          system with a symbolic [sjac], which takes no finite
+          differences *)
   newton : Sparse.newton;
 }
 (** Per-integration workspace for the sparse Newton path: pattern,
-    coloring, value storage, colored-fd buffers and the assembled
-    [alpha*I - beta*J] matrix.  Built once by {!plan}. *)
+    value storage, colored-fd buffers when the system needs them and
+    the assembled [alpha*I - beta*J] matrix.  Built once by {!plan},
+    for the system it is then used with. *)
 
 (** Resolved Newton-matrix strategy for a whole integration. *)
 type plan = Dense_plan | Sparse_plan of sparse_ctx
@@ -52,7 +54,9 @@ val sparse_eval_into :
     (one RHS evaluation per color plus the base point — bitwise the
     dense forward differences on every structural entry).  Bumps
     [counters.jac_calls]; the fd path bumps [counters.rhs_calls] by
-    [colors + 1]. *)
+    [colors + 1].
+    @raise Invalid_argument for a system without [sjac] and a context
+    planned for one with it. *)
 
 val newton_factor :
   plan -> Odesys.t -> float -> float array -> alpha:float -> beta:float ->

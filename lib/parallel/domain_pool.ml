@@ -26,7 +26,6 @@ type t = {
   start_cond : Condition.t;
   done_mutex : Mutex.t;
   done_cond : Condition.t;
-  spin_budget : int;
   deadline : float; (* barrier deadline in seconds; 0. = none *)
   compute : float array; (* per-worker job seconds of the last round *)
   timing : float array; (* timing.(0) = wall seconds of the last round *)
@@ -36,6 +35,9 @@ type t = {
   mutable domains : unit Domain.t array;
   mutable rounds : int;
 }
+
+(* Busy-wait iterations before a worker or the supervisor blocks. *)
+let max_spins = 2000
 
 let nworkers t = t.nworkers
 let rounds t = t.rounds
@@ -71,7 +73,7 @@ let worker pool w =
         g
       end
     in
-    spin pool.spin_budget
+    spin max_spins
   in
   let rec serve () =
     let g = next_generation () in
@@ -102,10 +104,9 @@ let worker pool w =
   in
   serve ()
 
-let create ?(spin_budget = 2000) ?(barrier_deadline = 0.)
+let create ?(barrier_deadline = 0.)
     ?(spawn_fail = fun _ -> false) ~job nworkers =
   if nworkers < 1 then invalid_arg "Domain_pool.create: nworkers < 1";
-  if spin_budget < 0 then invalid_arg "Domain_pool.create: spin_budget < 0";
   if barrier_deadline < 0. then
     invalid_arg "Domain_pool.create: barrier_deadline < 0";
   (* Injected spawn failures are checked before any domain exists, so a
@@ -127,7 +128,6 @@ let create ?(spin_budget = 2000) ?(barrier_deadline = 0.)
       start_cond = Condition.create ();
       done_mutex = Mutex.create ();
       done_cond = Condition.create ();
-      spin_budget;
       deadline = barrier_deadline;
       compute = Array.make nworkers 0.;
       timing = Array.make 1 0.;
@@ -281,9 +281,9 @@ let round pool =
         end
         else supervisor_poll pool t0
     in
-    spin pool.spin_budget
+    spin max_spins
   end
-  else supervisor_wait pool pool.spin_budget;
+  else supervisor_wait pool max_spins;
   pool.timing.(0) <- Monotonic.now () -. t0;
   check_failures pool
 

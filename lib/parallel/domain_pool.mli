@@ -17,7 +17,6 @@
 type t
 
 val create :
-  ?spin_budget:int ->
   ?barrier_deadline:float ->
   ?spawn_fail:(int -> bool) ->
   job:(int -> unit) ->
@@ -26,8 +25,8 @@ val create :
 (** [create ~job n] spawns [n] worker domains.  [job w] is the fixed
     body worker [w] executes each round; it must only touch state that
     is safe to share between domains (disjoint array slots, its own
-    register files).  [spin_budget] (default 2000) bounds the busy-wait
-    before a worker or the supervisor blocks.
+    register files).  A worker or the supervisor busy-waits 2000
+    [Domain.cpu_relax] iterations before it blocks.
 
     [barrier_deadline] (seconds, default [0.] = disabled) arms stall
     detection: a round that outlives the deadline records a typed
@@ -40,8 +39,7 @@ val create :
     [spawn_fail] is a fault-injection hook consulted per worker id
     before any domain is spawned ([Om_guard.Fault_plan.spawn_should_fail]
     in chaos runs).
-    @raise Invalid_argument if [n < 1], [spin_budget < 0] or
-    [barrier_deadline < 0].
+    @raise Invalid_argument if [n < 1] or [barrier_deadline < 0].
     @raise Om_guard.Om_error.Error ([Spawn_failure]) when [spawn_fail]
     trips or [Domain.spawn] itself fails; already-spawned domains are
     joined first, so nothing leaks. *)

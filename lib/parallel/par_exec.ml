@@ -22,8 +22,9 @@
 
    Every task is timed with the unboxed monotonic clock into a shared
    pre-allocated [task_seconds] buffer (disjoint slots per task, so the
-   concurrent writes race with nobody); those measurements drive the
-   measured semi-dynamic rescheduling loop below. *)
+   concurrent writes race with nobody); every round is recorded in the
+   executor's Round_stats, and under [semidynamic] the per-task times
+   drive the paper's §3.2.3 rescheduling loop. *)
 
 module Bb = Om_codegen.Bytecode_backend
 module Sd = Om_sched.Semidynamic
@@ -31,20 +32,26 @@ module Sd = Om_sched.Semidynamic
 type t = {
   pool : Domain_pool.t;
   compiled : Bb.t;
+  tasks : Om_sched.Task.t array;
   nworkers : int;
   worker_tasks : int array array; (* worker -> task ids, ascending *)
   task_seconds : float array; (* per-task wall seconds of the last round *)
-  task_costs : float array; (* static costs, for degradation LPT *)
+  task_costs : float array; (* the descriptor's costs, for reassignment *)
   live : bool array; (* live worker set (degradation ladder) *)
   round_box : int array;
       (* round_box.(0): the number of the round in progress, as the pool
          numbers it, for the workers' fault plan *)
   fault : Om_guard.Fault_plan.t option;
+  stats : Round_stats.t;
+  semidyn : Sd.t option;
+  shares : float array; (* normalised per-task time shares buffer *)
+  scratch : float array; (* scratch.(0): running sum (see rhs_fn) *)
 }
 
 let worker_tasks t = t.worker_tasks
 let rounds t = Domain_pool.rounds t.pool
 let take_stall t = Domain_pool.take_stall t.pool
+let stats t = t.stats
 
 let live_workers t =
   let n = ref 0 in
@@ -75,17 +82,36 @@ let slices_of ~who ~nworkers ~ntasks assignment =
     assignment;
   slices
 
-let create ?spin_budget ?barrier_deadline ?fault ~nworkers
+(* Initial cost estimates for the rescheduler: the static costs
+   normalised to sum 1, so the per-round time shares observed later live
+   on the same scale.  Normalising by a positive constant changes no LPT
+   decision, so the initial schedule equals LPT on the raw statics. *)
+let normalized costs =
+  let sum = Array.fold_left ( +. ) 0. costs in
+  if sum <= 0. then Array.map (fun _ -> 1.) costs
+  else Array.map (fun c -> c /. sum) costs
+
+let create ?barrier_deadline ?fault ?semidynamic ~nworkers ~tasks
     (desc : Om_machine.Round_desc.t) (compiled : Bb.t) =
   if nworkers < 1 then invalid_arg "Par_exec.create: nworkers < 1";
   let ntasks = Array.length compiled.Bb.tasks in
+  if Array.length tasks <> ntasks then
+    invalid_arg "Par_exec.create: tasks length mismatch";
   let slices =
     slices_of ~who:"Par_exec.create" ~nworkers ~ntasks desc.assignment
+  in
+  (* Built before any domain is spawned, so a bad period leaks none. *)
+  let semidyn =
+    Option.map
+      (fun period ->
+        Sd.create ~period ~costs:(normalized desc.task_flops) tasks
+          ~nprocs:nworkers)
+      semidynamic
   in
   let worker_tasks = Array.make nworkers [||] in
   Array.blit slices 0 worker_tasks 0 nworkers;
   let task_seconds = Array.make ntasks 0. in
-  let tasks = compiled.Bb.tasks in
+  let code = compiled.Bb.tasks in
   let round_box = Array.make 1 0 in
   let plain_job w =
     (* [worker_tasks] is re-read every round, so a slice swapped in by
@@ -95,7 +121,7 @@ let create ?spin_budget ?barrier_deadline ?fault ~nworkers
     for i = 0 to Array.length mine - 1 do
       let tid = Array.unsafe_get mine i in
       let t0 = Monotonic.now () in
-      (Array.unsafe_get tasks tid).Bb.eval ();
+      (Array.unsafe_get code tid).Bb.eval ();
       Array.unsafe_set task_seconds tid (Monotonic.now () -. t0)
     done
   in
@@ -113,13 +139,13 @@ let create ?spin_budget ?barrier_deadline ?fault ~nworkers
           for i = 0 to Array.length mine - 1 do
             let tid = Array.unsafe_get mine i in
             let t0 = Monotonic.now () in
-            (Array.unsafe_get tasks tid).Bb.eval ();
+            (Array.unsafe_get code tid).Bb.eval ();
             Array.unsafe_set task_seconds tid (Monotonic.now () -. t0);
             let p = Om_guard.Fault_plan.task_poison plan ~round ~task:tid in
             if p <> 0. then
               (* Overwrite every slot the task owns, exactly like a
                  genuinely non-finite task. *)
-              (Array.unsafe_get tasks tid).Bb.poison p
+              (Array.unsafe_get code tid).Bb.poison p
           done;
           let d = Om_guard.Fault_plan.delay_micros plan ~round ~worker:w in
           if d > 0 then begin
@@ -135,19 +161,22 @@ let create ?spin_budget ?barrier_deadline ?fault ~nworkers
     | Some plan ->
         Some (fun w -> Om_guard.Fault_plan.spawn_should_fail plan ~worker:w)
   in
-  let pool =
-    Domain_pool.create ?spin_budget ?barrier_deadline ?spawn_fail ~job nworkers
-  in
+  let pool = Domain_pool.create ?barrier_deadline ?spawn_fail ~job nworkers in
   {
     pool;
     compiled;
+    tasks;
     nworkers;
     worker_tasks;
     task_seconds;
-    task_costs = Bb.task_costs_static compiled;
+    task_costs = desc.task_flops;
     live = Array.make nworkers true;
     round_box;
     fault;
+    stats = Round_stats.create ~nworkers;
+    semidyn;
+    shares = Array.make ntasks 0.;
+    scratch = [| 0. |];
   }
 
 let set_assignment t assignment =
@@ -161,13 +190,28 @@ let set_assignment t assignment =
      the supervisor, never concurrently with [rhs_fn]). *)
   Array.blit slices 0 t.worker_tasks 0 t.nworkers
 
+(* The one reassignment of the executor, shared by a drop and a
+   semi-dynamic reschedule: LPT of the current cost estimates (the
+   rescheduler's, else the descriptor's) over the live workers only,
+   mapped back to worker ids.  A dropped worker therefore keeps its
+   empty slice for the rest of the run. *)
+let reassign t =
+  let live_ids =
+    Array.of_seq (Seq.filter (Array.get t.live) (Seq.init t.nworkers Fun.id))
+  in
+  let costs =
+    match t.semidyn with None -> t.task_costs | Some sd -> Sd.estimates sd
+  in
+  let sched =
+    Om_sched.Lpt.schedule ~costs t.tasks ~nprocs:(Array.length live_ids)
+  in
+  set_assignment t (Array.map (Array.get live_ids) sched.assignment)
+
 (* Degradation ladder: give [w] an empty slice and redistribute every
-   task over the remaining live workers by LPT on the static costs
-   (sort by cost descending, ties by id, give each task to the
-   least-loaded live worker).  The pool itself is untouched — the dead
-   worker's domain stays in the barrier with nothing to do, so shutdown
-   still joins everything — and because tasks write disjoint slots and
-   the epilogue runs on the supervisor, the trajectory stays
+   task over the remaining live workers.  The pool itself is untouched —
+   the dead worker's domain stays in the barrier with nothing to do, so
+   shutdown still joins everything — and because tasks write disjoint
+   slots and the epilogue runs on the supervisor, the trajectory stays
    bit-identical across the reassignment. *)
 let drop_worker t w =
   if w < 0 || w >= t.nworkers then
@@ -176,29 +220,7 @@ let drop_worker t w =
   if live_workers t <= 1 then
     invalid_arg "Par_exec.drop_worker: cannot drop the last live worker";
   t.live.(w) <- false;
-  let live_ids =
-    Array.of_seq
-      (Seq.filter (fun i -> t.live.(i)) (Seq.init t.nworkers Fun.id))
-  in
-  let ntasks = Array.length t.compiled.Bb.tasks in
-  let order = Array.init ntasks Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = compare t.task_costs.(b) t.task_costs.(a) in
-      if c <> 0 then c else compare a b)
-    order;
-  let loads = Array.make (Array.length live_ids) 0. in
-  let assignment = Array.make ntasks 0 in
-  Array.iter
-    (fun tid ->
-      let best = ref 0 in
-      for k = 1 to Array.length live_ids - 1 do
-        if loads.(k) < loads.(!best) then best := k
-      done;
-      assignment.(tid) <- live_ids.(!best);
-      loads.(!best) <- loads.(!best) +. t.task_costs.(tid))
-    order;
-  set_assignment t assignment
+  reassign t
 
 let rhs_fn t time y ydot =
   let c = t.compiled in
@@ -206,96 +228,45 @@ let rhs_fn t time y ydot =
   t.round_box.(0) <- Domain_pool.rounds t.pool + 1;
   Domain_pool.round t.pool;
   c.Bb.run_epilogue ();
-  Array.blit c.Bb.out 0 ydot 0 c.Bb.dim
-
-let shutdown t = Domain_pool.shutdown t.pool
-
-let with_executor ?spin_budget ?barrier_deadline ?fault ~nworkers desc
-    compiled f =
-  let t = create ?spin_budget ?barrier_deadline ?fault ~nworkers desc compiled in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* ---------------------------------------------------------------- *)
-(* Measured execution: telemetry + semi-dynamic rescheduling.        *)
-
-type measured = {
-  exec : t;
-  stats : Round_stats.t;
-  semidyn : Sd.t option;
-  shares : float array; (* normalised per-task time shares buffer *)
-  scratch : float array; (* scratch.(0): running sum (see measured_rhs_fn) *)
-}
-
-let executor m = m.exec
-let stats m = m.stats
-
-(* Initial cost estimates for the rescheduler: the static costs
-   normalised to sum 1, so the per-round time shares observed later live
-   on the same scale.  Normalising by a positive constant changes no LPT
-   decision, so the initial schedule equals LPT on the raw statics. *)
-let normalized costs =
-  let sum = Array.fold_left ( +. ) 0. costs in
-  if sum <= 0. then Array.map (fun _ -> 1.) costs
-  else Array.map (fun c -> c /. sum) costs
-
-let create_measured ?spin_budget ?barrier_deadline ?fault ?semidynamic
-    ~nworkers ~tasks (desc : Om_machine.Round_desc.t) compiled =
-  let exec = create ?spin_budget ?barrier_deadline ?fault ~nworkers desc compiled in
-  let ntasks = Array.length exec.task_seconds in
-  let stats = Round_stats.create ~nworkers in
-  let semidyn =
-    match semidynamic with
-    | None -> None
-    | Some period ->
-        if Array.length tasks <> ntasks then
-          invalid_arg "Par_exec.create_measured: tasks length mismatch";
-        Some
-          (Sd.create ~period ~costs:(normalized desc.task_flops) tasks
-             ~nprocs:nworkers)
-  in
-  { exec; stats; semidyn; shares = Array.make ntasks 0.; scratch = [| 0. |] }
-
-let measured_rhs_fn m time y ydot =
-  rhs_fn m.exec time y ydot;
-  Round_stats.observe_round m.stats
-    ~timing:(Domain_pool.round_timing m.exec.pool)
-    ~compute:(Domain_pool.compute_seconds m.exec.pool);
-  match m.semidyn with
+  Array.blit c.Bb.out 0 ydot 0 c.Bb.dim;
+  Round_stats.observe_round t.stats
+    ~timing:(Domain_pool.round_timing t.pool)
+    ~compute:(Domain_pool.compute_seconds t.pool);
+  match t.semidyn with
   | None -> ()
   | Some sd ->
       (* Normalise the measured per-task seconds into shares of the
          round.  Summing through the pre-allocated scratch slot keeps
          this allocation-free (a float ref would box on every update;
          a float accumulator argument would box at each call). *)
-      let ts = m.exec.task_seconds in
+      let ts = t.task_seconds in
       let n = Array.length ts in
-      m.scratch.(0) <- 0.;
+      t.scratch.(0) <- 0.;
       for i = 0 to n - 1 do
-        m.scratch.(0) <- m.scratch.(0) +. Array.unsafe_get ts i
+        t.scratch.(0) <- t.scratch.(0) +. Array.unsafe_get ts i
       done;
-      let sum = m.scratch.(0) in
+      let sum = t.scratch.(0) in
       if sum > 0. then begin
         let inv = 1. /. sum in
         for i = 0 to n - 1 do
-          Array.unsafe_set m.shares i (Array.unsafe_get ts i *. inv)
+          Array.unsafe_set t.shares i (Array.unsafe_get ts i *. inv)
         done;
         let before = Sd.reschedule_count sd in
-        Sd.observe sd m.shares;
+        Sd.observe sd t.shares;
         if Sd.reschedule_count sd > before then begin
           let t0 = Monotonic.now () in
-          let sched = Sd.current sd in
-          set_assignment m.exec sched.Om_sched.Lpt.assignment;
-          Round_stats.note_reschedule m.stats
+          reassign t;
+          Round_stats.note_reschedule t.stats
             ~seconds:(Monotonic.now () -. t0)
         end
       end
 
-let shutdown_measured m = shutdown m.exec
+let shutdown t = Domain_pool.shutdown t.pool
 
-let with_measured ?spin_budget ?barrier_deadline ?fault ?semidynamic ~nworkers
-    ~tasks desc compiled f =
-  let m =
-    create_measured ?spin_budget ?barrier_deadline ?fault ?semidynamic
-      ~nworkers ~tasks desc compiled
+let with_executor ?barrier_deadline ?fault ?semidynamic ~nworkers ~tasks desc
+    compiled f =
+  let t =
+    create ?barrier_deadline ?fault ?semidynamic ~nworkers ~tasks desc
+      compiled
   in
-  Fun.protect ~finally:(fun () -> shutdown_measured m) (fun () -> f m)
+  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -14,32 +14,41 @@
     trajectory integrated through {!rhs_fn} — is bit-identical to
     sequential evaluation for every worker count and for every task
     assignment, including assignments swapped mid-run by
-    {!set_assignment}.
+    {!set_assignment}, a reschedule or a drop.
 
-    Every task is timed with the unboxed monotonic clock
-    ({!Monotonic.now}) into a pre-allocated buffer; the measured
-    executor ({!create_measured}) feeds those per-task times into the
-    paper's semi-dynamic LPT rescheduler ([Om_sched.Semidynamic]) and
-    accumulates per-worker round telemetry ({!Round_stats}).
+    There is one executor, and every round is measured: each task is
+    timed with the unboxed monotonic clock ({!Monotonic.now}) into a
+    pre-allocated buffer, per-worker round telemetry accumulates in
+    {!stats}, and with [~semidynamic] the per-task times feed the
+    paper's semi-dynamic LPT rescheduler ([Om_sched.Semidynamic],
+    §3.2.3).
 
-    A steady-state round — including a measured, semi-dynamic one that
-    does not reschedule — allocates nothing on the supervisor domain
-    (enforced by [Gc.minor_words] regression tests). *)
+    A steady-state round — including a semi-dynamic one that does not
+    reschedule — allocates nothing on the supervisor domain (enforced
+    by [Gc.minor_words] regression tests). *)
 
 type t
 
 val create :
-  ?spin_budget:int ->
   ?barrier_deadline:float ->
   ?fault:Om_guard.Fault_plan.t ->
+  ?semidynamic:int ->
   nworkers:int ->
+  tasks:Om_sched.Task.t array ->
   Om_machine.Round_desc.t ->
   Om_codegen.Bytecode_backend.t ->
   t
 (** Spawn the worker domains and distribute the descriptor's task
     assignment over them (each worker's tasks in ascending id order).
-    [spin_budget] and [barrier_deadline] are forwarded to
-    {!Domain_pool.create}.
+    [tasks] are the compiled tasks, one per per-task program; the
+    descriptor's [task_flops] are the costs a reassignment starts from.
+    [barrier_deadline] is forwarded to {!Domain_pool.create}.
+
+    With [~semidynamic:period] the executor re-runs LPT on measured
+    costs every [period] rounds: the rescheduler starts from the
+    descriptor's costs normalised to sum 1 (which leaves the initial
+    LPT assignment unchanged) and observes each round's per-task time
+    shares, so estimates are scale-free.
 
     [fault] arms chaos instrumentation: worker jobs consult the plan
     after each task (output poisoning), after their slice (injected
@@ -47,9 +56,9 @@ val create :
     failures).  Without a plan the job carries no instrumentation at
     all.  Plan queries mutate the plan from worker domains; a plan must
     not be shared between concurrently-running executors.
-    @raise Invalid_argument if [nworkers < 1], if the assignment length
-    does not match the compiled task count, or if a worker id is outside
-    [0 .. nworkers-1].
+    @raise Invalid_argument if [nworkers < 1], if [tasks] or the
+    assignment does not match the compiled task count, if a worker id
+    is outside [0 .. nworkers-1], or on a [period < 1].
     @raise Om_guard.Om_error.Error ([Spawn_failure]) when spawning
     fails, by injection or for real. *)
 
@@ -58,7 +67,16 @@ val rhs_fn : t -> float -> float array -> float array -> unit
     the shared environment, run every task on its worker domain, run
     the epilogue on the supervisor, and write the derivatives into
     [ydot].  Drop-in replacement for
-    {!Om_codegen.Bytecode_backend.rhs_fn}. *)
+    {!Om_codegen.Bytecode_backend.rhs_fn}.
+
+    After the round it records per-worker compute/wait into {!stats};
+    under [semidynamic] it feeds normalised per-task time shares to the
+    rescheduler and, when that rebuilds its schedule, installs LPT of
+    the new estimates over the live workers (counted, and timed, as a
+    reschedule in {!stats}).  Rounds whose task timings sum to zero
+    (clock granularity) are not observed by the rescheduler.
+    Allocation-free on the supervisor except in the round where a
+    reschedule fires. *)
 
 val set_assignment : t -> int array -> unit
 (** Replace the live task assignment without respawning domains: the
@@ -72,13 +90,17 @@ val set_assignment : t -> int array -> unit
 val drop_worker : t -> int -> unit
 (** One step down the degradation ladder: remove [worker] from the live
     set and redistribute {e all} tasks over the remaining live workers
-    by LPT on the static costs.  The dead worker keeps its domain (it
-    joins every barrier with an empty slice, so {!shutdown} is
-    unaffected); trajectories stay bit-identical across the
-    reassignment because output slots are disjoint and the epilogue
-    runs on the supervisor.
+    by LPT on the current cost estimates — the reassignment a
+    semi-dynamic reschedule also makes, so a dropped worker gets no
+    task back.  The dead worker keeps its domain (it joins every
+    barrier with an empty slice, so {!shutdown} is unaffected);
+    trajectories stay bit-identical across the reassignment because
+    output slots are disjoint and the epilogue runs on the supervisor.
     @raise Invalid_argument on an unknown, already-dropped, or last
     remaining worker. *)
+
+val stats : t -> Round_stats.t
+(** Telemetry of every round run so far. *)
 
 val take_stall : t -> Om_guard.Om_error.t option
 (** {!Domain_pool.take_stall} of the underlying pool: the stall event
@@ -94,10 +116,11 @@ val shutdown : t -> unit
 (** Join the worker domains.  Idempotent. *)
 
 val with_executor :
-  ?spin_budget:int ->
   ?barrier_deadline:float ->
   ?fault:Om_guard.Fault_plan.t ->
+  ?semidynamic:int ->
   nworkers:int ->
+  tasks:Om_sched.Task.t array ->
   Om_machine.Round_desc.t ->
   Om_codegen.Bytecode_backend.t ->
   (t -> 'a) ->
@@ -112,66 +135,3 @@ val rounds : t -> int
 val worker_tasks : t -> int array array
 (** Task ids per worker, ascending — the materialised live assignment
     (mutated in place by {!set_assignment}). *)
-
-(** {1 Measured execution}
-
-    Telemetry plus the paper's §3.2.3 semi-dynamic loop on real
-    hardware: every round is timed, per-task times are normalised into
-    shares of the round and fed to [Om_sched.Semidynamic.observe], and
-    when the rescheduler rebuilds its LPT schedule the new assignment is
-    swapped into the live executor between rounds. *)
-
-type measured = {
-  exec : t;
-  stats : Round_stats.t;
-  semidyn : Om_sched.Semidynamic.t option;
-      (** [None]: telemetry only (static schedule) *)
-  shares : float array;  (** pre-allocated normalised-share buffer *)
-  scratch : float array;  (** pre-allocated summation slot *)
-}
-
-val create_measured :
-  ?spin_budget:int ->
-  ?barrier_deadline:float ->
-  ?fault:Om_guard.Fault_plan.t ->
-  ?semidynamic:int ->
-  nworkers:int ->
-  tasks:Om_sched.Task.t array ->
-  Om_machine.Round_desc.t ->
-  Om_codegen.Bytecode_backend.t ->
-  measured
-(** {!create} plus telemetry.  With [~semidynamic:period] the executor
-    re-runs LPT on measured costs every [period] rounds: the rescheduler
-    starts from the descriptor's static costs normalised to sum 1 (which
-    leaves the initial LPT assignment unchanged) and observes each
-    round's per-task time shares, so estimates are scale-free.
-    @raise Invalid_argument as {!create}, or if [tasks] does not match
-    the compiled task count when [semidynamic] is given. *)
-
-val measured_rhs_fn : measured -> float -> float array -> float array -> unit
-(** {!rhs_fn} plus, after the round: record per-worker compute/wait into
-    [stats]; under [semidynamic], feed normalised per-task time shares
-    to the rescheduler and swap a rebuilt schedule into the executor
-    (counted, and timed, as a reschedule in [stats]).  Rounds whose
-    timings sum to zero (clock granularity) are not observed.
-    Allocation-free on the supervisor except in the round where a
-    reschedule fires. *)
-
-val shutdown_measured : measured -> unit
-
-val with_measured :
-  ?spin_budget:int ->
-  ?barrier_deadline:float ->
-  ?fault:Om_guard.Fault_plan.t ->
-  ?semidynamic:int ->
-  nworkers:int ->
-  tasks:Om_sched.Task.t array ->
-  Om_machine.Round_desc.t ->
-  Om_codegen.Bytecode_backend.t ->
-  (measured -> 'a) ->
-  'a
-(** [create_measured], run the callback, and shut down even on
-    exceptions. *)
-
-val executor : measured -> t
-val stats : measured -> Round_stats.t

@@ -198,7 +198,7 @@ let test_drop_worker () =
   let y = Om_lang.Flat_model.initial_values r.model in
   let reference = Array.make dim 0. in
   Bb.rhs_fn r.compiled 0. y reference;
-  Par_exec.with_executor ~nworkers desc r.compiled @@ fun px ->
+  Par_exec.with_executor ~nworkers ~tasks:r.tasks desc r.compiled @@ fun px ->
   let ydot = Array.make dim 0. in
   Par_exec.rhs_fn px 0. y ydot;
   Alcotest.(check bool) "before drop: matches sequential" true
@@ -252,7 +252,8 @@ let test_exec_fault_injection () =
     Om_guard.Fault_plan.make
       [ Om_guard.Fault_plan.Nan_task { task = 0; round = 2 } ]
   in
-  Par_exec.with_executor ~fault:plan ~nworkers desc r.compiled @@ fun px ->
+  Par_exec.with_executor ~fault:plan ~nworkers ~tasks:r.tasks desc r.compiled
+  @@ fun px ->
   let ydot = Array.make dim 0. in
   Par_exec.rhs_fn px 0. y ydot;
   Alcotest.(check bool) "round 1 clean" true (ydot = reference);
@@ -280,8 +281,8 @@ let test_exec_stall_round () =
       [ Om_guard.Fault_plan.Delay_worker
           { worker = 0; round = 3; micros = 60_000 } ]
   in
-  Par_exec.with_executor ~fault:plan ~barrier_deadline:0.01 ~nworkers desc
-    r.compiled
+  Par_exec.with_executor ~fault:plan ~barrier_deadline:0.01 ~nworkers
+    ~tasks:r.tasks desc r.compiled
   @@ fun px ->
   let ydot = Array.make r.compiled.dim 0. in
   for _ = 1 to 2 do
@@ -305,7 +306,8 @@ let test_exec_spawn_fail_injection () =
     Om_guard.Fault_plan.make [ Om_guard.Fault_plan.Fail_spawn { worker = 0 } ]
   in
   Alcotest.(check bool) "spawn failure surfaces from create" true
-    (match Par_exec.create ~fault:plan ~nworkers:2 desc r.compiled with
+    (match Par_exec.create ~fault:plan ~nworkers:2 ~tasks:r.tasks desc
+            r.compiled with
     | px ->
         Par_exec.shutdown px;
         false
@@ -337,11 +339,11 @@ let test_exec_validation () =
   let r = Lazy.force bearing in
   let desc = desc_of ~nworkers:4 r in
   Alcotest.(check bool) "nworkers below assignment range rejected" true
-    (match Par_exec.create ~nworkers:2 desc r.compiled with
+    (match Par_exec.create ~nworkers:2 ~tasks:r.tasks desc r.compiled with
     | _ -> false
     | exception Invalid_argument _ -> true);
   Alcotest.(check bool) "nworkers < 1 rejected" true
-    (match Par_exec.create ~nworkers:0 desc r.compiled with
+    (match Par_exec.create ~nworkers:0 ~tasks:r.tasks desc r.compiled with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -351,7 +353,7 @@ let test_exec_partition () =
   let r = Lazy.force bearing in
   let nworkers = 3 in
   let desc = desc_of ~nworkers r in
-  Par_exec.with_executor ~nworkers desc r.compiled @@ fun px ->
+  Par_exec.with_executor ~nworkers ~tasks:r.tasks desc r.compiled @@ fun px ->
   let tasks = Par_exec.worker_tasks px in
   Alcotest.(check int) "one slice per worker" nworkers (Array.length tasks);
   let seen = Array.make (Round_desc.n_tasks desc) 0 in
@@ -466,7 +468,7 @@ let test_set_assignment () =
   let y = Om_lang.Flat_model.initial_values r.model in
   let reference = Array.make dim 0. in
   Bb.rhs_fn r.compiled 0. y reference;
-  Par_exec.with_executor ~nworkers desc r.compiled @@ fun px ->
+  Par_exec.with_executor ~nworkers ~tasks:r.tasks desc r.compiled @@ fun px ->
   let ydot = Array.make dim 0. in
   Par_exec.rhs_fn px 0. y ydot;
   Alcotest.(check bool) "original schedule matches sequential" true
@@ -492,7 +494,7 @@ let test_set_assignment_invalid () =
   let r = Lazy.force bearing in
   let nworkers = 2 in
   let desc = desc_of ~nworkers r in
-  Par_exec.with_executor ~nworkers desc r.compiled @@ fun px ->
+  Par_exec.with_executor ~nworkers ~tasks:r.tasks desc r.compiled @@ fun px ->
   let ntasks = Array.length r.compiled.Bb.tasks in
   Alcotest.(check bool) "wrong length rejected" true
     (match Par_exec.set_assignment px [| 0 |] with
@@ -507,12 +509,12 @@ let test_measured_telemetry () =
   let r = Lazy.force bearing in
   let nworkers = 2 in
   let desc = desc_of ~nworkers r in
-  Par_exec.with_measured ~nworkers ~tasks:r.tasks desc r.compiled @@ fun m ->
+  Par_exec.with_executor ~nworkers ~tasks:r.tasks desc r.compiled @@ fun m ->
   let dim = r.compiled.dim in
   let y = Om_lang.Flat_model.initial_values r.model in
   let ydot = Array.make dim 0. in
   for _ = 1 to 20 do
-    Par_exec.measured_rhs_fn m 0. y ydot
+    Par_exec.rhs_fn m 0. y ydot
   done;
   let st = Par_exec.stats m in
   let module Rs = Om_parallel.Round_stats in
@@ -529,6 +531,41 @@ let test_measured_telemetry () =
     (Rs.worker_wait st);
   let u = Rs.utilization st in
   Alcotest.(check bool) "utilization in (0, 1]" true (u > 0. && u <= 1.)
+
+let test_drop_survives_reschedules () =
+  (* A semi-dynamic reschedule installs LPT over the live workers only,
+     as a drop does: the dropped worker's slice stays empty through
+     every later reschedule, and every round keeps the sequential bits. *)
+  let r = Lazy.force bearing in
+  let nworkers = 2 in
+  let desc = desc_of ~nworkers r in
+  let dim = r.compiled.dim in
+  let y = Om_lang.Flat_model.initial_values r.model in
+  let reference = Array.make dim 0. in
+  Bb.rhs_fn r.compiled 0. y reference;
+  Par_exec.with_executor ~semidynamic:2 ~nworkers ~tasks:r.tasks desc
+    r.compiled
+  @@ fun px ->
+  let ydot = Array.make dim 0. in
+  Par_exec.rhs_fn px 0. y ydot;
+  Par_exec.drop_worker px 0;
+  for round = 1 to 6 do
+    Array.fill ydot 0 dim 0.;
+    Par_exec.rhs_fn px 0. y ydot;
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: dropped worker holds no task" round)
+      0
+      (Array.length (Par_exec.worker_tasks px).(0));
+    Array.iteri
+      (fun i v ->
+        if Int64.bits_of_float v <> Int64.bits_of_float reference.(i) then
+          Alcotest.failf "round %d deriv %d: %h vs sequential %h" round i v
+            reference.(i))
+      ydot
+  done;
+  Alcotest.(check int) "one live worker" 1 (Par_exec.live_workers px);
+  Alcotest.(check bool) "reschedules fired after the drop" true
+    (Om_parallel.Round_stats.reschedules (Par_exec.stats px) >= 2)
 
 (* ---------- the sequential program across domains ---------- *)
 
@@ -613,8 +650,8 @@ let test_split_bearing_equals_odesys () =
       Array.iteri (fun i col -> ydot.(i) <- col.(0)) dcols
   in
   let clone = P.clone_scratch r in
-  Par_exec.with_executor ~nworkers:2 (desc_of ~nworkers:2 clone)
-    clone.compiled
+  Par_exec.with_executor ~nworkers:2 ~tasks:clone.tasks
+    (desc_of ~nworkers:2 clone) clone.compiled
   @@ fun px ->
   let reference = Array.make dim 0. and ydot = Array.make dim 0. in
   Array.iteri
@@ -649,7 +686,7 @@ let test_round_zero_alloc () =
   let r = Lazy.force bearing in
   let nworkers = 2 in
   let desc = desc_of ~nworkers r in
-  Par_exec.with_executor ~nworkers desc r.compiled @@ fun px ->
+  Par_exec.with_executor ~nworkers ~tasks:r.tasks desc r.compiled @@ fun px ->
   let dim = r.compiled.dim in
   let y = Om_lang.Flat_model.initial_values r.model in
   let ydot = Array.make dim 0. in
@@ -673,17 +710,17 @@ let test_measured_round_zero_alloc () =
   let r = Lazy.force bearing in
   let nworkers = 2 in
   let desc = desc_of ~nworkers r in
-  Par_exec.with_measured ~semidynamic:1_000_000 ~nworkers ~tasks:r.tasks desc
-    r.compiled
+  Par_exec.with_executor ~semidynamic:1_000_000 ~nworkers ~tasks:r.tasks
+    desc r.compiled
   @@ fun m ->
   let dim = r.compiled.dim in
   let y = Om_lang.Flat_model.initial_values r.model in
   let ydot = Array.make dim 0. in
   let words n =
-    Par_exec.measured_rhs_fn m 0. y ydot;
+    Par_exec.rhs_fn m 0. y ydot;
     let before = Gc.minor_words () in
     for _ = 1 to n do
-      Par_exec.measured_rhs_fn m 0. y ydot
+      Par_exec.rhs_fn m 0. y ydot
     done;
     Gc.minor_words () -. before
   in
@@ -730,6 +767,8 @@ let () =
         [
           Alcotest.test_case "telemetry" `Quick test_measured_telemetry;
           Alcotest.test_case "real reschedules" `Quick test_real_reschedules;
+          Alcotest.test_case "drop survives reschedules" `Quick
+            test_drop_survives_reschedules;
           Alcotest.test_case "zero-alloc measured round" `Quick
             test_measured_round_zero_alloc;
         ] );

@@ -410,6 +410,48 @@ let test_sequential_builds_no_back_end () =
   Alcotest.(check bool) "bitwise across modes" true
     (final rep2 = final rep)
 
+(* Every mode reports through one integrate-and-report step: for each
+   solver, the simulated machine, the supervisor alone and two real
+   domains end on the same bits with the same solver counters. *)
+let test_one_report_three_modes () =
+  let m = P.model_of_flat (Om_models.Bearing2d.model ()) in
+  let bits (rep : R.report) = Array.map Int64.bits_of_float (final rep) in
+  List.iter
+    (fun (name, solver, tend) ->
+      let run execution =
+        R.execute_model
+          ~config:{ R.default_config with R.execution }
+          ~solver ~tend m
+      in
+      let simulated = run R.Simulated in
+      List.iter
+        (fun (mode, (rep : R.report)) ->
+          let what field = Printf.sprintf "%s %s: %s" name mode field in
+          Alcotest.(check (array int64)) (what "final state") (bits simulated)
+            (bits rep);
+          Alcotest.(check int) (what "rhs_calls") simulated.rhs_calls
+            rep.rhs_calls;
+          Alcotest.(check int) (what "solver_steps") simulated.solver_steps
+            rep.solver_steps;
+          Alcotest.(check int) (what "jac_calls") simulated.jac_calls
+            rep.jac_calls;
+          Alcotest.(check string) (what "jac_mode") simulated.jac_mode
+            rep.jac_mode;
+          Alcotest.(check (option int)) (what "jac_nnz") simulated.jac_nnz
+            rep.jac_nnz)
+        [
+          ("Real_domains 0", run (R.Real_domains 0));
+          ("Real_domains 2", run (R.Real_domains 2));
+        ];
+      if solver = R.Lsoda then
+        Alcotest.(check bool) "lsoda takes Jacobians" true
+          (simulated.jac_calls > 0))
+    [
+      ("lsoda", R.Lsoda, 0.01);
+      ("rk4", R.Rk4 1e-5, 2e-4);
+      ("rkf45", R.Rkf45, 2e-4);
+    ]
+
 let test_concurrent_force_builds_once () =
   (* Two domains asking one model for its back end at the same moment
      build it once and share it; its sequential program is the front's,
@@ -489,6 +531,8 @@ let () =
             test_sequential_builds_no_back_end;
           Alcotest.test_case "concurrent force builds once" `Quick
             test_concurrent_force_builds_once;
+          Alcotest.test_case "one report, three modes" `Quick
+            test_one_report_three_modes;
         ] );
       ( "chaos",
         [

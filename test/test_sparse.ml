@@ -175,7 +175,7 @@ let check_fd_cost name sys y ~colors =
     | _ -> Alcotest.fail (name ^ ": no sparse plan")
   in
   Alcotest.(check int) (name ^ " colors") colors
-    ctx.Jacobian.coloring.S.ncolors;
+    (S.color_columns ctx.Jacobian.spat).S.ncolors;
   Odesys.reset_counters sys;
   Jacobian.sparse_eval_into sys ctx 0. y;
   Alcotest.(check int) (name ^ " jac_calls") 1
