@@ -785,8 +785,7 @@ let serve_cmd =
     in
     let config =
       {
-        Om_serve.Server.default_config with
-        queue_capacity = queue;
+        Om_serve.Server.queue_capacity = queue;
         executors;
         cache_capacity;
         timings = not no_timings;
@@ -926,7 +925,6 @@ let serve_cmd =
         Condition.wait done_cv pmutex
       done;
       Mutex.unlock pmutex;
-      let cs = Om_serve.Model_cache.stats (Om_serve.Server.cache server) in
       write_record oc
         (Om_serve.Json.Obj
            [
@@ -935,17 +933,7 @@ let serve_cmd =
              ("ok", Om_serve.Json.Int !ok);
              ("failed", Om_serve.Json.Int !failed);
              ("rejected", Om_serve.Json.Int !rejected);
-             ( "cache",
-               Om_serve.Json.Obj
-                 [
-                   ("hits", Om_serve.Json.Int cs.Om_serve.Model_cache.hits);
-                   ("misses", Om_serve.Json.Int cs.Om_serve.Model_cache.misses);
-                   ( "compiles",
-                     Om_serve.Json.Int cs.Om_serve.Model_cache.compiles );
-                   ( "evictions",
-                     Om_serve.Json.Int cs.Om_serve.Model_cache.evictions );
-                   ("entries", Om_serve.Json.Int cs.Om_serve.Model_cache.entries);
-                 ] );
+             ("cache", Om_serve.Server.cache_summary server);
            ]);
       try close_out oc with Sys_error _ -> ()
     in

@@ -41,7 +41,7 @@ let () =
   let n = Array.length traj.ts in
   Printf.printf "  %d accepted steps, %d RHS calls, final mode %s\n"
     sys.counters.steps sys.counters.rhs_calls
-    (Fmt.str "%a" Om_ode.Lsoda.pp_mode res.final_mode);
+    (match res.final_mode with Adams_mode -> "adams" | Bdf_mode -> "bdf");
   Printf.printf "  inner ring settles at y = %.4f mm under the 500 N load\n"
     (1000. *. iy.(n - 1));
   Printf.printf "  roller 1 rides at radius %.3f mm\n" (1000. *. w1r.(n - 1));
@@ -79,43 +79,6 @@ let () =
     ~title:"Inner ring centre orbit under 500 N load" ~x_label:"x [mm]"
     ~y_label:"y [mm]" [ orbit ];
   Printf.printf "  orbit plot written to bearing_orbit.svg\n";
-
-  (* Contact events: when does roller 1 enter/leave the load zone?
-     This is ODEPACK's LSODAR-style root finding on the contact gap. *)
-  let sys_ev = Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false
-      fm.equations
-  in
-  let gap roller _t y =
-    (* inner-contact compression: positive while in contact *)
-    let r1 = y.(idx (Printf.sprintf "W[%d].R" roller)) in
-    let fi1 = y.(idx (Printf.sprintf "W[%d].Fi" roller)) in
-    let px = r1 *. Float.cos fi1 and py = r1 *. Float.sin fi1 in
-    let d = Float.hypot (px -. y.(idx "Inner.x")) (py -. y.(idx "Inner.y")) in
-    0.05 -. d
-  in
-  (* Watch long enough for the cage to carry roller 1 through the load
-     zone boundary (~1/3 of a revolution). *)
-  let tend_ev = 0.04 in
-  let r_ev =
-    Om_ode.Events.integrate
-      ~events:
-        (List.map
-           (fun k ->
-             { Om_ode.Events.label = Printf.sprintf "roller%d" k;
-               g = gap k })
-           [ 5; 10 ])
-      sys_ev ~t0:0. ~y0 ~tend:tend_ev
-  in
-  Printf.printf "\ncontact transitions in %.3f s (rollers 5 and 10): %d\n"
-    tend_ev
-    (List.length r_ev.occurrences);
-  List.iteri
-    (fun k (o : Om_ode.Events.occurrence) ->
-      if k < 6 then
-        Printf.printf "  t = %.5f s: %s %s the load zone\n" o.time
-          o.event_label
-          (if o.rising then "enters" else "leaves"))
-    r_ev.occurrences;
 
   (* Parallel execution of the generated code on both 1995 machines. *)
   Printf.printf "\nparallel RHS execution (simulated machines):\n";

@@ -11,7 +11,8 @@
     - {!Machine}/{!Supervisor}/{!Round_desc}: the MIMD machine model,
     - {!Domain_pool}/{!Par_exec}: real multicore execution of the
       generated tasks on OCaml domains,
-    - {!Odesys}/{!Rk}/{!Adams}/{!Bdf}/{!Lsoda}: the solver stack,
+    - {!Odesys}/{!Rk}/{!Bdf}/{!Lsoda}/{!Ensemble}/{!Jacobian}: the solver
+      stack,
     - {!Runtime}: parallel execution of generated code on the machine
       model under a real solver,
     - {!Bearing2d}/{!Powerplant}/{!Servo}/{!Bearing_scaled}: the paper's
@@ -47,11 +48,9 @@ module Linalg = Om_ode.Linalg
 module Odesys = Om_ode.Odesys
 module Rk = Om_ode.Rk
 module Ensemble = Om_ode.Ensemble
-module Adams = Om_ode.Adams
 module Bdf = Om_ode.Bdf
 module Lsoda = Om_ode.Lsoda
 module Jacobian = Om_ode.Jacobian
-module Events = Om_ode.Events
 
 module Task = Om_sched.Task
 module Lpt = Om_sched.Lpt
@@ -94,7 +93,7 @@ module Sweep = Sweep
 module Ensemble_exec = Ensemble_exec
 
 (** Compile an ObjectMath source text down to an ODE system ready for any
-    solver in {!Rk}, {!Adams}, {!Bdf} or {!Lsoda}: the model's sequential
+    solver in {!Rk}, {!Bdf} or {!Lsoda}: the model's sequential
     program with its sparsity pattern and symbolic Jacobian
     ({!Pipeline.system}). *)
 let odesys_of_source src =

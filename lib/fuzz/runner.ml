@@ -44,7 +44,7 @@ let dump_failure dir ~seed (fl : failure) =
   in
   write_file (base fl.index "report.txt") report
 
-let run ?out_dir ?check ?(shrink_budget = 300) ?(chaos = false) ?(log = ignore)
+let run ?out_dir ?check ?(chaos = false) ?(log = ignore)
     ~cases ~seed () =
   let check_for i =
     match check with
@@ -97,7 +97,7 @@ let run ?out_dir ?check ?(shrink_budget = 300) ?(chaos = false) ?(log = ignore)
               (fun v -> v.Oracle.invariant = first.Oracle.invariant)
               (check m').Oracle.violations
           in
-          let shrunk = Shrink.shrink ~budget:shrink_budget m ~predicate in
+          let shrunk = Shrink.shrink m ~predicate in
           (shrunk, (check shrunk).Oracle.violations)
         end
       in

@@ -3,8 +3,8 @@
     Each case [i] draws a model from
     [Random.State.make [| seed; i |]] — fully reproducible from the
     [(seed, index)] pair — and runs the {!Oracle} on it.  Failing cases
-    are shrunk with {!Shrink.shrink} (predicate: the same invariant
-    still fails) and, when [out_dir] is given, dumped as
+    are shrunk with {!Shrink.shrink} at its default budget (predicate:
+    the same invariant still fails) and, when [out_dir] is given, dumped as
     [caseNNNN-original.om], [caseNNNN-shrunk.om] and
     [caseNNNN-report.txt] counterexample files. *)
 
@@ -30,7 +30,6 @@ type summary = {
 val run :
   ?out_dir:string ->
   ?check:(Om_lang.Ast.model -> Oracle.result) ->
-  ?shrink_budget:int ->
   ?chaos:bool ->
   ?log:(string -> unit) ->
   cases:int ->

@@ -50,8 +50,7 @@ let formula = function
   | 3 -> (11. /. 6., [| 3.; -1.5; 1. /. 3. |])
   | k -> invalid_arg (Printf.sprintf "Bdf: unsupported order %d" k)
 
-let integrate ?(order = 2) ?(newton_tol = 1e-10) ?(max_newton = 25) ?jac_mode
-    (sys : Odesys.t) ~t0 ~y0 ~tend ~h =
+let integrate ?(order = 2) ?jac_mode (sys : Odesys.t) ~t0 ~y0 ~tend ~h =
   if order < 1 || order > 3 then invalid_arg "Bdf.integrate: order in 1..3";
   if h <= 0. then invalid_arg "Bdf.integrate: nonpositive step";
   (* One plan (and one sparse workspace) for the whole integration. *)
@@ -77,9 +76,8 @@ let integrate ?(order = 2) ?(newton_tol = 1e-10) ?(max_newton = 25) ?jac_mode
     in
     let t_next = !t +. h' in
     let y =
-      solve_implicit_stage jplan sys ~tol:newton_tol
-        ~max_iter:max_newton ~t_next ~beta_h:h' ~rhs_const ~alpha0
-        ~y_guess:harr.(0)
+      solve_implicit_stage jplan sys ~tol:1e-10 ~max_iter:25 ~t_next
+        ~beta_h:h' ~rhs_const ~alpha0 ~y_guess:harr.(0)
     in
     t := t_next;
     sys.counters.steps <- sys.counters.steps + 1;

@@ -14,8 +14,6 @@
 
 val integrate :
   ?order:int ->
-  ?newton_tol:float ->
-  ?max_newton:int ->
   ?jac_mode:Odesys.jac_mode ->
   Odesys.t ->
   t0:float ->
@@ -25,7 +23,8 @@ val integrate :
   Odesys.trajectory
 (** @raise Invalid_argument for orders outside 1..3.
     @raise Om_guard.Om_error.Error ([Newton_failure]) if Newton fails to
-    converge or the iteration matrix is singular. *)
+    converge (weighted update norm above [1e-10] after 25 iterations) or
+    the iteration matrix is singular. *)
 
 val solve_implicit_stage :
   Jacobian.plan ->

@@ -6,10 +6,6 @@ type result = {
   final_mode : mode;
 }
 
-let pp_mode ppf = function
-  | Adams_mode -> Fmt.string ppf "adams"
-  | Bdf_mode -> Fmt.string ppf "bdf"
-
 (* Local Lipschitz estimate ||f(a) - f(b)|| / ||a - b||. *)
 let lipschitz fa fb ya yb =
   let dy = Array.map2 ( -. ) ya yb in
@@ -21,9 +17,12 @@ let error_weights atol rtol a b =
   Array.init (Array.length a) (fun i ->
       atol +. (rtol *. Float.max (Float.abs a.(i)) (Float.abs b.(i))))
 
+(* Accepted steps at the stability bound before switching to BDF; BDF
+   switches back after twice as many comfortably inside it. *)
+let stiffness_window = 5
+
 let integrate ?(atol = 1e-8) ?(rtol = 1e-6) ?h0 ?(max_steps = 2_000_000)
-    ?(stiffness_window = 5) ?(start_mode = Adams_mode) ?(max_retries = 8)
-    ?jac_mode (sys : Odesys.t) ~t0 ~y0 ~tend =
+    ?(max_retries = 8) ?jac_mode (sys : Odesys.t) ~t0 ~y0 ~tend =
   let n = sys.dim in
   (* The Jacobian plan (and its sparse workspace) is resolved lazily on
      the first BDF attempt: purely non-stiff runs never pay for it. *)
@@ -32,7 +31,7 @@ let integrate ?(atol = 1e-8) ?(rtol = 1e-6) ?h0 ?(max_steps = 2_000_000)
   if span <= 0. then invalid_arg "Lsoda.integrate: tend <= t0";
   let h = ref (match h0 with Some h -> h | None -> span /. 1000.) in
   let h_min = span *. 1e-14 in
-  let mode = ref start_mode in
+  let mode = ref Adams_mode in
   let switches = ref [] in
   let t = ref t0 in
   let y = ref (Array.copy y0) in

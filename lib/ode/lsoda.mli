@@ -26,8 +26,6 @@ val integrate :
   ?rtol:float ->
   ?h0:float ->
   ?max_steps:int ->
-  ?stiffness_window:int ->
-  ?start_mode:mode ->
   ?max_retries:int ->
   ?jac_mode:Odesys.jac_mode ->
   Odesys.t ->
@@ -35,7 +33,8 @@ val integrate :
   y0:float array ->
   tend:float ->
   result
-(** Guarded runtime faults ({!Om_guard.Om_error.Error}) raised by the RHS
+(** Integration starts in the Adams mode.
+    Guarded runtime faults ({!Om_guard.Om_error.Error}) raised by the RHS
     during an attempted step are answered with backoff — same-size retry
     first (bitwise-identical recovery from transient faults), then step
     halving — bounded by [max_retries] (default 8) consecutive attempts.
@@ -47,5 +46,3 @@ val integrate :
     @raise Om_guard.Om_error.Error ([Step_failure]) when the step count
     budget (default 2_000_000), the retry budget, or the minimum step
     size is exhausted. *)
-
-val pp_mode : mode Fmt.t

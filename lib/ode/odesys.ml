@@ -15,7 +15,6 @@ type t = {
   names : string array;
   f : float -> float array -> float array -> unit;
   jac : (float -> float array -> Linalg.mat -> unit) option;
-  symbolic : (string * Om_expr.Expr.t) list option;
   mutable sparsity : Sparse.pattern option;
   mutable sjac : (float -> float array -> float array -> unit) option;
   counters : counters;
@@ -61,8 +60,7 @@ let make ?names ?jac ?sparsity ?sjac ~dim f =
       invalid_arg "Odesys.make: sparsity shape mismatch"
   | None, Some _ -> invalid_arg "Odesys.make: sjac without sparsity"
   | _ -> ());
-  { dim; names; f; jac; symbolic = None; sparsity; sjac;
-    counters = fresh_counters () }
+  { dim; names; f; jac; sparsity; sjac; counters = fresh_counters () }
 
 let rhs_into sys t y ydot =
   sys.counters.rhs_calls <- sys.counters.rhs_calls + 1;
@@ -121,19 +119,18 @@ let jacobian_stmts sparsity eqs =
   List.init (Array.length slots) (fun k -> (slots.(k), Om_expr.Vm.To_out k))
 
 (* The value layout every program of a system reads: states first, then
-   time. *)
-let layout ?(time_var = "t") eqs =
-  Om_expr.Layout.of_names
-    (Array.of_list (List.map fst eqs @ [ time_var ]))
+   time, ["t"]. *)
+let layout eqs =
+  Om_expr.Layout.of_names (Array.of_list (List.map fst eqs @ [ "t" ]))
 
-let rhs_program ?time_var ?optimize eqs =
+let rhs_program ?optimize eqs =
   Om_expr.Vm.compile_stmts ?optimize ~out_size:(List.length eqs)
-    (layout ?time_var eqs)
+    (layout eqs)
     (List.mapi (fun i (_, e) -> (e, Om_expr.Vm.To_out i)) eqs)
 
-let jacobian_program ?time_var ?optimize sparsity eqs =
+let jacobian_program ?optimize sparsity eqs =
   Om_expr.Vm.compile_stmts ?optimize ~out_size:(Sparse.nnz sparsity)
-    (layout ?time_var eqs) (jacobian_stmts sparsity eqs)
+    (layout eqs) (jacobian_stmts sparsity eqs)
 
 (* [jac] and [sjac] over one symbolic-Jacobian program, which [program]
    gives on the first call: runs that never ask for a Jacobian never
@@ -158,7 +155,7 @@ let symbolic_jacobian ~dim (sparsity : Sparse.pattern) program =
   in
   (jac, sjac)
 
-let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
+let of_equations ?(with_symbolic_jacobian = true) eqs =
   let states = List.map fst eqs in
   let module S = Set.Make (String) in
   let state_set =
@@ -173,12 +170,12 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
   let reads = List.map (fun (_, e) -> Om_expr.Expr.vars e) eqs in
   List.iter
     (List.iter (fun v ->
-         if (not (S.mem v state_set)) && v <> time_var then
+         if (not (S.mem v state_set)) && v <> "t" then
            invalid_arg ("Odesys.of_equations: free variable " ^ v)))
     reads;
   let dim = List.length eqs in
   let names = Array.of_list states in
-  let rhs_prog = rhs_program ~time_var eqs in
+  let rhs_prog = rhs_program eqs in
   let buf = Array.make (dim + 1) 0. in
   let f t y ydot =
     Array.blit y 0 buf 0 dim;
@@ -191,11 +188,11 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
     else
       let jac, sjac =
         symbolic_jacobian ~dim sparsity (fun () ->
-            jacobian_program ~time_var sparsity eqs)
+            jacobian_program sparsity eqs)
       in
       (Some jac, Some sjac)
   in
-  { dim; names; f; jac; symbolic = Some eqs; sparsity = Some sparsity; sjac;
+  { dim; names; f; jac; sparsity = Some sparsity; sjac;
     counters = fresh_counters () }
 
 type trajectory = { ts : float array; states : float array array }

@@ -2,9 +2,9 @@
 
     This is the object handed to every solver; paper §2.4 calls [f] the RHS
     function and makes it the sole target of parallelisation.  Systems can
-    be built from OCaml closures or elaborated from symbolic equations, in
-    which case the symbolic right-hand sides are kept for the code
-    generator. *)
+    be built from OCaml closures or elaborated from symbolic equations,
+    whose right-hand sides and Jacobian then run as register-VM
+    programs. *)
 
 type counters = {
   mutable rhs_calls : int;
@@ -35,8 +35,6 @@ type t = {
       (** [f t y ydot] writes the derivatives into [ydot]. *)
   jac : (float -> float array -> Linalg.mat -> unit) option;
       (** Optional analytic Jacobian df/dy, written in place. *)
-  symbolic : (string * Om_expr.Expr.t) list option;
-      (** [(state, rhs)] pairs when elaborated from equations. *)
   mutable sparsity : Sparse.pattern option;
       (** Structural nonzeros of df/dy — the RHS read sets, a superset
           of the nonzero-derivative positions.  Enables the sparse
@@ -101,12 +99,12 @@ val jacobian_stmts :
     {!of_equations} runs them, and so does every sequential path of the
     code generator ([Om_codegen.Pipeline]), which lowers them through
     these two functions and nowhere else.  Both read one value layout:
-    the states in equation order, then time ([time_var], default
-    ["t"]).  [optimize] (default [true]) is {!Om_expr.Vm.compile_stmts}'
-    peephole switch. *)
+    the states in equation order, then time, ["t"].  [optimize]
+    (default [true]) is {!Om_expr.Vm.compile_stmts}' peephole
+    switch. *)
 
 val rhs_program :
-  ?time_var:string -> ?optimize:bool -> (string * Om_expr.Expr.t) list ->
+  ?optimize:bool -> (string * Om_expr.Expr.t) list ->
   Om_expr.Vm.program
 (** The right-hand sides lowered as one DAG, equation [i] stored to
     output [i].
@@ -114,7 +112,7 @@ val rhs_program :
     nor time. *)
 
 val jacobian_program :
-  ?time_var:string -> ?optimize:bool -> Sparse.pattern ->
+  ?optimize:bool -> Sparse.pattern ->
   (string * Om_expr.Expr.t) list -> Om_expr.Vm.program
 (** The symbolic Jacobian, given [pattern_of_equations eqs]: one program
     writing every structural entry's derivative to its CSR slot
@@ -138,12 +136,12 @@ val symbolic_jacobian :
     {!of_equations} and [Om_codegen.Pipeline.system] both attach it. *)
 
 val of_equations :
-  ?time_var:string -> ?with_symbolic_jacobian:bool ->
+  ?with_symbolic_jacobian:bool ->
   (string * Om_expr.Expr.t) list ->
   t
 (** Elaborate symbolic first-order equations [x' = rhs].  Each right-hand
-    side may reference any state variable and the time variable (default
-    ["t"]).  [f] runs {!rhs_program}.  With [with_symbolic_jacobian]
+    side may reference any state variable and the time variable ["t"].
+    [f] runs {!rhs_program}.  With [with_symbolic_jacobian]
     (default true) the analytic Jacobian is derived symbolically too,
     the paper's "extra function dedicated to computing the Jacobian":
     {!jacobian_program} backs both [jac] and [sjac]

@@ -26,8 +26,6 @@ let rk4 : fixed_stepper =
   Array.init n (fun i ->
       y.(i) +. (h /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i))))
 
-let step (s : fixed_stepper) = s
-
 let integrate_fixed ?(max_retries = 8) stepper (sys : Odesys.t) ~t0 ~y0 ~tend
     ~h =
   if h <= 0. then invalid_arg "Rk.integrate_fixed: nonpositive step";

@@ -8,8 +8,6 @@ val euler : fixed_stepper
 val heun : fixed_stepper
 val rk4 : fixed_stepper
 
-val step : fixed_stepper -> Odesys.t -> float -> float array -> float -> float array
-
 val integrate_fixed :
   ?max_retries:int ->
   fixed_stepper ->

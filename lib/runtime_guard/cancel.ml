@@ -3,12 +3,11 @@ type t = {
   reason : string option Atomic.t;  (* [Some r] once cancelled *)
   deadline_s : float;  (* relative seconds; 0. = disarmed *)
   t0 : float;
-  now : unit -> float;
 }
 
-let create ?(deadline_s = 0.) ?(now = Unix.gettimeofday) ~job () =
+let create ?(deadline_s = 0.) ~job () =
   if deadline_s < 0. then invalid_arg "Cancel.create: negative deadline";
-  { job; reason = Atomic.make None; deadline_s; t0 = now (); now }
+  { job; reason = Atomic.make None; deadline_s; t0 = Unix.gettimeofday () }
 
 let job t = t.job
 
@@ -16,7 +15,7 @@ let cancel ?(reason = "cancelled by client") t =
   ignore (Atomic.compare_and_set t.reason None (Some reason))
 
 let cancelled t = Atomic.get t.reason <> None
-let elapsed t = t.now () -. t.t0
+let elapsed t = Unix.gettimeofday () -. t.t0
 let armed t = t.deadline_s > 0.
 let expired t = armed t && elapsed t > t.deadline_s
 let deadline_s t = if armed t then Some t.deadline_s else None

@@ -16,12 +16,11 @@
 
 type t
 
-val create : ?deadline_s:float -> ?now:(unit -> float) -> job:string -> unit -> t
+val create : ?deadline_s:float -> job:string -> unit -> t
 (** A token for [job] (a free-form label quoted in the fault).
-    [deadline_s] arms a wall-clock deadline that many seconds after the
-    call ([0.], the default, leaves it disarmed).  [now] overrides the
-    clock (default [Unix.gettimeofday]) — tests use it to expire
-    deadlines deterministically.
+    [deadline_s] arms a wall-clock deadline ([Unix.gettimeofday]) that
+    many seconds after the call ([0.], the default, leaves it
+    disarmed).
     @raise Invalid_argument if [deadline_s < 0.]. *)
 
 val job : t -> string

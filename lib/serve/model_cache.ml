@@ -26,7 +26,6 @@ type t = {
   table : (string, slot) Hashtbl.t;
   inflight : (string, latch) Hashtbl.t;
   cap : int;
-  config : Om_codegen.Pipeline.config option;
   on_compile : (string -> unit) option;
   mutable tick : int;  (* LRU clock: bumped on every hit/insert *)
   mutable compiles : int;
@@ -35,14 +34,13 @@ type t = {
   mutable evictions : int;
 }
 
-let create ?config ?on_compile ~capacity () =
+let create ?on_compile ~capacity () =
   if capacity < 0 then invalid_arg "Model_cache.create: capacity < 0";
   {
     mutex = Mutex.create ();
     table = Hashtbl.create (max 8 capacity);
     inflight = Hashtbl.create 8;
     cap = capacity;
-    config;
     on_compile;
     tick = 0;
     compiles = 0;
@@ -125,7 +123,7 @@ let rec lookup t source =
              requests for this same source (parked on the latch above),
              never hits or compiles of other sources. *)
           (match t.on_compile with Some f -> f source | None -> ());
-          match Om_codegen.Pipeline.model_of_source ?config:t.config source with
+          match Om_codegen.Pipeline.model_of_source source with
           | compiled ->
               let entry = { key; compiled } in
               Mutex.lock t.mutex;

@@ -50,7 +50,6 @@ type stats = {
 type t
 
 val create :
-  ?config:Om_codegen.Pipeline.config ->
   ?on_compile:(string -> unit) ->
   capacity:int ->
   unit ->

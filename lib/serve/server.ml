@@ -4,7 +4,6 @@ type config = {
   cache_capacity : int;
   timings : bool;
   resolve : string -> string option;
-  pipeline : Om_codegen.Pipeline.config option;
   max_queued_per_tenant : int;
   max_running_per_tenant : int;
   default_retries : int;
@@ -20,7 +19,6 @@ let default_config =
     cache_capacity = 32;
     timings = true;
     resolve = (fun _ -> None);
-    pipeline = None;
     max_queued_per_tenant = 0;
     max_running_per_tenant = 0;
     default_retries = 0;
@@ -501,14 +499,8 @@ let executor_loop t () =
 
 (* ---- public API ---- *)
 
-let create ?(config = default_config) ?cache ?journal ~emit () =
-  let model_cache =
-    match cache with
-    | Some c -> c
-    | None ->
-        Model_cache.create ?config:config.pipeline
-          ~capacity:config.cache_capacity ()
-  in
+let create ?(config = default_config) ?journal ~emit () =
+  let model_cache = Model_cache.create ~capacity:config.cache_capacity () in
   let t =
     {
       config;
@@ -752,6 +744,17 @@ let handle_line ?sink t line =
 
 let stats t = with_state t (fun () -> t.counters)
 let cache t = t.model_cache
+
+let cache_summary t =
+  let cs = Model_cache.stats t.model_cache in
+  Json.Obj
+    [
+      ("hits", Json.Int cs.hits);
+      ("misses", Json.Int cs.misses);
+      ("compiles", Json.Int cs.compiles);
+      ("evictions", Json.Int cs.evictions);
+      ("entries", Json.Int cs.entries);
+    ]
 let result_cache_stats t = Result_cache.stats t.results
 
 let drain t =
@@ -792,7 +795,6 @@ let drain t =
           | None -> ());
           Option.iter Journal.close t.journal;
           let counters = stats t in
-          let cs = Model_cache.stats t.model_cache in
           let rejected =
             counters.rejected_full + counters.rejected_quota
             + counters.rejected_deadline
@@ -825,17 +827,7 @@ let drain t =
                ]
               @ opt_count "retried" counters.retried
               @ opt_count "recovered" counters.recovered
-              @ [
-                  ( "cache",
-                    Json.Obj
-                      [
-                        ("hits", Json.Int cs.Model_cache.hits);
-                        ("misses", Json.Int cs.Model_cache.misses);
-                        ("compiles", Json.Int cs.Model_cache.compiles);
-                        ("evictions", Json.Int cs.Model_cache.evictions);
-                        ("entries", Json.Int cs.Model_cache.entries);
-                      ] );
-                ]
+              @ [ ("cache", cache_summary t) ]
               @ result_fields)
           in
           t.summary <- Some summary;

@@ -82,7 +82,7 @@ type config = {
   executors : int;  (** worker domains popping jobs; default 1 *)
   cache_capacity : int;
       (** compiled-model cache residency; [0] disables caching.
-          Default 32.  Ignored when {!create} is given a cache. *)
+          Default 32. *)
   timings : bool;
       (** include [queue_s]/[run_s]/[total_s] in status records
           (default [true]; [omc serve --no-timings] turns it off so
@@ -90,8 +90,6 @@ type config = {
   resolve : string -> string option;
       (** builtin-model resolution for job ["model"] fields (default:
           none resolve) *)
-  pipeline : Om_codegen.Pipeline.config option;
-      (** partitioning config for cache-miss compiles *)
   max_queued_per_tenant : int;
       (** per-tenant bound on queued jobs; [0] (default) = no quota.
           Over-quota submissions shed as ["rejected_quota"]. *)
@@ -133,7 +131,6 @@ type t
 
 val create :
   ?config:config ->
-  ?cache:Model_cache.t ->
   ?journal:Journal.t ->
   emit:(Json.t -> unit) ->
   unit ->
@@ -141,11 +138,9 @@ val create :
 (** Start a server: spawns the executor domains and the retry nursery
     immediately.  [emit] receives every output record not routed to a
     per-job sink; it is called under a lock, from executor domains, and
-    must not call back into the server.  Pass [cache] to share one
-    compiled-model cache across servers (the socket mode shares it
-    across connections).  Pass [journal] to journal every accepted job
-    and its transitions; the server owns the journal from here on and
-    closes it in {!drain}. *)
+    must not call back into the server.  Pass [journal] to journal
+    every accepted job and its transitions; the server owns the journal
+    from here on and closes it in {!drain}. *)
 
 val submit :
   ?sink:(Json.t -> unit) ->
@@ -192,6 +187,10 @@ val handle_line :
 
 val stats : t -> stats
 val cache : t -> Model_cache.t
+
+val cache_summary : t -> Json.t
+(** The ["cache"] object of every summary record: the compiled-model
+    cache's [hits], [misses], [compiles], [evictions] and [entries]. *)
 
 val result_cache_stats : t -> int * int * int
 (** [(hits, misses, entries)] of the result cache; zeros when result

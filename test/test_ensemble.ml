@@ -666,6 +666,12 @@ let test_sweep_unknown_param () =
       ignore
         (Objectmath.Sweep.prepare ~source:sweep_source ~cls:"C" ~param:"nope"))
 
+(* An initial value read from the parameter: the promoted model does not
+   elaborate, so sweeps of [k] take the legacy per-value engine. *)
+let init_source =
+  {|model M; class C parameter k = 1.0; variable x init k;
+    equation der(x) = 0.0 - x; end; instance c of C;|}
+
 let test_sweep_matches_legacy_numerics () =
   (* Promoted ensemble path vs per-value LSODA path: same physics. *)
   let values = [ 0.5; 2. ] in
@@ -680,7 +686,24 @@ let test_sweep_matches_legacy_numerics () =
         (Printf.sprintf "analytic exp(-%g)" p.value)
         (Float.exp (Float.neg p.value))
         p.metric)
-    fast
+    fast;
+  (match Objectmath.Sweep.prepare ~source:init_source ~cls:"C" ~param:"k" with
+  | Objectmath.Sweep.Legacy _ -> ()
+  | Objectmath.Sweep.Promoted _ ->
+      Alcotest.fail "expected legacy fallback for a parameter initial value");
+  let legacy =
+    Objectmath.Sweep.run ~source:init_source ~cls:"C" ~param:"k" ~values
+      ~tend:1. ~metric ()
+  in
+  Alcotest.(check int) "legacy points" (List.length values)
+    (List.length legacy);
+  List.iter
+    (fun (p : Objectmath.Sweep.point) ->
+      Alcotest.(check (float 1e-4))
+        (Printf.sprintf "analytic %g exp(-1)" p.value)
+        (p.value *. Float.exp (-1.))
+        p.metric)
+    legacy
 
 (* ---------- Monte Carlo ---------- *)
 

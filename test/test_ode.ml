@@ -4,7 +4,6 @@
 module L = Om_ode.Linalg
 module Odesys = Om_ode.Odesys
 module Rk = Om_ode.Rk
-module Adams = Om_ode.Adams
 module Bdf = Om_ode.Bdf
 module Lsoda = Om_ode.Lsoda
 module Jacobian = Om_ode.Jacobian
@@ -156,43 +155,6 @@ let test_rkf45_rejections_counted () =
   Alcotest.(check bool) "some rejections on stiff problem" true
     (sys.counters.rejected >= 0)
 
-(* ---------- adams ---------- *)
-
-let test_adams_orders () =
-  (* Error tolerance scales with the method order at h = 1e-3. *)
-  List.iter
-    (fun (order, tol) ->
-      let sys = decay () in
-      let tr = Adams.integrate ~order sys ~t0:0. ~y0:[| 1. |] ~tend:1. ~h:1e-3 in
-      Alcotest.(check (float tol))
-        (Printf.sprintf "order %d" order)
-        (Float.exp (-1.))
-        (final tr).(0))
-    [ (1, 1e-3); (2, 1e-6); (3, 1e-8); (4, 1e-8) ]
-
-let test_adams_rhs_calls_per_step () =
-  (* PECE: two RHS calls per step after startup. *)
-  let sys = decay () in
-  let _ = Adams.integrate ~order:2 sys ~t0:0. ~y0:[| 1. |] ~tend:1. ~h:0.01 in
-  let calls_per_step =
-    float_of_int sys.counters.rhs_calls /. float_of_int sys.counters.steps
-  in
-  Alcotest.(check bool) "~2 calls/step" true
-    (calls_per_step > 1.8 && calls_per_step < 2.6)
-
-let test_pece_error_estimate () =
-  Alcotest.(check (float 1e-12)) "inf norm of gap" 0.5
-    (Adams.pece_error_estimate [| 1.; 2. |] [| 1.5; 2.25 |]);
-  Alcotest.(check (float 1e-12)) "zero for equal" 0.
-    (Adams.pece_error_estimate [| 3. |] [| 3. |])
-
-let test_adams_bad_order () =
-  Alcotest.check_raises "order 5" (Invalid_argument "Adams.integrate: order in 1..4")
-    (fun () ->
-      ignore
-        (Adams.integrate ~order:5 (decay ()) ~t0:0. ~y0:[| 1. |] ~tend:1.
-           ~h:0.1))
-
 (* ---------- bdf ---------- *)
 
 let test_bdf_decay () =
@@ -247,19 +209,6 @@ let test_lsoda_switches_on_stiff () =
   Alcotest.(check (float 0.05)) "accuracy" (Float.cos 2.)
     (Odesys.final_state r.trajectory).(0)
 
-let test_lsoda_stiff_beats_pure_adams_on_calls () =
-  let sys1 = stiff_linear () in
-  let _ = Lsoda.integrate sys1 ~t0:0. ~y0:[| 0. |] ~tend:2. in
-  let sys2 = stiff_linear () in
-  let _ =
-    Lsoda.integrate ~start_mode:Lsoda.Adams_mode ~stiffness_window:1_000_000
-      sys2 ~t0:0. ~y0:[| 0. |] ~tend:2.
-  in
-  (* With switching disabled (huge window) the explicit method needs far
-     more RHS evaluations. *)
-  Alcotest.(check bool) "lsoda cheaper" true
-    (sys1.counters.rhs_calls < sys2.counters.rhs_calls)
-
 let test_lsoda_trajectory_monotone_time () =
   let sys = circle () in
   let r = Lsoda.integrate sys ~t0:0. ~y0:[| 1.; 0. |] ~tend:1. in
@@ -270,77 +219,6 @@ let test_lsoda_trajectory_monotone_time () =
   done;
   Alcotest.(check bool) "strictly increasing" true !ok;
   Alcotest.(check (float 1e-9)) "ends at tend" 1. ts.(Array.length ts - 1)
-
-(* ---------- events (LSODAR-style root finding) ---------- *)
-
-module Events = Om_ode.Events
-
-let test_event_zero_crossing_time () =
-  (* x(t) = cos t crosses zero at pi/2. *)
-  let sys = circle () in
-  let ev = { Events.label = "x-zero"; g = (fun _ y -> y.(0)) } in
-  let r =
-    Events.integrate ~atol:1e-10 ~rtol:1e-10 ~events:[ ev ] sys ~t0:0.
-      ~y0:[| 1.; 0. |] ~tend:2.
-  in
-  match Events.crossings r "x-zero" with
-  | [ o ] ->
-      Alcotest.(check (float 1e-5)) "at pi/2" (Float.pi /. 2.) o.time;
-      Alcotest.(check bool) "falling" true (not o.rising);
-      Alcotest.(check (float 1e-4)) "y at crossing" (-1.) o.state.(1)
-  | l -> Alcotest.failf "expected one crossing, got %d" (List.length l)
-
-let test_event_counts_periodic () =
-  (* sin t has 3 zero crossings in (0, 3 pi] excluding t0. *)
-  let sys = circle () in
-  let ev = { Events.label = "y-zero"; g = (fun _ y -> y.(1)) } in
-  let r =
-    Events.integrate ~atol:1e-10 ~rtol:1e-10 ~events:[ ev ] sys ~t0:0.
-      ~y0:[| 1.; 0. |]
-      ~tend:(3. *. Float.pi +. 0.1)
-  in
-  Alcotest.(check int) "three crossings" 3
-    (List.length (Events.crossings r "y-zero"))
-
-let test_event_stop_at_first () =
-  let sys = circle () in
-  let ev = { Events.label = "x-zero"; g = (fun _ y -> y.(0)) } in
-  let r =
-    Events.integrate ~stop_at_first:true ~events:[ ev ] sys ~t0:0.
-      ~y0:[| 1.; 0. |] ~tend:20.
-  in
-  Alcotest.(check int) "one occurrence" 1 (List.length r.occurrences);
-  let last = r.trajectory.ts.(Array.length r.trajectory.ts - 1) in
-  Alcotest.(check bool) "trajectory cut" true (last < 3.)
-
-let test_event_time_function () =
-  (* Event on the time variable itself: g = t - 0.5. *)
-  let sys = decay () in
-  let ev = { Events.label = "t-half"; g = (fun t _ -> t -. 0.5) } in
-  let r = Events.integrate ~events:[ ev ] sys ~t0:0. ~y0:[| 1. |] ~tend:1. in
-  match Events.crossings r "t-half" with
-  | [ o ] -> Alcotest.(check (float 1e-6)) "at 0.5" 0.5 o.time
-  | _ -> Alcotest.fail "expected exactly one crossing"
-
-let test_event_multiple_functions () =
-  let sys = circle () in
-  let evs =
-    [
-      { Events.label = "x-zero"; g = (fun _ y -> y.(0)) };
-      { Events.label = "y-zero"; g = (fun _ y -> y.(1)) };
-    ]
-  in
-  let r =
-    Events.integrate ~events:evs sys ~t0:0. ~y0:[| 1.; 0. |]
-      ~tend:(2. *. Float.pi -. 0.05)
-  in
-  Alcotest.(check int) "x crossings" 2
-    (List.length (Events.crossings r "x-zero"));
-  Alcotest.(check int) "y crossings" 1
-    (List.length (Events.crossings r "y-zero"));
-  (* Chronological ordering. *)
-  let times = List.map (fun (o : Events.occurrence) -> o.time) r.occurrences in
-  Alcotest.(check bool) "sorted" true (List.sort compare times = times)
 
 (* ---------- cross-solver consistency ---------- *)
 
@@ -793,15 +671,6 @@ let () =
           Alcotest.test_case "rkf45 rejections" `Quick
             test_rkf45_rejections_counted;
         ] );
-      ( "adams",
-        [
-          Alcotest.test_case "orders 1-4" `Quick test_adams_orders;
-          Alcotest.test_case "PECE call count" `Quick
-            test_adams_rhs_calls_per_step;
-          Alcotest.test_case "bad order" `Quick test_adams_bad_order;
-          Alcotest.test_case "PECE error estimate" `Quick
-            test_pece_error_estimate;
-        ] );
       ( "bdf",
         [
           Alcotest.test_case "decay" `Quick test_bdf_decay;
@@ -824,23 +693,10 @@ let () =
             test_lsoda_nonstiff_stays_adams;
           Alcotest.test_case "switches on stiff" `Quick
             test_lsoda_switches_on_stiff;
-          Alcotest.test_case "switching saves calls" `Quick
-            test_lsoda_stiff_beats_pure_adams_on_calls;
           Alcotest.test_case "monotone trajectory" `Quick
             test_lsoda_trajectory_monotone_time;
         ] );
       ( "consistency", [ q prop_solvers_agree ] );
-      ( "events",
-        [
-          Alcotest.test_case "crossing time" `Quick
-            test_event_zero_crossing_time;
-          Alcotest.test_case "periodic counts" `Quick
-            test_event_counts_periodic;
-          Alcotest.test_case "stop at first" `Quick test_event_stop_at_first;
-          Alcotest.test_case "time event" `Quick test_event_time_function;
-          Alcotest.test_case "multiple functions" `Quick
-            test_event_multiple_functions;
-        ] );
       ( "sparse regression",
         [
           Alcotest.test_case "bdf dense = sparse bitwise" `Quick
