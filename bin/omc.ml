@@ -618,10 +618,14 @@ let sweep_cmd =
             ( Objectmath.Sweep.run ~source:src ~cls ~param ~values ~tend
                 ~metric (),
               "legacy per-value" )
-      with Om_guard.Om_error.Error e ->
-        Printf.eprintf "omc: solver failure: %s\n"
-          (Om_guard.Om_error.to_string e);
-        exit 3
+      with
+      | Om_lang.Override.Shadowed what ->
+          Printf.eprintf "omc: sweep target reaches no instance: %s\n" what;
+          exit 1
+      | Om_guard.Om_error.Error e ->
+          Printf.eprintf "omc: solver failure: %s\n"
+            (Om_guard.Om_error.to_string e);
+          exit 3
     in
     Printf.printf "sweep %s.%s over %d values to t=%g (engine: %s)\n" cls
       param (List.length points) tend engine;
@@ -702,6 +706,9 @@ let ensemble_cmd =
       with
       | Om_lang.Override.Unknown_target what ->
           Printf.eprintf "omc: unknown ensemble target: %s\n" what;
+          exit 1
+      | Om_lang.Override.Shadowed what ->
+          Printf.eprintf "omc: ensemble target reaches no instance: %s\n" what;
           exit 1
       | Om_guard.Om_error.Error e ->
           Printf.eprintf "omc: solver failure: %s\n"

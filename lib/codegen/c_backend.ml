@@ -50,25 +50,25 @@ let expr_to_c var_name e =
         if x < 0. then paren 2 (fun () -> Buffer.add_string buf (float_literal x))
         else Buffer.add_string buf (float_literal x)
     | E.Var v -> Buffer.add_string buf (var_name v)
-    | E.Add terms ->
+    | E.Add (terms, _) ->
         paren 1 (fun () ->
             List.iteri
               (fun i t ->
                 if i > 0 then Buffer.add_string buf " + ";
                 emit 2 t)
               terms)
-    | E.Mul (E.Const (-1.) :: rest) when rest <> [] ->
+    | E.Mul (E.Const (-1.) :: rest, _) when rest <> [] ->
         paren 3 (fun () ->
             Buffer.add_char buf '-';
             emit 5 (E.mul rest))
-    | E.Mul factors ->
+    | E.Mul (factors, _) ->
         paren 2 (fun () ->
             List.iteri
               (fun i f ->
                 if i > 0 then Buffer.add_char buf '*';
                 emit 5 f)
               factors)
-    | E.Pow (b, E.Const n)
+    | E.Pow (b, E.Const n, _)
       when Float.is_integer n && n >= 2. && n <= 4. ->
         (* Small integer powers as explicit products. *)
         paren 2 (fun () ->
@@ -77,17 +77,17 @@ let expr_to_c var_name e =
               if i > 0 then Buffer.add_char buf '*';
               emit 5 b
             done)
-    | E.Pow (b, E.Const (-1.)) ->
+    | E.Pow (b, E.Const (-1.), _) ->
         paren 2 (fun () ->
             Buffer.add_string buf "1.0/";
             emit 5 b)
-    | E.Pow (b, ex) ->
+    | E.Pow (b, ex, _) ->
         Buffer.add_string buf "pow(";
         emit 1 b;
         Buffer.add_string buf ", ";
         emit 1 ex;
         Buffer.add_char buf ')'
-    | E.Call (f, args) ->
+    | E.Call (f, args, _) ->
         Buffer.add_string buf (c_func f);
         Buffer.add_char buf '(';
         List.iteri
@@ -96,7 +96,7 @@ let expr_to_c var_name e =
             emit 1 a)
           args;
         Buffer.add_char buf ')'
-    | E.If (c, t, e') ->
+    | E.If (c, t, e', _) ->
         paren 1 (fun () ->
             Buffer.add_char buf '(';
             emit 1 c.lhs;

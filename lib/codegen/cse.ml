@@ -24,29 +24,13 @@ let extractable e =
    interpreter bitwise. *)
 let subst_exact = E.map_exact
 
-(* The hash of a node from its children's, in {!E.children} order.  Equal
-   trees get equal hashes: leaves hash with [E.hash], which, like
-   [E.equal], does not tell [0.] from [-0.] or one NaN from another. *)
-let node_seed (e : E.t) =
-  match e with
-  | E.Const _ | E.Var _ -> E.hash e
-  | E.Add _ -> 3
-  | E.Mul _ -> 5
-  | E.Pow _ -> 7
-  | E.Call (f, _) -> (13 * Hashtbl.hash f) + 17
-  | E.If (c, _, _) -> 19 + (23 * Hashtbl.hash c.rel)
-
-let mix acc h = (acc * 131) + h
-
-(* Subtrees keyed by their structural hash, compared with [E.equal] only
-   when the hashes agree. *)
-type keyed = { hash : int; node : E.t }
-
+(* Subtrees keyed by their stored structural hash, compared with
+   [E.equal] only when the hashes agree. *)
 module Keyed = Hashtbl.Make (struct
-  type t = keyed
+  type t = E.t
 
-  let equal a b = a.hash = b.hash && E.equal a.node b.node
-  let hash k = k.hash
+  let equal = E.equal
+  let hash = E.hash
 end)
 
 (* A candidate subtree: its occurrence count, its size, and its last
@@ -60,35 +44,29 @@ type candidate = {
 
 let eliminate ?(min_size = 3) ?(min_count = 2) ?(prefix = "cse$") targets =
   (* Pass 1: count syntactic occurrences of every candidate subtree.  One
-     pre-order walk numbers every tree node and records its hash and
-     size, each computed from the children's, so no subtree is walked
-     twice; pass 2 reads them back to rewrite without rehashing. *)
+     pre-order walk numbers every tree node and records its size,
+     computed from the children's, so no subtree is walked twice; pass 2
+     reads them back to rewrite. *)
   let total = List.fold_left (fun n (_, e) -> n + E.size e) 0 targets in
-  let hashes = Array.make total 0 and sizes = Array.make total 0 in
+  let sizes = Array.make total 0 in
   let counts = Keyed.create 256 in
   let next = ref 0 in
   let rec count e =
     let i = !next in
     incr next;
-    let h =
-      List.fold_left (fun acc c -> mix acc (count c)) (node_seed e)
-        (E.children e)
-    in
+    List.iter count (E.children e);
     let size = !next - i in
-    hashes.(i) <- h;
     sizes.(i) <- size;
     if extractable e && size >= min_size then begin
-      let key = { hash = h; node = e } in
-      match Keyed.find_opt counts key with
+      match Keyed.find_opt counts e with
       | Some c ->
           c.count <- c.count + 1;
           c.last <- e;
           c.pos <- i
-      | None -> Keyed.add counts key { count = 1; size; last = e; pos = i }
-    end;
-    h
+      | None -> Keyed.add counts e { count = 1; size; last = e; pos = i }
+    end
   in
-  List.iter (fun (_, e) -> ignore (count e)) targets;
+  List.iter (fun (_, e) -> count e) targets;
   let shared =
     Keyed.fold
       (fun _ c acc -> if c.count >= min_count then c :: acc else acc)
@@ -104,7 +82,7 @@ let eliminate ?(min_size = 3) ?(min_count = 2) ?(prefix = "cse$") targets =
     List.mapi
       (fun i c ->
         let name = prefix ^ string_of_int i in
-        Keyed.add names { hash = hashes.(c.pos); node = c.last } name;
+        Keyed.add names c.last name;
         (name, c))
       shared
   in
@@ -113,7 +91,7 @@ let eliminate ?(min_size = 3) ?(min_count = 2) ?(prefix = "cse$") targets =
   let rec rewrite e i =
     let named =
       if extractable e && sizes.(i) >= min_size then
-        Keyed.find_opt names { hash = hashes.(i); node = e }
+        Keyed.find_opt names e
       else None
     in
     match named with

@@ -48,30 +48,30 @@ let expr_to_mathematica var_name e =
         if x < 0. then paren 2 (fun () -> Buffer.add_string buf (float_literal x))
         else Buffer.add_string buf (float_literal x)
     | E.Var v -> Buffer.add_string buf (var_name v)
-    | E.Add terms ->
+    | E.Add (terms, _) ->
         paren 1 (fun () ->
             List.iteri
               (fun i t ->
                 if i > 0 then Buffer.add_string buf " + ";
                 emit 2 t)
               terms)
-    | E.Mul (E.Const (-1.) :: rest) when rest <> [] ->
+    | E.Mul (E.Const (-1.) :: rest, _) when rest <> [] ->
         paren 3 (fun () ->
             Buffer.add_char buf '-';
             emit 4 (E.mul rest))
-    | E.Mul factors ->
+    | E.Mul (factors, _) ->
         paren 2 (fun () ->
             List.iteri
               (fun i f ->
                 if i > 0 then Buffer.add_char buf '*';
                 emit 4 f)
               factors)
-    | E.Pow (b, ex) ->
+    | E.Pow (b, ex, _) ->
         paren 4 (fun () ->
             emit 5 b;
             Buffer.add_char buf '^';
             emit 5 ex)
-    | E.Call (f, args) ->
+    | E.Call (f, args, _) ->
         Buffer.add_string buf (mathematica_func f);
         Buffer.add_char buf '[';
         List.iteri
@@ -80,7 +80,7 @@ let expr_to_mathematica var_name e =
             emit 1 a)
           args;
         Buffer.add_char buf ']'
-    | E.If (c, t, e') ->
+    | E.If (c, t, e', _) ->
         Buffer.add_string buf "If[";
         emit 1 c.lhs;
         Buffer.add_string buf

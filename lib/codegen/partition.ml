@@ -28,12 +28,12 @@ let cost roots = flops (List.map snd roots)
    nodes passed through to reach them, [e] and the sum included. *)
 let rec parts path (e : E.t) =
   match e with
-  | E.Add ts -> Some (e :: path, ts)
-  | E.Mul fs -> (
+  | E.Add (ts, _) -> Some (e :: path, ts)
+  | E.Mul (fs, _) -> (
       match List.filter (function E.Add _ -> true | _ -> false) fs with
       | [ sum ] -> parts (e :: path) sum
       | _ -> None)
-  | E.If (_, a, E.Const 0.) -> parts (e :: path) a
+  | E.If (_, a, E.Const 0., _) -> parts (e :: path) a
   | _ -> None
 
 (* Hoisting: the subtrees of [rhs] that worker tasks compute, each into

@@ -37,7 +37,10 @@ val run :
     initial state to [tend], and evaluate [metric] on each trajectory.
     Uses the compile-once ensemble path when the parameter promotes,
     the per-value legacy path otherwise.
-    @raise Om_lang.Override.Unknown_target / [Om_lang.Flatten.Error]. *)
+    @raise Om_lang.Override.Unknown_target / [Om_lang.Flatten.Error].
+    @raise Om_lang.Override.Shadowed when instance bindings rebind the
+    parameter wherever the class is used, so that no value would reach
+    the model. *)
 
 (** {1 Compile-once API} *)
 
@@ -114,6 +117,8 @@ val monte_carlo :
     and summarised.  The same seed yields the same draws, and therefore
     the same report, on every run.
     @raise Om_lang.Override.Unknown_target on a bad spec target.
+    @raise Om_lang.Override.Shadowed on a spec no value would reach, as
+    {!run}.
     @raise Invalid_argument on [samples < 1] or an empty spec list. *)
 
 val final_value : string -> Om_ode.Odesys.t -> Om_ode.Odesys.trajectory -> float

@@ -35,22 +35,22 @@ let rec cost w ~branch (e : Expr.t) =
   let k = cost w ~branch in
   match e with
   | Const _ | Var _ -> 0.
-  | Add xs ->
+  | Add (xs, _) ->
       float_of_int (List.length xs - 1) *. w.w_add
       +. List.fold_left (fun acc x -> acc +. k x) 0. xs
-  | Mul xs ->
+  | Mul (xs, _) ->
       float_of_int (List.length xs - 1) *. w.w_mul
       +. List.fold_left (fun acc x -> acc +. k x) 0. xs
-  | Pow (b, Const n) when Float.is_integer n ->
+  | Pow (b, Const n, _) when Float.is_integer n ->
       (* Integer powers lower to repeated multiplication (or one division
          for negative exponents); cost log2 |n| multiplies. *)
       let a = Float.abs n in
       let mults = if a <= 1. then 0. else Float.ceil (Float.log a /. Float.log 2.) in
       k b +. (mults *. w.w_mul) +. (if n < 0. then w.w_div else 0.)
-  | Pow (b, e') -> k b +. k e' +. w.w_pow
-  | Call (f, args) ->
+  | Pow (b, e', _) -> k b +. k e' +. w.w_pow
+  | Call (f, args, _) ->
       w.w_call f +. List.fold_left (fun acc x -> acc +. k x) 0. args
-  | If (c, t, e') ->
+  | If (c, t, e', _) ->
       w.w_cmp +. k c.lhs +. k c.rhs +. branch (k t) (k e')
 
 let flops ?(weights = default) e = cost weights ~branch:Float.max e

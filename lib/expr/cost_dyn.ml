@@ -7,7 +7,7 @@ let build ?(weights = Cost.default) layout e =
     | Var v ->
         let i = index v in
         fun env _ -> env.(i)
-    | Add xs ->
+    | Add (xs, _) ->
         let fs = Array.of_list (List.map build xs) in
         let op_cost = float_of_int (Array.length fs - 1) *. w.w_add in
         fun env acc ->
@@ -15,7 +15,7 @@ let build ?(weights = Cost.default) layout e =
           let sum = ref 0. in
           Array.iter (fun f -> sum := !sum +. f env acc) fs;
           !sum
-    | Mul xs ->
+    | Mul (xs, _) ->
         let fs = Array.of_list (List.map build xs) in
         let op_cost = float_of_int (Array.length fs - 1) *. w.w_mul in
         fun env acc ->
@@ -23,7 +23,7 @@ let build ?(weights = Cost.default) layout e =
           let prod = ref 1. in
           Array.iter (fun f -> prod := !prod *. f env acc) fs;
           !prod
-    | Pow (b, Const n) when Float.is_integer n ->
+    | Pow (b, Const n, _) when Float.is_integer n ->
         let fb = build b in
         let a = Float.abs n in
         let mults =
@@ -36,12 +36,12 @@ let build ?(weights = Cost.default) layout e =
         fun env acc ->
           acc := !acc +. op_cost;
           Expr.eval_pow (fb env acc) n
-    | Pow (b, ex) ->
+    | Pow (b, ex, _) ->
         let fb = build b and fe = build ex in
         fun env acc ->
           acc := !acc +. w.w_pow;
           Expr.eval_pow (fb env acc) (fe env acc)
-    | Call (f, args) ->
+    | Call (f, args, _) ->
         let fs = List.map build args in
         let fcost = w.w_call f in
         (match fs with
@@ -57,7 +57,7 @@ let build ?(weights = Cost.default) layout e =
             fun env acc ->
               acc := !acc +. fcost;
               Expr.eval_func f (List.map (fun g -> g env acc) fs))
-    | If (c, t, e') ->
+    | If (c, t, e', _) ->
         let fl = build c.lhs and fr = build c.rhs in
         let ft = build t and fe = build e' in
         let rel = c.rel in

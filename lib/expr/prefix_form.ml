@@ -30,11 +30,11 @@ let rec render ~annotate buf (e : Expr.t) =
         Buffer.add_string buf v;
         Buffer.add_string buf ", om$Real]")
       else Buffer.add_string buf v
-  | Add xs -> head "Plus" xs
-  | Mul xs -> head "Times" xs
-  | Pow (a, b) -> head "Power" [ a; b ]
-  | Call (f, args) -> head (head_of_func f) args
-  | If (c, t, e') ->
+  | Add (xs, _) -> head "Plus" xs
+  | Mul (xs, _) -> head "Times" xs
+  | Pow (a, b, _) -> head "Power" [ a; b ]
+  | Call (f, args, _) -> head (head_of_func f) args
+  | If (c, t, e', _) ->
       Buffer.add_string buf "If[";
       Buffer.add_string buf (head_of_rel c.rel);
       Buffer.add_char buf '[';

@@ -8,8 +8,8 @@ let ( *! ) = Stdlib.( * )
 (* Decompose a term of a sum into (numeric coefficient, factor list). *)
 let decomp = function
   | Const c -> (c, [])
-  | Mul (Const c :: fs) -> (c, fs)
-  | Mul fs -> (1., fs)
+  | Mul (Const c :: fs, _) -> (c, fs)
+  | Mul (fs, _) -> (1., fs)
   | e -> (1., [ e ])
 
 let recomp (c, fs) =
@@ -19,11 +19,11 @@ let recomp (c, fs) =
 
 (* Is [f] sin(x)^2 (resp. cos(x)^2)?  Returns the argument x. *)
 let sin2_arg = function
-  | Pow (Call (Sin, [ x ]), Const 2.) -> Some x
+  | Pow (Call (Sin, [ x ], _), Const 2., _) -> Some x
   | _ -> None
 
 let cos2_arg = function
-  | Pow (Call (Cos, [ x ]), Const 2.) -> Some x
+  | Pow (Call (Cos, [ x ], _), Const 2., _) -> Some x
   | _ -> None
 
 (* Rewrite c*sin(x)^2*R + c*cos(x)^2*R into c*R inside a sum. *)
@@ -79,7 +79,7 @@ let distribute_const factors =
   | Const c :: rest -> (
       let rec pick before = function
         | [] -> None
-        | Add ts :: after ->
+        | Add (ts, _) :: after ->
             Some
               (add
                  (List.map
@@ -94,7 +94,7 @@ let distribute_const factors =
    return its negation. *)
 let strip_negation = function
   | Const c when c < 0. -> Some (const (Float.neg c))
-  | Mul (Const c :: rest) when c < 0. ->
+  | Mul (Const c :: rest, _) when c < 0. ->
       Some (mul (const (Float.neg c) :: rest))
   | Const _ | Var _ | Add _ | Mul _ | Pow _ | Call _ | If _ -> None
 
@@ -112,20 +112,20 @@ let is_even_func = function
 let rec simplify e =
   let e = map_children simplify e in
   match e with
-  | Add ts ->
+  | Add (ts, _) ->
       let e' = pythagoras ts in
       if equal e' e then e else simplify e'
-  | Mul fs -> (
+  | Mul (fs, _) -> (
       match distribute_const fs with
       | Some e' when size e' <= size e -> simplify e'
       | _ -> e)
-  | Call (Sqrt, [ Pow (b, Const 2.) ]) -> abs (simplify b)
-  | Pow (Call (Sqrt, [ x ]), Const 2.) -> x
-  | Pow (Call (Abs, [ x ]), Const 2.) -> sqr x
-  | Call (Log, [ Call (Exp, [ x ]) ]) -> x
-  | Call (Exp, [ Call (Log, [ x ]) ]) -> x
-  | Call (Abs, [ Call (Abs, [ x ]) ]) -> abs x
-  | Call (f, [ arg ]) when is_odd_func f || is_even_func f -> (
+  | Call (Sqrt, [ Pow (b, Const 2., _) ], _) -> abs (simplify b)
+  | Pow (Call (Sqrt, [ x ], _), Const 2., _) -> x
+  | Pow (Call (Abs, [ x ], _), Const 2., _) -> sqr x
+  | Call (Log, [ Call (Exp, [ x ], _) ], _) -> x
+  | Call (Exp, [ Call (Log, [ x ], _) ], _) -> x
+  | Call (Abs, [ Call (Abs, [ x ], _) ], _) -> abs x
+  | Call (f, [ arg ], _) when is_odd_func f || is_even_func f -> (
       (* Odd/even symmetry: f(-x) = ±f(x), pulling the sign out so like
          terms can collect. *)
       match strip_negation arg with
@@ -143,8 +143,8 @@ let rec expand e = add (terms e)
 
 and terms e : t list =
   match e with
-  | Add ts -> List.concat_map terms ts
-  | Mul fs ->
+  | Add (ts, _) -> List.concat_map terms ts
+  | Mul (fs, _) ->
       let factor_terms = List.map terms fs in
       let total =
         List.fold_left (fun acc l -> acc *! List.length l) 1 factor_terms
@@ -156,7 +156,7 @@ and terms e : t list =
           (fun acc ts ->
             List.concat_map (fun a -> List.map (fun t -> mul [ a; t ]) ts) acc)
           [ one ] factor_terms
-  | Pow (b, Const n) when Float.is_integer n && n >= 2. && n <= 8. -> (
+  | Pow (b, Const n, _) when Float.is_integer n && n >= 2. && n <= 8. -> (
       let bt = terms b in
       let k = int_of_float n in
       let count = List.length bt in

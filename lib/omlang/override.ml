@@ -113,11 +113,44 @@ let promote_parameter (m : Ast.model) ~cls ~param =
   in
   { m with classes }
 
+exception Shadowed of string
+
+(* A class default reaches a model through its instances, its parts and
+   its subclasses.  When the model uses [cls] through instances only,
+   and each of them rebinds [param] with a [with] binding, a new default
+   changes nothing. *)
+let check_reached (m : Ast.model) ~cls ~param =
+  let elsewhere =
+    List.exists
+      (fun (c : Ast.class_def) ->
+        (match c.parent with Some (p, _) -> p = cls | None -> false)
+        || List.exists
+             (function Ast.Part (_, pc, _) -> pc = cls | _ -> false)
+             c.members)
+      m.classes
+  in
+  match List.filter (fun (i : Ast.instance_def) -> i.icls = cls) m.instances with
+  | _ :: _ as users
+    when (not elsewhere)
+         && List.for_all
+              (fun (i : Ast.instance_def) -> List.mem_assoc param i.ibindings)
+              users ->
+      raise
+        (Shadowed
+           (Printf.sprintf "parameter %s of class %s is rebound by %s" param
+              cls
+              (String.concat ", "
+                 (List.map (fun (i : Ast.instance_def) -> "instance " ^ i.iname) users))))
+  | _ -> ()
+
 let flatten_with ~source ~overrides =
   let ast = Parser.parse_model source in
   let ast =
     List.fold_left
-      (fun ast (cls, param, value) -> set_parameter ast ~cls ~param value)
+      (fun ast (cls, param, value) ->
+        let ast = set_parameter ast ~cls ~param value in
+        check_reached ast ~cls ~param;
+        ast)
       ast overrides
   in
   Flatten.flatten ast

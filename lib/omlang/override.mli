@@ -40,8 +40,15 @@ val promote_parameter : Ast.model -> cls:string -> param:string -> Ast.model
     @raise Unknown_target if the class or parameter does not exist.
     @raise Structural on a rebinding conflict. *)
 
+exception Shadowed of string
+(** Raised by {!flatten_with} when an override would change nothing:
+    the model uses the class only through instances, and each of them
+    rebinds the parameter with a [with] binding.  The payload names
+    those instances. *)
+
 val flatten_with :
   source:string -> overrides:(string * string * float) list ->
   Flat_model.t
 (** Parse [source], apply [(class, parameter, value)] overrides, flatten.
-    @raise Unknown_target / [Flatten.Error] / [Parser.Error]. *)
+    @raise Unknown_target / [Shadowed] / [Flatten.Error] /
+    [Parser.Error]. *)

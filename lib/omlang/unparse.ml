@@ -88,15 +88,15 @@ let rec flat_expr (e : E.t) : Ast.sexpr =
   | E.Const x -> Snum x
   | E.Var "t" -> Sname (Ast.name_of_string "time")
   | E.Var v -> Sname (Ast.name_of_string (flat_name v))
-  | E.Add (t :: ts) ->
+  | E.Add (t :: ts, _) ->
       List.fold_left (fun acc u -> Ast.Sbin (Badd, acc, flat_expr u)) (flat_expr t) ts
-  | E.Add [] -> Snum 0.
-  | E.Mul (f :: fs) ->
+  | E.Add ([], _) -> Snum 0.
+  | E.Mul (f :: fs, _) ->
       List.fold_left (fun acc u -> Ast.Sbin (Bmul, acc, flat_expr u)) (flat_expr f) fs
-  | E.Mul [] -> Snum 1.
-  | E.Pow (b, ex) -> Sbin (Bpow, flat_expr b, flat_expr ex)
-  | E.Call (f, args) -> Scall (E.func_name f, List.map flat_expr args)
-  | E.If (c, t, e') ->
+  | E.Mul ([], _) -> Snum 1.
+  | E.Pow (b, ex, _) -> Sbin (Bpow, flat_expr b, flat_expr ex)
+  | E.Call (f, args, _) -> Scall (E.func_name f, List.map flat_expr args)
+  | E.If (c, t, e', _) ->
       Sif
         ( { sc_lhs = flat_expr c.lhs; sc_rel = c.rel; sc_rhs = flat_expr c.rhs },
           flat_expr t, flat_expr e' )

@@ -606,25 +606,72 @@ let test_sweep_promotes () =
       Alcotest.failf "expected promotion, got legacy: %s" reason
 
 (* An instance [with] binding rebinding the swept parameter forces the
-   legacy path. *)
+   legacy path; here it rebinds it for the class's only instance. *)
 let structural_source =
   {|model M; class C parameter k = 1.0; variable x init 1.0;
     equation der(x) = 0.0 - k * x; end; instance c of C with k = 2.0;|}
 
+(* No value of [k] reaches the model: a sweep would print the same point
+   for each.  Both sweeps refuse, naming the instance. *)
 let test_sweep_structural_fallback () =
   let source = structural_source in
   (match Objectmath.Sweep.prepare ~source ~cls:"C" ~param:"k" with
   | Objectmath.Sweep.Legacy _ -> ()
   | Objectmath.Sweep.Promoted _ ->
       Alcotest.fail "expected legacy fallback for structural rebinding");
-  (* And Sweep.run still works on it end to end. *)
+  let shadowed =
+    Om_lang.Override.Shadowed "parameter k of class C is rebound by instance c"
+  in
+  Alcotest.check_raises "sweep" shadowed (fun () ->
+      ignore
+        (Objectmath.Sweep.run ~source ~cls:"C" ~param:"k" ~values:[ 1.; 2. ]
+           ~tend:1.
+           ~metric:(Objectmath.Sweep.final_value "c.x")
+           ()));
+  Alcotest.check_raises "monte carlo" shadowed (fun () ->
+      ignore
+        (Objectmath.Sweep.monte_carlo ~source
+           ~specs:[ ("C", "k", Objectmath.Sweep.Uniform (0.5, 2.)) ]
+           ~samples:2 ~seed:1 ~tend:1.
+           ~metric:(Objectmath.Sweep.final_value "c.x")
+           ()))
+
+(* One instance rebinds [k], the other reads the class default: the
+   sweep takes the legacy engine and still varies [d]. *)
+let mixed_source k =
+  Printf.sprintf
+    {|model M; class C parameter k = %s; variable x init 1.0;
+      equation der(x) = 0.0 - k * x; end;
+      instance c of C with k = 2.0; instance d of C;|}
+    k
+
+(* Each point is the run of the source with the value written into its
+   text, bit for bit. *)
+let test_sweep_mixed_instances () =
+  let values = [ 0.5; 1.; 3. ] in
   let points =
-    Objectmath.Sweep.run ~source ~cls:"C" ~param:"k" ~values:[ 1.; 2. ]
-      ~tend:1.
-      ~metric:(Objectmath.Sweep.final_value "c.x")
+    Objectmath.Sweep.run ~source:(mixed_source "1.0") ~cls:"C" ~param:"k"
+      ~values ~tend:1.
+      ~metric:(Objectmath.Sweep.final_value "d.x")
       ()
   in
-  Alcotest.(check int) "two points" 2 (List.length points)
+  List.iter2
+    (fun v (p : Objectmath.Sweep.point) ->
+      let m =
+        Om_codegen.Pipeline.model_of_source
+          (mixed_source (Printf.sprintf "%.17g" v))
+      in
+      let sys =
+        Om_codegen.Pipeline.system m (Om_codegen.Pipeline.sequential_fn m)
+      in
+      let y0 = Om_lang.Flat_model.initial_values (Om_codegen.Pipeline.flat_model m) in
+      let r = Om_ode.Lsoda.integrate sys ~t0:0. ~y0 ~tend:1. in
+      Alcotest.(check int64)
+        (Printf.sprintf "k = %g" v)
+        (Int64.bits_of_float (Objectmath.Sweep.final_value "d.x" sys r.trajectory))
+        (Int64.bits_of_float p.metric);
+      Alcotest.(check int) (Printf.sprintf "steps at k = %g" v) sys.counters.steps p.steps)
+    values points
 
 let test_sweep_builds_no_back_end () =
   (* A sweep runs the sequential program only: preparing it and running
@@ -639,9 +686,9 @@ let test_sweep_builds_no_back_end () =
   | Objectmath.Sweep.Legacy reason ->
       Alcotest.failf "expected promotion, got legacy: %s" reason);
   ignore
-    (Objectmath.Sweep.run ~source:structural_source ~cls:"C" ~param:"k"
+    (Objectmath.Sweep.run ~source:(mixed_source "1.0") ~cls:"C" ~param:"k"
        ~values:[ 1.; 2. ] ~tend:1.
-       ~metric:(Objectmath.Sweep.final_value "c.x")
+       ~metric:(Objectmath.Sweep.final_value "d.x")
        ());
   Alcotest.(check int) "no back end built" backs
     (Om_codegen.Pipeline.back_count ())
@@ -781,6 +828,8 @@ let () =
             test_sweep_promotes;
           Alcotest.test_case "structural fallback" `Quick
             test_sweep_structural_fallback;
+          Alcotest.test_case "mixed instances" `Quick
+            test_sweep_mixed_instances;
           Alcotest.test_case "unknown parameter" `Quick
             test_sweep_unknown_param;
           Alcotest.test_case "no values" `Quick test_sweep_no_values;

@@ -171,17 +171,17 @@ let raw_pow a b =
 module Table_oracle = struct
   let coeff_split = function
     | E.Const c -> (c, [])
-    | E.Mul (E.Const c :: rest) -> (c, rest)
-    | E.Mul fs -> (1., fs)
+    | E.Mul (E.Const c :: rest, _) -> (c, rest)
+    | E.Mul (fs, _) -> (1., fs)
     | e -> (1., [ e ])
 
-  let power_split = function E.Pow (b, E.Const n) -> (b, n) | e -> (e, 1.)
+  let power_split = function E.Pow (b, E.Const n, _) -> (b, n) | e -> (e, 1.)
 
   let bits x = Int64.bits_of_float x
 
   let or_first first e =
     match (first, e) with
-    | E.Pow (b1, E.Const n1), E.Pow (b2, E.Const n2)
+    | E.Pow (b1, E.Const n1, _), E.Pow (b2, E.Const n2, _)
       when b1 == b2 && bits n1 = bits n2 ->
         first
     | _ -> e
@@ -192,7 +192,7 @@ module Table_oracle = struct
     | es -> raw_mul (List.sort E.compare es)
 
   let add terms =
-    let flat = List.concat_map (function E.Add xs -> xs | e -> [ e ]) terms in
+    let flat = List.concat_map (function E.Add (xs, _) -> xs | e -> [ e ]) terms in
     let table : (E.t list, float ref) Hashtbl.t = Hashtbl.create 16 in
     let order = ref [] in
     let konst = ref 0. in
@@ -222,7 +222,7 @@ module Table_oracle = struct
     | es -> raw_add es
 
   let mul factors =
-    let flat = List.concat_map (function E.Mul xs -> xs | e -> [ e ]) factors in
+    let flat = List.concat_map (function E.Mul (xs, _) -> xs | e -> [ e ]) factors in
     let table : (E.t, float ref * E.t) Hashtbl.t = Hashtbl.create 16 in
     let order = ref [] in
     let konst = ref 1. in
@@ -269,10 +269,10 @@ let identical inputs a b =
     | E.Const x, E.Const y ->
         Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
     | E.Var x, E.Var y -> String.equal x y
-    | E.Add xs, E.Add ys | E.Mul xs, E.Mul ys -> List.equal go xs ys
-    | E.Pow (a1, b1), E.Pow (a2, b2) -> go a1 a2 && go b1 b2
-    | E.Call (f, xs), E.Call (g, ys) -> f = g && List.equal go xs ys
-    | E.If (c1, t1, e1), E.If (c2, t2, e2) ->
+    | E.Add (xs, _), E.Add (ys, _) | E.Mul (xs, _), E.Mul (ys, _) -> List.equal go xs ys
+    | E.Pow (a1, b1, _), E.Pow (a2, b2, _) -> go a1 a2 && go b1 b2
+    | E.Call (f, xs, _), E.Call (g, ys, _) -> f = g && List.equal go xs ys
+    | E.If (c1, t1, e1, _), E.If (c2, t2, e2, _) ->
         c1.rel = c2.rel && go c1.lhs c2.lhs && go c1.rhs c2.rhs && go t1 t2
         && go e1 e2
     | _ -> false
@@ -338,7 +338,7 @@ let prop_mul_into_matches_mul =
     let open QCheck.Gen in
     let* ops = operands_gen in
     match E.mul ops with
-    | E.Mul fs when E.is_product fs ->
+    | E.Mul (fs, _) when E.is_product fs ->
         let* k = int_bound (List.length fs - 1) in
         let fs' = List.filteri (fun i _ -> i <> k) fs in
         let* x =
@@ -440,7 +440,7 @@ let has_kink e =
       acc
       ||
       match n with
-      | E.If _ | E.Call ((E.Abs | E.Sign | E.Min | E.Max), _) -> true
+      | E.If _ | E.Call ((E.Abs | E.Sign | E.Min | E.Max), _, _) -> true
       | _ -> false)
     false e
 
@@ -1299,6 +1299,53 @@ let prop_hash_consistent =
     (QCheck.pair arbitrary_expr arbitrary_expr) (fun (a, b) ->
       (not (E.equal a b)) || E.hash a = E.hash b)
 
+(* Constants that [equal] does not tell apart hash alike: [0.] and
+   [-0.], and NaNs of different payloads.  [special] turns some of a
+   random term's constants into these, [twist] swaps each for its twin;
+   both rebuild with the raw constructors, so nothing folds. *)
+let prop_hash_follows_equal =
+  let special c =
+    match Float.to_int (Float.abs c) mod 4 with
+    | 0 -> 0.
+    | 1 -> -0.
+    | 2 -> Float.nan
+    | _ -> c
+  in
+  let twist c =
+    if Float.is_nan c then Int64.float_of_bits 0x7FF0000000000123L
+    else if c = 0. then Float.neg c
+    else c
+  in
+  let consts f = E.map_exact (function E.Const c -> Some (E.const (f c)) | _ -> None) in
+  QCheck.Test.make ~name:"equal implies equal stored hash" ~count:500
+    arbitrary_expr (fun e ->
+      let a = consts special e in
+      let b = consts twist a in
+      E.equal a b && E.hash a = E.hash b && E.compare a b = 0)
+
+(* [atan2 e e] iterated 40 times: a tree of 2^41 - 1 nodes in a DAG of
+   41.  Hashing reads a stored field, [intern] and [vars] visit each
+   node once; [intern] still tells [-0.] from [0.]. *)
+let test_hash_deep_dag () =
+  let rec build n e = if n = 0 then e else build (n - 1) (E.atan2 e e) in
+  let d = build 40 (E.var "x") in
+  let t0 = Unix.gettimeofday () in
+  let h = E.hash d in
+  let rows = E.intern [| E.atan2 d (E.const 0.); E.atan2 d (E.const (-0.)) |] in
+  let vs = E.vars d in
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 0.5 then Alcotest.failf "hash, intern and vars took %.3f s" dt;
+  Alcotest.(check int) "hash is stored" h (E.hash (build 40 (E.var "x")));
+  Alcotest.(check (list string)) "vars" [ "x" ] vs;
+  match (rows.(0), rows.(1)) with
+  | E.Call (_, [ d0; E.Const z0 ], _), E.Call (_, [ d1; E.Const z1 ], _) ->
+      Alcotest.(check bool) "one shared subterm" true (d0 == d1);
+      Alcotest.(check bool) "distinct rows" true (rows.(0) != rows.(1));
+      Alcotest.(check (pair int64 int64)) "zeros by bits"
+        (0L, Int64.bits_of_float (-0.))
+        (Int64.bits_of_float z0, Int64.bits_of_float z1)
+  | _ -> Alcotest.fail "rows are not atan2 calls"
+
 let prop_compare_total_order =
   QCheck.Test.make ~name:"compare antisymmetric" ~count:200
     (QCheck.pair arbitrary_expr arbitrary_expr) (fun (a, b) ->
@@ -1308,6 +1355,12 @@ let () =
   let q = Qcheck_seed.to_alcotest in
   Alcotest.run "om_expr"
     [
+      ( "hash",
+        [
+          q prop_hash_follows_equal;
+          Alcotest.test_case "a 2^40-node tree in a 41-node DAG" `Quick
+            test_hash_deep_dag;
+        ] );
       ( "constructors",
         [
           Alcotest.test_case "constant folding" `Quick test_constant_folding;
