@@ -64,6 +64,15 @@ let positive_float =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* A strictly positive integer: anything else is a usage error too. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let tend_arg ?(doc = "Simulation end time.") default =
   Arg.(value & opt positive_float default & info [ "tend" ] ~docv:"T" ~doc)
 
@@ -600,25 +609,14 @@ let sweep_cmd =
     end;
     let src, fm = load file builtin in
     let metric_name, metric = metric_of fm metric in
-    let prepared =
-      match Objectmath.Sweep.prepare ~source:src ~cls ~param with
-      | p -> p
-      | exception Om_lang.Override.Unknown_target what ->
+    let points =
+      try
+        Objectmath.Sweep.run ~domains ~source:src ~cls ~param ~values ~tend
+          ~metric ()
+      with
+      | Om_lang.Override.Unknown_target what ->
           Printf.eprintf "omc: unknown sweep target: %s\n" what;
           exit 1
-    in
-    let points, engine =
-      try
-        match prepared with
-        | Objectmath.Sweep.Promoted c ->
-            ( Objectmath.Sweep.run_compiled ~domains c ~values ~tend ~metric
-                (),
-              "compile-once ensemble" )
-        | Objectmath.Sweep.Legacy _ ->
-            ( Objectmath.Sweep.run ~source:src ~cls ~param ~values ~tend
-                ~metric (),
-              "legacy per-value" )
-      with
       | Om_lang.Override.Shadowed what ->
           Printf.eprintf "omc: sweep target reaches no instance: %s\n" what;
           exit 1
@@ -627,8 +625,9 @@ let sweep_cmd =
             (Om_guard.Om_error.to_string e);
           exit 3
     in
-    Printf.printf "sweep %s.%s over %d values to t=%g (engine: %s)\n" cls
-      param (List.length points) tend engine;
+    Printf.printf
+      "sweep %s.%s over %d values to t=%g (engine: compile-once ensemble)\n"
+      cls param (List.length points) tend;
     Printf.printf "%14s %16s %8s %10s\n" "value"
       ("final " ^ metric_name)
       "steps" "rhs-calls";
@@ -661,7 +660,7 @@ let sweep_cmd =
                    first state).")
   in
   let domains =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "domains" ] ~docv:"N"
              ~doc:"Split batched RHS rounds across N OCaml domains.")
   in
@@ -716,10 +715,9 @@ let ensemble_cmd =
           exit 3
     in
     Printf.printf
-      "monte carlo %s.%s: %d samples, seed %d, t=%g (engine: %s)\n" cls param
-      samples seed tend
-      (if rep.Objectmath.Sweep.promoted then "compile-once ensemble"
-       else "legacy per-sample");
+      "monte carlo %s.%s: %d samples, seed %d, t=%g (engine: compile-once \
+       ensemble)\n"
+      cls param samples seed tend;
     Printf.printf "final %s: mean % .9e, stddev %.9e\n" metric_name
       rep.Objectmath.Sweep.mean rep.Objectmath.Sweep.stddev;
     if show_samples then begin
@@ -746,7 +744,7 @@ let ensemble_cmd =
                    normal:MU,SIGMA.")
   in
   let samples =
-    Arg.(value & opt int 32
+    Arg.(value & opt positive_int 32
          & info [ "samples" ] ~docv:"N" ~doc:"Ensemble members to draw.")
   in
   let seed =
@@ -763,7 +761,7 @@ let ensemble_cmd =
                    first state).")
   in
   let domains =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "domains" ] ~docv:"N"
              ~doc:"Split batched RHS rounds across N OCaml domains.")
   in

@@ -10,6 +10,7 @@ type result = {
   n_tasks : int;
   split : bool;
   lsoda_sequential_only : bool;
+  sweep_refused : bool;
   discarded : string option;
   violations : violation list;
 }
@@ -73,6 +74,136 @@ let stiffened (f : FM.t) =
         ];
   }
 
+(* ---- sweep --------------------------------------------------------- *)
+
+(* The swept values: the generator's constants lie in [-2, 2]. *)
+let sweep_values = [ 0.75; 1.5; -0.5 ]
+
+(* A sweep point and a scalar run are two RKF45 integrations whose step
+   sequences differ: lockstep members share their step sizes, and the
+   frozen parameter states enter the error norm.  So they cannot agree
+   bit for bit, and where a conditional switches, the two step over the
+   switch differently.  At the solvers' default tolerances that made
+   points differ by up to 1.5 (a branch taken on one side only); at
+   [sweep_rtol] both runs are tight enough that they agree within
+   [sweep_tol], relative to [1 + |x|] (EXPERIMENTS.md: at most 1.3e-7
+   over 700 cases). *)
+let sweep_rtol = 1e-10
+
+let sweep_tol = 1e-5
+
+(* Whether an instance (of [cls], of a subclass or through a part) takes
+   the class default of [param]: with that default an unbound name and a
+   state that reads the parameter added to [cls], the model elaborates
+   only when every use rebinds the parameter. *)
+let default_reached (m : A.model) ~cls ~param =
+  let name n = A.Sname (A.name_of_string n) in
+  let classes =
+    List.map
+      (fun (c : A.class_def) ->
+        if c.cname <> cls then c
+        else
+          {
+            c with
+            members =
+              List.map
+                (function
+                  | A.Parameter (n, _) when n = param ->
+                      A.Parameter (n, name "sweep_unbound")
+                  | mem -> mem)
+                c.members
+              @ [
+                  A.Variable ("sweep_probe", A.Snum 0.);
+                  A.Equation ("sweep_probe", name param);
+                ];
+          })
+      m.classes
+  in
+  match Om_lang.Flatten.flatten { m with classes } with
+  | _ -> false
+  | exception Om_lang.Flatten.Error _ -> true
+
+(* A 3-value sweep of one class parameter, picked from the source text,
+   either is refused because every use of the class rebinds the
+   parameter, or gives at each value every state's final value of a
+   scalar [Rk.rkf45] run of the model with the value written in.
+   [true] when the sweep was refused. *)
+let check_sweep ~violation (m : A.model) src =
+  let fail fmt = Printf.ksprintf (violation "sweep") fmt in
+  let targets =
+    List.concat_map
+      (fun (c : A.class_def) ->
+        List.filter_map
+          (function A.Parameter (n, _) -> Some (c.cname, n) | _ -> None)
+          c.members)
+      m.classes
+  in
+  let scalar ~cls ~param v =
+    let f =
+      Om_lang.Flatten.flatten (Om_lang.Override.set_parameter m ~cls ~param v)
+    in
+    let sys = Om_ode.Odesys.of_equations f.equations in
+    ( FM.state_names f,
+      Om_ode.Odesys.final_state
+        (Om_ode.Rk.rkf45 ~atol:sweep_rtol ~rtol:sweep_rtol sys ~t0
+           ~y0:(FM.initial_values f) ~tend) )
+  in
+  match targets with
+  | [] -> false
+  | _ -> (
+      let cls, param =
+        List.nth targets (Hashtbl.hash src mod List.length targets)
+      in
+      let what = Printf.sprintf "%s.%s" cls param in
+      let reached = default_reached m ~cls ~param in
+      match List.map (scalar ~cls ~param) sweep_values with
+      | exception _ -> false
+      | refs
+        when not
+               (List.for_all (fun (_, y) -> Array.for_all Float.is_finite y) refs)
+        ->
+          false
+      | refs -> (
+          let names = fst (List.hd refs) in
+          let finals = ref [] in
+          let metric sys tr =
+            finals :=
+              Array.map (fun n -> Objectmath.Sweep.final_value n sys tr) names
+              :: !finals;
+            0.
+          in
+          match
+            Objectmath.Sweep.run ~source:src ~cls ~param ~values:sweep_values
+              ~tend ~atol:sweep_rtol ~rtol:sweep_rtol ~metric ()
+          with
+          | exception Om_lang.Override.Shadowed why ->
+              if reached then
+                fail "%s refused (%s), but an instance takes its default"
+                  what why;
+              true
+          | exception exn ->
+              fail "%s raised %s" what (Printexc.to_string exn);
+              false
+          | _ ->
+              if not reached then
+                fail "%s: every use rebinds it, but the sweep ran" what
+              else
+                List.iter2
+                  (fun v ((_, reference), got) ->
+                    Array.iteri
+                      (fun i x ->
+                        if
+                          not
+                            (Float.abs (got.(i) -. x)
+                            <= sweep_tol *. (1. +. Float.abs x))
+                        then
+                          fail "%s = %g: %s is %.17g, scalar run %.17g"
+                            what v names.(i) got.(i) x)
+                      reference)
+                  sweep_values
+                  (List.combine refs (List.rev !finals));
+              false))
+
 let check ?chaos (m : A.model) : result =
   let vs = ref [] in
   let fail invariant fmt =
@@ -80,6 +211,7 @@ let check ?chaos (m : A.model) : result =
   in
   let dim = ref 0 and n_tasks = ref 0 and split = ref false in
   let lsoda_sequential_only = ref false in
+  let sweep_refused = ref false in
   let discarded = ref None in
   (* ---- unparse → parse round trip ---------------------------------- *)
   let src = Om_lang.Unparse.model m in
@@ -173,6 +305,7 @@ let check ?chaos (m : A.model) : result =
         n_tasks = 0;
         split = false;
         lsoda_sequential_only = false;
+        sweep_refused = false;
         discarded = None;
         violations;
       }
@@ -683,6 +816,11 @@ let check ?chaos (m : A.model) : result =
                               "shrunk: member %d alone matches — divergence \
                                needs batch width %d (lockstep interaction)"
                               m nbatch))));
+            sweep_refused :=
+              check_sweep
+                ~violation:(fun invariant detail ->
+                  vs := { invariant; detail } :: !vs)
+                m src;
             (* ---- chaos: one seeded fault, recovery must be bitwise --- *)
             (match chaos with
             | None -> ()
@@ -724,6 +862,7 @@ let check ?chaos (m : A.model) : result =
         n_tasks = !n_tasks;
         split = !split;
         lsoda_sequential_only = !lsoda_sequential_only;
+        sweep_refused = !sweep_refused;
         discarded = !discarded;
         violations = List.rev !vs;
       }

@@ -51,6 +51,17 @@
       (each RHS call on worker domains is a barrier round; the result's
       [lsoda_sequential_only] reports it).
 
+    - {b sweep}: for one class parameter (picked from the source text),
+      a 3-value {!Objectmath.Sweep.run} is refused with
+      [Om_lang.Override.Shadowed] exactly when every use of the class
+      rebinds the parameter; otherwise each point agrees, state by
+      state and within 1e-5 relative to [1 + |x|], with a scalar
+      [Om_ode.Rk.rkf45] run of the model with the value written in by
+      [Om_lang.Override.set_parameter], both at atol = rtol = 1e-10
+      (the two adaptive runs take different steps, so agreement is not
+      bitwise).  A scalar run that
+      fails or leaves the finite range skips the strategy.
+
     When the reference trajectory is non-finite (explosive dynamics the
     bounded grammar cannot fully rule out) the trajectory matrix is
     skipped and the case is reported as discarded; every structural
@@ -77,6 +88,9 @@ type result = {
   lsoda_sequential_only : bool;
       (** an LSODA reference of more than 5,000 steps skipped its
           2-domain split-plan run *)
+  sweep_refused : bool;
+      (** the sweep strategy's parameter is rebound by every use of its
+          class, and the sweep was refused *)
   discarded : string option;
       (** set when the trajectory matrix was skipped, with the reason *)
   violations : violation list;  (** empty = all invariants hold *)

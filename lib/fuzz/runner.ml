@@ -13,6 +13,7 @@ type summary = {
   discarded : int;
   split : int;
   lsoda_sequential_only : int;
+  sweep_refused : int;
   dim_total : int;
   task_total : int;
   failures : failure list;
@@ -57,6 +58,7 @@ let run ?out_dir ?check ?(chaos = false) ?(log = ignore)
   let discarded = ref 0 in
   let split = ref 0 in
   let lsoda_sequential_only = ref 0 in
+  let sweep_refused = ref 0 in
   let dim_total = ref 0 in
   let task_total = ref 0 in
   for i = 0 to cases - 1 do
@@ -67,6 +69,7 @@ let run ?out_dir ?check ?(chaos = false) ?(log = ignore)
     dim_total := !dim_total + res.Oracle.dim;
     task_total := !task_total + res.Oracle.n_tasks;
     if res.Oracle.split then incr split;
+    if res.Oracle.sweep_refused then incr sweep_refused;
     if res.Oracle.lsoda_sequential_only then begin
       incr lsoda_sequential_only;
       log (Printf.sprintf "case %d: LSODA checked sequentially only" i)
@@ -116,6 +119,7 @@ let run ?out_dir ?check ?(chaos = false) ?(log = ignore)
     discarded = !discarded;
     split = !split;
     lsoda_sequential_only = !lsoda_sequential_only;
+    sweep_refused = !sweep_refused;
     dim_total = !dim_total;
     task_total = !task_total;
     failures = List.rev !failures;
@@ -123,9 +127,9 @@ let run ?out_dir ?check ?(chaos = false) ?(log = ignore)
 
 let pp_summary ppf s =
   Fmt.pf ppf
-    "%d cases: %d failed, %d discarded, %d lsoda sequential-only, %d split \
-     (mean dim %.1f, mean tasks %.1f)"
+    "%d cases: %d failed, %d discarded, %d lsoda sequential-only, %d split, \
+     %d sweeps refused (mean dim %.1f, mean tasks %.1f)"
     s.cases (List.length s.failures) s.discarded s.lsoda_sequential_only
-    s.split
+    s.split s.sweep_refused
     (if s.cases = 0 then 0. else float_of_int s.dim_total /. float_of_int s.cases)
     (if s.cases = 0 then 0. else float_of_int s.task_total /. float_of_int s.cases)

@@ -22,6 +22,8 @@ type summary = {
   split : int;  (** cases whose split-plan strategies split an equation *)
   lsoda_sequential_only : int;
       (** cases whose long LSODA reference skipped the 2-domain run *)
+  sweep_refused : int;
+      (** cases whose swept parameter every use of its class rebinds *)
   dim_total : int;  (** summed flat dimensions, for mean-size reporting *)
   task_total : int;
   failures : failure list;

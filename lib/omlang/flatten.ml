@@ -270,7 +270,10 @@ let eliminate_defs defs =
       Smap.add n (Om_expr.Subst.apply_map resolved e) resolved)
     Smap.empty order
 
-let flatten (model : Ast.model) : Flat_model.t =
+(* The parameter and alias definitions as elaborated, the states with
+   their initial values as elaborated, the substitution of the resolved
+   definitions, and the flat equations. *)
+let elaborate (model : Ast.model) =
   let classes = Hashtbl.create 16 in
   List.iter
     (fun (c : Ast.class_def) ->
@@ -351,16 +354,72 @@ let flatten (model : Ast.model) : Flat_model.t =
         (s, rhs))
       states
   in
-  let final_states =
-    List.map
-      (fun (s, init) ->
-        match subst init with
-        | E.Const x -> (s, x)
-        | e ->
-            err "initial value of %s does not reduce to a constant (%s)" s
-              (Fmt.str "%a" E.pp e))
-      states
+  (defs, states, subst, final_eqs)
+
+(* Every initial value reduces to a constant.  One that reads a promoted
+   parameter's frozen state ([Override.promote_parameter]) reduces at
+   that state's own initial value, the parameter's default. *)
+let constant_inits subst states =
+  let frozen = lazy (first_wins states, Hashtbl.create 8) in
+  let rec reduce visiting s e =
+    match e with
+    | E.Const x -> x
+    | e ->
+        let visiting = s :: visiting in
+        let env = Hashtbl.create 8 in
+        List.iter
+          (fun v ->
+            if not (Override.is_frozen v) || List.mem v visiting then
+              err "initial value of %s does not reduce to a constant (%s)" s
+                (Fmt.str "%a" E.pp e);
+            Hashtbl.replace env v (frozen_value visiting v))
+          (E.vars e);
+        Om_expr.Eval.eval env e
+  and frozen_value visiting v =
+    let init_of, values = Lazy.force frozen in
+    match Hashtbl.find_opt values v with
+    | Some x -> x
+    | None ->
+        let x =
+          match Hashtbl.find_opt init_of v with
+          | Some init -> reduce visiting v (subst init)
+          | None -> err "unresolved name %s in an initial value" v
+        in
+        Hashtbl.add values v x;
+        x
   in
-  { Flat_model.name = model.mname; states = final_states; equations = final_eqs }
+  List.map (fun (s, init) -> (s, reduce [] s (subst init))) states
+
+let flatten (model : Ast.model) : Flat_model.t =
+  let _, states, subst, equations = elaborate model in
+  {
+    Flat_model.name = model.mname;
+    states = constant_inits subst states;
+    equations;
+  }
+
+type promoted = {
+  flat : Flat_model.t;
+  inits : (string * E.t) list;
+  reached : string list;
+}
+
+let flatten_promoted (model : Ast.model) =
+  let defs, states, subst, equations = elaborate model in
+  {
+    flat =
+      { name = model.mname; states = constant_inits subst states; equations };
+    inits =
+      List.filter_map
+        (fun (s, init) ->
+          if Override.is_frozen s then None
+          else match subst init with E.Const _ -> None | e -> Some (s, e))
+        states;
+    reached =
+      List.filter_map
+        (function
+          | _, E.Var v when Override.is_frozen v -> Some v | _ -> None)
+        defs;
+  }
 
 let flatten_string src = flatten (Parser.parse_model src)

@@ -1,6 +1,13 @@
 exception Unknown_target of string
 
-let set_parameter (m : Ast.model) ~cls ~param value =
+exception Shadowed of string
+
+let frozen ~cls ~param = param ^ "'" ^ cls
+
+let is_frozen name = String.contains name '\''
+
+(* Rewrite every [parameter param] member of class [cls] with [f]. *)
+let map_parameter (m : Ast.model) ~cls ~param f =
   let found = ref false in
   let classes =
     List.map
@@ -8,13 +15,13 @@ let set_parameter (m : Ast.model) ~cls ~param value =
         if c.cname <> cls then c
         else
           let members =
-            List.map
+            List.concat_map
               (fun (mem : Ast.member) ->
                 match mem with
-                | Parameter (n, _) when n = param ->
+                | Parameter (n, default) when n = param ->
                     found := true;
-                    Ast.Parameter (n, Snum value)
-                | m -> m)
+                    f default
+                | m -> [ m ])
               c.members
           in
           { c with members })
@@ -23,134 +30,90 @@ let set_parameter (m : Ast.model) ~cls ~param value =
   if not !found then
     raise
       (Unknown_target (Printf.sprintf "parameter %s of class %s" param cls));
+  classes
+
+let set_parameter m ~cls ~param value =
+  let classes =
+    map_parameter m ~cls ~param (fun _ -> [ Ast.Parameter (param, Snum value) ])
+  in
   { m with classes }
 
-let set_instance_binding (m : Ast.model) ~instance ~name expr =
-  let found = ref false in
-  let instances =
-    List.map
-      (fun (i : Ast.instance_def) ->
-        if i.iname <> instance then i
-        else begin
-          found := true;
-          let ibindings =
-            (name, expr) :: List.remove_assoc name i.ibindings
-          in
-          { i with ibindings }
-        end)
-      m.instances
+(* The parameter keeps its place and its name, so every [with] binding
+   rebinds it as before; its default reads the frozen state declared
+   just ahead of it, at the member position the parameter had. *)
+let promote_parameter m ~cls ~param =
+  let hidden = frozen ~cls ~param in
+  let classes =
+    map_parameter m ~cls ~param (fun default ->
+        [
+          Ast.Variable (hidden, default);
+          Ast.Parameter (param, Sname (Ast.name_of_string hidden));
+        ])
   in
-  if not !found then
-    raise (Unknown_target (Printf.sprintf "instance %s" instance));
-  { m with instances }
-
-exception Structural of string
-
-(* Promotion turns a class parameter into a frozen state variable
-   ([x' = 0] with the default as initial value), so a sweep or ensemble
-   can vary it per member through the state vector without recompiling.
-   This only preserves the model's meaning when nothing rebinds the
-   parameter structurally: a [with] binding naming it (inheritance,
-   part, or instance) would rebind a parameter but silently shadow or
-   conflict with a variable.  We detect any such binding conservatively
-   and refuse, letting callers fall back to per-value re-elaboration. *)
-let promote_parameter (m : Ast.model) ~cls ~param =
-  let exists =
-    List.exists
-      (fun (c : Ast.class_def) ->
-        c.cname = cls
-        && List.exists
-             (function Ast.Parameter (n, _) -> n = param | _ -> false)
-             c.members)
-      m.classes
-  in
-  if not exists then
-    raise
-      (Unknown_target (Printf.sprintf "parameter %s of class %s" param cls));
-  let check_bindings where bs =
-    if List.mem_assoc param bs then
-      raise
-        (Structural
-           (Printf.sprintf "parameter %s of class %s is rebound by %s" param
-              cls where))
-  in
-  List.iter
-    (fun (c : Ast.class_def) ->
-      (match c.parent with
-      | Some (p, bs) when p = cls ->
-          check_bindings (Printf.sprintf "class %s extends" c.cname) bs
-      | _ -> ());
-      List.iter
-        (function
-          | Ast.Part (pname, pcls, bs) when pcls = cls ->
-              check_bindings
-                (Printf.sprintf "part %s of class %s" pname c.cname)
-                bs
-          | _ -> ())
-        c.members)
-    m.classes;
-  List.iter
-    (fun (i : Ast.instance_def) ->
-      if i.icls = cls then
-        check_bindings (Printf.sprintf "instance %s" i.iname) i.ibindings)
-    m.instances;
   let classes =
     List.map
       (fun (c : Ast.class_def) ->
         if c.cname <> cls then c
-        else
-          let members =
-            List.map
-              (fun (mem : Ast.member) ->
-                match mem with
-                | Parameter (n, default) when n = param ->
-                    Ast.Variable (n, default)
-                | m -> m)
-              c.members
-          in
-          { c with members = members @ [ Ast.Equation (param, Snum 0.) ] })
-      m.classes
+        else { c with members = c.members @ [ Ast.Equation (hidden, Snum 0.) ] })
+      classes
   in
   { m with classes }
 
-exception Shadowed of string
-
-(* A class default reaches a model through its instances, its parts and
-   its subclasses.  When the model uses [cls] through instances only,
-   and each of them rebinds [param] with a [with] binding, a new default
-   changes nothing. *)
-let check_reached (m : Ast.model) ~cls ~param =
-  let elsewhere =
-    List.exists
-      (fun (c : Ast.class_def) ->
-        (match c.parent with Some (p, _) -> p = cls | None -> false)
-        || List.exists
-             (function Ast.Part (_, pc, _) -> pc = cls | _ -> false)
-             c.members)
+(* A class default is replaced by an [extends ... with] binding or a
+   member of the same name in a subclass, and by a [with] binding on a
+   part or an instance of the class or of a subclass. *)
+let shadowed (m : Ast.model) ~cls ~param =
+  let parent (c : Ast.class_def) = Option.map fst c.parent in
+  let rec descends seen (c : Ast.class_def) =
+    c.cname = cls
+    ||
+    match parent c with
+    | Some p when not (List.mem p seen) -> (
+        match List.find_opt (fun (d : Ast.class_def) -> d.cname = p) m.classes with
+        | Some d -> descends (p :: seen) d
+        | None -> false)
+    | _ -> false
+  in
+  let family =
+    List.filter_map
+      (fun (c : Ast.class_def) -> if descends [] c then Some c.cname else None)
       m.classes
   in
-  match List.filter (fun (i : Ast.instance_def) -> i.icls = cls) m.instances with
-  | _ :: _ as users
-    when (not elsewhere)
-         && List.for_all
-              (fun (i : Ast.instance_def) -> List.mem_assoc param i.ibindings)
-              users ->
-      raise
-        (Shadowed
-           (Printf.sprintf "parameter %s of class %s is rebound by %s" param
-              cls
-              (String.concat ", "
-                 (List.map (fun (i : Ast.instance_def) -> "instance " ^ i.iname) users))))
-  | _ -> ()
-
-let flatten_with ~source ~overrides =
-  let ast = Parser.parse_model source in
-  let ast =
-    List.fold_left
-      (fun ast (cls, param, value) ->
-        let ast = set_parameter ast ~cls ~param value in
-        check_reached ast ~cls ~param;
-        ast)
-      ast overrides
+  let binds bs = List.mem_assoc param bs in
+  let declares (c : Ast.class_def) =
+    List.exists
+      (function
+        | Ast.Parameter (n, _) | Variable (n, _) | Alias (n, _) | Part (n, _, _)
+          ->
+            n = param
+        | Equation _ -> false)
+      c.members
   in
-  Flatten.flatten ast
+  let sites =
+    List.concat_map
+      (fun (c : Ast.class_def) ->
+        (match c.parent with
+        | Some (p, bs) when List.mem p family && (binds bs || declares c) ->
+            [ Printf.sprintf "class %s extends %s" c.cname p ]
+        | _ -> [])
+        @ List.filter_map
+            (function
+              | Ast.Part (pname, pcls, bs) when List.mem pcls family && binds bs
+                ->
+                  Some (Printf.sprintf "part %s of class %s" pname c.cname)
+              | _ -> None)
+            c.members)
+      m.classes
+    @ List.filter_map
+        (fun (i : Ast.instance_def) ->
+          if List.mem i.icls family && binds i.ibindings then
+            Some ("instance " ^ i.iname)
+          else None)
+        m.instances
+  in
+  Shadowed
+    (match sites with
+    | [] -> Printf.sprintf "class %s is not instantiated" cls
+    | _ ->
+        Printf.sprintf "parameter %s of class %s is rebound by %s" param cls
+          (String.concat ", " sites))

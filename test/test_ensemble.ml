@@ -585,49 +585,59 @@ let sweep_source =
   {|model M; class C parameter k = 1.0; variable x init 1.0;
     equation der(x) = 0.0 - k * x; end; instance c of C;|}
 
+let sweep ?domains source ~cls ~param ~values ~metric =
+  Objectmath.Sweep.run ?domains ~source ~cls ~param ~values ~tend:1.
+    ~metric:(Objectmath.Sweep.final_value metric)
+    ()
+
+(* Lockstep members share their step sizes, and the frozen parameter
+   states enter the error norm, so a sweep point and a scalar RKF45 run
+   of the source with the value written into its text agree to the
+   solvers' tolerance (rtol 1e-6), not bit for bit. *)
+let substitution_tol = 1e-5
+
+(* [metric]'s final value in a scalar [Rk.rkf45] run of [source v]. *)
+let substituted source v metric =
+  let fm = Om_lang.Flatten.flatten_string (source (Printf.sprintf "%.17g" v)) in
+  let sys = Om_ode.Odesys.of_equations fm.equations in
+  Objectmath.Sweep.final_value metric sys
+    (Om_ode.Rk.rkf45 sys ~t0:0.
+       ~y0:(Om_lang.Flat_model.initial_values fm)
+       ~tend:1.)
+
+let check_substitution source ~cls ~param ~values ~metric =
+  let points = sweep (source "1.0") ~cls ~param ~values ~metric in
+  Alcotest.(check int) "one point per value" (List.length values)
+    (List.length points);
+  List.iter2
+    (fun v (p : Objectmath.Sweep.point) ->
+      Alcotest.(check (float substitution_tol))
+        (Printf.sprintf "%s at %s = %g" metric param v)
+        (substituted source v metric) p.metric)
+    values points
+
 let test_sweep_promotes () =
-  match Objectmath.Sweep.prepare ~source:sweep_source ~cls:"C" ~param:"k" with
-  | Objectmath.Sweep.Promoted c ->
-      let points =
-        Objectmath.Sweep.run_compiled c ~values:[ 0.5; 1.; 2.; 4. ] ~tend:1.
-          ~metric:(Objectmath.Sweep.final_value "c.x")
-          ()
-      in
-      List.iter
-        (fun (p : Objectmath.Sweep.point) ->
-          Alcotest.(check (float 1e-4))
-            (Printf.sprintf "exp(-%g)" p.value)
-            (Float.exp (Float.neg p.value))
-            p.metric;
-          Alcotest.(check bool) "steps counted" true (p.steps > 0);
-          Alcotest.(check bool) "rhs calls counted" true (p.rhs_calls > 0))
-        points
-  | Objectmath.Sweep.Legacy reason ->
-      Alcotest.failf "expected promotion, got legacy: %s" reason
-
-(* An instance [with] binding rebinding the swept parameter forces the
-   legacy path; here it rebinds it for the class's only instance. *)
-let structural_source =
-  {|model M; class C parameter k = 1.0; variable x init 1.0;
-    equation der(x) = 0.0 - k * x; end; instance c of C with k = 2.0;|}
-
-(* No value of [k] reaches the model: a sweep would print the same point
-   for each.  Both sweeps refuse, naming the instance. *)
-let test_sweep_structural_fallback () =
-  let source = structural_source in
-  (match Objectmath.Sweep.prepare ~source ~cls:"C" ~param:"k" with
-  | Objectmath.Sweep.Legacy _ -> ()
-  | Objectmath.Sweep.Promoted _ ->
-      Alcotest.fail "expected legacy fallback for structural rebinding");
-  let shadowed =
-    Om_lang.Override.Shadowed "parameter k of class C is rebound by instance c"
+  let points =
+    sweep sweep_source ~cls:"C" ~param:"k" ~values:[ 0.5; 1.; 2.; 4. ]
+      ~metric:"c.x"
   in
+  List.iter
+    (fun (p : Objectmath.Sweep.point) ->
+      Alcotest.(check (float 1e-4))
+        (Printf.sprintf "exp(-%g)" p.value)
+        (Float.exp (Float.neg p.value))
+        p.metric;
+      Alcotest.(check bool) "steps counted" true (p.steps > 0);
+      Alcotest.(check bool) "rhs calls counted" true (p.rhs_calls > 0))
+    points
+
+(* Every use of [C] rebinds [k]: no value of [k] reaches the model, and
+   both sweeps refuse, naming the rebinding sites. *)
+let check_refused source why =
+  let shadowed = Om_lang.Override.Shadowed why in
   Alcotest.check_raises "sweep" shadowed (fun () ->
       ignore
-        (Objectmath.Sweep.run ~source ~cls:"C" ~param:"k" ~values:[ 1.; 2. ]
-           ~tend:1.
-           ~metric:(Objectmath.Sweep.final_value "c.x")
-           ()));
+        (sweep source ~cls:"C" ~param:"k" ~values:[ 1.; 2. ] ~metric:"c.x"));
   Alcotest.check_raises "monte carlo" shadowed (fun () ->
       ignore
         (Objectmath.Sweep.monte_carlo ~source
@@ -636,8 +646,29 @@ let test_sweep_structural_fallback () =
            ~metric:(Objectmath.Sweep.final_value "c.x")
            ()))
 
+let decay_class =
+  {|class C parameter k = 1.0; variable x init 1.0;
+    equation der(x) = 0.0 - k * x; end;|}
+
+let test_sweep_instance_rebinding_refused () =
+  check_refused
+    ("model M; " ^ decay_class ^ " instance c of C with k = 2.0;")
+    "parameter k of class C is rebound by instance c"
+
+let test_sweep_part_rebinding_refused () =
+  check_refused
+    ("model M; " ^ decay_class
+   ^ " class D part p : C with k = 2.0; end; instance d of D;")
+    "parameter k of class C is rebound by part p of class D"
+
+let test_sweep_subclass_rebinding_refused () =
+  check_refused
+    ("model M; " ^ decay_class
+   ^ " class E extends C with k = 3.0 end; instance e of E;")
+    "parameter k of class C is rebound by class E extends C"
+
 (* One instance rebinds [k], the other reads the class default: the
-   sweep takes the legacy engine and still varies [d]. *)
+   sweep varies [d] and leaves [c] at its bound value. *)
 let mixed_source k =
   Printf.sprintf
     {|model M; class C parameter k = %s; variable x init 1.0;
@@ -645,112 +676,108 @@ let mixed_source k =
       instance c of C with k = 2.0; instance d of C;|}
     k
 
-(* Each point is the run of the source with the value written into its
-   text, bit for bit. *)
 let test_sweep_mixed_instances () =
   let values = [ 0.5; 1.; 3. ] in
-  let points =
-    Objectmath.Sweep.run ~source:(mixed_source "1.0") ~cls:"C" ~param:"k"
-      ~values ~tend:1.
-      ~metric:(Objectmath.Sweep.final_value "d.x")
-      ()
+  check_substitution mixed_source ~cls:"C" ~param:"k" ~values ~metric:"d.x";
+  check_substitution mixed_source ~cls:"C" ~param:"k" ~values ~metric:"c.x";
+  List.iter
+    (fun (p : Objectmath.Sweep.point) ->
+      Alcotest.(check (float 1e-4)) "c keeps k = 2" (Float.exp (-2.)) p.metric)
+    (sweep (mixed_source "1.0") ~cls:"C" ~param:"k" ~values ~metric:"c.x")
+
+(* The same through parts: [p] rebinds [k], [q] reads the default. *)
+let mixed_parts_source k =
+  Printf.sprintf
+    {|model M; class C parameter k = %s; variable x init 1.0;
+      equation der(x) = 0.0 - k * x; end;
+      class D part p : C with k = 2.0; part q : C; end; instance d of D;|}
+    k
+
+let test_sweep_mixed_parts () =
+  let values = [ 0.5; 1.; 3. ] in
+  check_substitution mixed_parts_source ~cls:"C" ~param:"k" ~values
+    ~metric:"d.q.x";
+  List.iter
+    (fun (p : Objectmath.Sweep.point) ->
+      Alcotest.(check (float 1e-4))
+        "p keeps k = 2" (Float.exp (-2.)) p.metric)
+    (sweep (mixed_parts_source "1.0") ~cls:"C" ~param:"k" ~values
+       ~metric:"d.p.x")
+
+(* An initial value and a derived parameter that read the swept one. *)
+let test_sweep_reads_parameter () =
+  let values = [ 0.5; 1.; 2. ] in
+  check_substitution
+    (Printf.sprintf
+       {|model M; class C parameter k = %s; variable x init 2 * k;
+         equation der(x) = 0.0 - x; end; instance c of C;|})
+    ~cls:"C" ~param:"k" ~values ~metric:"c.x";
+  check_substitution
+    (Printf.sprintf
+       {|model M; class C parameter k = %s; parameter k2 = k * k;
+         variable x init 1.0; equation der(x) = 0.0 - k2 * x; end;
+         instance c of C;|})
+    ~cls:"C" ~param:"k" ~values ~metric:"c.x"
+
+(* A parameter no equation reads still sweeps: equal points are then the
+   truth. *)
+let test_sweep_unread_parameter () =
+  let source =
+    {|model M; class C parameter k = 1.0; variable x init 1.0;
+      equation der(x) = 0.0 - x; end; instance c of C;|}
   in
-  List.iter2
-    (fun v (p : Objectmath.Sweep.point) ->
-      let m =
-        Om_codegen.Pipeline.model_of_source
-          (mixed_source (Printf.sprintf "%.17g" v))
-      in
-      let sys =
-        Om_codegen.Pipeline.system m (Om_codegen.Pipeline.sequential_fn m)
-      in
-      let y0 = Om_lang.Flat_model.initial_values (Om_codegen.Pipeline.flat_model m) in
-      let r = Om_ode.Lsoda.integrate sys ~t0:0. ~y0 ~tend:1. in
-      Alcotest.(check int64)
-        (Printf.sprintf "k = %g" v)
-        (Int64.bits_of_float (Objectmath.Sweep.final_value "d.x" sys r.trajectory))
-        (Int64.bits_of_float p.metric);
-      Alcotest.(check int) (Printf.sprintf "steps at k = %g" v) sys.counters.steps p.steps)
-    values points
+  match sweep source ~cls:"C" ~param:"k" ~values:[ 1.; 2. ] ~metric:"c.x" with
+  | [ a; b ] -> check_bits "equal points" a.metric b.metric
+  | _ -> Alcotest.fail "expected two points"
 
 let test_sweep_builds_no_back_end () =
   (* A sweep runs the sequential program only: preparing it and running
      a batch build no per-task back end. *)
   let backs = Om_codegen.Pipeline.back_count () in
-  (match Objectmath.Sweep.prepare ~source:sweep_source ~cls:"C" ~param:"k" with
-  | Objectmath.Sweep.Promoted c ->
-      ignore
-        (Objectmath.Sweep.run_compiled c ~values:[ 0.5; 2. ] ~tend:1.
-           ~metric:(Objectmath.Sweep.final_value "c.x")
-           ())
-  | Objectmath.Sweep.Legacy reason ->
-      Alcotest.failf "expected promotion, got legacy: %s" reason);
+  ignore (sweep sweep_source ~cls:"C" ~param:"k" ~values:[ 0.5; 2. ] ~metric:"c.x");
   ignore
-    (Objectmath.Sweep.run ~source:(mixed_source "1.0") ~cls:"C" ~param:"k"
-       ~values:[ 1.; 2. ] ~tend:1.
-       ~metric:(Objectmath.Sweep.final_value "d.x")
-       ());
+    (sweep ~domains:2 (mixed_source "1.0") ~cls:"C" ~param:"k"
+       ~values:[ 1.; 2. ] ~metric:"d.x");
   Alcotest.(check int) "no back end built" backs
     (Om_codegen.Pipeline.back_count ())
 
 let test_sweep_no_values () =
-  (* Both engines answer an empty sweep with no points. *)
-  let run source =
-    Objectmath.Sweep.run ~source ~cls:"C" ~param:"k" ~values:[] ~tend:1.
-      ~metric:(Objectmath.Sweep.final_value "c.x")
-      ()
-  in
-  (match Objectmath.Sweep.prepare ~source:sweep_source ~cls:"C" ~param:"k" with
-  | Objectmath.Sweep.Promoted _ -> ()
-  | Objectmath.Sweep.Legacy reason ->
-      Alcotest.failf "expected promotion, got legacy: %s" reason);
-  Alcotest.(check int) "compile-once engine" 0 (List.length (run sweep_source));
-  Alcotest.(check int) "legacy engine" 0 (List.length (run structural_source))
+  (* An empty sweep has no points; the target is still checked. *)
+  List.iter
+    (fun source ->
+      Alcotest.(check int) "no points" 0
+        (List.length (sweep source ~cls:"C" ~param:"k" ~values:[] ~metric:"c.x")))
+    [ sweep_source; mixed_source "1.0" ];
+  Alcotest.check_raises "refused"
+    (Om_lang.Override.Shadowed "parameter k of class C is rebound by instance c")
+    (fun () ->
+      ignore
+        (sweep
+           ("model M; " ^ decay_class ^ " instance c of C with k = 2.0;")
+           ~cls:"C" ~param:"k" ~values:[] ~metric:"c.x"))
 
 let test_sweep_unknown_param () =
   Alcotest.check_raises "unknown parameter"
     (Om_lang.Override.Unknown_target "parameter nope of class C") (fun () ->
-      ignore
-        (Objectmath.Sweep.prepare ~source:sweep_source ~cls:"C" ~param:"nope"))
+      ignore (sweep sweep_source ~cls:"C" ~param:"nope" ~values:[ 1. ] ~metric:"c.x"))
 
-(* An initial value read from the parameter: the promoted model does not
-   elaborate, so sweeps of [k] take the legacy per-value engine. *)
+(* An initial value read from the parameter: each member's initial state
+   is evaluated with its own value, x(1) = k/e. *)
 let init_source =
   {|model M; class C parameter k = 1.0; variable x init k;
     equation der(x) = 0.0 - x; end; instance c of C;|}
 
-let test_sweep_matches_legacy_numerics () =
-  (* Promoted ensemble path vs per-value LSODA path: same physics. *)
-  let values = [ 0.5; 2. ] in
-  let metric = Objectmath.Sweep.final_value "c.x" in
-  let fast =
-    Objectmath.Sweep.run ~source:sweep_source ~cls:"C" ~param:"k" ~values
-      ~tend:1. ~metric ()
+let test_sweep_matches_analytic () =
+  let check source expected =
+    List.iter
+      (fun (p : Objectmath.Sweep.point) ->
+        Alcotest.(check (float 1e-4))
+          (Printf.sprintf "analytic at %g" p.value)
+          (expected p.value) p.metric)
+      (sweep source ~cls:"C" ~param:"k" ~values:[ 0.5; 2. ] ~metric:"c.x")
   in
-  List.iter
-    (fun (p : Objectmath.Sweep.point) ->
-      Alcotest.(check (float 1e-4))
-        (Printf.sprintf "analytic exp(-%g)" p.value)
-        (Float.exp (Float.neg p.value))
-        p.metric)
-    fast;
-  (match Objectmath.Sweep.prepare ~source:init_source ~cls:"C" ~param:"k" with
-  | Objectmath.Sweep.Legacy _ -> ()
-  | Objectmath.Sweep.Promoted _ ->
-      Alcotest.fail "expected legacy fallback for a parameter initial value");
-  let legacy =
-    Objectmath.Sweep.run ~source:init_source ~cls:"C" ~param:"k" ~values
-      ~tend:1. ~metric ()
-  in
-  Alcotest.(check int) "legacy points" (List.length values)
-    (List.length legacy);
-  List.iter
-    (fun (p : Objectmath.Sweep.point) ->
-      Alcotest.(check (float 1e-4))
-        (Printf.sprintf "analytic %g exp(-1)" p.value)
-        (p.value *. Float.exp (-1.))
-        p.metric)
-    legacy
+  check sweep_source (fun k -> Float.exp (Float.neg k));
+  check init_source (fun k -> k *. Float.exp (-1.))
 
 (* ---------- Monte Carlo ---------- *)
 
@@ -763,7 +790,6 @@ let test_monte_carlo_deterministic () =
       ()
   in
   let a = mc 42 and b = mc 42 and c = mc 7 in
-  Alcotest.(check bool) "promoted path" true a.Objectmath.Sweep.promoted;
   List.iter2
     (fun (x : Objectmath.Sweep.mc_sample) (y : Objectmath.Sweep.mc_sample) ->
       check_bits "same draw" x.draws.(0) y.draws.(0);
@@ -826,17 +852,26 @@ let () =
         [
           Alcotest.test_case "compile-once promotion" `Quick
             test_sweep_promotes;
-          Alcotest.test_case "structural fallback" `Quick
-            test_sweep_structural_fallback;
+          Alcotest.test_case "instance rebinding refused" `Quick
+            test_sweep_instance_rebinding_refused;
+          Alcotest.test_case "part rebinding refused" `Quick
+            test_sweep_part_rebinding_refused;
+          Alcotest.test_case "subclass rebinding refused" `Quick
+            test_sweep_subclass_rebinding_refused;
           Alcotest.test_case "mixed instances" `Quick
             test_sweep_mixed_instances;
+          Alcotest.test_case "mixed parts" `Quick test_sweep_mixed_parts;
+          Alcotest.test_case "reads the parameter" `Quick
+            test_sweep_reads_parameter;
+          Alcotest.test_case "unread parameter" `Quick
+            test_sweep_unread_parameter;
           Alcotest.test_case "unknown parameter" `Quick
             test_sweep_unknown_param;
           Alcotest.test_case "no values" `Quick test_sweep_no_values;
           Alcotest.test_case "builds no back end" `Quick
             test_sweep_builds_no_back_end;
           Alcotest.test_case "matches analytic" `Quick
-            test_sweep_matches_legacy_numerics;
+            test_sweep_matches_analytic;
           Alcotest.test_case "monte carlo deterministic" `Quick
             test_monte_carlo_deterministic;
         ] );

@@ -124,6 +124,7 @@ let test_runner_dumps_counterexamples () =
       n_tasks = 0;
       split = false;
       lsoda_sequential_only = false;
+      sweep_refused = false;
       discarded = None;
       violations = [ { Oracle.invariant = "synthetic"; detail = "always" } ];
     }

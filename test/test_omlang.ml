@@ -698,10 +698,13 @@ let decay_src =
   {|model M; class C parameter k = 1.0; variable x init 1.0;
     equation der(x) = 0.0 - k * x; end; instance c of C;|}
 
+(* A value written into a model with [set_parameter], then flattened. *)
+let flatten_set src ~cls ~param v =
+  Om_lang.Flatten.flatten
+    (Override.set_parameter (Om_lang.Parser.parse_model src) ~cls ~param v)
+
 let test_override_parameter () =
-  let m =
-    Override.flatten_with ~source:decay_src ~overrides:[ ("C", "k", 3.) ]
-  in
+  let m = flatten_set decay_src ~cls:"C" ~param:"k" 3. in
   check_expr "k = 3" E.(mul [ const (-3.); var "c.x" ]) (rhs m "c.x")
 
 let test_override_unknown () =
@@ -711,26 +714,10 @@ let test_override_unknown () =
       ignore (Override.set_parameter ast ~cls:"C" ~param:"nope" 1.));
   Alcotest.check_raises "unknown class"
     (Override.Unknown_target "parameter k of class D") (fun () ->
-      ignore (Override.set_parameter ast ~cls:"D" ~param:"k" 1.))
-
-let test_override_instance_binding () =
-  let src =
-    {|model M; class C variable x; equation der(x) = u - x; end;
-      instance c of C with u = 1.0;|}
-  in
-  let ast = Om_lang.Parser.parse_model src in
-  let ast =
-    Override.set_instance_binding ast ~instance:"c" ~name:"u" (Ast.Snum 5.)
-  in
-  let m = Om_lang.Flatten.flatten ast in
-  check_expr "binding replaced"
-    E.(add [ const 5.; neg (var "c.x") ])
-    (rhs m "c.x");
-  Alcotest.check_raises "unknown instance"
-    (Override.Unknown_target "instance zz") (fun () ->
-      ignore
-        (Override.set_instance_binding ast ~instance:"zz" ~name:"u"
-           (Ast.Snum 0.)))
+      ignore (Override.set_parameter ast ~cls:"D" ~param:"k" 1.));
+  Alcotest.check_raises "promote unknown parameter"
+    (Override.Unknown_target "parameter nope of class C") (fun () ->
+      ignore (Override.promote_parameter ast ~cls:"C" ~param:"nope"))
 
 let test_override_dependent_parameters () =
   (* Overriding k must propagate through parameters derived from it. *)
@@ -738,8 +725,48 @@ let test_override_dependent_parameters () =
     {|model M; class C parameter k = 2.0; parameter k2 = k * k;
       variable x; equation der(x) = k2 * x; end; instance c of C;|}
   in
-  let m = Override.flatten_with ~source:src ~overrides:[ ("C", "k", 5.) ] in
+  let m = flatten_set src ~cls:"C" ~param:"k" 5. in
   check_expr "k2 re-elaborated" E.(mul [ const 25.; var "c.x" ]) (rhs m "c.x")
+
+(* Promotion keeps the parameter, so a part binding and a subclass
+   binding still rebind it; the instance that takes the default reads
+   the frozen state, declared where the parameter was. *)
+let test_override_promote () =
+  let src =
+    {|model M; class C parameter k = 2.0; variable x init k;
+      equation der(x) = 0.0 - k * x; end;
+      class E extends C with k = 3.0 end;
+      class D part p : C with k = 4.0; part q : C; end;
+      instance c of C; instance e of E; instance d of D;|}
+  in
+  let ast =
+    Override.promote_parameter (Om_lang.Parser.parse_model src) ~cls:"C"
+      ~param:"k"
+  in
+  let p = Om_lang.Flatten.flatten_promoted ast in
+  let k' = Override.frozen ~cls:"C" ~param:"k" in
+  Alcotest.(check bool) "frozen name" true (Override.is_frozen k');
+  Alcotest.(check (list string))
+    "state order"
+    (List.concat_map
+       (fun i -> [ i ^ "." ^ k'; i ^ ".x" ])
+       [ "c"; "e"; "d.p"; "d.q" ])
+    (List.map fst p.flat.states);
+  Alcotest.(check (list (float 0.)))
+    "defaults" [ 2.; 2.; 2.; 3.; 2.; 4.; 2.; 2. ]
+    (List.map snd p.flat.states);
+  Alcotest.(check (list string))
+    "reached" [ "c." ^ k'; "d.q." ^ k' ] p.reached;
+  check_expr "bound in the subclass" E.(mul [ const (-3.); var "e.x" ])
+    (rhs p.flat "e.x");
+  check_expr "bound on the part" E.(mul [ const (-4.); var "d.p.x" ])
+    (rhs p.flat "d.p.x");
+  check_expr "default reads the frozen state"
+    E.(neg (mul [ var ("c." ^ k'); var "c.x" ]))
+    (rhs p.flat "c.x");
+  Alcotest.(check (list string))
+    "initial values that read the frozen state" [ "c.x"; "d.q.x" ]
+    (List.map fst p.inits)
 
 (* ---------- whole-model smoke ---------- *)
 
@@ -866,8 +893,7 @@ let () =
         [
           Alcotest.test_case "parameter" `Quick test_override_parameter;
           Alcotest.test_case "unknown target" `Quick test_override_unknown;
-          Alcotest.test_case "instance binding" `Quick
-            test_override_instance_binding;
+          Alcotest.test_case "promote" `Quick test_override_promote;
           Alcotest.test_case "dependent parameters" `Quick
             test_override_dependent_parameters;
         ] );
