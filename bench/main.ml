@@ -726,7 +726,6 @@ let micro_pairs =
     ( "bearing-rhs",
       "objectmath/bearing-rhs-bytecode",
       "objectmath/bearing-rhs-bytecode" );
-    ("simplify", "objectmath/simplify-roller-eq", "objectmath/simplify-roller-eq");
     ("cse", "objectmath/cse-servo", "objectmath/cse-servo");
     (* The symbolic Jacobian of [omc simulate]: deriving it alone, and
        building it from scratch as a fresh system's first [sjac] does
@@ -817,7 +816,11 @@ let micro () =
     Om_expr.Eval.env_of_list
       (Array.to_list (Array.map (fun n -> (n, 0.01)) names))
   in
-  let vm_prog = Om_expr.Vm.compile names heavy_eq in
+  let vm_prog =
+    Om_expr.Vm.compile_stmts ~out_size:1 (Om_expr.Layout.of_names names)
+      [ (heavy_eq, Om_expr.Vm.To_out 0) ]
+  in
+  let vm_out = [| 0. |] in
   let y0 = Fm.initial_values r.model in
   let ydot = Array.make (Fm.dim r.model) 0. in
   let lu_mat =
@@ -879,8 +882,6 @@ let micro () =
   let tests =
     Test.make_grouped ~name:"objectmath"
       [
-        Test.make ~name:"simplify-roller-eq"
-          (Staged.stage (fun () -> Om_expr.Simplify.simplify heavy_eq));
         Test.make ~name:"diff-roller-eq"
           (Staged.stage (fun () -> Om_expr.Deriv.diff "W[1].R" heavy_eq));
         Test.make ~name:"bearing-jacobian-derive"
@@ -893,7 +894,7 @@ let micro () =
         Test.make ~name:"eval-roller-eq"
           (Staged.stage (fun () -> Om_expr.Eval.eval tbl heavy_eq));
         Test.make ~name:"vm-roller-eq"
-          (Staged.stage (fun () -> Om_expr.Vm.run vm_prog env));
+          (Staged.stage (fun () -> Om_expr.Vm.exec vm_prog ~env ~out:vm_out));
         Test.make ~name:"cse-servo"
           (Staged.stage (fun () -> Om_codegen.Cse.eliminate targets));
         Test.make ~name:"tarjan-bearing"

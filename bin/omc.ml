@@ -599,7 +599,7 @@ let metric_of fm metric =
       (String.concat ", " (Array.to_list names));
     exit 1
   end;
-  (name, Objectmath.Sweep.final_value name)
+  name
 
 let sweep_cmd =
   let run file builtin cls param values tend metric domains =
@@ -608,11 +608,11 @@ let sweep_cmd =
       exit 2
     end;
     let src, fm = load file builtin in
-    let metric_name, metric = metric_of fm metric in
+    let metric_name = metric_of fm metric in
     let points =
       try
         Objectmath.Sweep.run ~domains ~source:src ~cls ~param ~values ~tend
-          ~metric ()
+          ~states:[| metric_name |] ()
       with
       | Om_lang.Override.Unknown_target what ->
           Printf.eprintf "omc: unknown sweep target: %s\n" what;
@@ -633,7 +633,7 @@ let sweep_cmd =
       "steps" "rhs-calls";
     List.iter
       (fun (p : Objectmath.Sweep.point) ->
-        Printf.printf "%14g % .9e %8d %10d\n" p.value p.metric p.steps
+        Printf.printf "%14g % .9e %8d %10d\n" p.value p.finals.(0) p.steps
           p.rhs_calls)
       points
   in
@@ -695,13 +695,13 @@ let ensemble_cmd =
   let run file builtin cls param dist samples seed tend metric domains
       show_samples =
     let src, fm = load file builtin in
-    let metric_name, metric = metric_of fm metric in
+    let metric_name = metric_of fm metric in
     let dist = parse_dist dist in
     let rep =
       try
         Objectmath.Sweep.monte_carlo ~source:src
           ~specs:[ (cls, param, dist) ]
-          ~samples ~seed ~tend ~domains ~metric ()
+          ~samples ~seed ~tend ~domains ~state:metric_name ()
       with
       | Om_lang.Override.Unknown_target what ->
           Printf.eprintf "omc: unknown ensemble target: %s\n" what;
@@ -724,7 +724,7 @@ let ensemble_cmd =
       Printf.printf "%14s %16s\n" param ("final " ^ metric_name);
       List.iter
         (fun (s : Objectmath.Sweep.mc_sample) ->
-          Printf.printf "%14.6f % .9e\n" s.draws.(0) s.mc_metric)
+          Printf.printf "%14.6f % .9e\n" s.draws.(0) s.mc_final)
         rep.Objectmath.Sweep.samples
     end
   in

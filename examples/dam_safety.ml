@@ -11,32 +11,29 @@ let () =
   let inflows = [ 180.; 300.; 420.; 480.; 540.; 600.; 660. ] in
   Printf.printf "sweeping river inflow over %d values (2 simulated hours each)...\n\n"
     (List.length inflows);
-  let level_points =
+  (* One ensemble: each point's finals are the dam level, then the
+     spillway flow. *)
+  let points =
     Objectmath.Sweep.run ~source ~cls:"Dam" ~param:"inflow" ~values:inflows
       ~tend:7200.
-      ~metric:(Objectmath.Sweep.final_value "Dam.SurfaceLevel")
-      ()
-  in
-  let spill_points =
-    Objectmath.Sweep.run ~source ~cls:"Dam" ~param:"inflow" ~values:inflows
-      ~tend:7200.
-      ~metric:(Objectmath.Sweep.final_value "Spill.Flow")
+      ~states:[| "Dam.SurfaceLevel"; "Spill.Flow" |]
       ()
   in
   Printf.printf "%12s %18s %18s\n" "inflow m3/s" "dam level [m]"
     "spillway [m3/s]";
-  List.iter2
-    (fun (l : Objectmath.Sweep.point) (s : Objectmath.Sweep.point) ->
-      Printf.printf "%12.0f %18.3f %18.2f%s\n" l.value l.metric s.metric
-        (if s.metric > 1. then "   <- spillway engaged" else ""))
-    level_points spill_points;
+  List.iter
+    (fun (p : Objectmath.Sweep.point) ->
+      Printf.printf "%12.0f %18.3f %18.2f%s\n" p.value p.finals.(0)
+        p.finals.(1)
+        (if p.finals.(1) > 1. then "   <- spillway engaged" else ""))
+    points;
   (* The safety margin: the largest swept inflow the gates absorb without
      spilling. *)
   let margin =
     List.fold_left
-      (fun acc (s : Objectmath.Sweep.point) ->
-        if s.metric <= 1. then Float.max acc s.value else acc)
-      0. spill_points
+      (fun acc (p : Objectmath.Sweep.point) ->
+        if p.finals.(1) <= 1. then Float.max acc p.value else acc)
+      0. points
   in
   Printf.printf
     "\nsafety margin: gates absorb inflows up to ~%.0f m3/s before the\n\
@@ -46,7 +43,7 @@ let () =
     ~title:"Dam level and spillway flow vs river inflow"
     ~x_label:"inflow [m3/s]"
     [
-      Objectmath.Sweep.to_series "dam level [m]" level_points;
-      Objectmath.Sweep.to_series "spillway [m3/s]" spill_points;
+      Objectmath.Sweep.to_series "dam level [m]" 0 points;
+      Objectmath.Sweep.to_series "spillway [m3/s]" 1 points;
     ];
   Printf.printf "plot written to dam_safety.svg\n"

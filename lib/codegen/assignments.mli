@@ -15,7 +15,5 @@ type t = {
 
 val of_flat_model : Om_lang.Flat_model.t -> t array
 
-val target_of_state : string -> string
-
 val cost : t -> float
 (** Mean-branch static flop estimate of the right-hand side. *)

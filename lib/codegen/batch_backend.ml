@@ -29,20 +29,6 @@ let of_program p ~dim ~width =
 
 let create (c : Bb.t) ~width = of_program (c.sequential ()) ~dim:c.dim ~width
 
-(* Fresh SoA columns and Vm_batch scratch over the shared conditioned
-   instruction streams — no recompaction/refusion, so per-job cloning
-   stays cheap. *)
-let clone_scratch t =
-  {
-    t with
-    env = Array.init (Array.length t.env) (fun _ -> Array.make t.width 0.);
-    out = Array.init (Array.length t.out) (fun _ -> Array.make t.width 0.);
-    program = Vb.clone_scratch t.program;
-  }
-
-let width t = t.width
-let dim t = t.dim
-
 let brhs t ~times ~y ~ydot ~lo ~hi =
   let n = hi - lo in
   for i = 0 to t.dim - 1 do

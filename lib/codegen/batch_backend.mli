@@ -29,17 +29,6 @@ val create : Bytecode_backend.t -> width:int -> t
 (** [of_program] of the backend's sequential program.
     @raise Invalid_argument if [width < 1]. *)
 
-val clone_scratch : t -> t
-(** An independent batch instance at the same width: environment and
-    output columns plus the {!Om_expr.Vm_batch} register file are
-    fresh, while the conditioned instruction streams are shared (they
-    are immutable).  Unlike driving disjoint lane ranges of one
-    instance, a clone may run {e any} lanes concurrently with the
-    original — the per-job isolation the serve layer needs. *)
-
-val width : t -> int
-val dim : t -> int
-
 val brhs :
   t ->
   times:float array ->

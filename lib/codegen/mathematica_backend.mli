@@ -14,10 +14,6 @@ type source = {
 
 val generate : Om_lang.Flat_model.t -> source
 
-val expr_to_mathematica : (string -> string) -> Om_expr.Expr.t -> string
-(** Infix Mathematica syntax ([Sin[x]], [x^2], [If[a < b, t, e]]) with the
-    given variable renderer. *)
-
 val mangle : Om_lang.Flat_model.t -> string -> string
 (** Collision-free mapping of flattened state names ([W[3].Fi]) to
     Mathematica symbols ([W3Fi]). *)

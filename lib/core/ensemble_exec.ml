@@ -45,10 +45,6 @@ let create ?(domains = 1) backend =
   in
   { backend; pool; req }
 
-let backend t = t.backend
-
-let domains t = match t.pool with None -> 1 | Some p -> Pool.nworkers p
-
 let brhs t ~times ~y ~ydot ~lo ~hi =
   match t.pool with
   | None -> Bb.brhs t.backend ~times ~y ~ydot ~lo ~hi

@@ -17,9 +17,6 @@ val create : ?domains:int -> Om_codegen.Batch_backend.t -> t
     @raise Om_guard.Om_error.Error ([Spawn_failure]) if a worker domain
     cannot be spawned. *)
 
-val backend : t -> Om_codegen.Batch_backend.t
-val domains : t -> int
-
 val brhs :
   t ->
   times:float array ->

@@ -3,7 +3,7 @@
     One [open]-able entry point over the whole system, following the
     paper's architecture (Figure 7):
 
-    - {!Expr}/{!Simplify}/{!Deriv}: the symbolic expression engine,
+    - {!Expr}/{!Deriv}: the symbolic expression engine,
     - {!Parser}/{!Flatten}/{!Flat_model}: the modelling-language frontend,
     - {!Scc}/{!Topo}: dependency analysis,
     - {!Pipeline}/{!Cse}/{!Partition}/{!Fortran}: the code generator,
@@ -19,7 +19,6 @@
       application models. *)
 
 module Expr = Om_expr.Expr
-module Simplify = Om_expr.Simplify
 module Deriv = Om_expr.Deriv
 module Subst = Om_expr.Subst
 module Eval = Om_expr.Eval

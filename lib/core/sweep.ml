@@ -4,30 +4,25 @@
    default reads a frozen state, so the model is parsed, flattened and
    compiled once, and every sweep value / Monte Carlo sample is one
    member of a lockstep ensemble whose frozen states carry that
-   member's values, integrated by [Ensemble.rkf45] over the batched
+   member's values, integrated once by [Ensemble.rkf45] over the batched
    register VM ([Batch_backend], optionally sliced across domains by
-   [Ensemble_exec]).  A bad class/parameter name
-   ([Override.Unknown_target]) and a parameter whose every use rebinds
-   it ([Override.Shadowed]) are the caller's errors. *)
+   [Ensemble_exec]).  Each member reports the final values of the states
+   the caller names; no trajectory is recorded.  A bad class/parameter
+   name ([Override.Unknown_target]) and a parameter whose every use
+   rebinds it ([Override.Shadowed]) are the caller's errors. *)
 
 type point = {
   value : float;
-  metric : float;
+  finals : float array;
   steps : int;
   rhs_calls : int;
 }
-
-let final_value name sys tr =
-  let col = Om_ode.Odesys.column tr name sys in
-  col.(Array.length col - 1)
 
 (* ---- compile-once preparation ---- *)
 
 type compiled = {
   model : Om_codegen.Pipeline.model;
-  sys : Om_ode.Odesys.t;
-      (* promoted system over [model]'s sequential program, for metric
-         name lookup *)
+  slot : string -> int;  (* a state's index in the promoted model *)
   y0 : float array;  (* initial state at the parameters' defaults *)
   slot_sets : int array array;  (* per promoted parameter: its frozen states *)
   inits : (int * Om_expr.Expr.t) list;
@@ -44,10 +39,12 @@ let prepare ~source params =
   in
   let p = Om_lang.Flatten.flatten_promoted promoted in
   let states = p.flat.Om_lang.Flat_model.states in
-  let index_of =
-    let h = Hashtbl.create 64 in
-    List.iteri (fun i (n, _) -> Hashtbl.replace h n i) states;
-    Hashtbl.find h
+  let slots = Hashtbl.create 64 in
+  List.iteri (fun i (n, _) -> Hashtbl.replace slots n i) states;
+  let index_of n =
+    match Hashtbl.find_opt slots n with
+    | Some i -> i
+    | None -> invalid_arg ("Sweep: no state " ^ n)
   in
   let slot_sets =
     List.map
@@ -69,9 +66,7 @@ let prepare ~source params =
   let model = Om_codegen.Pipeline.model_of_flat p.flat in
   {
     model;
-    sys =
-      Om_codegen.Pipeline.system model
-        (Om_codegen.Pipeline.sequential_fn model);
+    slot = index_of;
     y0 = Om_lang.Flat_model.initial_values p.flat;
     slot_sets;
     inits = List.map (fun (n, e) -> (index_of n, e)) p.inits;
@@ -97,8 +92,10 @@ let member_y0 c vals =
   y
 
 (* [draws.(m)] assigns one value per promoted parameter for member [m];
-   [k m sys traj steps rhs_calls] reports it. *)
-let integrate ?(domains = 1) ?atol ?rtol c ~draws ~tend k =
+   [k m finals steps rhs_calls] reports it, [finals] holding the final
+   values of [states]. *)
+let integrate ?(domains = 1) ?atol ?rtol c ~draws ~tend ~states k =
+  let slots = Array.map c.slot states in
   let dim = Array.length c.y0 in
   let bb =
     Om_codegen.Batch_backend.of_program
@@ -114,17 +111,13 @@ let integrate ?(domains = 1) ?atol ?rtol c ~draws ~tend k =
           Om_ode.Ensemble.create ~dim ~f:(Ensemble_exec.brhs ex)
             (Array.map (member_y0 c) draws)
         in
-        Om_ode.Ensemble.rkf45 ~record:true ?atol ?rtol ens ~t0:0. ~tend)
-  in
-  let trajs =
-    match rep.Om_ode.Ensemble.trajectories with
-    | Some t -> t
-    | None -> assert false
+        Om_ode.Ensemble.rkf45 ?atol ?rtol ens ~t0:0. ~tend)
   in
   List.init (Array.length draws) (fun m ->
-      k m c.sys trajs.(m) rep.steps.(m) rep.rhs_evals.(m))
+      let y = rep.Om_ode.Ensemble.final.(m) in
+      k m (Array.map (fun s -> y.(s)) slots) rep.steps.(m) rep.rhs_evals.(m))
 
-let run ?domains ~source ~cls ~param ~values ~tend ?atol ?rtol ~metric () =
+let run ?domains ~source ~cls ~param ~values ~tend ?atol ?rtol ~states () =
   let c = prepare ~source [ (cls, param) ] in
   (* No values is no members, and a batch backend has at least one
      lane: answer before building one. *)
@@ -133,9 +126,9 @@ let run ?domains ~source ~cls ~param ~values ~tend ?atol ?rtol ~metric () =
     let values = Array.of_list values in
     integrate ?domains ?atol ?rtol c
       ~draws:(Array.map (fun v -> [| v |]) values)
-      ~tend
-      (fun m sys traj steps rhs_calls ->
-        { value = values.(m); metric = metric sys traj; steps; rhs_calls })
+      ~tend ~states
+      (fun m finals steps rhs_calls ->
+        { value = values.(m); finals; steps; rhs_calls })
 
 (* ---- Monte Carlo ensembles ---- *)
 
@@ -143,7 +136,7 @@ type dist = Uniform of float * float | Normal of float * float
 
 type mc_sample = {
   draws : float array;
-  mc_metric : float;
+  mc_final : float;
   mc_steps : int;
   mc_rhs_calls : int;
 }
@@ -170,12 +163,12 @@ let draw_all ~specs ~samples ~seed =
 let summarize samples =
   let n = float_of_int (List.length samples) in
   let mean =
-    List.fold_left (fun a s -> a +. s.mc_metric) 0. samples /. n
+    List.fold_left (fun a s -> a +. s.mc_final) 0. samples /. n
   in
   let var =
     List.fold_left
       (fun a s ->
-        let d = s.mc_metric -. mean in
+        let d = s.mc_final -. mean in
         a +. (d *. d))
       0. samples
     /. n
@@ -183,21 +176,21 @@ let summarize samples =
   { samples; mean; stddev = Float.sqrt var }
 
 let monte_carlo ~source ~specs ~samples ~seed ~tend ?atol ?rtol ?domains
-    ~metric () =
+    ~state () =
   if samples < 1 then invalid_arg "Sweep.monte_carlo: samples < 1";
   if specs = [] then invalid_arg "Sweep.monte_carlo: no parameter specs";
   let draws = draw_all ~specs ~samples ~seed in
   let c = prepare ~source (List.map (fun (c, p, _) -> (c, p)) specs) in
   summarize
-    (integrate ?domains ?atol ?rtol c ~draws ~tend
-       (fun m sys traj steps rhs_calls ->
+    (integrate ?domains ?atol ?rtol c ~draws ~tend ~states:[| state |]
+       (fun m finals steps rhs_calls ->
          {
            draws = draws.(m);
-           mc_metric = metric sys traj;
+           mc_final = finals.(0);
            mc_steps = steps;
            mc_rhs_calls = rhs_calls;
          }))
 
-let to_series label points =
+let to_series label i points =
   Om_viz.Plot.series label
-    (List.map (fun p -> (p.value, p.metric)) points)
+    (List.map (fun p -> (p.value, p.finals.(i))) points)

@@ -41,5 +41,3 @@ let layers g =
   let buckets = Array.make depth [] in
   List.iter (fun v -> buckets.(level.(v)) <- v :: buckets.(level.(v))) order;
   Array.to_list (Array.map List.rev buckets)
-
-let longest_path g = List.length (layers g)

@@ -13,6 +13,3 @@ val layers : Digraph.t -> int list list
     is the critical-path length used to bound equation-system-level
     parallelism (paper §2.5.1).
     @raise Invalid_argument if the graph has a cycle. *)
-
-val longest_path : Digraph.t -> int
-(** Number of nodes on the longest directed path (critical path). *)

@@ -155,5 +155,3 @@ let jacobian vars rows =
       if is_pos_zero g.rest then Array.copy g.entries
       else Array.init (Array.length vars) (fun c -> (c, entry g c)))
     rows
-
-let gradient vars e = List.map (fun v -> (v, diff v e)) vars

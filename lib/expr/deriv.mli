@@ -30,6 +30,3 @@ val jacobian : string array -> Expr.t array -> (int * Expr.t) array array
     the product rule's other factors) are built once per node and read
     by every column.
     @raise Invalid_argument if [vars] has a duplicate. *)
-
-val gradient : string list -> Expr.t -> (string * Expr.t) list
-(** Partial derivative with respect to each given variable. *)

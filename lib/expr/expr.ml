@@ -239,6 +239,12 @@ struct
     let i = index t.keys e in
     if Array.unsafe_get t.keys i != free then Some t.vals.(i) else None
 
+  let find_or t e default =
+    if t.count = 0 then default
+    else
+      let i = index t.keys e in
+      if Array.unsafe_get t.keys i != free then t.vals.(i) else default
+
   (* Grow fourfold once [e] would fill half of the slots, and return
      [e]'s slot. *)
   let slot_for t e =
@@ -373,9 +379,7 @@ let int n = Const (float_of_int n)
 let var s = Var s
 let zero = Const 0.
 let one = Const 1.
-let two = Const 2.
 let minus_one = Const (-1.)
-let pi = Const (Float.pi)
 let is_const = function Const _ -> true | _ -> false
 
 (* Split a product term into (numeric coefficient, remaining factors).  Used
@@ -793,25 +797,14 @@ let tan x = call Tan [ x ]
 let exp x = call Exp [ x ]
 let log x = call Log [ x ]
 let sqrt x = call Sqrt [ x ]
-let abs x = call Abs [ x ]
 let sign x = call Sign [ x ]
-let atan2 y x = call Atan2 [ y; x ]
 let hypot x y = call Hypot [ x; y ]
-let min_e x y = call Min [ x; y ]
-let max_e x y = call Max [ x; y ]
 let cond lhs rel rhs = { lhs; rel; rhs }
 
 let if_ c t e =
   match (c.lhs, c.rhs) with
   | Const a, Const b -> if eval_rel c.rel a b then t else e
   | _ -> if equal t e then t else mk_if c t e
-
-let ( + ) = fun a b -> add [ a; b ]
-let ( - ) = sub
-let ( * ) = fun a b -> mul [ a; b ]
-let ( / ) = div
-let ( ** ) = powi
-let ( ~- ) = neg
 
 let children = function
   | Const _ | Var _ -> []
@@ -870,19 +863,7 @@ let vars e =
     ~finally:(fun () -> Phys_tbl.clear seen)
     (fun () -> List.sort_uniq String.compare (walk [] e))
 
-let mem_var v e =
-  let exception Found in
-  try
-    fold (fun () e -> match e with Var w when w = v -> raise Found | _ -> ()) () e;
-    false
-  with Found -> true
-
-let size e = fold (fun n _ -> Stdlib.( + ) n 1) 0 e
-
-let rec depth e =
-  match children e with
-  | [] -> 1
-  | cs -> Stdlib.( + ) 1 (List.fold_left (fun m c -> Stdlib.max m (depth c)) 0 cs)
+let size e = fold (fun n _ -> n + 1) 0 e
 
 let pp_float ppf x =
   if Float.is_integer x && Float.abs x < 1e15 then

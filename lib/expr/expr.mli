@@ -9,8 +9,9 @@
 
     Smart constructors ({!add}, {!mul}, ...) perform light normalisation:
     flattening of nested sums/products, constant folding, identity and
-    absorbing-element elimination, and canonical argument ordering.  Deeper
-    rewriting lives in {!Simplify}. *)
+    absorbing-element elimination, and canonical argument ordering.  No
+    deeper rewriting is done: identities such as [sin²x + cos²x = 1]
+    change the rounded value of a model's right-hand side. *)
 
 (** Primitive functions available in models.  [Atan2], [Min], [Max] and
     [Hypot] are binary; everything else is unary. *)
@@ -83,11 +84,12 @@ module Phys_tbl : sig
 
   val find_opt : 'a t -> key -> 'a option
 
+  val find_or : 'a t -> key -> 'a -> 'a
+  (** [find_or m e d] is [e]'s value, or [d] if [m] binds none.  It
+      allocates nothing, and on an empty map it compares one count. *)
+
   val add : 'a t -> key -> 'a -> unit
   (** [add m e v] binds [e] to [v] unless [m] binds [e] already. *)
-
-  val clear : 'a t -> unit
-  (** Empty the map, keeping its room. *)
 
   val visit : unit t -> key -> bool
   (** [visit s e] adds [e] to [s], a map used as a set of nodes (no
@@ -112,9 +114,7 @@ val var : string -> t
 
 val zero : t
 val one : t
-val two : t
 val minus_one : t
-val pi : t
 
 val add : t list -> t
 (** Flattens nested sums, folds the constants left to right and
@@ -153,26 +153,13 @@ val tan : t -> t
 val exp : t -> t
 val log : t -> t
 val sqrt : t -> t
-val abs : t -> t
 val sign : t -> t
-val atan2 : t -> t -> t
 val hypot : t -> t -> t
-val min_e : t -> t -> t
-val max_e : t -> t -> t
 
 val if_ : cond -> t -> t -> t
 val cond : t -> rel -> t -> cond
 
-val ( + ) : t -> t -> t
-val ( - ) : t -> t -> t
-val ( * ) : t -> t -> t
-val ( / ) : t -> t -> t
-val ( ** ) : t -> int -> t
-val ( ~- ) : t -> t
-
 (** {1 Inspection} *)
-
-val is_const : t -> bool
 
 val children : t -> t list
 (** Immediate sub-expressions, including those inside conditions. *)
@@ -211,9 +198,7 @@ val vars : t -> string list
 (** Free variables, sorted, without duplicates.  A DAG walk: a node
     shared by several parents is visited once. *)
 
-val mem_var : string -> t -> bool
 val size : t -> int
-val depth : t -> int
 
 val func_name : func -> string
 val func_arity : func -> int

@@ -7,7 +7,6 @@ let of_names names =
     names;
   { names; slots }
 
-let names t = t.names
 let size t = Array.length t.names
 
 let slot t v =

@@ -11,9 +11,6 @@ type t
 val of_names : string array -> t
 (** O(the number of names). *)
 
-val names : t -> string array
-(** The names in slot order: the array given to {!of_names}. *)
-
 val size : t -> int
 (** The number of slots. *)
 

@@ -47,7 +47,6 @@ type t = {
   code : int array;
   consts : float array;
   nregs : int;
-  result : int;  (* register holding the final value, or -1 *)
 }
 
 (* Working arrays, reused across the programs of one compile: a fresh
@@ -494,8 +493,7 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
         for i = n - 1 downto 0 do
           if live.(i) then begin
             let o = op.(i) in
-            if writes.(o) && uses.(dst.(i)) = 0 && dst.(i) <> p.result
-            then begin
+            if writes.(o) && uses.(dst.(i)) = 0 then begin
               live.(i) <- false;
               use i (-1);
               count_env_reads i (-1);
@@ -604,15 +602,9 @@ let optimize ?(private_env_slot = fun _ -> false) s ~len (p : t) =
         w := !w + stride
       end
     done;
-    let result =
-      if p.result < 0 then p.result
-      else if reg_map.(p.result) >= 0 then reg_map.(p.result)
-      else map_reg p.result
-    in
     {
       code;
       consts = Array.of_list (List.rev !new_consts);
       nregs = max 1 !next_reg;
-      result;
     }
   end

@@ -4,7 +4,7 @@
     Input programs must use write-once virtual registers: every register
     is assigned by exactly one instruction, except the join register of
     an [If], which is assigned by the final [Mov] of each branch.  Jump
-    targets must be forward-only.  {!Vm.compile} guarantees both.
+    targets must be forward-only.  {!Vm.compile_stmts} guarantees both.
 
     Passes, run in rounds to a fixpoint: constant folding and strength
     reduction, copy propagation, instruction fusion
@@ -25,7 +25,6 @@ type t = {
   code : int array;  (** flat code, {!Vm_code.stride} words/instruction *)
   consts : float array;  (** constant pool *)
   nregs : int;  (** virtual register count *)
-  result : int;  (** register holding the final value, or -1 *)
 }
 
 type scratch

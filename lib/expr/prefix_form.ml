@@ -81,15 +81,6 @@ let to_lines ?(annotate = false) ?(width = 72) e =
   if Buffer.length line > 0 then lines := Buffer.contents line :: !lines;
   List.rev !lines
 
-let equation_to_string ?(annotate = false) ~lhs_var rhs =
-  let lhs =
-    if annotate then
-      Printf.sprintf "Derivative[1][om$Type[%s, om$Real]][om$Type[t, om$Real]]"
-        lhs_var
-    else Printf.sprintf "Derivative[1][%s][t]" lhs_var
-  in
-  Printf.sprintf "Equal[%s, %s]" lhs (to_string ~annotate rhs)
-
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 

@@ -19,8 +19,3 @@ val to_lines : ?annotate:bool -> ?width:int -> Expr.t -> string list
 val of_string : string -> Expr.t
 (** Parse FullForm back, accepting [om$Type] annotations (they elaborate to
     plain variables).  @raise Failure on syntax errors. *)
-
-val equation_to_string :
-  ?annotate:bool -> lhs_var:string -> Expr.t -> string
-(** Render a first-order ODE [x'(t) == rhs] the way Figure 11 shows:
-    [Equal[Derivative[1][x][t], rhs]]. *)

@@ -5,9 +5,6 @@ let rec apply_map m e =
   | Expr.Var v -> ( match Smap.find_opt v m with Some e' -> e' | None -> e)
   | _ -> Expr.map_children (apply_map m) e
 
-let apply bindings e =
-  apply_map (List.fold_left (fun m (v, x) -> Smap.add v x m) Smap.empty bindings) e
-
 let rec rename f e =
   match e with
   | Expr.Var v -> Expr.var (f v)

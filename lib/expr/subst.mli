@@ -1,10 +1,5 @@
 (** Capture-free substitution of variables by expressions. *)
 
-val apply : (string * Expr.t) list -> Expr.t -> Expr.t
-(** [apply bindings e] replaces every free occurrence of each bound variable
-    simultaneously.  The result is re-normalised by the smart
-    constructors. *)
-
 val apply_map : Expr.t Map.Make(String).t -> Expr.t -> Expr.t
 
 val rename : (string -> string) -> Expr.t -> Expr.t

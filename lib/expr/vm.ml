@@ -25,7 +25,6 @@ type program = {
   code : int array;
   consts : float array;
   nregs : int;
-  result : int; (* register of the final value, or -1 *)
   env_size : int;
   out_size : int;
   regs : float array; (* scratch register file, length nregs *)
@@ -116,68 +115,15 @@ and cond_key = Expr.rel * operand * operand
    the arm tables of a recurring one. *)
 and arm = Seen of logged list * logged list | Tables of arm_table * arm_table
 
-(* A node, its hash and its register. *)
-and logged = { l_node : Expr.t; l_hash : int; l_reg : int }
+(* A node and its register. *)
+and logged = { l_node : Expr.t; l_reg : int }
 
-(* A node-to-register map by physical identity, open addressing over
-   parallel arrays; an empty slot holds register -1. *)
-and arm_table = {
-  mutable a_keys : Expr.t array;
-  mutable a_hashes : int array;
-  mutable a_vals : int array;
-  mutable a_count : int;
-}
+(* Node to register, by physical identity. *)
+and arm_table = int Expr.Phys_tbl.t
 
-(* The table of no arm. *)
-let no_table = { a_keys = [||]; a_hashes = [||]; a_vals = [||]; a_count = 0 }
-
-let rec arm_probe t e mask i =
-  let r = Array.unsafe_get t.a_vals i in
-  if r < 0 || Array.unsafe_get t.a_keys i == e then r
-  else arm_probe t e mask ((i + 1) land mask)
-
-let arm_find t h e =
-  if t.a_count = 0 then -1
-  else
-    let mask = Array.length t.a_vals - 1 in
-    arm_probe t e mask (h land mask)
-
-let rec arm_slot t mask i =
-  if Array.unsafe_get t.a_vals i < 0 then i
-  else arm_slot t mask ((i + 1) land mask)
-
-let arm_put t h e r =
-  let mask = Array.length t.a_vals - 1 in
-  let i = arm_slot t mask (h land mask) in
-  t.a_keys.(i) <- e;
-  t.a_hashes.(i) <- h;
-  t.a_vals.(i) <- r;
-  t.a_count <- t.a_count + 1
-
-(* An empty table with room for [n] entries. *)
-let arm_create n =
-  let size = ref 16 in
-  while !size < 2 * n do
-    size := 2 * !size
-  done;
-  {
-    a_keys = Array.make !size Expr.zero;
-    a_hashes = Array.make !size 0;
-    a_vals = Array.make !size (-1);
-    a_count = 0;
-  }
-
-let arm_add t h e r =
-  if 2 * (t.a_count + 1) > Array.length t.a_vals then begin
-    let keys = t.a_keys and hashes = t.a_hashes and vals = t.a_vals in
-    let n = 2 * Array.length vals in
-    t.a_keys <- Array.make n Expr.zero;
-    t.a_hashes <- Array.make n 0;
-    t.a_vals <- Array.make n (-1);
-    t.a_count <- 0;
-    Array.iteri (fun i r -> if r >= 0 then arm_put t hashes.(i) keys.(i) r) vals
-  end;
-  arm_put t h e r
+(* The table of no arm: never added to, so a lookup in it is one
+   compare. *)
+let no_table : arm_table = Expr.Phys_tbl.create 0
 
 (* Most programs lower many small statement blocks, so the table starts
    small and grows fast. *)
@@ -279,15 +225,14 @@ and memo_rehash m =
    goes to its log or arm table. *)
 let memo_add m h e r =
   if m.scope = m.sink_scope then
-    if m.sink == no_table then
-      m.log <- { l_node = e; l_hash = h; l_reg = r } :: m.log
-    else arm_add m.sink h e r;
+    if m.sink == no_table then m.log <- { l_node = e; l_reg = r } :: m.log
+    else Expr.Phys_tbl.add m.sink e r;
   memo_put m h e r
 
 (* The arm table of a log, with room for as many entries again. *)
 let arm_of_log log =
-  let t = arm_create (2 * List.length log) in
-  List.iter (fun l -> arm_put t l.l_hash l.l_node l.l_reg) log;
+  let t = Expr.Phys_tbl.create (2 * List.length log) in
+  List.iter (fun l -> Expr.Phys_tbl.add t l.l_node l.l_reg) log;
   t
 
 (* ---- emission ---- *)
@@ -365,7 +310,7 @@ let rec lower em index (e : Expr.t) =
       let r = memo_find m h e in
       if r >= 0 then r
       else
-        let r = arm_find m.source h e in
+        let r = Expr.Phys_tbl.find_or m.source e (-1) in
         if r >= 0 then r
         else begin
           let r = lower_node em index e in
@@ -452,7 +397,7 @@ and lower_node em index (e : Expr.t) =
       r
   | Call (f, args, _) ->
       invalid_arg
-        (Printf.sprintf "Vm.compile: %s applied to %d arguments"
+        (Printf.sprintf "Vm.compile_stmts: %s applied to %d arguments"
            (Expr.func_name f) (List.length args))
   | If (c, t, e', _) ->
       let m = em.memo in
@@ -552,8 +497,7 @@ let validate ~env_size ~out_size (q : Peephole.t) =
     check p kb code.(p + 3);
     check p kc code.(p + 4);
     pos := p + Vm_code.stride
-  done;
-  if q.result >= q.nregs then fail "result register %d" q.result
+  done
 
 (* A validated program over [q], with its own register file. *)
 let of_code ~env_size ~out_size (q : Peephole.t) =
@@ -562,7 +506,6 @@ let of_code ~env_size ~out_size (q : Peephole.t) =
     code = q.code;
     consts = q.consts;
     nregs = q.nregs;
-    result = q.result;
     env_size;
     out_size;
     regs = Array.make q.nregs 0.;
@@ -606,15 +549,13 @@ let start s roots =
   em.memo.recurs <- recurring roots;
   em
 
-let finish ?(optimize = true) ?private_env_slot s ~result ~env_size ~out_size
-    =
+let finish ?(optimize = true) ?private_env_slot s ~env_size ~out_size =
   let em = s.em in
   let q =
     {
       Peephole.code = em.buf;
       consts = Array.sub em.consts 0 em.nconsts;
       nregs = max 1 em.next_reg;
-      result;
     }
   in
   let q =
@@ -622,11 +563,6 @@ let finish ?(optimize = true) ?private_env_slot s ~result ~env_size ~out_size
     else { q with code = Array.sub em.buf 0 em.len }
   in
   of_code ~env_size ~out_size q
-
-let compile ?optimize names e =
-  let s = scratch () in
-  let r = lower (start s [ e ]) (Layout.slot (Layout.of_names names)) e in
-  finish ?optimize s ~result:r ~env_size:(Array.length names) ~out_size:0
 
 let compile_stmts ?optimize ?private_env_slot ?(scratch = scratch ())
     ~out_size layout stmts =
@@ -641,8 +577,8 @@ let compile_stmts ?optimize ?private_env_slot ?(scratch = scratch ())
           new_segment em.memo
       | To_out s -> emit em Vm_code.op_sto 0 r 0 s)
     stmts;
-  finish ?optimize ?private_env_slot scratch ~result:(-1)
-    ~env_size:(Layout.size layout) ~out_size
+  finish ?optimize ?private_env_slot scratch ~env_size:(Layout.size layout)
+    ~out_size
 
 (* ---- interpreter ---- *)
 
@@ -795,20 +731,12 @@ let exec p ~env ~out =
   if Array.length out < p.out_size then invalid_arg "Vm.exec: out too small";
   loop p.code p.consts p.regs env out (Array.length p.code) 0
 
-let no_out = [||]
-
-let[@inline] run p env =
-  if p.result < 0 then invalid_arg "Vm.run: statement program (use exec)";
-  exec p ~env ~out:no_out;
-  Array.unsafe_get p.regs p.result
-
 (* ---- raw view ---- *)
 
 type raw = {
   rw_code : int array;
   rw_consts : float array;
   rw_nregs : int;
-  rw_result : int;
   rw_env_size : int;
   rw_out_size : int;
 }
@@ -818,7 +746,6 @@ let raw p =
     rw_code = p.code;
     rw_consts = p.consts;
     rw_nregs = p.nregs;
-    rw_result = p.result;
     rw_env_size = p.env_size;
     rw_out_size = p.out_size;
   }
@@ -826,7 +753,6 @@ let raw p =
 (* ---- inspection ---- *)
 
 let length p = Array.length p.code / Vm_code.stride
-let result_reg p = p.result
 let instructions p = Vm_code.decode p.code p.consts
 
 let disassemble p =

@@ -1,5 +1,10 @@
 (** Register-based, allocation-free expression VM.
 
+    There is one kind of program: a statement block, whose statements
+    each evaluate an expression and store it to an env slot (a CSE
+    temporary) or an out slot (a derivative root).  A single expression
+    is a block of one [To_out 0] statement.
+
     The compiler lowers {!Expr.t} into a flat instruction array
     ({!Vm_code}) with pre-resolved register slots and a separate
     constant pool — a product or sum led by a literal constant straight
@@ -43,12 +48,6 @@ type stats = {
   fused : int;  (** fused instructions ([Fma]/[Vmul]/[Vmacc]/[Sqr]) *)
 }
 
-val compile : ?optimize:bool -> string array -> Expr.t -> program
-(** Compile a single expression; variables resolve to slots in the
-    given name layout.  [optimize] (default [true]) runs the peephole
-    pass.
-    @raise Eval.Unbound for unknown variables. *)
-
 type scratch
 (** The lowering's working buffers — the instruction emitter and the
     peephole pass's arrays — lent to every program of one compile, so
@@ -68,7 +67,8 @@ val compile_stmts :
   program
 (** Compile a statement block — each expression evaluated in order and
     stored to its target; variables resolve to slots through the
-    layout.  [private_env_slot] marks env slots only this program reads
+    layout.  [optimize] (default [true]) runs the peephole pass.
+    [private_env_slot] marks env slots only this program reads
     (task-private CSE temporaries), letting the optimiser delete stores
     that end up unread.  An If that no arm encloses reads, in each arm,
     what the same arm of an earlier such If computed, when the two
@@ -86,15 +86,9 @@ val clone_scratch : program -> program
     call per job.  The clone and the original may run concurrently from
     different domains. *)
 
-val run : program -> float array -> float
-(** Evaluate an expression program against an environment laid out like
-    the compile-time names.  The interpreter loop itself never
-    allocates; only the returned float is boxed. *)
-
 val exec : program -> env:float array -> out:float array -> unit
 (** Run a program for its stores.  Allocation-free in steady state.
-    [env] ([out]) must be at least the compile-time env (out) size;
-    expression programs accept [out = [||]]. *)
+    [env] ([out]) must be at least the compile-time env (out) size. *)
 
 (** The validated innards of a program, for engines that reinterpret the
     same instruction stream — currently the batched SoA interpreter
@@ -104,7 +98,6 @@ type raw = {
   rw_code : int array;
   rw_consts : float array;
   rw_nregs : int;
-  rw_result : int;  (** result register, or [-1] for statement programs *)
   rw_env_size : int;
   rw_out_size : int;
 }
@@ -116,9 +109,6 @@ val raw : program -> raw
 
 val length : program -> int
 (** Instruction count. *)
-
-val result_reg : program -> int
-(** Register holding the final value, or [-1] for statement programs. *)
 
 val instructions : program -> Vm_code.instr array
 (** Decoded form, for inspection and tests. *)

@@ -42,7 +42,6 @@ type t = {
   consts : float array;
   width : int;
   nregs : int;
-  result : int;
   env_size : int;
   out_size : int;
   env_cols : int array;
@@ -52,8 +51,8 @@ type t = {
   regs : float array array; (* nregs rows of length width *)
   sleep : int array; (* per-lane wake-up pc: lane [j] is awake at [pc]
                         iff [sleep.(j) <= pc] *)
-  ident : int array; (* the lane list [0..width-1], immutable, shared by
-                        clones: the lanes of a segment no lane sleeps in *)
+  ident : int array; (* the lane list [0..width-1], immutable: the lanes
+                        of a segment no lane sleeps in *)
   lanes : int array; (* the awake lanes of the current segment, compacted
                         per call from position [lo]: see [drive] *)
   njump : int array; (* per op: code offset of the next jmp/jnot at or
@@ -86,7 +85,7 @@ let () =
    safe to share — every kernel reads its operand lanes before writing
    the destination lane. *)
 
-let compact code nregs result =
+let compact code nregs =
   let nops = Array.length code / 5 in
   let first = Array.make (max nregs 1) max_int in
   let last = Array.make (max nregs 1) (-1) in
@@ -121,8 +120,6 @@ let compact code nregs result =
         touch b i
     | _ (* ste/sto: [c] is an env/out slot *) -> touch a i
   done;
-  (* The result register is read after the program ends. *)
-  if result >= 0 then last.(result) <- nops;
   let starts = Array.make (nops + 2) [] in
   let ends = Array.make (nops + 2) [] in
   for r = 0 to nregs - 1 do
@@ -180,14 +177,14 @@ let compact code nregs result =
         remap 3
     | _ -> remap 2
   done;
-  (code', !next, (if result >= 0 then phys.(result) else result))
+  (code', !next)
 
 (* ---- load/consumer fusion ----
 
    Generated code is full of [ldv r, slot] feeding exactly one
    consumer: per lane that is a row write plus a row read for a value
    that already sits in an env column.  Batch-only opcodes (21..28,
-   never produced by {!Vm.compile}) let the consumer read the env
+   never produced by {!Vm.compile_stmts}) let the consumer read the env
    column in place, and the dead [ldv] is deleted outright:
 
      21 emulk   d <- env.(a) *. consts.(c)
@@ -213,11 +210,9 @@ let compact code nregs result =
    code in place, never the scalar program's; jump targets are
    remapped over the deleted instructions. *)
 
-(* Reads of each virtual register in the scalar code; the result
-   register is also read after the program ends. *)
-let read_counts code nregs result =
+(* Reads of each virtual register in the scalar code. *)
+let read_counts code nregs =
   let reads = Array.make (max nregs 1) 0 in
-  if result >= 0 then reads.(result) <- 1;
   for i = 0 to (Array.length code / 5) - 1 do
     let _, ka, kb, kc = Vm_code.field_kinds code.(i * 5) in
     let count kind k =
@@ -371,8 +366,8 @@ let columns code ~env_size ~out_size =
 let create (p : Vm.program) ~width =
   if width < 1 then invalid_arg "Vm_batch.create: width < 1";
   let r = Vm.raw p in
-  let code, nregs, result = compact r.rw_code r.rw_nregs r.rw_result in
-  let reads = read_counts r.rw_code r.rw_nregs r.rw_result in
+  let code, nregs = compact r.rw_code r.rw_nregs in
+  let reads = read_counts r.rw_code r.rw_nregs in
   let code =
     fuse code ~read_once:(fun i -> reads.(r.rw_code.((i * 5) + 1)) = 1)
   in
@@ -395,7 +390,6 @@ let create (p : Vm.program) ~width =
     consts = r.rw_consts;
     width;
     nregs = max nregs 1;
-    result;
     env_size = r.rw_env_size;
     out_size = r.rw_out_size;
     env_cols;
@@ -406,20 +400,6 @@ let create (p : Vm.program) ~width =
     lanes = Array.make width 0;
     njump;
   }
-
-(* The conditioned code, constant pool, njump table and identity lane
-   list are immutable after [create]; the register rows, sleep counters
-   and awake-lane buffer are the only mutable state.  Cloning those
-   gives an independent instance without re-running compaction/fusion. *)
-let clone_scratch t =
-  {
-    t with
-    regs = Array.init (Array.length t.regs) (fun _ -> Array.make t.width 0.);
-    sleep = Array.make t.width 0;
-    lanes = Array.make t.width 0;
-  }
-
-let width t = t.width
 
 (* Float.min/Float.max semantics, inlined like the scalar VM (the
    stdlib functions are not [@@noalloc] and would box at the call). *)
@@ -958,8 +938,3 @@ let exec t ~env ~out ~lo ~hi =
   Array.fill t.sleep lo (hi - lo) 0;
   drive t.code t.consts t.njump t.regs env out t.ident t.lanes t.sleep
     (Array.length t.code) 0 lo (hi - 1) 0 max_int
-
-let result_row t =
-  if t.result < 0 then
-    invalid_arg "Vm_batch.result_row: statement program (use stores)";
-  t.regs.(t.result)

@@ -1,12 +1,13 @@
 (** Batched structure-of-arrays interpreter for register-VM programs.
 
-    A batch instance re-executes a validated {!Vm.program} over [width]
-    independent environments at once: every virtual register becomes a
-    [float array] of length [width] (batch-major SoA layout), so one
-    instruction decode drives a tight float-array kernel over the whole
-    batch instead of one lane.  This amortises the scalar VM's per-op
-    dispatch the same way the register VM amortised the tree walker's
-    per-node dispatch.
+    A batch instance re-executes a validated {!Vm.program} (a statement
+    block: it reads env columns and stores to env and out columns) over
+    [width] independent environments at once: every virtual register
+    becomes a [float array] of length [width] (batch-major SoA layout),
+    so one instruction decode drives a tight float-array kernel over
+    the whole batch instead of one lane.  This amortises the scalar
+    VM's per-op dispatch the same way the register VM amortised the
+    tree walker's per-node dispatch.
 
     {b Bitwise contract.}  Per lane, the arithmetic is the scalar
     interpreter's, operation for operation ({!Expr.eval_pow}, inlined
@@ -36,8 +37,7 @@
     into their consumer as batch-only env-operand opcodes, deleting a
     row round-trip per load.  A load is fused only when its register
     has exactly one reader in the whole program — [jnot], [ste] and
-    [sto] reads counted, and an expression program's result register
-    counted as read — and that reader sits in the load's jump-free
+    [sto] reads counted — and that reader sits in the load's jump-free
     segment with no store to the loaded slot in between: a load shared
     across a branch keeps its row.
 
@@ -50,8 +50,7 @@
 
     {b Allocation.}  [exec] performs zero heap allocation: the register
     file, sleep counters and awake-lane buffer are preallocated at
-    {!create} (the identity lane list once, shared by clones), and the
-    interpreter loops are closure-free. *)
+    {!create}, and the interpreter loops are closure-free. *)
 
 type t
 
@@ -61,30 +60,13 @@ val create : Vm.program -> width:int -> t
     pool are shared with the program; the register file is fresh.
     @raise Invalid_argument if [width < 1]. *)
 
-val clone_scratch : t -> t
-(** An independent instance over the same conditioned instruction
-    stream: register rows, sleep counters and the awake-lane buffer are
-    fresh; the (immutable) code, constant pool, jump table and identity
-    lane list are shared.  Skips
-    the compaction/fusion passes of {!create}, so it is cheap enough to
-    call per job; clone and original may run concurrently from
-    different domains. *)
-
-val width : t -> int
-
 val exec :
   t -> env:float array array -> out:float array array -> lo:int -> hi:int ->
   unit
 (** [exec t ~env ~out ~lo ~hi] runs the program for lanes [lo..hi-1].
     [env] and [out] are SoA columns: [env.(slot).(lane)] mirrors the
     scalar [env.(slot)], and must provide at least the compile-time
-    env/out sizes, each column at least [hi] long.  Expression programs
-    accept [out = [||]].  Allocation-free.
+    env/out sizes, each column at least [hi] long.  Allocation-free.
     @raise Invalid_argument on a bad lane range, [env]/[out] shorter
     than the compile-time sizes, or a column the program reads or
     writes shorter than [hi] — checked on every call. *)
-
-val result_row : t -> float array
-(** For expression programs: the result register's lane row (the live
-    array, not a copy — valid until the next {!exec}).
-    @raise Invalid_argument for statement programs. *)

@@ -41,7 +41,6 @@ val func_of_prim2 : int -> Expr.func
 val prim1_count : int
 val prim2_count : int
 val rel_id : Expr.rel -> int
-val rel_of_id : int -> Expr.rel
 
 (** Decoded instruction, for disassembly and tests only.  Register
     operands come first; [Ste]/[Sto] are [(slot, src_reg)]. *)
@@ -68,7 +67,6 @@ type instr =
   | Ste of int * int
   | Sto of int * int
 
-val decode_at : int array -> float array -> int -> instr
 val decode : int array -> float array -> instr array
 val pp_instr : Format.formatter -> instr -> unit
 

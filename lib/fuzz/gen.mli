@@ -22,11 +22,6 @@ val model : Random.State.t -> Om_lang.Ast.model
 val source : Random.State.t -> string
 (** [Unparse.model (model rng)]. *)
 
-val gen_expr :
-  Random.State.t -> refs:Om_lang.Ast.sexpr list -> int -> Om_lang.Ast.sexpr
-(** The bounded expression grammar: draws an expression of at most the
-    given depth whose leaves are constants or members of [refs]. *)
-
 val stiff_model : ?rate:float -> unit -> Om_lang.Ast.model
 (** A two-state model with one fast mode (relaxation onto [cos t] at
     [rate], default 2000) and one slow mode — stiff once the transient

@@ -165,16 +165,9 @@ let check_sweep ~violation (m : A.model) src =
           false
       | refs -> (
           let names = fst (List.hd refs) in
-          let finals = ref [] in
-          let metric sys tr =
-            finals :=
-              Array.map (fun n -> Objectmath.Sweep.final_value n sys tr) names
-              :: !finals;
-            0.
-          in
           match
             Objectmath.Sweep.run ~source:src ~cls ~param ~values:sweep_values
-              ~tend ~atol:sweep_rtol ~rtol:sweep_rtol ~metric ()
+              ~tend ~atol:sweep_rtol ~rtol:sweep_rtol ~states:names ()
           with
           | exception Om_lang.Override.Shadowed why ->
               if reached then
@@ -184,7 +177,7 @@ let check_sweep ~violation (m : A.model) src =
           | exception exn ->
               fail "%s raised %s" what (Printexc.to_string exn);
               false
-          | _ ->
+          | points ->
               if not reached then
                 fail "%s: every use rebinds it, but the sweep ran" what
               else
@@ -201,7 +194,10 @@ let check_sweep ~violation (m : A.model) src =
                             what v names.(i) got.(i) x)
                       reference)
                   sweep_values
-                  (List.combine refs (List.rev !finals));
+                  (List.combine refs
+                     (List.map
+                        (fun (p : Objectmath.Sweep.point) -> p.finals)
+                        points));
               false))
 
 let check ?chaos (m : A.model) : result =

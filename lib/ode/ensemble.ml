@@ -114,9 +114,6 @@ let create ~dim ~f y0 =
     mys = Array.make width [];
   }
 
-let width e = e.width
-let dim e = e.dim
-
 (* Record an accepted point for the member in lane [j]. *)
 let record_lane e t j =
   if e.record then begin

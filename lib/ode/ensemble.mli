@@ -63,9 +63,6 @@ val create : dim:int -> f:brhs -> float array array -> t
     with initial states [y0.(m)] (each of length [dim]).
     @raise Invalid_argument on an empty batch or a length mismatch. *)
 
-val width : t -> int
-val dim : t -> int
-
 val rk4 : ?record:bool -> t -> t0:float -> tend:float -> h:float -> report
 (** Fixed-step lockstep RK4 over [t0, tend] with step [h] (final step
     shortened to land on [tend]).  Zero heap allocation per step when

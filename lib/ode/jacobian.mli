@@ -15,10 +15,6 @@ val analytic : Odesys.t -> float -> float array -> Linalg.mat
 (** Use the system's analytic Jacobian when present, else fall back to
     {!numeric}. *)
 
-val eval_into :
-  ?eps:float -> Odesys.t -> float -> float array -> Linalg.mat -> unit
-(** In-place version of {!analytic}, used by the BDF inner loop. *)
-
 (** {1 Sparse evaluation and jac-mode resolution} *)
 
 type sparse_ctx = {

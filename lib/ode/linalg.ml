@@ -2,47 +2,15 @@ type mat = float array array
 
 let make rows cols x = Array.init rows (fun _ -> Array.make cols x)
 
-let identity n =
-  Array.init n (fun i -> Array.init n (fun j -> if i = j then 1. else 0.))
-
 let copy a = Array.map Array.copy a
 
 let dims a =
   let rows = Array.length a in
   (rows, if rows = 0 then 0 else Array.length a.(0))
 
-let mat_vec a x =
-  Array.map
-    (fun row ->
-      let acc = ref 0. in
-      Array.iteri (fun j v -> acc := !acc +. (v *. x.(j))) row;
-      !acc)
-    a
-
-let mat_mul a b =
-  let ra, ca = dims a and rb, cb = dims b in
-  if ca <> rb then invalid_arg "Linalg.mat_mul: dimension mismatch";
-  Array.init ra (fun i ->
-      Array.init cb (fun j ->
-          let acc = ref 0. in
-          for k = 0 to ca - 1 do
-            acc := !acc +. (a.(i).(k) *. b.(k).(j))
-          done;
-          !acc))
-
 let transpose a =
   let r, c = dims a in
   Array.init c (fun j -> Array.init r (fun i -> a.(i).(j)))
-
-let scale s a = Array.map (Array.map (fun x -> s *. x)) a
-
-let zip_with f a b =
-  let ra, ca = dims a and rb, cb = dims b in
-  if ra <> rb || ca <> cb then invalid_arg "Linalg: dimension mismatch";
-  Array.init ra (fun i -> Array.init ca (fun j -> f a.(i).(j) b.(i).(j)))
-
-let add = zip_with ( +. )
-let sub = zip_with ( -. )
 
 type lu = { a : mat; piv : int array; sign : float }
 
@@ -109,19 +77,6 @@ let lu_det { a; sign; _ } =
     d := !d *. a.(i).(i)
   done;
   !d
-
-let solve m b = lu_solve (lu_factor m) b
-
-let inverse m =
-  let n = Array.length m in
-  let f = lu_factor m in
-  let cols =
-    Array.init n (fun j ->
-        lu_solve f (Array.init n (fun i -> if i = j then 1. else 0.)))
-  in
-  Array.init n (fun i -> Array.init n (fun j -> cols.(j).(i)))
-
-let norm_inf v = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. v
 
 let norm2 v =
   Float.sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. v)

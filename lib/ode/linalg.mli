@@ -8,15 +8,7 @@
 type mat = float array array
 
 val make : int -> int -> float -> mat
-val identity : int -> mat
-val copy : mat -> mat
-val dims : mat -> int * int
-val mat_vec : mat -> float array -> float array
-val mat_mul : mat -> mat -> mat
 val transpose : mat -> mat
-val scale : float -> mat -> mat
-val add : mat -> mat -> mat
-val sub : mat -> mat -> mat
 
 type lu
 (** Packed LU factorisation with its pivot permutation. *)
@@ -30,13 +22,6 @@ val lu_factor : mat -> lu
 val lu_solve : lu -> float array -> float array
 val lu_det : lu -> float
 
-val solve : mat -> float array -> float array
-(** Convenience: factor then solve once. @raise Singular *)
-
-val inverse : mat -> mat
-(** @raise Singular *)
-
-val norm_inf : float array -> float
 val norm2 : float array -> float
 val wrms_norm : float array -> float array -> float
 (** Weighted root-mean-square norm [sqrt(mean((v_i / w_i)^2))], the error

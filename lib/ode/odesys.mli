@@ -46,7 +46,6 @@ type t = {
   counters : counters;
 }
 
-val fresh_counters : unit -> counters
 val reset_counters : t -> unit
 
 val pp_counters : counters Fmt.t

@@ -5,17 +5,6 @@ let axpy n a x y =
   (* y + a*x, fresh array *)
   Array.init n (fun i -> y.(i) +. (a *. x.(i)))
 
-let euler : fixed_stepper =
- fun sys t y h ->
-  let k1 = Odesys.rhs sys t y in
-  axpy sys.dim h k1 y
-
-let heun : fixed_stepper =
- fun sys t y h ->
-  let k1 = Odesys.rhs sys t y in
-  let k2 = Odesys.rhs sys (t +. h) (axpy sys.dim h k1 y) in
-  Array.init sys.dim (fun i -> y.(i) +. (h /. 2. *. (k1.(i) +. k2.(i))))
-
 let rk4 : fixed_stepper =
  fun sys t y h ->
   let n = sys.dim in

@@ -1,11 +1,9 @@
-(** Explicit Runge–Kutta solvers: fixed-step Euler/Heun/RK4 ("single-step
+(** Explicit Runge–Kutta solvers: fixed-step RK4 ("single-step
     methods" of paper §2.4) and adaptive RKF45 with PI step control. *)
 
 type fixed_stepper
 (** One fixed step [t, y, h -> y(t+h)]. *)
 
-val euler : fixed_stepper
-val heun : fixed_stepper
 val rk4 : fixed_stepper
 
 val integrate_fixed :

@@ -143,21 +143,6 @@ let to_dense a =
   done;
   m
 
-let get a i j =
-  let k = index a.pat i j in
-  if k < 0 then 0. else a.v.(k)
-
-let mat_vec a x =
-  let y = Array.make a.pat.rows 0. in
-  for i = 0 to a.pat.rows - 1 do
-    let acc = ref 0. in
-    for k = a.pat.row_ptr.(i) to a.pat.row_ptr.(i + 1) - 1 do
-      acc := !acc +. (a.v.(k) *. x.(a.pat.col_ind.(k)))
-    done;
-    y.(i) <- !acc
-  done;
-  y
-
 (* Transpose structure only: for each column, the rows containing it. *)
 let transpose_pattern p =
   let count = Array.make p.cols 0 in

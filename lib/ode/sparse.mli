@@ -30,10 +30,6 @@ val pattern_of_entries : rows:int -> cols:int -> (int * int) list -> pattern
 (** Build a pattern from [(row, col)] positions; duplicates are merged.
     @raise Invalid_argument on out-of-range positions. *)
 
-val pattern_of_dense : ?tol:float -> Linalg.mat -> pattern
-(** Positions with magnitude above [tol] (default [0.], i.e. any
-    nonzero). *)
-
 val nnz : pattern -> int
 
 val density : pattern -> float
@@ -52,8 +48,6 @@ val create : pattern -> t
 
 val of_dense : ?tol:float -> Linalg.mat -> t
 val to_dense : t -> Linalg.mat
-val get : t -> int -> int -> float
-val mat_vec : t -> float array -> float array
 
 type coloring = {
   ncolors : int;

@@ -3,27 +3,16 @@ let intermediate_form ?(width = 72) (m : Flat_model.t) =
   let eq_lines =
     List.concat_map
       (fun (s, rhs) ->
-        let eq =
-          Om_expr.Prefix_form.equation_to_string ~annotate:true ~lhs_var:s rhs
-        in
-        (* Re-wrap the equation text at argument boundaries. *)
-        let parsed_lines =
-          (* equation_to_string yields one line; split it through the
-             shared wrapper by rendering via to_lines on the rhs and
-             prepending the derivative head. *)
-          let rhs_lines = Om_expr.Prefix_form.to_lines ~annotate:true ~width rhs in
-          match rhs_lines with
-          | [] -> [ eq ]
-          | first :: rest ->
-              Printf.sprintf
-                "    Equal[Derivative[1][om$Type[%s, om$Real]][om$Type[t, \
-                 om$Real]],"
-                s
-              :: ("      " ^ first)
-              :: List.map (fun l -> "      " ^ l) rest
-              @ [ "    ]," ]
-        in
-        parsed_lines)
+        (* The derivative head on a line of its own, then the right-hand
+           side wrapped at argument boundaries. *)
+        Printf.sprintf
+          "    Equal[Derivative[1][om$Type[%s, om$Real]][om$Type[t, \
+           om$Real]],"
+          s
+        :: List.map
+             (fun l -> "      " ^ l)
+             (Om_expr.Prefix_form.to_lines ~annotate:true ~width rhs)
+        @ [ "    ]," ])
       m.equations
   in
   let footer =

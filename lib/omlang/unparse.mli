@@ -7,9 +7,6 @@
     information, which the round-trip property tests verify. *)
 
 val sexpr : Ast.sexpr -> string
-val member : Ast.member -> string
-val class_def : Ast.class_def -> string
-val instance_def : Ast.instance_def -> string
 val model : Ast.model -> string
 
 val flat_model : Flat_model.t -> string

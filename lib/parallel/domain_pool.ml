@@ -39,7 +39,6 @@ type t = {
 (* Busy-wait iterations before a worker or the supervisor blocks. *)
 let max_spins = 2000
 
-let nworkers t = t.nworkers
 let rounds t = t.rounds
 let active t = Array.length t.domains > 0
 let compute_seconds t = t.compute

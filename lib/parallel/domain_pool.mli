@@ -66,8 +66,6 @@ val shutdown : t -> unit
 (** Terminate and join the worker domains.  Idempotent.  The pool
     cannot be restarted afterwards. *)
 
-val nworkers : t -> int
-
 val rounds : t -> int
 (** Rounds started so far, which is also the number of the round in
     progress: rounds are numbered from 1, as

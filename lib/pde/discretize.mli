@@ -52,8 +52,6 @@ type spec_2d = {
   boundary2 : boundary;  (** applied on all four edges *)
 }
 
-val discretize_2d : spec_2d -> Om_lang.Flat_model.t
-
 (** {1 Ready-made models} *)
 
 val heat_1d :

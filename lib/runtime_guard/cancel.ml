@@ -9,16 +9,11 @@ let create ?(deadline_s = 0.) ~job () =
   if deadline_s < 0. then invalid_arg "Cancel.create: negative deadline";
   { job; reason = Atomic.make None; deadline_s; t0 = Unix.gettimeofday () }
 
-let job t = t.job
-
 let cancel ?(reason = "cancelled by client") t =
   ignore (Atomic.compare_and_set t.reason None (Some reason))
 
-let cancelled t = Atomic.get t.reason <> None
 let elapsed t = Unix.gettimeofday () -. t.t0
 let armed t = t.deadline_s > 0.
-let expired t = armed t && elapsed t > t.deadline_s
-let deadline_s t = if armed t then Some t.deadline_s else None
 
 let check t =
   match Atomic.get t.reason with

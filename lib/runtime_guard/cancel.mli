@@ -23,22 +23,10 @@ val create : ?deadline_s:float -> job:string -> unit -> t
     disarmed).
     @raise Invalid_argument if [deadline_s < 0.]. *)
 
-val job : t -> string
-
 val cancel : ?reason:string -> t -> unit
 (** Request cancellation (default [reason] is ["cancelled by client"]).
     Idempotent; the first reason wins.  The running side observes it at
     its next {!check}. *)
-
-val cancelled : t -> bool
-(** Whether {!cancel} has been called.  Does {e not} consult the
-    deadline — use {!expired} or {!check} for that. *)
-
-val expired : t -> bool
-(** Whether the armed deadline has passed ([false] when disarmed). *)
-
-val deadline_s : t -> float option
-(** The armed deadline in seconds after creation, if any. *)
 
 val check : t -> unit
 (** The polling point: returns unless the token was cancelled or its

@@ -53,5 +53,4 @@ val spawn_should_fail : t -> worker:int -> bool
 (** Whether pool construction must fail for this worker id.  Marks the
     fault fired. *)
 
-val pp_fault : fault Fmt.t
 val pp : t Fmt.t

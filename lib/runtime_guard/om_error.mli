@@ -88,7 +88,6 @@ val job_retryable : t -> bool
     under a bounded per-job budget. *)
 
 val to_string : t -> string
-val pp : t Fmt.t
 
 (** One step down the degradation ladder
     [Real_domains n -> Real_domains (n-1) -> sequential]: which worker

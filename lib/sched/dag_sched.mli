@@ -28,10 +28,6 @@ val schedule :
 val speedup : Om_graph.Digraph.t -> weights:float array -> comm:float -> nprocs:int -> float
 (** Sequential total weight divided by the scheduled makespan. *)
 
-val critical_path : Om_graph.Digraph.t -> weights:float array -> float
-(** Weight of the heaviest dependence chain: the zero-communication bound
-    on parallel execution time. *)
-
 val max_speedup : Om_graph.Digraph.t -> weights:float array -> float
 (** Total weight / critical path: the paper's bound on what partitioning
     into subsystems can ever deliver. *)

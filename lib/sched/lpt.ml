@@ -50,8 +50,3 @@ let tasks_of sched p =
   let acc = ref [] in
   Array.iteri (fun i q -> if q = p then acc := i :: !acc) sched.assignment;
   List.rev !acc
-
-let imbalance sched =
-  let total = Array.fold_left ( +. ) 0. sched.loads in
-  if total = 0. then 1.
-  else sched.makespan /. (total /. float_of_int sched.nprocs)

@@ -19,6 +19,3 @@ val schedule : ?costs:float array -> Task.t array -> nprocs:int -> schedule
 
 val tasks_of : schedule -> int -> int list
 (** Task ids assigned to a processor, in ascending id order. *)
-
-val imbalance : schedule -> float
-(** [makespan / (total / nprocs)]; 1.0 is a perfectly balanced schedule. *)

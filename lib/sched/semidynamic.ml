@@ -7,7 +7,6 @@ type t = {
   mutable sched : Lpt.schedule;
   mutable since_resched : int;
   mutable reschedules : int;
-  mutable overhead : float;
 }
 
 let overhead_cost_per_reschedule tasks =
@@ -35,7 +34,6 @@ let create ?(period = 10) ?(smoothing = 0.5) ?costs tasks ~nprocs =
     sched = Lpt.schedule ?costs tasks ~nprocs;
     since_resched = 0;
     reschedules = 0;
-    overhead = 0.;
   }
 
 let current t = t.sched
@@ -59,9 +57,7 @@ let observe t measured =
   if t.since_resched >= t.period then begin
     t.since_resched <- 0;
     t.sched <- Lpt.schedule ~costs:t.estimates t.tasks ~nprocs:t.nprocs;
-    t.reschedules <- t.reschedules + 1;
-    t.overhead <- t.overhead +. overhead_cost_per_reschedule t.tasks
+    t.reschedules <- t.reschedules + 1
   end
 
 let reschedule_count t = t.reschedules
-let overhead_flops t = t.overhead

@@ -45,7 +45,4 @@ val observe : t -> float array -> unit
 
 val reschedule_count : t -> int
 
-val overhead_flops : t -> float
-(** Total modelled scheduling work so far, in flop units. *)
-
 val overhead_cost_per_reschedule : Task.t array -> float

@@ -212,5 +212,3 @@ let running_for t ~tenant =
   let n = count t.running tenant in
   Mutex.unlock t.mutex;
   n
-
-let capacity t = t.cap

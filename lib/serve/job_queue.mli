@@ -76,5 +76,3 @@ val queued_for : 'a t -> tenant:string -> int
 
 val running_for : 'a t -> tenant:string -> int
 (** Popped-but-not-{!finished} items for [tenant]. *)
-
-val capacity : 'a t -> int

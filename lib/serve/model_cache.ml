@@ -162,8 +162,6 @@ let stats t =
   Mutex.unlock t.mutex;
   s
 
-let capacity t = t.cap
-
 let resident t =
   Mutex.lock t.mutex;
   let slots = Hashtbl.fold (fun key slot acc -> (key, slot.last_used) :: acc) t.table [] in

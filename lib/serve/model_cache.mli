@@ -75,7 +75,6 @@ val lookup : t -> string -> [ `Hit of entry | `Miss of entry ]
     sources. *)
 
 val stats : t -> stats
-val capacity : t -> int
 
 val resident : t -> string list
 (** Keys currently cached, most recently used first (test hook). *)

@@ -30,9 +30,9 @@ let sample_exprs =
       E.add
         [
           E.sin (E.var "x");
-          E.atan2 (E.var "y") (E.var "z");
+          E.call E.Atan2 [ E.var "y"; E.var "z" ];
           E.hypot (E.var "x") (E.var "z");
-          E.min_e (E.var "x") (E.var "y");
+          E.call E.Min [ E.var "x"; E.var "y" ];
           E.sign (E.var "z");
         ] );
     ( "branch",
@@ -87,37 +87,49 @@ let alternating_env label width =
 
 let scalar_lane env j = Array.map (fun col -> col.(j)) env
 
+(* An expression as a program: one statement that stores its value to
+   out slot 0. *)
+let compile_expr e =
+  Vm.compile_stmts ~out_size:1 (Om_expr.Layout.of_names names)
+    [ (e, Vm.To_out 0) ]
+
+let run_scalar p env =
+  let out = [| 0. |] in
+  Vm.exec p ~env ~out;
+  out.(0)
+
 let test_batch_matches_scalar () =
   let width = Array.length lane_envs in
   let env = soa_env width in
   List.iter
     (fun (label, e) ->
-      let p = Vm.compile names e in
+      let p = compile_expr e in
       let b = Vb.create p ~width in
-      Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width;
-      let row = Vb.result_row b in
+      let row = Array.make width 0. in
+      Vb.exec b ~env ~out:[| row |] ~lo:0 ~hi:width;
       Array.iteri
         (fun j scalar_env ->
           check_bits
             (Printf.sprintf "%s lane %d" label j)
-            (Vm.run p scalar_env) row.(j))
+            (run_scalar p scalar_env) row.(j))
         lane_envs)
     sample_exprs
 
 let test_batch_width_one () =
   List.iter
     (fun (label, e) ->
-      let p = Vm.compile names e in
+      let p = compile_expr e in
       let b = Vb.create p ~width:1 in
       Array.iter
         (fun scalar_env ->
           let env =
             Array.init (Array.length names) (fun i -> [| scalar_env.(i) |])
           in
-          Vb.exec b ~env ~out:[||] ~lo:0 ~hi:1;
+          let row = [| 0. |] in
+          Vb.exec b ~env ~out:[| row |] ~lo:0 ~hi:1;
           check_bits
             (Printf.sprintf "%s width-1" label)
-            (Vm.run p scalar_env) (Vb.result_row b).(0))
+            (run_scalar p scalar_env) row.(0))
         lane_envs)
     sample_exprs
 
@@ -125,20 +137,20 @@ let test_batch_subrange () =
   (* Lanes outside [lo, hi) keep their previous results. *)
   let width = Array.length lane_envs in
   let env = soa_env width in
-  let p = Vm.compile names (snd (List.nth sample_exprs 3)) in
+  let p = compile_expr (snd (List.nth sample_exprs 3)) in
   let b = Vb.create p ~width in
-  Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width;
-  let before = Array.copy (Vb.result_row b) in
+  let after = Array.make width 0. in
+  Vb.exec b ~env ~out:[| after |] ~lo:0 ~hi:width;
+  let before = Array.copy after in
   (* Perturb every env column, then re-run only lanes 2..4. *)
   Array.iter (fun col -> Array.iteri (fun j v -> col.(j) <- v +. 1.) col) env;
-  Vb.exec b ~env ~out:[||] ~lo:2 ~hi:5;
-  let after = Vb.result_row b in
+  Vb.exec b ~env ~out:[| after |] ~lo:2 ~hi:5;
   for j = 0 to width - 1 do
     if j < 2 || j >= 5 then
       check_bits (Printf.sprintf "lane %d untouched" j) before.(j) after.(j)
     else
       let scalar_env = Array.init 3 (fun i -> env.(i).(j)) in
-      check_bits (Printf.sprintf "lane %d re-run" j) (Vm.run p scalar_env)
+      check_bits (Printf.sprintf "lane %d re-run" j) (run_scalar p scalar_env)
         after.(j)
   done
 
@@ -152,13 +164,14 @@ let test_batch_zero_alloc () =
   in
   List.iter
     (fun (label, width, env) ->
-      let p = Vm.compile names (List.assoc label sample_exprs) in
+      let p = compile_expr (List.assoc label sample_exprs) in
       let b = Vb.create p ~width in
+      let out = [| Array.make width 0. |] in
       let words n =
-        Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width;
+        Vb.exec b ~env ~out ~lo:0 ~hi:width;
         let before = Gc.minor_words () in
         for _ = 1 to n do
-          Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width
+          Vb.exec b ~env ~out ~lo:0 ~hi:width
         done;
         Gc.minor_words () -. before
       in
@@ -178,14 +191,15 @@ let test_batch_rejects_swapped_column () =
      shorter one after a successful exec must be refused, not indexed
      past its end. *)
   let width = 4096 in
-  let p = Vm.compile names (snd (List.nth sample_exprs 0)) in
+  let p = compile_expr (snd (List.nth sample_exprs 0)) in
   let b = Vb.create p ~width in
   let env = Array.init (Array.length names) (fun _ -> Array.make width 0.5) in
-  Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width;
+  let out = [| Array.make width 0. |] in
+  Vb.exec b ~env ~out ~lo:0 ~hi:width;
   env.(0) <- [| 3.0 |];
   Alcotest.check_raises "short env column"
     (Invalid_argument "Vm_batch.exec: env column too short") (fun () ->
-      Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width);
+      Vb.exec b ~env ~out ~lo:0 ~hi:width);
   let p =
     Vm.compile_stmts ~out_size:2 (Om_expr.Layout.of_names names)
       [ (E.var names.(0), Vm.To_out 0) ]
@@ -203,22 +217,22 @@ let test_batch_one_lane_runs () =
   let width = 512 and lo = 37 and hi = 300 in
   List.iter
     (fun label ->
-      let p = Vm.compile names (List.assoc label sample_exprs) in
+      let p = compile_expr (List.assoc label sample_exprs) in
       let b = Vb.create p ~width in
       let env = alternating_env label width in
-      Vb.exec b ~env ~out:[||] ~lo:0 ~hi:width;
-      let before = Array.copy (Vb.result_row b) in
+      let after = Array.make width 0. in
+      Vb.exec b ~env ~out:[| after |] ~lo:0 ~hi:width;
+      let before = Array.copy after in
       for j = 0 to width - 1 do
         check_bits
           (Printf.sprintf "%s lane %d" label j)
-          (Vm.run p (scalar_lane env j))
+          (run_scalar p (scalar_lane env j))
           before.(j)
       done;
       Array.iter
         (fun col -> Array.iteri (fun j v -> col.(j) <- 1.5 *. v) col)
         env;
-      Vb.exec b ~env ~out:[||] ~lo ~hi;
-      let after = Vb.result_row b in
+      Vb.exec b ~env ~out:[| after |] ~lo ~hi;
       for j = 0 to width - 1 do
         if j < lo || j >= hi then
           check_bits
@@ -227,7 +241,7 @@ let test_batch_one_lane_runs () =
         else
           check_bits
             (Printf.sprintf "%s lane %d in [%d, %d)" label j lo hi)
-            (Vm.run p (scalar_lane env j))
+            (run_scalar p (scalar_lane env j))
             after.(j)
       done)
     [ "branch"; "nested branch" ]
@@ -244,7 +258,7 @@ let test_batch_domains_disjoint_halves () =
         List.assoc "nested branch" sample_exprs;
       ]
   in
-  let p = Vm.compile names e in
+  let p = compile_expr e in
   let envs =
     Array.init rounds (fun r ->
         Array.init (Array.length names) (fun i ->
@@ -256,8 +270,7 @@ let test_batch_domains_disjoint_halves () =
   let results = Array.init rounds (fun _ -> Array.make width 0.) in
   let half lo hi () =
     for r = 0 to rounds - 1 do
-      Vb.exec shared ~env:envs.(r) ~out:[||] ~lo ~hi;
-      Array.blit (Vb.result_row shared) lo results.(r) lo (hi - lo)
+      Vb.exec shared ~env:envs.(r) ~out:[| results.(r) |] ~lo ~hi
     done
   in
   let other = Domain.spawn (half (width / 2) width) in
@@ -265,8 +278,8 @@ let test_batch_domains_disjoint_halves () =
   Domain.join other;
   let seq = Vb.create p ~width in
   for r = 0 to rounds - 1 do
-    Vb.exec seq ~env:envs.(r) ~out:[||] ~lo:0 ~hi:width;
-    let row = Vb.result_row seq in
+    let row = Array.make width 0. in
+    Vb.exec seq ~env:envs.(r) ~out:[| row |] ~lo:0 ~hi:width;
     for j = 0 to width - 1 do
       if not (Int64.equal (bits row.(j)) (bits results.(r).(j))) then
         Alcotest.failf "round %d lane %d: %h sequential, %h on two domains" r j
@@ -300,7 +313,7 @@ let branch_expr_gen =
                (2, map2 (fun a b -> E.add [ a; b ]) (self (n / 2)) (self (n / 2)));
                (2, map2 (fun a b -> E.mul [ a; b ]) (self (n / 2)) (self (n / 2)));
                (1, map E.sin (self (n - 1)));
-               (1, map2 E.min_e (self (n / 2)) (self (n / 2)));
+               (1, map2 (fun a b -> E.call E.Min [ a; b ]) (self (n / 2)) (self (n / 2)));
                ( 4,
                  map3
                    (fun (a, r, b) t e -> E.if_ (E.cond a r b) t e)
@@ -341,24 +354,24 @@ let arbitrary_divergence =
 let prop_diverging_lanes_match_scalar =
   QCheck.Test.make ~name:"diverging lanes match the scalar VM bitwise"
     ~count:300 arbitrary_divergence (fun (e, width, lo, hi, first, second) ->
-      let p = Vm.compile names e in
+      let p = compile_expr e in
       let b = Vb.create p ~width in
       let soa envs =
         Array.init (Array.length names) (fun i ->
             Array.init width (fun j -> envs.(j).(i)))
       in
       let same x y = Int64.equal (bits x) (bits y) in
-      Vb.exec b ~env:(soa first) ~out:[||] ~lo:0 ~hi:width;
-      let before = Array.copy (Vb.result_row b) in
-      Vb.exec b ~env:(soa second) ~out:[||] ~lo ~hi;
-      let after = Vb.result_row b in
+      let after = Array.make width 0. in
+      Vb.exec b ~env:(soa first) ~out:[| after |] ~lo:0 ~hi:width;
+      let before = Array.copy after in
+      Vb.exec b ~env:(soa second) ~out:[| after |] ~lo ~hi;
       let ok = ref true in
       for j = 0 to width - 1 do
         let expected =
-          if j >= lo && j < hi then Vm.run p second.(j) else before.(j)
+          if j >= lo && j < hi then run_scalar p second.(j) else before.(j)
         in
         if not (same expected after.(j)) then ok := false;
-        if not (same (Vm.run p first.(j)) before.(j)) then ok := false
+        if not (same (run_scalar p first.(j)) before.(j)) then ok := false
       done;
       !ok)
 
@@ -587,7 +600,7 @@ let sweep_source =
 
 let sweep ?domains source ~cls ~param ~values ~metric =
   Objectmath.Sweep.run ?domains ~source ~cls ~param ~values ~tend:1.
-    ~metric:(Objectmath.Sweep.final_value metric)
+    ~states:[| metric |]
     ()
 
 (* Lockstep members share their step sizes, and the frozen parameter
@@ -600,10 +613,14 @@ let substitution_tol = 1e-5
 let substituted source v metric =
   let fm = Om_lang.Flatten.flatten_string (source (Printf.sprintf "%.17g" v)) in
   let sys = Om_ode.Odesys.of_equations fm.equations in
-  Objectmath.Sweep.final_value metric sys
-    (Om_ode.Rk.rkf45 sys ~t0:0.
-       ~y0:(Om_lang.Flat_model.initial_values fm)
-       ~tend:1.)
+  let col =
+    Om_ode.Odesys.column
+      (Om_ode.Rk.rkf45 sys ~t0:0.
+         ~y0:(Om_lang.Flat_model.initial_values fm)
+         ~tend:1.)
+      metric sys
+  in
+  col.(Array.length col - 1)
 
 let check_substitution source ~cls ~param ~values ~metric =
   let points = sweep (source "1.0") ~cls ~param ~values ~metric in
@@ -613,7 +630,7 @@ let check_substitution source ~cls ~param ~values ~metric =
     (fun v (p : Objectmath.Sweep.point) ->
       Alcotest.(check (float substitution_tol))
         (Printf.sprintf "%s at %s = %g" metric param v)
-        (substituted source v metric) p.metric)
+        (substituted source v metric) p.finals.(0))
     values points
 
 let test_sweep_promotes () =
@@ -626,7 +643,7 @@ let test_sweep_promotes () =
       Alcotest.(check (float 1e-4))
         (Printf.sprintf "exp(-%g)" p.value)
         (Float.exp (Float.neg p.value))
-        p.metric;
+        p.finals.(0);
       Alcotest.(check bool) "steps counted" true (p.steps > 0);
       Alcotest.(check bool) "rhs calls counted" true (p.rhs_calls > 0))
     points
@@ -643,7 +660,7 @@ let check_refused source why =
         (Objectmath.Sweep.monte_carlo ~source
            ~specs:[ ("C", "k", Objectmath.Sweep.Uniform (0.5, 2.)) ]
            ~samples:2 ~seed:1 ~tend:1.
-           ~metric:(Objectmath.Sweep.final_value "c.x")
+           ~state:"c.x"
            ()))
 
 let decay_class =
@@ -682,7 +699,7 @@ let test_sweep_mixed_instances () =
   check_substitution mixed_source ~cls:"C" ~param:"k" ~values ~metric:"c.x";
   List.iter
     (fun (p : Objectmath.Sweep.point) ->
-      Alcotest.(check (float 1e-4)) "c keeps k = 2" (Float.exp (-2.)) p.metric)
+      Alcotest.(check (float 1e-4)) "c keeps k = 2" (Float.exp (-2.)) p.finals.(0))
     (sweep (mixed_source "1.0") ~cls:"C" ~param:"k" ~values ~metric:"c.x")
 
 (* The same through parts: [p] rebinds [k], [q] reads the default. *)
@@ -700,7 +717,7 @@ let test_sweep_mixed_parts () =
   List.iter
     (fun (p : Objectmath.Sweep.point) ->
       Alcotest.(check (float 1e-4))
-        "p keeps k = 2" (Float.exp (-2.)) p.metric)
+        "p keeps k = 2" (Float.exp (-2.)) p.finals.(0))
     (sweep (mixed_parts_source "1.0") ~cls:"C" ~param:"k" ~values
        ~metric:"d.p.x")
 
@@ -727,7 +744,7 @@ let test_sweep_unread_parameter () =
       equation der(x) = 0.0 - x; end; instance c of C;|}
   in
   match sweep source ~cls:"C" ~param:"k" ~values:[ 1.; 2. ] ~metric:"c.x" with
-  | [ a; b ] -> check_bits "equal points" a.metric b.metric
+  | [ a; b ] -> check_bits "equal points" a.finals.(0) b.finals.(0)
   | _ -> Alcotest.fail "expected two points"
 
 let test_sweep_builds_no_back_end () =
@@ -773,7 +790,7 @@ let test_sweep_matches_analytic () =
       (fun (p : Objectmath.Sweep.point) ->
         Alcotest.(check (float 1e-4))
           (Printf.sprintf "analytic at %g" p.value)
-          (expected p.value) p.metric)
+          (expected p.value) p.finals.(0))
       (sweep source ~cls:"C" ~param:"k" ~values:[ 0.5; 2. ] ~metric:"c.x")
   in
   check sweep_source (fun k -> Float.exp (Float.neg k));
@@ -786,14 +803,14 @@ let test_monte_carlo_deterministic () =
     Objectmath.Sweep.monte_carlo ~source:sweep_source
       ~specs:[ ("C", "k", Objectmath.Sweep.Uniform (0.5, 2.)) ]
       ~samples:16 ~seed ~tend:1.
-      ~metric:(Objectmath.Sweep.final_value "c.x")
+      ~state:"c.x"
       ()
   in
   let a = mc 42 and b = mc 42 and c = mc 7 in
   List.iter2
     (fun (x : Objectmath.Sweep.mc_sample) (y : Objectmath.Sweep.mc_sample) ->
       check_bits "same draw" x.draws.(0) y.draws.(0);
-      check_bits "same metric" x.mc_metric y.mc_metric)
+      check_bits "same metric" x.mc_final y.mc_final)
     a.Objectmath.Sweep.samples b.Objectmath.Sweep.samples;
   Alcotest.(check bool)
     "different seed, different draws" true
@@ -808,8 +825,8 @@ let test_monte_carlo_deterministic () =
       Alcotest.(check bool) "draw in range" true
         (s.draws.(0) >= 0.5 && s.draws.(0) <= 2.);
       Alcotest.(check bool) "metric in range" true
-        (s.mc_metric >= (Float.exp (-2.) -. 1e-3)
-        && s.mc_metric <= Float.exp (-0.5) +. 1e-3))
+        (s.mc_final >= (Float.exp (-2.) -. 1e-3)
+        && s.mc_final <= Float.exp (-0.5) +. 1e-3))
     a.Objectmath.Sweep.samples
 
 let () =

@@ -5,7 +5,6 @@
 module E = Om_expr.Expr
 module Eval = Om_expr.Eval
 module Deriv = Om_expr.Deriv
-module Simplify = Om_expr.Simplify
 module Subst = Om_expr.Subst
 module Cost = Om_expr.Cost
 module Pf = Om_expr.Prefix_form
@@ -87,11 +86,11 @@ let test_constant_folding () =
   check_expr "x+0" x (E.add [ x; E.zero ]);
   check_expr "x^0" E.one (E.powi x 0);
   check_expr "x^1" x (E.powi x 1);
-  check_expr "2^3" (E.const 8.) (E.pow E.two (E.const 3.))
+  check_expr "2^3" (E.const 8.) (E.pow (E.const 2.) (E.const 3.))
 
 let test_like_terms () =
-  check_expr "x+x = 2x" E.(mul [ two; x ]) (E.add [ x; x ]);
-  check_expr "2x+3x = 5x" E.(mul [ const 5.; x ]) (E.add [ E.mul [ E.two; x ]; E.mul [ E.const 3.; x ] ]);
+  check_expr "x+x = 2x" E.(mul [ const 2.; x ]) (E.add [ x; x ]);
+  check_expr "2x+3x = 5x" E.(mul [ const 5.; x ]) (E.add [ E.mul [ E.const 2.; x ]; E.mul [ E.const 3.; x ] ]);
   check_expr "x-x = 0" E.zero (E.sub x x);
   check_expr "x*x = x^2" (E.powi x 2) (E.mul [ x; x ]);
   check_expr "x^2*x^3 = x^5" (E.powi x 5) (E.mul [ E.powi x 2; E.powi x 3 ]);
@@ -115,7 +114,7 @@ let test_if_collapse () =
     (E.if_ (E.cond x E.Lt y) x x);
   check_expr "if with constant condition"
     x
-    (E.if_ (E.cond E.one E.Lt E.two) x y)
+    (E.if_ (E.cond E.one E.Lt (E.const 2.)) x y)
 
 let test_call_arity () =
   Alcotest.check_raises "sin/2 rejected"
@@ -125,14 +124,12 @@ let test_call_arity () =
 let test_vars () =
   Alcotest.(check (list string))
     "vars sorted, unique" [ "x"; "y" ]
-    (E.vars (E.add [ x; E.mul [ y; x ] ]));
-  Alcotest.(check bool) "mem_var" true (E.mem_var "y" (E.sin y));
-  Alcotest.(check bool) "not mem_var" false (E.mem_var "q" (E.sin y))
+    (E.vars (E.add [ x; E.mul [ y; x ] ]))
 
 let test_pp_golden () =
   let show e = Fmt.to_to_string E.pp e in
   Alcotest.(check string) "sum with negative" "x - 2*y"
-    (show (E.sub x (E.mul [ E.two; y ])));
+    (show (E.sub x (E.mul [ E.const 2.; y ])));
   Alcotest.(check string) "division" "x/y" (show (E.div x y));
   Alcotest.(check string) "negated product" "-(x*y)"
     (show (E.neg (E.mul [ x; y ])));
@@ -141,7 +138,7 @@ let test_pp_golden () =
   Alcotest.(check string) "call" "sin(x + y)" (show (E.sin (E.add [ x; y ])))
 
 let test_pp_roundtrip_sanity () =
-  let e = E.(sub (mul [ two; x ]) (div y (powi z 2))) in
+  let e = E.(sub (mul [ const 2.; x ]) (div y (powi z 2))) in
   let s = Fmt.to_to_string E.pp e in
   Alcotest.(check bool) "prints something" true (String.length s > 3)
 
@@ -346,7 +343,7 @@ let prop_mul_into_matches_mul =
             [
               (3, map (function [] -> E.one | e :: _ -> e) operands_gen);
               (1, oneofl fs);
-              (1, map (fun f -> E.pow f E.two) (oneofl fs));
+              (1, map (fun f -> E.pow f (E.const 2.)) (oneofl fs));
               (1, map E.const (oneofl [ 0.; -0.; 2.; infinity; nan ]));
             ]
         in
@@ -369,63 +366,6 @@ let prop_mul_into_matches_mul =
             :: List.concat_map (E.fold (fun acc e -> e :: acc) []) (x :: fs)
           in
           identical inputs (E.mul (x :: fs)) (E.mul_into x fs))
-
-(* ---------- simplify ---------- *)
-
-let test_pythagoras () =
-  let e = E.(add [ powi (sin x) 2; powi (cos x) 2 ]) in
-  check_expr "sin²+cos² = 1" E.one (Simplify.simplify e);
-  let e2 = E.(add [ mul [ const 3.; powi (sin x) 2 ]; mul [ const 3.; powi (cos x) 2 ]; y ]) in
-  check_expr "3sin²+3cos²+y = 3+y"
-    E.(add [ const 3.; y ])
-    (Simplify.simplify e2)
-
-let test_sqrt_square () =
-  check_expr "sqrt(x²) = |x|" (E.abs x) (Simplify.simplify (E.sqrt (E.powi x 2)));
-  check_expr "sqrt(x)² = x" x (Simplify.simplify (E.powi (E.sqrt x) 2))
-
-let test_inverse_pairs () =
-  check_expr "log(exp x)" x (Simplify.simplify (E.log (E.exp x)));
-  check_expr "exp(log x)" x (Simplify.simplify (E.exp (E.log x)));
-  check_expr "abs(abs x)" (E.abs x) (Simplify.simplify (E.abs (E.abs x)))
-
-let test_odd_even_symmetry () =
-  check_expr "sin(-x) = -sin x"
-    (E.neg (E.sin x))
-    (Simplify.simplify (E.sin (E.neg x)));
-  check_expr "cos(-x) = cos x" (E.cos x) (Simplify.simplify (E.cos (E.neg x)));
-  check_expr "abs(-2x) = abs(2x)"
-    (E.abs (E.mul [ E.two; x ]))
-    (Simplify.simplify (E.abs (E.mul [ E.const (-2.); x ])));
-  (* Symmetry enables collection: sin(x) + sin(-x) = 0. *)
-  check_expr "sin x + sin(-x) = 0" E.zero
-    (Simplify.simplify (E.add [ E.sin x; E.sin (E.neg x) ]))
-
-let test_expand () =
-  let e = E.(mul [ add [ x; y ]; add [ x; E.neg y ] ]) in
-  check_expr "(x+y)(x-y) = x²-y²"
-    E.(sub (powi x 2) (powi y 2))
-    (Simplify.expand e)
-
-let prop_simplify_preserves_value =
-  QCheck.Test.make ~name:"simplify preserves evaluation" ~count:300
-    arbitrary_expr_env (fun (e, (a, b, c)) ->
-      let env = env_of [| a; b; c |] in
-      let v1 = Eval.eval env e in
-      let v2 = Eval.eval env (Simplify.simplify e) in
-      close v1 v2)
-
-let prop_expand_preserves_value =
-  QCheck.Test.make ~name:"expand preserves evaluation" ~count:300
-    arbitrary_expr_env (fun (e, (a, b, c)) ->
-      let env = env_of [| a; b; c |] in
-      close (Eval.eval env e) (Eval.eval env (Simplify.expand e)))
-
-let prop_simplify_idempotent =
-  QCheck.Test.make ~name:"simplify idempotent" ~count:200 arbitrary_expr
-    (fun e ->
-      let s = Simplify.simplify e in
-      E.equal s (Simplify.simplify s))
 
 (* ---------- differentiation ---------- *)
 
@@ -463,7 +403,7 @@ let test_deriv_table () =
   check_expr "d cos" (E.neg (E.sin x)) (Deriv.diff "x" (E.cos x));
   check_expr "d exp" (E.exp x) (Deriv.diff "x" (E.exp x));
   check_expr "d log" (E.div E.one x) (Deriv.diff "x" (E.log x));
-  check_expr "d x²" E.(mul [ two; x ]) (Deriv.diff "x" (E.powi x 2));
+  check_expr "d x²" E.(mul [ const 2.; x ]) (Deriv.diff "x" (E.powi x 2));
   check_expr "d const" E.zero (Deriv.diff "x" (E.const 42.));
   check_expr "d other var" E.zero (Deriv.diff "x" y)
 
@@ -472,12 +412,6 @@ let test_deriv_product_rule () =
   check_expr "product rule"
     E.(add [ sin x; mul [ x; cos x ] ])
     (Deriv.diff "x" (E.mul [ x; E.sin x ]))
-
-let test_gradient () =
-  let e = E.(add [ powi x 2; mul [ x; y ] ]) in
-  let g = Deriv.gradient [ "x"; "y" ] e in
-  check_expr "dx" E.(add [ mul [ two; x ]; y ]) (List.assoc "x" g);
-  check_expr "dy" x (List.assoc "y" g)
 
 (* The forward pass over all of the bearing's equations (as
    Odesys.of_equations uses it), against plain diff on every structural
@@ -615,13 +549,13 @@ let vm_expr_gen =
               (1, map (fun a -> E.sin a) (self (n - 1)));
               (1, map (fun a -> E.cos a) (self (n - 1)));
               (1, map (fun a -> E.exp a) (self (n - 1)));
-              (1, map (fun a -> E.sqrt (E.abs a)) (self (n - 1)));
+              (1, map (fun a -> E.sqrt (E.call E.Abs [ a ])) (self (n - 1)));
               (1, map (fun a -> E.powi a 2) (self (n - 1)));
               (1, map (fun a -> E.powi a 3) (self (n - 1)));
-              (1, map2 E.atan2 (self (n / 2)) (self (n / 2)));
+              (1, map2 (fun a b -> E.call E.Atan2 [ a; b ]) (self (n / 2)) (self (n / 2)));
               (1, map2 E.hypot (self (n / 2)) (self (n / 2)));
-              (1, map2 E.min_e (self (n / 2)) (self (n / 2)));
-              (1, map2 E.max_e (self (n / 2)) (self (n / 2)));
+              (1, map2 (fun a b -> E.call E.Min [ a; b ]) (self (n / 2)) (self (n / 2)));
+              (1, map2 (fun a b -> E.call E.Max [ a; b ]) (self (n / 2)) (self (n / 2)));
               ( 2,
                 map2
                   (fun a b ->
@@ -642,12 +576,23 @@ let arbitrary_vm_expr_env =
       Printf.sprintf "%s @ (%g, %g, %g)" (Fmt.to_to_string E.pp e) a b c)
     QCheck.Gen.(pair vm_expr_gen triple_gen)
 
+(* An expression as a program: one statement that stores its value to
+   out slot 0. *)
+let vm_compile ?optimize names e =
+  Vm.compile_stmts ?optimize ~out_size:1 (Om_expr.Layout.of_names names)
+    [ (e, Vm.To_out 0) ]
+
+let vm_run p env =
+  let out = [| 0. |] in
+  Vm.exec p ~env ~out;
+  out.(0)
+
 let prop_vm_matches_eval =
   QCheck.Test.make ~name:"register VM agrees with tree evaluation" ~count:500
     arbitrary_vm_expr_env (fun (e, (a, b, c)) ->
       let names = [| "x"; "y"; "z" |] in
-      let p = Vm.compile names e in
-      close (Vm.run p [| a; b; c |]) (Eval.eval (env_of [| a; b; c |]) e))
+      let p = vm_compile names e in
+      close (vm_run p [| a; b; c |]) (Eval.eval (env_of [| a; b; c |]) e))
 
 (* The VM's contract with itself and with {!Eval}: the same bits for a
    non-NaN result, a NaN for a NaN (whose sign bit a rewrite such as
@@ -657,8 +602,8 @@ let same_value a b =
   else Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* The optimiser stops at its fixpoint: optimising its own output again
-   gives it back word for word, constants bit for bit.  Checked on an
-   expression program and on a statement program with a private
+   gives it back word for word, constants bit for bit.  Checked on a
+   one-statement program and on a statement program with a private
    temporary, whose store the first run may delete. *)
 let reoptimize ?private_env_slot p =
   let r = Vm.raw p in
@@ -668,12 +613,11 @@ let reoptimize ?private_env_slot p =
       code = Array.copy r.rw_code;
       consts = r.rw_consts;
       nregs = r.rw_nregs;
-      result = r.rw_result;
     }
 
 let is_fixpoint ?private_env_slot p =
   let r = Vm.raw p and q = reoptimize ?private_env_slot p in
-  q.code = r.rw_code && q.nregs = r.rw_nregs && q.result = r.rw_result
+  q.code = r.rw_code && q.nregs = r.rw_nregs
   && Array.length q.consts = Array.length r.rw_consts
   && Array.for_all2
        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
@@ -723,9 +667,9 @@ let prop_vm_peephole_preserves_value =
        QCheck.Gen.(pair (oneof [ vm_expr_gen; raw_vm_gen ]) triple_gen))
     (fun (e, (a, b, c)) ->
       let names = [| "x"; "y"; "z" |] in
-      let p0 = Vm.compile ~optimize:false names e in
-      let p1 = Vm.compile names e in
-      same_value (Vm.run p0 [| a; b; c |]) (Vm.run p1 [| a; b; c |]))
+      let p0 = vm_compile ~optimize:false names e in
+      let p1 = vm_compile names e in
+      same_value (vm_run p0 [| a; b; c |]) (vm_run p1 [| a; b; c |]))
 
 let prop_vm_peephole_fixpoint =
   QCheck.Test.make ~name:"peephole output is a fixpoint" ~count:500
@@ -742,51 +686,52 @@ let prop_vm_peephole_fixpoint =
             (E.sub e (E.var "t"), Vm.To_out 1);
           ]
       in
-      is_fixpoint (Vm.compile [| "x"; "y"; "z" |] e)
+      is_fixpoint (vm_compile [| "x"; "y"; "z" |] e)
       && is_fixpoint ~private_env_slot stmts)
 
 let prop_vm_peephole_never_grows_code =
   QCheck.Test.make ~name:"peephole pass never grows code" ~count:300
     arbitrary_vm_expr_env (fun (e, _) ->
       let names = [| "x"; "y"; "z" |] in
-      Vm.length (Vm.compile names e)
-      <= Vm.length (Vm.compile ~optimize:false names e))
+      Vm.length (vm_compile names e)
+      <= Vm.length (vm_compile ~optimize:false names e))
 
 let prop_vm_code_size_linear =
   QCheck.Test.make ~name:"VM code size linear in expression size" ~count:300
     arbitrary_expr (fun e ->
-      let pr = Vm.compile ~optimize:false [| "x"; "y"; "z" |] e in
+      let pr = vm_compile ~optimize:false [| "x"; "y"; "z" |] e in
       Vm.length pr <= 4 * E.size e)
 
 let test_vm_unbound () =
   Alcotest.check_raises "unknown variable (register)" (Eval.Unbound "q")
-    (fun () -> ignore (Vm.compile [| "x" |] (E.var "q")))
+    (fun () -> ignore (vm_compile [| "x" |] (E.var "q")))
 
 let test_vm_conditional_branches () =
   let e = E.if_ (E.cond x E.Lt E.zero) (E.const 10.) (E.const 20.) in
-  let p = Vm.compile [| "x" |] e in
-  check_float "then branch" 10. (Vm.run p [| -1. |]);
-  check_float "else branch" 20. (Vm.run p [| 1. |])
+  let p = vm_compile [| "x" |] e in
+  check_float "then branch" 10. (vm_run p [| -1. |]);
+  check_float "else branch" 20. (vm_run p [| 1. |])
 
 let test_vm_disassemble () =
-  let p = Vm.compile [| "x" |] (E.add [ x; E.one ]) in
+  let p = vm_compile [| "x" |] (E.add [ x; E.one ]) in
   let d = Vm.disassemble p in
   Alcotest.(check bool) "has load" true
     (String.length d > 0
     && List.exists
          (fun l -> String.length l > 6)
          (String.split_on_char '\n' d));
-  (* x + 1 folds to [ldv; addk] after the peephole pass. *)
-  Alcotest.(check int) "two instrs" 2 (Vm.length p)
+  (* x + 1 folds to [ldv; addk; sto] after the peephole pass. *)
+  Alcotest.(check int) "three instrs" 3 (Vm.length p)
 
 (* The flagship fusion case: x*y + z*x + 3 collapses to
-   vmul / addk / vmacc — three instructions, two of them fused. *)
+   vmul / addk / vmacc and the store — four instructions, two of them
+   fused. *)
 let test_vm_fusion () =
   let e = E.add [ E.mul [ x; y ]; E.mul [ z; x ]; E.const 3. ] in
-  let p = Vm.compile [| "x"; "y"; "z" |] e in
+  let p = vm_compile [| "x"; "y"; "z" |] e in
   check_float "value" (2. *. 3. +. 5. *. 2. +. 3.)
-    (Vm.run p [| 2.; 3.; 5. |]);
-  Alcotest.(check int) "three instrs" 3 (Vm.length p);
+    (vm_run p [| 2.; 3.; 5. |]);
+  Alcotest.(check int) "four instrs" 4 (Vm.length p);
   let s = Vm.stats p in
   Alcotest.(check int) "two fused" 2 s.fused;
   let has op =
@@ -802,14 +747,14 @@ let test_vm_fusion () =
   Alcotest.(check bool) "vmacc present" true (has `Vmacc)
 
 (* Constant subtrees fold at compile time: no call instructions survive
-   and the program is a single constant load. *)
+   and the program is a single constant load and its store. *)
 let test_vm_constant_folding () =
   let e =
     E.add [ E.sin (E.const 2.); E.mul [ E.const 3.; E.const 4. ] ]
   in
-  let p = Vm.compile [| "x" |] e in
-  Alcotest.(check int) "single ldc" 1 (Vm.length p);
-  check_float "value" (Float.sin 2. +. 12.) (Vm.run p [| 0. |])
+  let p = vm_compile [| "x" |] e in
+  Alcotest.(check int) "single ldc and its store" 2 (Vm.length p);
+  check_float "value" (Float.sin 2. +. 12.) (vm_run p [| 0. |])
 
 (* [Mul [-1; x]] lowers to [neg], which Eval computes as [-1. *. x]:
    the same bits for every non-NaN [x], a NaN for a NaN.  The NaN's
@@ -817,15 +762,15 @@ let test_vm_constant_folding () =
    flips it — so the contract compares NaNs by class. *)
 let test_vm_neg_nan () =
   let e = E.mul [ E.minus_one; x ] in
-  let p = Vm.compile [| "x" |] e in
+  let p = vm_compile [| "x" |] e in
   Alcotest.(check bool)
     "lowered to neg" true
     (Array.exists
        (function Vm_code.Neg _ -> true | _ -> false)
-       (Vm.instructions (Vm.compile ~optimize:false [| "x" |] e)));
+       (Vm.instructions (vm_compile ~optimize:false [| "x" |] e)));
   List.iter
     (fun v ->
-      let vm = Vm.run p [| v |] in
+      let vm = vm_run p [| v |] in
       let ev = Eval.eval (Eval.env_of_list [ ("x", v) ]) e in
       if Float.is_nan v then begin
         Alcotest.(check bool) "vm nan" true (Float.is_nan vm);
@@ -864,8 +809,6 @@ let test_vm_stmts () =
   Vm.exec p ~env ~out;
   check_float "tmp^2" 25. out.(0);
   check_float "tmp + x" 7. out.(1);
-  Alcotest.(check int) "statement program has no result register" (-1)
-    (Vm.result_reg p);
   (* The "dead" temp is never read, so no store to env slot 3 remains. *)
   let stores_dead =
     Array.exists
@@ -886,11 +829,11 @@ let test_vm_dag_sharing () =
       0 (Vm.instructions p)
   in
   Alcotest.(check int) "one sin for three uses" 1
-    (sins (Vm.compile [| "x"; "y"; "z" |] e));
+    (sins (vm_compile [| "x"; "y"; "z" |] e));
   (* A structurally equal but distinct copy is a different node. *)
   let e' = E.add [ s; E.cos (E.sin (E.add [ x; z ])) ] in
   Alcotest.(check int) "copies are not merged" 2
-    (sins (Vm.compile [| "x"; "y"; "z" |] e'))
+    (sins (vm_compile [| "x"; "y"; "z" |] e'))
 
 (* A subtree first lowered inside an If arm and used again after the
    join: on the other branch its register is never written, so the
@@ -905,7 +848,7 @@ let test_vm_shared_across_if () =
   in
   let after = E.mul [ s; y ] in
   (* atan2 keeps its operand order, so its arm is lowered before [s]. *)
-  let single = E.atan2 branchy s in
+  let single = E.call E.Atan2 [ branchy; s ] in
   let stmts =
     [ (branchy, Vm.To_out 0); (nested, Vm.To_out 1); (after, Vm.To_out 2) ]
   in
@@ -917,7 +860,7 @@ let test_vm_shared_across_if () =
   in
   List.iter
     (fun optimize ->
-      let p = Vm.compile ~optimize names single in
+      let p = vm_compile ~optimize names single in
       let ps =
         Vm.compile_stmts ~optimize ~out_size:3 (Om_expr.Layout.of_names names)
           stmts
@@ -925,7 +868,7 @@ let test_vm_shared_across_if () =
       List.iter
         (fun env ->
           let want e = Eval.eval (env_of env) e in
-          check_float "single expression" (want single) (Vm.run p env);
+          check_float "single expression" (want single) (vm_run p env);
           let out = Array.make 3 0. in
           Vm.exec ps ~env ~out;
           List.iteri
@@ -1185,9 +1128,9 @@ let test_vm_exec_no_alloc () =
         E.if_ (E.cond x E.Lt y) (E.hypot x z) (E.powi y 2);
       ]
   in
-  let p = Vm.compile [| "x"; "y"; "z" |] e in
+  let p = vm_compile [| "x"; "y"; "z" |] e in
   let env = [| 0.3; 0.7; -1.2 |] in
-  let out = [||] in
+  let out = [| 0. |] in
   let words n =
     (* Warm up so any one-time allocation is excluded. *)
     Vm.exec p ~env ~out;
@@ -1204,12 +1147,17 @@ let test_vm_exec_no_alloc () =
 (* ---------- substitution ---------- *)
 
 let test_subst () =
+  let module Smap = Map.Make (String) in
+  let apply bindings =
+    Subst.apply_map
+      (List.fold_left (fun m (v, e) -> Smap.add v e m) Smap.empty bindings)
+  in
   check_expr "x -> y+1 in x²"
     (E.powi (E.add [ y; E.one ]) 2)
-    (Subst.apply [ ("x", E.add [ y; E.one ]) ] (E.powi x 2));
+    (apply [ ("x", E.add [ y; E.one ]) ] (E.powi x 2));
   check_expr "simultaneous swap"
     (E.sub y x)
-    (Subst.apply [ ("x", y); ("y", x) ] (E.sub x y))
+    (apply [ ("x", y); ("y", x) ] (E.sub x y))
 
 let test_rename () =
   check_expr "rename"
@@ -1287,11 +1235,6 @@ let test_prefix_lines () =
   let joined = String.concat " " lines in
   Alcotest.(check bool) "reparses" true (E.equal e (Pf.of_string joined))
 
-let test_equation_to_string () =
-  let s = Pf.equation_to_string ~lhs_var:"x" (E.neg y) in
-  Alcotest.(check string) "equation"
-    "Equal[Derivative[1][x][t], Times[-1, y]]" s
-
 (* ---------- compare/hash ---------- *)
 
 let prop_hash_consistent =
@@ -1327,11 +1270,11 @@ let prop_hash_follows_equal =
    41.  Hashing reads a stored field, [intern] and [vars] visit each
    node once; [intern] still tells [-0.] from [0.]. *)
 let test_hash_deep_dag () =
-  let rec build n e = if n = 0 then e else build (n - 1) (E.atan2 e e) in
+  let rec build n e = if n = 0 then e else build (n - 1) (E.call E.Atan2 [ e; e ]) in
   let d = build 40 (E.var "x") in
   let t0 = Unix.gettimeofday () in
   let h = E.hash d in
-  let rows = E.intern [| E.atan2 d (E.const 0.); E.atan2 d (E.const (-0.)) |] in
+  let rows = E.intern [| E.call E.Atan2 [ d; E.const 0. ]; E.call E.Atan2 [ d; E.const (-0.) ] |] in
   let vs = E.vars d in
   let dt = Unix.gettimeofday () -. t0 in
   if dt > 0.5 then Alcotest.failf "hash, intern and vars took %.3f s" dt;
@@ -1375,23 +1318,10 @@ let () =
           q prop_add_mul_match_table_oracle;
           q prop_mul_into_matches_mul;
         ] );
-      ( "simplify",
-        [
-          Alcotest.test_case "pythagoras" `Quick test_pythagoras;
-          Alcotest.test_case "sqrt of square" `Quick test_sqrt_square;
-          Alcotest.test_case "inverse pairs" `Quick test_inverse_pairs;
-          Alcotest.test_case "odd/even symmetry" `Quick
-            test_odd_even_symmetry;
-          Alcotest.test_case "expand" `Quick test_expand;
-          q prop_simplify_preserves_value;
-          q prop_expand_preserves_value;
-          q prop_simplify_idempotent;
-        ] );
       ( "deriv",
         [
           Alcotest.test_case "table" `Quick test_deriv_table;
           Alcotest.test_case "product rule" `Quick test_deriv_product_rule;
-          Alcotest.test_case "gradient" `Quick test_gradient;
           Alcotest.test_case "jacobian on the bearing" `Quick
             test_jacobian_matches_diff;
           Alcotest.test_case "jacobian with a non-finite constant" `Quick
@@ -1445,7 +1375,6 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_prefix_form_basic;
           Alcotest.test_case "wrapping" `Quick test_prefix_lines;
-          Alcotest.test_case "equation" `Quick test_equation_to_string;
           q prop_prefix_roundtrip;
           q prop_prefix_parser_total;
           q prop_prefix_roundtrip_annotated;

@@ -176,8 +176,7 @@ let test_layers () =
   let layers = Topo.layers g in
   Alcotest.(check int) "3 layers" 3 (List.length layers);
   Alcotest.(check (list int)) "layer 0" [ 0 ] (List.nth layers 0);
-  Alcotest.(check (list int)) "layer 1" [ 1; 2 ] (List.sort compare (List.nth layers 1));
-  Alcotest.(check int) "longest path" 3 (Topo.longest_path g)
+  Alcotest.(check (list int)) "layer 1" [ 1; 2 ] (List.sort compare (List.nth layers 1))
 
 let prop_layers_respect_edges =
   QCheck.Test.make ~name:"layers respect edges on DAGs" ~count:200

@@ -15,7 +15,7 @@ let checkf = Alcotest.check (Alcotest.float 1e-9)
 
 let test_lu_solve_known () =
   let a = [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  let x = L.solve a [| 5.; 10. |] in
+  let x = L.lu_solve (L.lu_factor a) [| 5.; 10. |] in
   checkf "x0" 1. x.(0);
   checkf "x1" 3. x.(1)
 
@@ -30,15 +30,6 @@ let test_singular () =
   let a = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
   Alcotest.check_raises "singular" (L.Singular 1) (fun () ->
       ignore (L.lu_factor a))
-
-let test_inverse () =
-  let a = [| [| 4.; 7. |]; [| 2.; 6. |] |] in
-  let inv = L.inverse a in
-  let prod = L.mat_mul a inv in
-  checkf "i00" 1. prod.(0).(0);
-  checkf "i01" 0. prod.(0).(1);
-  checkf "i10" 0. prod.(1).(0);
-  checkf "i11" 1. prod.(1).(1)
 
 let random_system_gen =
   QCheck.Gen.(
@@ -60,11 +51,12 @@ let prop_lu_solve_residual =
       for i = 0 to n - 1 do
         a.(i).(i) <- a.(i).(i) +. 20.
       done;
-      let x = L.solve a b in
-      let r = L.mat_vec a x in
+      let x = L.lu_solve (L.lu_factor a) b in
       let err = ref 0. in
       for i = 0 to n - 1 do
-        err := Float.max !err (Float.abs (r.(i) -. b.(i)))
+        let r = ref 0. in
+        Array.iteri (fun j v -> r := !r +. (v *. x.(j))) a.(i);
+        err := Float.max !err (Float.abs (!r -. b.(i)))
       done;
       !err < 1e-8)
 
@@ -75,7 +67,6 @@ let prop_transpose_involution =
       L.transpose (L.transpose a) = a)
 
 let test_norms () =
-  checkf "inf" 3. (L.norm_inf [| 1.; -3.; 2. |]);
   checkf "two" 5. (L.norm2 [| 3.; 4. |]);
   checkf "wrms" 1. (L.wrms_norm [| 2.; 2. |] [| 2.; 2. |])
 
@@ -103,11 +94,6 @@ let final solver = Odesys.final_state solver
 
 (* ---------- explicit solvers ---------- *)
 
-let test_euler_decay () =
-  let sys = decay () in
-  let tr = Rk.integrate_fixed Rk.euler sys ~t0:0. ~y0:[| 1. |] ~tend:1. ~h:1e-4 in
-  Alcotest.(check (float 1e-3)) "exp(-1)" (Float.exp (-1.)) (final tr).(0)
-
 let test_rk4_circle () =
   let sys = circle () in
   let tr =
@@ -127,10 +113,6 @@ let order_of stepper h =
   Float.log (err h /. err (h /. 2.)) /. Float.log 2.
 
 let test_orders () =
-  let o1 = order_of Rk.euler 1e-2 in
-  Alcotest.(check bool) "euler ~1" true (o1 > 0.8 && o1 < 1.2);
-  let o2 = order_of Rk.heun 1e-2 in
-  Alcotest.(check bool) "heun ~2" true (o2 > 1.7 && o2 < 2.3);
   let o4 = order_of Rk.rk4 1e-1 in
   Alcotest.(check bool) "rk4 ~4" true (o4 > 3.5 && o4 < 4.5)
 
@@ -657,14 +639,12 @@ let () =
           Alcotest.test_case "solve known" `Quick test_lu_solve_known;
           Alcotest.test_case "determinant" `Quick test_lu_det;
           Alcotest.test_case "singular" `Quick test_singular;
-          Alcotest.test_case "inverse" `Quick test_inverse;
           Alcotest.test_case "norms" `Quick test_norms;
           q prop_lu_solve_residual;
           q prop_transpose_involution;
         ] );
       ( "explicit",
         [
-          Alcotest.test_case "euler decay" `Quick test_euler_decay;
           Alcotest.test_case "rk4 circle" `Quick test_rk4_circle;
           Alcotest.test_case "convergence orders" `Quick test_orders;
           Alcotest.test_case "rkf45 tolerances" `Quick test_rkf45_tolerance;

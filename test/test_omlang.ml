@@ -196,7 +196,7 @@ let test_inheritance_override_equation () =
         class Child extends Base equation der(x) = 2.0 * x; end;
         instance c of Child;|}
   in
-  check_expr "child equation wins" E.(mul [ two; var "c.x" ]) (rhs m "c.x")
+  check_expr "child equation wins" E.(mul [ const 2.; var "c.x" ]) (rhs m "c.x")
 
 let test_inheritance_unknown_parent () =
   match
@@ -292,7 +292,7 @@ let test_cross_instance_alias_reference () =
         instance q of Q with src = p.double;|}
   in
   check_expr "alias expanded across instances"
-    E.(mul [ two; var "p.v" ])
+    E.(mul [ const 2.; var "p.v" ])
     (rhs m "q.w")
 
 let test_unresolved_name () =

@@ -190,7 +190,7 @@ let test_sweep_monotone () =
   let points =
     Objectmath.Sweep.run ~source ~cls:"C" ~param:"k"
       ~values:[ 0.5; 1.; 2.; 4. ] ~tend:1.
-      ~metric:(Objectmath.Sweep.final_value "c.x")
+      ~states:[| "c.x" |]
       ()
   in
   (* Final value of exp(-k) is decreasing in k, and matches analytically. *)
@@ -199,18 +199,25 @@ let test_sweep_monotone () =
       Alcotest.(check (float 1e-3))
         (Printf.sprintf "exp(-%g)" p.value)
         (Float.exp (Float.neg p.value))
-        p.metric)
+        p.finals.(0))
     points;
-  let metrics = List.map (fun (p : Objectmath.Sweep.point) -> p.metric) points in
+  let metrics = List.map (fun (p : Objectmath.Sweep.point) -> p.finals.(0)) points in
   Alcotest.(check bool) "decreasing" true
     (List.sort (fun a b -> compare b a) metrics = metrics)
 
 let test_sweep_series () =
   let points =
-    [ { Objectmath.Sweep.value = 1.; metric = 2.; steps = 0; rhs_calls = 0 } ]
+    [
+      {
+        Objectmath.Sweep.value = 1.;
+        finals = [| 2.; 3. |];
+        steps = 0;
+        rhs_calls = 0;
+      };
+    ]
   in
-  let s = Objectmath.Sweep.to_series "m" points in
-  Alcotest.(check bool) "series" true (s.points = [ (1., 2.) ])
+  let s = Objectmath.Sweep.to_series "m" 1 points in
+  Alcotest.(check bool) "series" true (s.points = [ (1., 3.) ])
 
 let test_odesys_of_source () =
   let fm, sys =
