@@ -667,7 +667,7 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Sweep a parameter: compile once, integrate all values as one \
-             lockstep ensemble")
+             ensemble, each value stepping on its own")
     Term.(const run $ file_arg $ builtin_arg $ cls $ param $ values $ tend
           $ metric $ domains)
 
@@ -772,7 +772,7 @@ let ensemble_cmd =
   Cmd.v
     (Cmd.info "ensemble"
        ~doc:"Seeded Monte Carlo over a parameter distribution, integrated \
-             as one lockstep ensemble")
+             as one ensemble, each sample stepping on its own")
     Term.(const run $ file_arg $ builtin_arg $ cls $ param $ dist $ samples
           $ seed $ tend $ metric $ domains $ show_samples)
 

@@ -9,7 +9,7 @@
     Int64-bitwise, per the {!Om_expr.Vm_batch} contract.
 
     The [brhs] signature matches {!Ode.Ensemble.brhs}, so a batch
-    backend plugs directly into the lockstep ensemble steppers.
+    backend plugs directly into the ensemble steppers.
 
     All mutable state (environment columns, output columns, register
     rows) is lane-indexed, so disjoint lane ranges of the same instance

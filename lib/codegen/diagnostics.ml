@@ -45,28 +45,3 @@ let pp ppf r =
   Fmt.pf ppf "driven inputs:     %a@." plist r.sources;
   Fmt.pf ppf "pure observers:    %a@." plist r.sinks;
   Fmt.pf ppf "largest SCC share: %.0f%%@." (100. *. r.largest_scc_share)
-
-let restrict (m : Om_lang.Flat_model.t) ~keep =
-  let g = Om_lang.Flat_model.dependency_graph m in
-  let index = Hashtbl.create 64 in
-  List.iteri (fun i (s, _) -> Hashtbl.replace index s i) m.states;
-  let needed = Array.make (Om_graph.Digraph.node_count g) false in
-  let rec mark v =
-    if not needed.(v) then begin
-      needed.(v) <- true;
-      (* The equation for v reads its predecessors. *)
-      List.iter mark (Om_graph.Digraph.pred g v)
-    end
-  in
-  List.iter
-    (fun s ->
-      match Hashtbl.find_opt index s with
-      | Some v -> mark v
-      | None -> invalid_arg ("Diagnostics.restrict: unknown state " ^ s))
-    keep;
-  let kept i = needed.(i) in
-  {
-    m with
-    states = List.filteri (fun i _ -> kept i) m.states;
-    equations = List.filteri (fun i _ -> kept i) m.equations;
-  }

@@ -5,7 +5,7 @@
     missing dependencies or dependencies that should not be there.  Also,
     uninteresting parts of the problem can be removed at an early stage
     so that no computing power is wasted."  This module turns the
-    dependency graph into those hints, and implements the removal. *)
+    dependency graph into those hints. *)
 
 type report = {
   isolated : string list;
@@ -26,11 +26,3 @@ type report = {
 val analyse : Om_lang.Flat_model.t -> report
 
 val pp : report Fmt.t
-
-val restrict :
-  Om_lang.Flat_model.t -> keep:string list -> Om_lang.Flat_model.t
-(** The sub-model needed to reproduce the trajectories of [keep]: the
-    backward-reachable closure of the dependency graph.  Every kept
-    state's equation is unchanged, so the restricted model integrates to
-    exactly the same values for those states.
-    @raise Invalid_argument if a name in [keep] is not a state. *)

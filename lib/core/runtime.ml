@@ -16,7 +16,6 @@ type config = {
   guard : bool;
   faults : Om_guard.Fault_plan.t option;
   barrier_deadline : float;
-  retry_budget : int;
   cancel : Om_guard.Cancel.t option;
   jac_mode : Om_ode.Odesys.jac_mode;
 }
@@ -32,7 +31,6 @@ let default_config =
     guard = true;
     faults = None;
     barrier_deadline = 0.;
-    retry_budget = 8;
     cancel = None;
     jac_mode = Om_ode.Odesys.Auto;
   }
@@ -97,14 +95,11 @@ let simulate_round config (r : Om_codegen.Pipeline.result)
   (round.duration +. epilogue, round.supervisor_busy, utilization,
    round.worker_compute)
 
-let solve ?max_retries ?jac_mode solver sys ~t0 ~tend ~y0 =
+let solve ~jac_mode solver sys ~t0 ~tend ~y0 =
   match solver with
-  | Rk4 h ->
-      Om_ode.Rk.integrate_fixed ?max_retries Om_ode.Rk.rk4 sys ~t0 ~y0 ~tend ~h
-  | Rkf45 -> Om_ode.Rk.rkf45 ?max_retries sys ~t0 ~y0 ~tend
-  | Lsoda ->
-      (Om_ode.Lsoda.integrate ?max_retries ?jac_mode sys ~t0 ~y0 ~tend)
-        .trajectory
+  | Rk4 h -> Om_ode.Rk.integrate_fixed Om_ode.Rk.rk4 sys ~t0 ~y0 ~tend ~h
+  | Rkf45 -> Om_ode.Rk.rkf45 sys ~t0 ~y0 ~tend
+  | Lsoda -> (Om_ode.Lsoda.integrate ~jac_mode sys ~t0 ~y0 ~tend).trajectory
 
 (* The post-round finite guard, armed by [config.guard]: scans the
    derivative vector after every RHS evaluation and raises a typed
@@ -138,15 +133,14 @@ let[@inline] cancel_check config =
    [f], and report it.  The report starts as a run on the supervisor
    alone, timed by the wall clock; [account] fills in the mode's own
    account of its rounds once the integration has ended. *)
-let integrate config ~solver ~t0 ~tend m f account =
+let integrate (config : config) ~solver ~t0 ~tend m f account =
   let sys = Om_codegen.Pipeline.system m f in
   let y0 =
     Om_lang.Flat_model.initial_values (Om_codegen.Pipeline.flat_model m)
   in
   let start = Unix.gettimeofday () in
   let trajectory =
-    solve ~max_retries:config.retry_budget ~jac_mode:config.jac_mode solver
-      sys ~t0 ~tend ~y0
+    solve ~jac_mode:config.jac_mode solver sys ~t0 ~tend ~y0
   in
   let wall = Unix.gettimeofday () -. start in
   let jac_mode, jac_nnz =

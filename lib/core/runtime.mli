@@ -65,9 +65,6 @@ type config = {
       (** seconds before a round barrier records a worker stall and the
           runtime drops the stalled worker (degradation ladder);
           [0.] (default) disarms detection.  {!Real_domains} only. *)
-  retry_budget : int;
-      (** bound on consecutive solver step retries after guarded faults
-          (default 8) *)
   cancel : Om_guard.Cancel.t option;
       (** cooperative cancellation/deadline token, polled once per RHS
           round (default [None]).  A cancelled token or an expired
@@ -86,7 +83,9 @@ type config = {
 val default_config : config
 (** One simulated worker on the SPARCCenter 2000, broadcast state,
     static LPT; guard on, no fault plan, stall detection disarmed,
-    retry budget 8. *)
+    no cancellation token, [Auto] Jacobian mode.  The solvers bound
+    their consecutive step retries after guarded faults with their own
+    [max_retries] default (8). *)
 
 type solver =
   | Rk4 of float  (** fixed step *)
@@ -183,7 +182,7 @@ val execute_model :
     [report.degradations], and trajectories stay bit-identical across
     all of them and across modes.  Guarded non-finite RHS output is
     retried with step-size backoff inside the solvers (bounded by
-    [config.retry_budget]).
+    their [max_retries] default, 8).
     @raise Om_guard.Om_error.Error ([Step_failure]) when a solver
     exhausts its retry or step budget. *)
 

@@ -3,10 +3,11 @@
    Each swept parameter is promoted ([Override.promote_parameter]): its
    default reads a frozen state, so the model is parsed, flattened and
    compiled once, and every sweep value / Monte Carlo sample is one
-   member of a lockstep ensemble whose frozen states carry that
-   member's values, integrated once by [Ensemble.rkf45] over the batched
-   register VM ([Batch_backend], optionally sliced across domains by
-   [Ensemble_exec]).  Each member reports the final values of the states
+   member of an ensemble whose frozen states carry that member's values,
+   integrated once by [Ensemble.rkf45] over the batched register VM
+   ([Batch_backend], optionally sliced across domains by
+   [Ensemble_exec]).  Every member steps on its own, so a point does
+   not depend on the other values in its batch.  Each member reports the final values of the states
    the caller names; no trajectory is recorded.  A bad class/parameter
    name ([Override.Unknown_target]) and a parameter whose every use
    rebinds it ([Override.Shadowed]) are the caller's errors. *)

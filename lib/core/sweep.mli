@@ -6,12 +6,14 @@
 
     The model compiles {e once}: each swept parameter is promoted
     ({!Om_lang.Override.promote_parameter}), so that its default reads
-    a frozen state.  Each value becomes one member of a lockstep
-    ensemble ({!Om_ode.Ensemble}) whose frozen states carry the value,
-    and whose initial values that read the parameter are evaluated with
-    it; the whole batch integrates once, by adaptive RKF45 through the
-    batched register VM ({!Om_codegen.Batch_backend}), optionally sliced
-    across worker domains.  Members keep their final states, not their
+    a frozen state.  Each value becomes one member of an ensemble
+    ({!Om_ode.Ensemble}) whose frozen states carry the value, and whose
+    initial values that read the parameter are evaluated with it; the
+    whole batch integrates once, by adaptive RKF45 through the batched
+    register VM ({!Om_codegen.Batch_backend}), optionally sliced across
+    worker domains.  Every member steps on its own: a point, its steps
+    and its RHS calls are the same whichever other values share the
+    batch.  Members keep their final states, not their
     trajectories.  Parts, subclasses and instances that rebind the
     parameter with a [with] binding keep their bound value, as in the
     unswept model. *)

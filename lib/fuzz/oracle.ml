@@ -80,10 +80,10 @@ let stiffened (f : FM.t) =
 let sweep_values = [ 0.75; 1.5; -0.5 ]
 
 (* A sweep point and a scalar run are two RKF45 integrations whose step
-   sequences differ: lockstep members share their step sizes, and the
-   frozen parameter states enter the error norm.  So they cannot agree
-   bit for bit, and where a conditional switches, the two step over the
-   switch differently.  At the solvers' default tolerances that made
+   sequences differ: a point steps on its own, but its frozen parameter
+   states enter the error norm.  So they cannot agree bit for bit, and
+   where a conditional switches, the two step over the switch
+   differently.  At the solvers' default tolerances that made
    points differ by up to 1.5 (a branch taken on one side only); at
    [sweep_rtol] both runs are tight enough that they agree within
    [sweep_tol], relative to [1 + |x|] (EXPERIMENTS.md: at most 1.3e-7
@@ -735,41 +735,76 @@ let check ?chaos (m : A.model) : result =
                               split_threshold }
                           fs)))
                   (R.Real_domains 2) lsoda_short);
-            (* ---- batched ensemble: lockstep RK4 ≡ scalar runs -------- *)
-            let run_batch y0s =
+            (* ---- batched ensemble: every member ≡ its scalar run ---- *)
+            let batch y0s =
               let bb =
                 Om_codegen.Batch_backend.create r.compiled
                   ~width:(Array.length y0s)
               in
-              let ens =
-                Om_ode.Ensemble.create ~dim:(FM.dim f)
-                  ~f:(Om_codegen.Batch_backend.brhs bb)
-                  y0s
-              in
-              let rep = Om_ode.Ensemble.rk4 ~record:true ens ~t0 ~tend ~h in
-              match rep.trajectories with
-              | Some trs -> trs
-              | None -> failwith "ensemble rk4 recorded no trajectories"
+              Om_ode.Ensemble.create ~dim:(FM.dim f)
+                ~f:(Om_codegen.Batch_backend.brhs bb)
+                y0s
             in
-            (* Batch of one over the model's own initial state must be
-               bitwise identical to the scalar reference trajectory. *)
-            strategy "ensemble-batch-1" (fun () ->
-                (run_batch [| FM.initial_values f |]).(0));
-            (* A batch of perturbed members: each member must reproduce a
-               scalar integrate_fixed run from its own initial state.  On
-               divergence, shrink along the batch index — re-run the
-               offending member alone to separate VM batching from
-               lockstep interaction between members. *)
-            let scalar_run y0 =
+            (* Each member's trajectory, accepted steps and rejections. *)
+            let members (rep : Om_ode.Ensemble.report) =
+              match rep.trajectories with
+              | Some trs ->
+                  Array.mapi
+                    (fun m tr -> (tr, rep.steps.(m), rep.rejected.(m)))
+                    trs
+              | None -> failwith "ensemble recorded no trajectories"
+            in
+            let scalar_run solve y0 =
               let sys =
                 Om_ode.Odesys.make ~names ~dim:(FM.dim f)
                   (Om_codegen.Pipeline.rhs_fn r)
               in
-              Om_ode.Rk.integrate_fixed Om_ode.Rk.rk4 sys ~t0 ~y0 ~tend ~h
+              let tr = solve sys y0 in
+              (tr, sys.counters.steps, sys.counters.rejected)
             in
-            (* Relative offsets of up to 1e-3, like the benchmark's
-               ensemble starts, so members of branchy models split at
-               conditionals and the diverged-lane driver is checked. *)
+            let rk4_batch y0s =
+              members
+                (Om_ode.Ensemble.rk4 ~record:true (batch y0s) ~t0 ~tend ~h)
+            in
+            let rk4_scalar =
+              scalar_run (fun sys y0 ->
+                  Om_ode.Rk.integrate_fixed Om_ode.Rk.rk4 sys ~t0 ~y0 ~tend ~h)
+            in
+            (* The adaptive arm's attempt budget: a member whose scalar
+               run needs more has nothing to be compared against. *)
+            let rkf45_max_steps = 20_000 in
+            let rkf45_batch y0s =
+              members
+                (Om_ode.Ensemble.rkf45 ~record:true ~max_steps:rkf45_max_steps
+                   (batch y0s) ~t0 ~tend)
+            in
+            let rkf45_scalar =
+              scalar_run (fun sys y0 ->
+                  Om_ode.Rk.rkf45 ~max_steps:rkf45_max_steps sys ~t0 ~y0 ~tend)
+            in
+            let differs (tr, steps, rejected) (tr', steps', rejected') =
+              match diverges names tr tr' with
+              | Some d -> Some d
+              | None when steps <> steps' ->
+                  Some (Printf.sprintf "%d accepted steps vs %d" steps steps')
+              | None when rejected <> rejected' ->
+                  Some (Printf.sprintf "%d rejections vs %d" rejected rejected')
+              | None -> None
+            in
+            (* Batch of one over the model's own initial state must be
+               bitwise identical to the scalar reference trajectory. *)
+            strategy "ensemble-batch-1" (fun () ->
+                let tr, _, _ = (rk4_batch [| FM.initial_values f |]).(0) in
+                tr);
+            (* A batch of perturbed members, under RK4 and under RKF45:
+               each member must reproduce a scalar run from its own
+               initial state, trajectory, steps and rejections.  On
+               divergence, shrink along the batch index — re-run the
+               offending member alone to separate VM batching from
+               interaction between members.  Relative offsets of up to
+               1e-3, like the benchmark's ensemble starts, so members of
+               branchy models split at conditionals and the
+               diverged-lane driver is checked. *)
             let nbatch = 8 in
             let member_y0 m =
               Array.mapi
@@ -779,39 +814,46 @@ let check ?chaos (m : A.model) : result =
                 (FM.initial_values f)
             in
             let y0s = Array.init nbatch member_y0 in
-            (match run_batch y0s with
-            | exception exn ->
-                fail "ensemble" "batch-%d rk4 raised %s" nbatch
-                  (Printexc.to_string exn)
-            | trs ->
-                let rec first_bad m =
-                  if m >= nbatch then None
-                  else
-                    match diverges names trs.(m) (scalar_run y0s.(m)) with
-                    | Some d -> Some (m, d)
-                    | None -> first_bad (m + 1)
-                in
-                (match first_bad 0 with
-                | None -> ()
-                | Some (m, d) ->
-                    fail "ensemble"
-                      "batch-%d member %d diverges from its scalar run: %s"
-                      nbatch m d;
-                    (* shrink to batch index [m] alone *)
-                    (match run_batch [| y0s.(m) |] with
-                    | exception _ -> ()
-                    | trs1 -> (
-                        match diverges names trs1.(0) (scalar_run y0s.(m)) with
-                        | Some d1 ->
-                            fail "ensemble"
-                              "shrunk: member %d alone (batch of 1) still \
-                               diverges: %s"
-                              m d1
-                        | None ->
-                            fail "ensemble"
-                              "shrunk: member %d alone matches — divergence \
-                               needs batch width %d (lockstep interaction)"
-                              m nbatch))));
+            let check_members what run_batch refs =
+              match run_batch y0s with
+              | exception exn ->
+                  fail "ensemble" "batch-%d %s raised %s" nbatch what
+                    (Printexc.to_string exn)
+              | got -> (
+                  let rec first_bad m =
+                    if m >= nbatch then None
+                    else
+                      match differs got.(m) refs.(m) with
+                      | Some d -> Some (m, d)
+                      | None -> first_bad (m + 1)
+                  in
+                  match first_bad 0 with
+                  | None -> ()
+                  | Some (m, d) -> (
+                      fail "ensemble"
+                        "batch-%d %s member %d diverges from its scalar run: %s"
+                        nbatch what m d;
+                      (* shrink to batch index [m] alone *)
+                      match run_batch [| y0s.(m) |] with
+                      | exception _ -> ()
+                      | got1 -> (
+                          match differs got1.(0) refs.(m) with
+                          | Some d1 ->
+                              fail "ensemble"
+                                "shrunk: %s member %d alone (batch of 1) still \
+                                 diverges: %s"
+                                what m d1
+                          | None ->
+                              fail "ensemble"
+                                "shrunk: %s member %d alone matches — \
+                                 divergence needs batch width %d (interaction \
+                                 between members)"
+                                what m nbatch)))
+            in
+            check_members "rk4" rk4_batch (Array.map rk4_scalar y0s);
+            (match Array.map rkf45_scalar y0s with
+            | exception _ -> ()
+            | refs -> check_members "rkf45" rkf45_batch refs);
             sweep_refused :=
               check_sweep
                 ~violation:(fun invariant detail ->

@@ -1,4 +1,4 @@
-(** Lockstep ensemble integration.
+(** Ensemble integration.
 
     An ensemble advances a batch of member trajectories of the {e same}
     ODE system — differing in initial state and promoted parameters —
@@ -7,25 +7,19 @@
     right-hand side is evaluated for a whole lane range per call, so a
     batched backend amortises instruction decode across the batch.
 
-    {b Bitwise contracts.}
+    {b Bitwise contract.}  Every member is its own scalar run, whatever
+    the batch width and whichever members share the batch, given a
+    right-hand side whose lanes do not interact (the batched register
+    VM's, at any domain count):
     {ul
     {- {!rk4} advances every member with the same step sequence; each
        member's trajectory is Int64-bitwise identical to a scalar
        {!Rk.integrate_fixed} [Rk.rk4] run of the per-lane RHS.}
-    {- {!rkf45} at width 1 reduces exactly to the scalar {!Rk.rkf45}
-       controller (same stages, WRMS error weights, safety factor and
-       clamps): batch-of-1 is bitwise identical to the scalar adaptive
-       solver.}
-    {- When {!rkf45} splits a group, the continuing (passing) members'
-       step-size sequence depends only on their own error estimates, so
-       a stiff member never perturbs the others' trajectories — they
-       stay bitwise identical to a run without the stiff member.}}
-
-    {b Split/merge.}  An adaptive attempt whose error estimates diverge
-    partitions the lane range stably into passing and failing members;
-    the failing subgroup is sub-stepped recursively to the rendezvous
-    point [t + h'] and merged back, so groups re-merge at every macro
-    step and fragmentation cannot accumulate. *)
+    {- {!rkf45} steps every lane on its own, with its own time, step
+       size and attempt count, through {!Rk.rkf45}'s tableau and
+       controller; each member's trajectory, accepted steps and
+       rejections are Int64-equal to a scalar {!Rk.rkf45} run of the
+       per-lane RHS from the member's start.}} *)
 
 type brhs =
   times:float array ->
@@ -46,14 +40,11 @@ type t
 type report = {
   final : float array array;
       (** Member-major final states: [final.(m).(i)] is state [i] of
-          member [m] (lane permutations from group splits are undone). *)
+          member [m] (lane permutations are undone). *)
   steps : int array;  (** accepted steps, per member *)
   rejected : int array;  (** rejected attempts, per member *)
   rhs_evals : int array;  (** per-member RHS stage evaluations *)
-  rhs_batches : int;  (** batched RHS calls issued (all groups) *)
-  splits : int;  (** adaptive group splits *)
-  merges : int;  (** subgroup rendezvous merges ([= splits]) *)
-  max_group_depth : int;  (** deepest split recursion reached *)
+  rhs_batches : int;  (** batched RHS calls issued *)
   trajectories : Odesys.trajectory array option;
       (** per-member trajectories when recording was requested *)
 }
@@ -78,9 +69,11 @@ val rkf45 :
   t0:float ->
   tend:float ->
   report
-(** Adaptive lockstep RKF45 with group split/merge.  Defaults match the
-    scalar solver: [atol = 1e-8], [rtol = 1e-6], [h0 = span /. 100.],
-    [max_steps = 1_000_000] (counting attempted steps across all
-    groups).
-    @raise Om_guard.Om_error.Error ([Step_failure]) when the attempt
-    budget is exhausted. *)
+(** Adaptive RKF45, every lane stepping on its own.  Each attempt
+    round runs the six stages of every unfinished lane, one batched RHS
+    call per stage; a lane that reaches [tend] leaves the range the
+    RHS is called over.  Defaults match the scalar solver: [atol =
+    1e-8], [rtol = 1e-6], [h0 = span /. 100.], [max_steps = 1_000_000]
+    (counting each lane's own attempts, as {!Rk.rkf45} does).
+    @raise Om_guard.Om_error.Error ([Step_failure]) when a lane
+    exhausts the attempt budget. *)

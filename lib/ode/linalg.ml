@@ -4,15 +4,7 @@ let make rows cols x = Array.init rows (fun _ -> Array.make cols x)
 
 let copy a = Array.map Array.copy a
 
-let dims a =
-  let rows = Array.length a in
-  (rows, if rows = 0 then 0 else Array.length a.(0))
-
-let transpose a =
-  let r, c = dims a in
-  Array.init c (fun j -> Array.init r (fun i -> a.(i).(j)))
-
-type lu = { a : mat; piv : int array; sign : float }
+type lu = { a : mat; piv : int array }
 
 exception Singular of int
 
@@ -22,7 +14,6 @@ let lu_factor m =
     invalid_arg "Linalg.lu_factor: not square";
   let a = copy m in
   let piv = Array.init n Fun.id in
-  let sign = ref 1. in
   for k = 0 to n - 1 do
     (* Partial pivoting: bring the largest magnitude entry of column k
        into the pivot position. *)
@@ -36,8 +27,7 @@ let lu_factor m =
       a.(!best) <- tmp;
       let tp = piv.(k) in
       piv.(k) <- piv.(!best);
-      piv.(!best) <- tp;
-      sign := Float.neg !sign
+      piv.(!best) <- tp
     end;
     let pivot = a.(k).(k) in
     if pivot = 0. then raise (Singular k);
@@ -49,9 +39,9 @@ let lu_factor m =
       done
     done
   done;
-  { a; piv; sign = !sign }
+  { a; piv }
 
-let lu_solve { a; piv; _ } b =
+let lu_solve { a; piv } b =
   let n = Array.length a in
   if Array.length b <> n then invalid_arg "Linalg.lu_solve: dimension mismatch";
   let x = Array.init n (fun i -> b.(piv.(i))) in
@@ -69,14 +59,6 @@ let lu_solve { a; piv; _ } b =
     x.(i) <- x.(i) /. a.(i).(i)
   done;
   x
-
-let lu_det { a; sign; _ } =
-  let n = Array.length a in
-  let d = ref sign in
-  for i = 0 to n - 1 do
-    d := !d *. a.(i).(i)
-  done;
-  !d
 
 let norm2 v =
   Float.sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. v)

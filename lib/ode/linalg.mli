@@ -8,7 +8,6 @@
 type mat = float array array
 
 val make : int -> int -> float -> mat
-val transpose : mat -> mat
 
 type lu
 (** Packed LU factorisation with its pivot permutation. *)
@@ -20,7 +19,6 @@ val lu_factor : mat -> lu
 (** Factor a square matrix (the input is copied). @raise Singular *)
 
 val lu_solve : lu -> float array -> float array
-val lu_det : lu -> float
 
 val norm2 : float array -> float
 val wrms_norm : float array -> float array -> float

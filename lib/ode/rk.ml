@@ -80,6 +80,10 @@ let rkf_b5 =
 
 let rkf_b4 = [| 25. /. 216.; 0.; 1408. /. 2565.; 2197. /. 4104.; -0.2; 0. |]
 
+(* Standard step-size update with safety factor, clamped growth. *)
+let rkf_step_factor e =
+  if e = 0. then 5. else Float.min 5. (Float.max 0.2 (0.9 *. (e ** -0.2)))
+
 let rkf45 ?(atol = 1e-8) ?(rtol = 1e-6) ?h0 ?(max_steps = 1_000_000)
     ?(max_retries = 8) (sys : Odesys.t) ~t0 ~y0 ~tend =
   let n = sys.dim in
@@ -174,12 +178,7 @@ let rkf45 ?(atol = 1e-8) ?(rtol = 1e-6) ?h0 ?(max_steps = 1_000_000)
           ys := Array.copy y5 :: !ys
         end
         else sys.counters.rejected <- sys.counters.rejected + 1;
-        (* Standard step-size update with safety factor, clamped growth. *)
-        let factor =
-          if e = 0. then 5.
-          else Float.min 5. (Float.max 0.2 (0.9 *. (e ** (-0.2))))
-        in
-        h := h' *. factor
+        h := h' *. rkf_step_factor e
   done;
   {
     Odesys.ts = Array.of_list (List.rev !ts);

@@ -29,8 +29,3 @@ let check t ~time ydot =
   for i = 0 to n - 1 do
     if slot_bad (Array.unsafe_get ydot i) then raise_slot t ~time ydot i
   done
-
-let wrap t f =
-  fun time y ydot ->
-    f time y ydot;
-    check t ~time ydot

@@ -21,13 +21,3 @@ val dim : t -> int
 val check : t -> time:float -> float array -> unit
 (** Scan the first [dim] slots; allocation-free when all are finite.
     @raise Om_error.Error ([Nonfinite_output]) on the first bad slot. *)
-
-val wrap :
-  t ->
-  (float -> float array -> float array -> unit) ->
-  float ->
-  float array ->
-  float array ->
-  unit
-(** [wrap t f] is [f] followed by {!check} — a guarded drop-in for any
-    [rhs_fn]-shaped function. *)

@@ -132,34 +132,6 @@ let save_svg ~path ?width ?height ?title ?x_label ?y_label all =
     (fun () ->
       output_string oc (to_svg ?width ?height ?title ?x_label ?y_label all))
 
-let to_ascii ?(width = 64) ?(height = 16) s =
-  match s.points with
-  | [] | [ _ ] -> "(not enough points)"
-  | pts ->
-      let x0, x1, y0, y1 = bounds [ s ] in
-      let grid = Array.make_matrix height width ' ' in
-      List.iter
-        (fun (x, y) ->
-          let cx =
-            int_of_float ((x -. x0) /. (x1 -. x0) *. float_of_int (width - 1))
-          in
-          let cy =
-            int_of_float ((y -. y0) /. (y1 -. y0) *. float_of_int (height - 1))
-          in
-          grid.(height - 1 - cy).(cx) <- '*')
-        pts;
-      let buf = Buffer.create (width * height) in
-      Array.iter
-        (fun row ->
-          Buffer.add_char buf '|';
-          Array.iter (Buffer.add_char buf) row;
-          Buffer.add_char buf '\n')
-        grid;
-      Buffer.add_string buf
-        (Printf.sprintf "x: %s .. %s   y: %s .. %s   (%s)" (fmt_tick x0)
-           (fmt_tick x1) (fmt_tick y0) (fmt_tick y1) s.label);
-      Buffer.contents buf
-
 type gantt_segment = {
   row : int;
   t_start : float;

@@ -3,7 +3,7 @@
     The ObjectMath environment offered "graphical presentation and
     visualization" of numerical experiments (paper §1.1, Figure 7's
     "Visualization Tool" box).  This module renders line charts as SVG
-    text and quick-look ASCII, with no dependencies. *)
+    text, with no dependencies. *)
 
 type series = {
   label : string;
@@ -36,9 +36,6 @@ val save_svg :
   ?y_label:string ->
   series list ->
   unit
-
-val to_ascii : ?width:int -> ?height:int -> series -> string
-(** Quick terminal rendering of a single series. *)
 
 type gantt_segment = {
   row : int;  (** 0-based row index *)

@@ -1328,50 +1328,6 @@ let test_diagnostics_servo () =
     && List.mem "S[2].sensor.Value" r.sinks);
   Alcotest.(check bool) "small SCC share" true (r.largest_scc_share < 0.5)
 
-let test_restrict_closure () =
-  let m = Om_models.Servo.model () in
-  let sub = Diag.restrict m ~keep:[ "S[1].motor.Speed" ] in
-  (* The controller/motor loop is needed; the load, angle integrator and
-     sensor are not. *)
-  let names = List.map fst sub.states in
-  Alcotest.(check (list string)) "loop only"
-    [ "S[1].ctrl.IPart"; "S[1].motor.Current"; "S[1].motor.Speed" ]
-    (List.sort compare names);
-  Om_lang.Typecheck.check sub
-
-let test_restrict_preserves_trajectories () =
-  let m = Om_models.Servo.model () in
-  let sub = Diag.restrict m ~keep:[ "S[1].motor.Speed" ] in
-  let run fm name =
-    let sys = Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false fm.Om_lang.Flat_model.equations in
-    let tr =
-      Om_ode.Rk.integrate_fixed Om_ode.Rk.rk4 sys ~t0:0.
-        ~y0:(Fm.initial_values fm) ~tend:1. ~h:1e-3
-    in
-    let col = Om_ode.Odesys.column tr name sys in
-    col.(Array.length col - 1)
-  in
-  Alcotest.(check (float 1e-12)) "same speed trajectory"
-    (run m "S[1].motor.Speed") (run sub "S[1].motor.Speed")
-
-let test_restrict_unknown () =
-  let m = Om_models.Servo.model () in
-  Alcotest.check_raises "unknown state"
-    (Invalid_argument "Diagnostics.restrict: unknown state nope") (fun () ->
-      ignore (Diag.restrict m ~keep:[ "nope" ]))
-
-let prop_restrict_always_valid =
-  QCheck.Test.make ~name:"restrict yields a well-formed sub-model" ~count:40
-    QCheck.(int_range 0 38)
-    (fun k ->
-      let m = Om_models.Powerplant.model () in
-      let states = List.map fst m.states in
-      let keep = [ List.nth states (k mod List.length states) ] in
-      let sub = Diag.restrict m ~keep in
-      Om_lang.Typecheck.check sub;
-      List.length sub.states <= List.length m.states
-      && List.for_all (fun s -> List.mem s (List.map fst sub.states)) keep)
-
 let () =
   let q = Qcheck_seed.to_alcotest in
   Alcotest.run "om_codegen"
@@ -1465,12 +1421,6 @@ let () =
         [
           Alcotest.test_case "bearing" `Quick test_diagnostics_bearing;
           Alcotest.test_case "servo" `Quick test_diagnostics_servo;
-          Alcotest.test_case "restrict closure" `Quick test_restrict_closure;
-          Alcotest.test_case "restrict preserves trajectories" `Quick
-            test_restrict_preserves_trajectories;
-          Alcotest.test_case "restrict unknown state" `Quick
-            test_restrict_unknown;
-          q prop_restrict_always_valid;
         ] );
       ( "pipeline",
         [

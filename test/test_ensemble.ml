@@ -500,7 +500,7 @@ let test_rkf45_batch_of_one_matches_scalar () =
   Alcotest.(check int) "same rejections" sys.counters.rejected
     rep.Ens.rejected.(0)
 
-(* ---------- group split/merge ---------- *)
+(* ---------- every member is its own scalar run ---------- *)
 
 (* Decay with per-member rate carried in the state vector:
    k' = 0, x' = -k x.  A huge k makes one member stiff for RKF45. *)
@@ -528,42 +528,73 @@ let decay_member c k =
   y.(ki) <- k;
   y
 
-let run_decay_ensemble c ks =
-  let n = Array.length ks in
-  let bb = Batch.create c ~width:n in
-  let ens =
-    Ens.create ~dim:c.Bb.dim ~f:(Batch.brhs bb)
-      (Array.map (decay_member c) ks)
+(* Each member of an [Ens.rkf45] batch over [y0s], at 1 and 3 domains,
+   against a scalar [Rk.rkf45] run from its own start: trajectory,
+   accepted steps, rejections and RHS calls.  Returns the scalar runs'
+   (steps, rejections). *)
+let check_members_are_scalar_runs c y0s ~tend =
+  let n = Array.length y0s in
+  let scalar =
+    Array.map
+      (fun y0 ->
+        let sys = scalar_sys c in
+        let tr = Om_ode.Rk.rkf45 sys ~t0:0. ~y0 ~tend in
+        (tr, sys.counters))
+      y0s
   in
-  Ens.rkf45 ens ~t0:0. ~tend:1.
+  List.iter
+    (fun domains ->
+      let bb = Batch.create c ~width:n in
+      let ex = Objectmath.Ensemble_exec.create ~domains bb in
+      let rep =
+        Fun.protect
+          ~finally:(fun () -> Objectmath.Ensemble_exec.shutdown ex)
+          (fun () ->
+            let ens =
+              Ens.create ~dim:c.Bb.dim ~f:(Objectmath.Ensemble_exec.brhs ex)
+                y0s
+            in
+            Ens.rkf45 ~record:true ens ~t0:0. ~tend)
+      in
+      let trajs = Option.get rep.Ens.trajectories in
+      Array.iteri
+        (fun m (tr, (cs : Om_ode.Odesys.counters)) ->
+          let what = Printf.sprintf "%d domains, member %d" domains m in
+          check_traj what tr trajs.(m);
+          Alcotest.(check int) (what ^ " steps") cs.steps rep.Ens.steps.(m);
+          Alcotest.(check int)
+            (what ^ " rejections") cs.rejected rep.Ens.rejected.(m);
+          Alcotest.(check int)
+            (what ^ " rhs calls") cs.rhs_calls rep.Ens.rhs_evals.(m))
+        scalar)
+    [ 1; 3 ];
+  Array.map (fun (_, (cs : Om_ode.Odesys.counters)) -> (cs.steps, cs.rejected))
+    scalar
 
-let test_split_isolates_stiff_member () =
+(* Twelve members of the branchy oscillator, amplitudes spread over two
+   decades so that they switch branches at different times, and the
+   decay model with one stiff member among calm ones: no member's steps
+   depend on which others share its batch. *)
+let test_rkf45_members_are_scalar_runs () =
+  let r = compile_model branchy_source in
+  let c = r.Om_codegen.Pipeline.compiled in
+  let y0s =
+    Array.init 12 (fun m ->
+        Array.map (fun v -> v *. (0.1 +. float_of_int m)) (member_y0 c m))
+  in
+  let counts = check_members_are_scalar_runs c y0s ~tend:2.5 in
+  Alcotest.(check bool)
+    "members take different step counts" true
+    (Array.exists (fun (s, _) -> s <> fst counts.(0)) counts);
   let r = compile_model decay_source in
   let c = r.Om_codegen.Pipeline.compiled in
-  let calm = run_decay_ensemble c [| 1.0; 2.5 |] in
-  let mixed = run_decay_ensemble c [| 1.0; 2.5; 4000. |] in
-  Alcotest.(check bool) "splits happened" true (mixed.Ens.splits > 0);
-  Alcotest.(check int) "merged back" mixed.Ens.splits mixed.Ens.merges;
-  Alcotest.(check bool)
-    "stiff member rejected steps" true
-    (mixed.Ens.rejected.(2) > 0);
-  (* The stiff member must not perturb the others: identical bits. *)
-  for m = 0 to 1 do
-    Array.iteri
-      (fun i v ->
-        check_bits
-          (Printf.sprintf "member %d state %d" m i)
-          v
-          mixed.Ens.final.(m).(i))
-      calm.Ens.final.(m)
-  done;
-  (* And per-member telemetry for the calm members matches too. *)
-  for m = 0 to 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "member %d steps" m)
-      calm.Ens.steps.(m)
-      mixed.Ens.steps.(m)
-  done
+  let counts =
+    check_members_are_scalar_runs c
+      (Array.map (decay_member c) [| 1.0; 4000.; 2.5 |])
+      ~tend:1.
+  in
+  Alcotest.(check bool) "the stiff member rejects steps" true
+    (snd counts.(1) > 0)
 
 (* ---------- parallel lane dispatch ---------- *)
 
@@ -603,10 +634,10 @@ let sweep ?domains source ~cls ~param ~values ~metric =
     ~states:[| metric |]
     ()
 
-(* Lockstep members share their step sizes, and the frozen parameter
-   states enter the error norm, so a sweep point and a scalar RKF45 run
-   of the source with the value written into its text agree to the
-   solvers' tolerance (rtol 1e-6), not bit for bit. *)
+(* A sweep point steps on its own, but its frozen parameter states
+   enter the error norm, so it and a scalar RKF45 run of the source
+   with the value written into its text take different steps: they
+   agree to the solvers' tolerance (rtol 1e-6), not bit for bit. *)
 let substitution_tol = 1e-5
 
 (* [metric]'s final value in a scalar [Rk.rkf45] run of [source v]. *)
@@ -860,8 +891,8 @@ let () =
             test_rk4_matches_scalar_runs;
           Alcotest.test_case "rkf45 batch of one" `Quick
             test_rkf45_batch_of_one_matches_scalar;
-          Alcotest.test_case "split isolates stiff member" `Quick
-            test_split_isolates_stiff_member;
+          Alcotest.test_case "members are their own scalar runs" `Quick
+            test_rkf45_members_are_scalar_runs;
           Alcotest.test_case "domains match sequential" `Quick
             test_domains_match_sequential;
         ] );

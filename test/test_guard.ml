@@ -163,21 +163,6 @@ let test_guard_first_slot_wins () =
       Alcotest.(check int) "first bad slot reported" 0 slot;
       Alcotest.(check string) "equation" "der(a)" equation
 
-let test_guard_wrap () =
-  let g = FG.create ~names:[| "a" |] ~dim:1 in
-  let calls = ref 0 in
-  let rhs _t _y ydot =
-    incr calls;
-    ydot.(0) <- if !calls > 1 then Float.nan else 0.
-  in
-  let guarded = FG.wrap g rhs in
-  let ydot = [| 0. |] in
-  guarded 0. [| 0. |] ydot;
-  Alcotest.(check bool) "second call trips the guard" true
-    (match guarded 0.1 [| 0. |] ydot with
-    | () -> false
-    | exception E.Error (E.Nonfinite_output _) -> true)
-
 let test_guard_invalid () =
   Alcotest.(check bool) "names shorter than dim rejected" true
     (match FG.create ~names:[| "a" |] ~dim:2 with
@@ -225,7 +210,6 @@ let () =
           Alcotest.test_case "attribution" `Quick test_guard_attribution;
           Alcotest.test_case "first slot wins" `Quick
             test_guard_first_slot_wins;
-          Alcotest.test_case "wrap" `Quick test_guard_wrap;
           Alcotest.test_case "invalid" `Quick test_guard_invalid;
           Alcotest.test_case "zero alloc" `Quick test_guard_zero_alloc;
         ] );

@@ -17,14 +17,12 @@ let test_lu_solve_known () =
   let a = [| [| 2.; 1. |]; [| 1.; 3. |] |] in
   let x = L.lu_solve (L.lu_factor a) [| 5.; 10. |] in
   checkf "x0" 1. x.(0);
-  checkf "x1" 3. x.(1)
-
-let test_lu_det () =
-  let a = [| [| 2.; 0. |]; [| 0.; 3. |] |] in
-  checkf "det" 6. (L.lu_det (L.lu_factor a));
-  (* Row swap flips the sign. *)
+  checkf "x1" 3. x.(1);
+  (* A zero leading pivot: partial pivoting must swap the rows. *)
   let b = [| [| 0.; 3. |]; [| 2.; 0. |] |] in
-  checkf "det swapped" (-6.) (L.lu_det (L.lu_factor b))
+  let x = L.lu_solve (L.lu_factor b) [| 6.; 4. |] in
+  checkf "swapped x0" 2. x.(0);
+  checkf "swapped x1" 2. x.(1)
 
 let test_singular () =
   let a = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
@@ -59,12 +57,6 @@ let prop_lu_solve_residual =
         err := Float.max !err (Float.abs (!r -. b.(i)))
       done;
       !err < 1e-8)
-
-let prop_transpose_involution =
-  QCheck.Test.make ~name:"transpose twice is identity" ~count:100
-    arbitrary_system (fun (n, entries, _) ->
-      let a = Array.init n (fun i -> Array.init n (fun j -> entries.((i * n) + j))) in
-      L.transpose (L.transpose a) = a)
 
 let test_norms () =
   checkf "two" 5. (L.norm2 [| 3.; 4. |]);
@@ -637,11 +629,9 @@ let () =
       ( "linalg",
         [
           Alcotest.test_case "solve known" `Quick test_lu_solve_known;
-          Alcotest.test_case "determinant" `Quick test_lu_det;
           Alcotest.test_case "singular" `Quick test_singular;
           Alcotest.test_case "norms" `Quick test_norms;
           q prop_lu_solve_residual;
-          q prop_transpose_involution;
         ] );
       ( "explicit",
         [

@@ -65,17 +65,6 @@ let test_of_arrays () =
     (Invalid_argument "Plot.of_arrays: length mismatch") (fun () ->
       ignore (Plot.of_arrays "a" [| 1. |] [| 1.; 2. |]))
 
-let test_ascii () =
-  let a = Plot.to_ascii ~width:40 ~height:10 wave in
-  Alcotest.(check bool) "has stars" true (contains a "*");
-  Alcotest.(check bool) "has label" true (contains a "wave");
-  Alcotest.(check int) "rows" 11
-    (List.length (String.split_on_char '\n' a))
-
-let test_ascii_degenerate () =
-  Alcotest.(check string) "single point" "(not enough points)"
-    (Plot.to_ascii (Plot.series "p" [ (0., 0.) ]))
-
 let test_save_svg () =
   let path = Filename.temp_file "plot" ".svg" in
   Plot.save_svg ~path [ line ];
@@ -136,7 +125,5 @@ let () =
       ( "ascii",
         [
           Alcotest.test_case "of_arrays" `Quick test_of_arrays;
-          Alcotest.test_case "rendering" `Quick test_ascii;
-          Alcotest.test_case "degenerate" `Quick test_ascii_degenerate;
         ] );
     ]
